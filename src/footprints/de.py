@@ -3,6 +3,10 @@
 Runs are deterministic given (instance, config, budget, seed) and consume
 exactly ``budget`` objective evaluations; the last generation is truncated
 when the remaining budget is smaller than the population.
+
+Selection is generational (Storn & Price 1997), so each generation's trials
+are built from one batched draw of parents and crossover masks. This draw
+order is new in 0.2.0 and changes ``performance.csv`` bytes against 0.1.0.
 """
 
 from __future__ import annotations
@@ -95,11 +99,14 @@ def _reflect(X: np.ndarray, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND) ->
     return lo + np.where(Y > span, 2.0 * span - Y, Y)
 
 
-def _pick_distinct(rng: np.random.Generator, pop_size: int, exclude: int, k: int) -> np.ndarray:
-    """k distinct indices from 0..pop_size-1, never equal to `exclude`."""
-    idx = rng.choice(pop_size - 1, size=k, replace=False)
-    idx[idx >= exclude] += 1
-    return idx
+def _draw_parents(rng: np.random.Generator, pop_size: int, m: int, k: int) -> np.ndarray:
+    """Row i: k distinct indices of 0..pop_size-1, never i, uniform in order.
+
+    The target's own sort key is +inf, so it sorts last and is never drawn.
+    """
+    keys = rng.random((m, pop_size))
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1, kind="stable")[:, :k]
 
 
 def run_de(
@@ -119,6 +126,7 @@ def run_de(
     if budget < pop_size:
         raise ConfigurationError(f"budget {budget} smaller than population {pop_size}")
     dim = instance.dimension
+    F = config.F
     rng = np.random.default_rng(seed)
 
     pop = rng.uniform(LOWER_BOUND, UPPER_BOUND, (pop_size, dim))
@@ -131,30 +139,21 @@ def run_de(
 
     while evals < budget:
         m = min(pop_size, budget - evals)
-        best_idx = int(np.argmin(fvals))
-        trials = np.empty((m, dim))
-        for i in range(m):
-            r = _pick_distinct(rng, pop_size, i, _N_PARENTS[config.strategy])
-            if config.strategy == "rand/1/bin":
-                v = pop[r[0]] + config.F * (pop[r[1]] - pop[r[2]])
-            elif config.strategy == "best/1/bin":
-                v = pop[best_idx] + config.F * (pop[r[0]] - pop[r[1]])
-            elif config.strategy == "rand/2/bin":
-                v = (
-                    pop[r[0]]
-                    + config.F * (pop[r[1]] - pop[r[2]])
-                    + config.F * (pop[r[3]] - pop[r[4]])
-                )
-            else:  # current-to-best/1/bin
-                v = (
-                    pop[i]
-                    + config.F * (pop[best_idx] - pop[i])
-                    + config.F * (pop[r[0]] - pop[r[1]])
-                )
-            cross = rng.random(dim) < config.Cr
-            cross[rng.integers(dim)] = True
-            trials[i] = np.where(cross, v, pop[i])
-        trials = _reflect(trials)
+        best = pop[np.argmin(fvals)]
+        r = _draw_parents(rng, pop_size, m, _N_PARENTS[config.strategy])
+        x = pop[r.T]  # x[j] holds parent j of every target
+        current = pop[:m]
+        if config.strategy == "rand/1/bin":
+            v = x[0] + F * (x[1] - x[2])
+        elif config.strategy == "best/1/bin":
+            v = best + F * (x[0] - x[1])
+        elif config.strategy == "rand/2/bin":
+            v = x[0] + F * (x[1] - x[2]) + F * (x[3] - x[4])
+        else:  # current-to-best/1/bin
+            v = current + F * (best - current) + F * (x[0] - x[1])
+        cross = rng.random((m, dim)) < config.Cr
+        cross[np.arange(m), rng.integers(dim, size=m)] = True
+        trials = _reflect(np.where(cross, v, current))
         tvals = instance.evaluate_batch(trials)
         evals += m
         best_f = min(best_f, float(np.min(tvals)))

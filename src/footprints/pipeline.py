@@ -3,8 +3,9 @@ explain -> footprint -> report.
 
 Every stage is a pure function of its input files and config, with all
 randomness drawn from documented seed chains, so reruns reproduce byte
-identical CSV/SVG artifacts. A manifest records input/output digests per
-stage; completed stages are skipped on rerun unless --force is given.
+identical CSV/SVG artifacts. A manifest records the code version and the
+input/output digests per stage; a stage is skipped on rerun only when all
+of them still match, unless --force is given.
 """
 
 from __future__ import annotations
@@ -190,17 +191,22 @@ class Pipeline:
             fh.write("\n")
 
     def _stage_done(self, stage: str) -> bool:
+        """Recorded by this code version under this config, with the recorded
+        input and output digests matching the files on disk."""
         record = self.manifest.get("stages", {}).get(stage)
-        if record is None or record.get("config_digest") != self.cfg.digest():
+        if (record is None or record.get("config_digest") != self.cfg.digest()
+                or record.get("version") != __version__):
             return False
-        outputs = record.get("outputs", {})
-        for name in outputs:
-            p = self.out / name
-            if not p.exists() or _sha256(p) != outputs[name]:
-                return False
-        # all declared outputs must be covered
+        inputs, outputs = record.get("inputs", {}), record.get("outputs", {})
         declared = {str(p.relative_to(self.out)) for p in self._stage_outputs(stage)}
-        return declared <= set(outputs)
+        return (set(self._stage_inputs(stage)) <= set(inputs) and declared <= set(outputs)
+                and self._digests_match(inputs) and self._digests_match(outputs))
+
+    def _digests_match(self, digests: dict) -> bool:
+        return all(
+            (self.out / name).exists() and _sha256(self.out / name) == digest
+            for name, digest in digests.items()
+        )
 
     def _record_stage(self, stage: str, elapsed: float, extra_outputs=()) -> None:
         outputs = {}
@@ -212,6 +218,7 @@ class Pipeline:
             if p.exists():
                 inputs[name] = _sha256(p)
         self.manifest.setdefault("stages", {})[stage] = {
+            "version": __version__,
             "config_digest": self.cfg.digest(),
             "inputs": inputs,
             "outputs": outputs,

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import logging
+import shutil
 from pathlib import Path
 
 import pytest
@@ -185,13 +188,59 @@ def test_pipeline_rerun_identical_digests(tiny_run, tmp_path):
     assert _digest_tree(out) == _digest_tree(out2)
 
 
-def test_pipeline_resume_skips_stages(tiny_run, caplog):
-    import logging
-
-    config_path, out = tiny_run
+def _stages_run(config_path, out, caplog) -> list[str]:
+    """Run the whole pipeline over `out`; the stages that were not cached."""
+    caplog.clear()
     with caplog.at_level(logging.INFO, logger="footprints.pipeline"):
         assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == 0
-    assert any("cached" in rec.message for rec in caplog.records)
+    messages = [rec.getMessage() for rec in caplog.records]
+    return [m.split()[1].rstrip(":") for m in messages if m.endswith(": running")]
+
+
+def test_pipeline_resume_skips_stages(tiny_run, caplog):
+    config_path, out = tiny_run
+    assert _stages_run(config_path, out, caplog) == []
+    assert sum("cached" in rec.message for rec in caplog.records) == 8
+
+
+def test_stage_records_from_older_version_rerun(tiny_run, tmp_path, caplog):
+    config_path, out = tiny_run
+    stale = tmp_path / "stale"
+    shutil.copytree(out, stale)
+    manifest = json.loads((stale / "manifest.json").read_text())
+    for record in manifest["stages"].values():
+        record["version"] = "0.1.0"
+    (stale / "manifest.json").write_text(json.dumps(manifest))
+    assert "solve" in _stages_run(config_path, stale, caplog)
+    assert _digest_tree(stale) == _digest_tree(out)
+
+
+def test_changed_performance_reruns_downstream_stages(tiny_run, tmp_path, caplog):
+    # as after `solve --force` under a new code version: performance.csv and
+    # the solve record change together, the config does not
+    from footprints.de import read_performance_csv, write_performance_csv
+
+    config_path, out = tiny_run
+    changed = tmp_path / "changed"
+    shutil.copytree(out, changed)
+    perf = changed / "performance.csv"
+    records = read_performance_csv(perf)
+    write_performance_csv(
+        [dataclasses.replace(r, median_log_precision=-r.median_log_precision)
+         for r in records],
+        perf,
+    )
+    manifest = json.loads((changed / "manifest.json").read_text())
+    manifest["stages"]["solve"]["outputs"]["performance.csv"] = (
+        hashlib.sha256(perf.read_bytes()).hexdigest()
+    )
+    (changed / "manifest.json").write_text(json.dumps(manifest))
+    assert _stages_run(config_path, changed, caplog) == [
+        "train", "explain", "footprint", "report"
+    ]
+    assert ((changed / "predictions/fold_1.csv").read_bytes()
+            != (out / "predictions/fold_1.csv").read_bytes())
+    assert _stages_run(config_path, changed, caplog) == []
 
 
 def test_pipeline_manifest_contents(tiny_run):

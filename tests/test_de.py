@@ -1,9 +1,16 @@
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from footprints.de import (
+    STRATEGIES,
     DeConfig,
     PerformanceRecord,
+    _draw_parents,
+    _reflect,
     default_population_size,
     default_portfolio,
     measure,
@@ -59,10 +66,75 @@ def test_constant_function_gives_zero_precision():
 
 def test_budget_consumed_exactly():
     inner = make_instance(1, 1, 3)
-    for budget in (20, 23, 67, 100):
-        counting = CountingInstance(inner)
-        run_de(counting, RAND1, budget=budget, seed=3)
-        assert counting.n_evaluations == budget
+    for strategy in STRATEGIES:
+        config = DeConfig("B", strategy, 0.5, 0.9, 20)
+        for budget in (20, 23, 67, 100):
+            counting = CountingInstance(inner)
+            gens = []
+            run_de(counting, config, budget=budget, seed=3,
+                   on_generation=lambda gen, pop, fvals: gens.append(gen))
+            assert counting.n_evaluations == budget
+            assert gens == list(range(1 + math.ceil((budget - 20) / 20)))
+
+
+@pytest.mark.parametrize("pop_size,m,k", [(8, 8, 3), (8, 8, 7), (20, 13, 5), (6, 1, 5)])
+def test_draw_parents_distinct_and_never_the_target(pop_size, m, k):
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        r = _draw_parents(rng, pop_size, m, k)
+        assert r.shape == (m, k)
+        assert np.all((r >= 0) & (r < pop_size))
+        for i, row in enumerate(r):
+            assert len(set(row.tolist())) == k
+            assert i not in row
+
+
+@pytest.mark.parametrize("m", [6, 4])
+def test_draw_parents_uniform_per_column(m):
+    # every non-target index is equally likely in every column, also when
+    # the last generation is truncated to m < pop_size targets
+    pop_size, k, draws = 6, 3, 20000
+    rng = np.random.default_rng(12)
+    counts = np.zeros((m, k, pop_size), dtype=int)
+    rows = np.arange(m)[:, None]
+    cols = np.arange(k)[None, :]
+    for _ in range(draws):
+        np.add.at(counts, (rows, cols, _draw_parents(rng, pop_size, m, k)), 1)
+    for i in range(m):
+        assert counts[i, :, i].sum() == 0
+        others = np.delete(counts[i], i, axis=1)
+        for j in range(k):
+            assert chisquare(others[j]).pvalue > 1e-4, (i, j, others[j])
+
+
+def test_trials_read_only_previous_generation():
+    # rand/1/bin with Cr=1 takes every coordinate from the mutant, so each
+    # trial of generation g is reflect(p[a] + F*(p[b] - p[c])) for distinct
+    # a, b, c != i of the generation g-1 population p
+    pop_size, F = 8, 0.5
+    counting = CountingInstance(make_instance(1, 1, 2))
+    history = []
+    run_de(counting, DeConfig("G", "rand/1/bin", F, 1.0, pop_size), budget=6 * pop_size,
+           seed=4, on_generation=lambda gen, pop, fvals: history.append(pop))
+    assert len(counting.points) == len(history) == 6
+    a, b, c = np.array(list(permutations(range(pop_size), 3))).T
+    for g in range(1, len(history)):
+        p = history[g - 1]
+        candidates = _reflect(p[a] + F * (p[b] - p[c]))
+        for i, trial in enumerate(counting.points[g]):
+            allowed = (a != i) & (b != i) & (c != i)
+            assert np.any(np.all(candidates[allowed] == trial, axis=1)), (g, i)
+
+
+def test_zero_crossover_rate_takes_exactly_one_mutant_coordinate():
+    counting = CountingInstance(make_instance(1, 1, 4))
+    history = []
+    run_de(counting, DeConfig("X", "rand/1/bin", 0.5, 0.0, 10), budget=45, seed=8,
+           on_generation=lambda gen, pop, fvals: history.append(pop))
+    for g in range(1, len(history)):
+        trials = counting.points[g]
+        changed = trials != history[g - 1][: len(trials)]
+        assert np.all(changed.sum(axis=1) == 1), g
 
 
 def test_budget_below_population_rejected():
