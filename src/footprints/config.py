@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -16,43 +16,102 @@ from .suite import N_PROBLEMS
 T_MODES = ("train-median", "explicit")
 SCALES = ("log", "raw")
 
-_DEFAULT_PROBLEMS = list(range(1, N_PROBLEMS + 1))
-_DEFAULT_INSTANCES = [1, 2, 3, 4, 5]
+_DE_CONFIG_KEYS = frozenset(f.name for f in fields(de.DeConfig))
+
+
+# Value parsers take the raw YAML value, never null, and raise ValueError
+# saying what they expected; parse_config names the key.
+
+def _scalar(kind, what: str, accepted: tuple):
+    # strings are converted too: YAML 1.1 reads 1e-3 as a string
+    def parse(raw):
+        if isinstance(raw, accepted) and not isinstance(raw, bool):
+            try:
+                return kind(raw)
+            except (ValueError, OverflowError):
+                pass
+        raise ValueError(f"expected {what}, got {raw!r}")
+    return parse
+
+
+_int = _scalar(int, "an integer", (int, str))
+_float = _scalar(float, "a number", (int, float, str))
+_str = _scalar(str, "a string", (str, int, float))
+
+
+def _list_of(item):
+    def parse(raw):
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError(f"expected a list, got {raw!r}")
+        return [item(v) for v in raw]
+    return parse
+
+
+def _expand_ids(raw) -> list[int]:
+    """Accept [1,2,3], "1-24", or a single int."""
+    if isinstance(raw, str):
+        lo, _, hi = raw.partition("-")
+        if not hi:
+            raise ValueError(f"cannot parse id range {raw!r}")
+        return list(range(_int(lo), _int(hi) + 1))
+    if isinstance(raw, (list, tuple)):
+        return _list_of(_int)(raw)
+    return [_int(raw)]
+
+
+def _de_configs(raw) -> list[dict]:
+    """DE config mappings, kept raw (resolved_de_configs converts them)."""
+    for i, entry in enumerate(_list_of(lambda v: v)(raw)):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"de.configs[{i}] must be a mapping")
+        for sub in entry:
+            if sub not in _DE_CONFIG_KEYS:
+                raise ConfigurationError(f"unknown config key: de.configs[{i}].{sub}")
+    return [dict(entry) for entry in raw]
+
+
+def _names_or_auto(raw) -> list[str] | str:
+    return raw if isinstance(raw, str) else _list_of(_str)(raw)
+
+
+def _key(dotted: str, parse, default, minimum=None):
+    """A RunConfig field read from a dotted YAML key by `parse`; validate checks `minimum`."""
+    meta = {"key": dotted, "parse": parse, "minimum": minimum}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    master_seed: int = 0
-    # suite
-    problems: list[int] = field(default_factory=lambda: list(_DEFAULT_PROBLEMS))
-    instances: list[int] = field(default_factory=lambda: list(_DEFAULT_INSTANCES))
-    dimension: int = 10
-    # de
-    budget_multiplier: int = 500
-    n_runs: int = 30
-    de_configs: list[dict] = field(default_factory=list)  # empty: default portfolio
-    # ela
-    sample_multiplier: int = 100
-    # model
-    model_kinds: list[str] = field(default_factory=lambda: ["random_forest"])
-    portfolio_sizes: list[int] = field(default_factory=lambda: [30])
-    k_folds: int = 5
-    forest_trees: int = 100
-    knn_neighbors: int = 5
-    kernel_penalty: float = 1e-3
-    selection_permutations: int = 64
-    # footprint
-    footprint_config_id: str = "DE1"
-    footprint_model: str = "random_forest"
-    footprint_portfolio_size: int = 30
-    p: float = 0.15
-    t_mode: str = "train-median"
-    t_value: float | None = None
-    scale: str = "log"
-    sensitivity_p: list[float] = field(default_factory=list)
-    # report
-    report_top_k: int = 10
-    distribution_features: list[str] | str = "auto"
+    """The config schema: parsing, key checks and the digest all read these fields."""
+
+    master_seed: int = _key("master_seed", _int, 0, minimum=0)
+    problems: list[int] = _key("suite.problems", _expand_ids, list(range(1, N_PROBLEMS + 1)))
+    instances: list[int] = _key("suite.instances", _expand_ids, [1, 2, 3, 4, 5])
+    dimension: int = _key("suite.dimension", _int, 10, minimum=2)
+    budget_multiplier: int = _key("de.budget_multiplier", _int, 500)
+    n_runs: int = _key("de.n_runs", _int, 30, minimum=1)
+    de_configs: list[dict] = _key("de.configs", _de_configs, [])  # empty: default portfolio
+    sample_multiplier: int = _key("ela.sample_multiplier", _int, 100)
+    model_kinds: list[str] = _key("model.kinds", _list_of(_str), ["random_forest"])
+    portfolio_sizes: list[int] = _key("model.portfolio_sizes", _list_of(_int), [30])
+    k_folds: int = _key("model.k_folds", _int, 5, minimum=2)
+    forest_trees: int = _key("model.forest_trees", _int, 100, minimum=1)
+    knn_neighbors: int = _key("model.knn_neighbors", _int, 5, minimum=1)
+    kernel_penalty: float = _key("model.kernel_penalty", _float, 1e-3)
+    selection_permutations: int = _key("model.selection_permutations", _int, 64, minimum=1)
+    footprint_config_id: str = _key("footprint.config_id", _str, "DE1")
+    footprint_model: str = _key("footprint.model", _str, "random_forest")
+    footprint_portfolio_size: int = _key("footprint.portfolio_size", _int, 30)
+    p: float = _key("footprint.p", _float, 0.15)
+    t_mode: str = _key("footprint.t_mode", _str, "train-median")
+    t_value: float | None = _key("footprint.t_value", _float, None)
+    scale: str = _key("footprint.scale", _str, "log")
+    sensitivity_p: list[float] = _key("footprint.sensitivity_p", _list_of(_float), [])
+    report_top_k: int = _key("report.top_k", _int, 10, minimum=1)
+    distribution_features: list[str] | str = _key(
+        "report.distribution_features", _names_or_auto, "auto")
 
     # ------------------------------------------------------------------
     def resolved_de_configs(self) -> list[de.DeConfig]:
@@ -81,160 +140,55 @@ class RunConfig:
         return self.sample_multiplier * self.dimension
 
     def canonical(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "suite": {
-                "problems": list(self.problems),
-                "instances": list(self.instances),
-                "dimension": self.dimension,
-            },
-            "de": {
-                "budget_multiplier": self.budget_multiplier,
-                "n_runs": self.n_runs,
-                "configs": self.de_configs,
-            },
-            "ela": {"sample_multiplier": self.sample_multiplier},
-            "model": {
-                "kinds": list(self.model_kinds),
-                "portfolio_sizes": list(self.portfolio_sizes),
-                "k_folds": self.k_folds,
-                "forest_trees": self.forest_trees,
-                "knn_neighbors": self.knn_neighbors,
-                "kernel_penalty": self.kernel_penalty,
-                "selection_permutations": self.selection_permutations,
-            },
-            "footprint": {
-                "config_id": self.footprint_config_id,
-                "model": self.footprint_model,
-                "portfolio_size": self.footprint_portfolio_size,
-                "p": self.p,
-                "t_mode": self.t_mode,
-                "t_value": self.t_value,
-                "scale": self.scale,
-                "sensitivity_p": list(self.sensitivity_p),
-            },
-            "report": {
-                "top_k": self.report_top_k,
-                "distribution_features": self.distribution_features,
-            },
-        }
+        """The config as nested YAML sections, every key present."""
+        out: dict = {}
+        for f in fields(self):
+            section, _, name = f.metadata["key"].rpartition(".")
+            node = out.setdefault(section, {}) if section else out
+            node[name] = getattr(self, f.name)
+        return out
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
-_SCHEMA = {
-    "master_seed": None,
-    "suite": {"problems", "instances", "dimension"},
-    "de": {"budget_multiplier", "n_runs", "configs"},
-    "ela": {"sample_multiplier"},
-    "model": {
-        "kinds", "portfolio_sizes", "k_folds", "forest_trees", "knn_neighbors",
-        "kernel_penalty", "selection_permutations",
-    },
-    "footprint": {
-        "config_id", "model", "portfolio_size", "p", "t_mode", "t_value",
-        "scale", "sensitivity_p",
-    },
-    "report": {"top_k", "distribution_features"},
-}
-
-_DE_CONFIG_KEYS = {"config_id", "strategy", "F", "Cr", "population_size"}
-
-
-def _expand_ids(raw) -> list[int]:
-    """Accept [1,2,3], "1-24", or a single int."""
-    if isinstance(raw, int):
-        return [raw]
-    if isinstance(raw, str):
-        lo, _, hi = raw.partition("-")
-        if not hi:
-            raise ConfigurationError(f"cannot parse id range {raw!r}")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in raw]
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+_SECTIONS = {key.partition(".")[0] for key in _FIELDS if "." in key}
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Strict parse; unknown keys are errors naming the key."""
+    """Strict parse; unknown keys and malformed values are errors naming the key.
+    A key set to null keeps its default."""
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
-    for key in data:
-        if key not in _SCHEMA:
-            raise ConfigurationError(f"unknown config key: {key!r}")
-        allowed = _SCHEMA[key]
-        if allowed is not None:
-            section = data[key] or {}
+    flat = {}
+    for key, raw in data.items():
+        if key in _SECTIONS:
+            section = raw or {}
             if not isinstance(section, dict):
                 raise ConfigurationError(f"config section {key!r} must be a mapping")
-            for sub in section:
-                if sub not in allowed:
+            for sub, value in section.items():
+                if f"{key}.{sub}" not in _FIELDS:
                     raise ConfigurationError(f"unknown config key: {key}.{sub}")
+                flat[f"{key}.{sub}"] = value
+        elif key in _FIELDS and "." not in key:
+            flat[key] = raw
+        else:
+            raise ConfigurationError(f"unknown config key: {key!r}")
 
     cfg = RunConfig()
-    if "master_seed" in data:
-        cfg.master_seed = int(data["master_seed"])
-    suite = data.get("suite") or {}
-    if "problems" in suite:
-        cfg.problems = _expand_ids(suite["problems"])
-    if "instances" in suite:
-        cfg.instances = _expand_ids(suite["instances"])
-    if "dimension" in suite:
-        cfg.dimension = int(suite["dimension"])
-    de_section = data.get("de") or {}
-    if "budget_multiplier" in de_section:
-        cfg.budget_multiplier = int(de_section["budget_multiplier"])
-    if "n_runs" in de_section:
-        cfg.n_runs = int(de_section["n_runs"])
-    if "configs" in de_section and de_section["configs"]:
-        for i, raw in enumerate(de_section["configs"]):
-            if not isinstance(raw, dict):
-                raise ConfigurationError(f"de.configs[{i}] must be a mapping")
-            for sub in raw:
-                if sub not in _DE_CONFIG_KEYS:
-                    raise ConfigurationError(f"unknown config key: de.configs[{i}].{sub}")
-        cfg.de_configs = [dict(raw) for raw in de_section["configs"]]
-    ela_section = data.get("ela") or {}
-    if "sample_multiplier" in ela_section:
-        cfg.sample_multiplier = int(ela_section["sample_multiplier"])
-    model = data.get("model") or {}
-    if "kinds" in model:
-        cfg.model_kinds = [str(k) for k in model["kinds"]]
-    if "portfolio_sizes" in model:
-        cfg.portfolio_sizes = [int(s) for s in model["portfolio_sizes"]]
-    if "k_folds" in model:
-        cfg.k_folds = int(model["k_folds"])
-    if "forest_trees" in model:
-        cfg.forest_trees = int(model["forest_trees"])
-    if "knn_neighbors" in model:
-        cfg.knn_neighbors = int(model["knn_neighbors"])
-    if "kernel_penalty" in model:
-        cfg.kernel_penalty = float(model["kernel_penalty"])
-    if "selection_permutations" in model:
-        cfg.selection_permutations = int(model["selection_permutations"])
-    fp = data.get("footprint") or {}
-    if "config_id" in fp:
-        cfg.footprint_config_id = str(fp["config_id"])
-    if "model" in fp:
-        cfg.footprint_model = str(fp["model"])
-    if "portfolio_size" in fp:
-        cfg.footprint_portfolio_size = int(fp["portfolio_size"])
-    if "p" in fp:
-        cfg.p = float(fp["p"])
-    if "t_mode" in fp:
-        cfg.t_mode = str(fp["t_mode"])
-    if "t_value" in fp and fp["t_value"] is not None:
-        cfg.t_value = float(fp["t_value"])
-    if "scale" in fp:
-        cfg.scale = str(fp["scale"])
-    if "sensitivity_p" in fp and fp["sensitivity_p"]:
-        cfg.sensitivity_p = [float(v) for v in fp["sensitivity_p"]]
-    report = data.get("report") or {}
-    if "top_k" in report:
-        cfg.report_top_k = int(report["top_k"])
-    if "distribution_features" in report:
-        raw = report["distribution_features"]
-        cfg.distribution_features = raw if isinstance(raw, str) else [str(v) for v in raw]
+    for key, raw in flat.items():
+        if raw is None:
+            continue
+        f = _FIELDS[key]
+        try:
+            value = f.metadata["parse"](raw)
+        except ConfigurationError:
+            raise
+        except ValueError as exc:
+            raise ConfigurationError(f"config key {key}: {exc}") from exc
+        setattr(cfg, f.name, value)
     return cfg
 
 
@@ -250,10 +204,13 @@ def load_config(path) -> RunConfig:
 def validate(cfg: RunConfig) -> list[str]:
     """All invariant violations, without running anything."""
     issues: list[str] = []
-    if cfg.master_seed < 0:
-        issues.append("master_seed must be >= 0")
-    if not cfg.problems:
-        issues.append("suite.problems must be non-empty")
+    for f in fields(cfg):
+        minimum = f.metadata["minimum"]
+        if minimum is not None and getattr(cfg, f.name) < minimum:
+            issues.append(f"{f.metadata['key']} must be >= {minimum}")
+    if len(set(cfg.problems)) < 3:
+        # a test fold holds one instance per problem; its 2-D embedding needs 3 rows
+        issues.append(f"suite.problems must name at least 3 problems; got {cfg.problems}")
     bad = [p for p in cfg.problems if not 1 <= p <= N_PROBLEMS]
     if bad:
         issues.append(f"suite.problems contains unknown ids {bad}")
@@ -261,10 +218,6 @@ def validate(cfg: RunConfig) -> list[str]:
         issues.append("suite.instances must be non-empty")
     if any(i < 1 for i in cfg.instances):
         issues.append("suite.instances must all be >= 1")
-    if cfg.dimension < 2:
-        issues.append("suite.dimension must be >= 2")
-    if cfg.n_runs < 1:
-        issues.append("de.n_runs must be >= 1")
     try:
         configs = cfg.resolved_de_configs()
         ids = [c.config_id for c in configs]
@@ -281,8 +234,7 @@ def validate(cfg: RunConfig) -> list[str]:
             )
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         issues.append(f"de.configs invalid: {exc}")
-    min_n = ela.minimum_sample_size(cfg.dimension) if cfg.dimension >= 2 else 0
-    if cfg.dimension >= 2 and cfg.sample_size < min_n:
+    if cfg.dimension >= 2 and cfg.sample_size < (min_n := ela.minimum_sample_size(cfg.dimension)):
         issues.append(
             f"ela sample size {cfg.sample_size} below required {min_n} for D={cfg.dimension}"
         )
@@ -296,12 +248,6 @@ def validate(cfg: RunConfig) -> list[str]:
             f"model.k_folds ({cfg.k_folds}) must equal the instance count per problem "
             f"({len(set(cfg.instances))}) so each test fold holds one instance per problem"
         )
-    if cfg.k_folds < 2:
-        issues.append("model.k_folds must be >= 2")
-    if cfg.forest_trees < 1:
-        issues.append("model.forest_trees must be >= 1")
-    if cfg.knn_neighbors < 1:
-        issues.append("model.knn_neighbors must be >= 1")
     if cfg.kernel_penalty <= 0:
         issues.append("model.kernel_penalty must be positive")
     if cfg.footprint_model not in cfg.model_kinds:
@@ -324,6 +270,4 @@ def validate(cfg: RunConfig) -> list[str]:
     for v in cfg.sensitivity_p:
         if not 0.0 < v <= 1.0:
             issues.append(f"footprint.sensitivity_p values must be in (0, 1]; got {v}")
-    if cfg.report_top_k < 1:
-        issues.append("report.top_k must be >= 1")
     return issues

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .de import PerformanceRecord
 from .errors import ConfigurationError, ContractViolation
 
 Key = tuple[int, int, int]
@@ -67,11 +66,11 @@ class FootprintAssignment:
     model_kind: str
 
 
-def compute_target_t(train_records: Sequence[PerformanceRecord]) -> float:
-    """Median of the training records' median log precisions."""
-    if not train_records:
-        raise ContractViolation("need at least one training record")
-    return float(np.median([rec.median_log_precision for rec in train_records]))
+def compute_target_t(train_values: Sequence[float]) -> float:
+    """The target t of a fold: the median of its training targets."""
+    if not train_values:
+        raise ContractViolation("need at least one training value")
+    return float(np.median(train_values))
 
 
 def relative_error(true_value: float, predicted_value: float, eps_guard: float = 1e-6) -> float:
@@ -118,14 +117,6 @@ def footprint_fold(
 @dataclass(frozen=True)
 class TransitionReport:
     pairs: tuple[tuple[Key, FootprintLabel, FootprintLabel], ...]
-    counts: dict[tuple[FootprintLabel, FootprintLabel], int]
-
-    def off_diagonal(self) -> list[tuple[FootprintLabel, FootprintLabel, int]]:
-        return [
-            (a, b, c) for (a, b), c in sorted(self.counts.items(),
-                                              key=lambda kv: (kv[0][0].value, kv[0][1].value))
-            if a != b
-        ]
 
 
 def sensitivity(
@@ -138,14 +129,12 @@ def sensitivity(
     if set(by_key_a) != set(by_key_b):
         raise ContractViolation("assignment sets cover different instances")
     pairs = []
-    counts: dict[tuple[FootprintLabel, FootprintLabel], int] = {}
     for key in sorted(by_key_a):
         a, b = by_key_a[key], by_key_b[key]
         if (a.true_value, a.predicted_value) != (b.true_value, b.predicted_value):
             raise ContractViolation(f"predictions differ for {key}; only p may change")
         pairs.append((key, a.label, b.label))
-        counts[(a.label, b.label)] = counts.get((a.label, b.label), 0) + 1
-    return TransitionReport(pairs=tuple(pairs), counts=counts)
+    return TransitionReport(pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,9 @@ class ModelMetrics:
     r2: float
 
 
-def evaluate_model(model, X_test: np.ndarray, y_test: np.ndarray) -> ModelMetrics:
-    pred = model.predict(np.asarray(X_test, dtype=float))
+def evaluate_model(pred: np.ndarray, y_test: np.ndarray) -> ModelMetrics:
+    """MAE and R^2 of a model's test-set predictions."""
+    pred = np.asarray(pred, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     mae = float(np.mean(np.abs(pred - y_test)))
     sse = float(np.sum((pred - y_test) ** 2))

@@ -16,6 +16,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +71,23 @@ def _feature_item(args):
     return ela_mod.extract_all(instance, n, seed)
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+def _pmap(fn, items, threads: int, stage: str):
+    """fn over (problem, instance, ...) items, in order. The StageFailure that
+    names a failing item is raised here, in the parent: it does not survive
+    unpickling from a pool worker."""
+    with ExitStack() as stack:
+        mapper = map
+        if threads > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=threads)).map
+        results = mapper(fn, items)
+        out = []
+        for item in items:
+            try:
+                out.append(next(results))
+            except Exception as exc:
+                raise StageFailure(stage, f"problem {item[0]}, instance {item[1]}: "
+                                          f"{type(exc).__name__}: {exc}") from exc
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +262,12 @@ class Pipeline:
             self._require_inputs(stage)
             start = time.perf_counter()
             logger.info("stage %s: running", stage)
-            extra = getattr(self, f"_run_{stage}")() or ()
+            try:
+                extra = getattr(self, f"_run_{stage}")() or ()
+            except (ConfigurationError, StageFailure):
+                raise
+            except Exception as exc:
+                raise StageFailure(stage, f"{type(exc).__name__}: {exc}") from exc
             self._record_stage(stage, time.perf_counter() - start, extra)
             logger.info("stage %s: done", stage)
 
@@ -273,7 +291,7 @@ class Pipeline:
                 for i in cfg.instances:
                     base_seed = derive_seed(cfg.master_seed, SOLVE_SALT, ci, p, i)
                     items.append((p, i, cfg.dimension, fields, cfg.budget, cfg.n_runs, base_seed))
-        records = _pmap(_solve_item, items, self.threads)
+        records = _pmap(_solve_item, items, self.threads, "solve")
         de_mod.write_performance_csv(records, self.path("performance.csv"))
 
     def _run_features(self):
@@ -284,7 +302,7 @@ class Pipeline:
             for p in cfg.problems
             for i in cfg.instances
         ]
-        vectors = _pmap(_feature_item, items, self.threads)
+        vectors = _pmap(_feature_item, items, self.threads, "features")
         ela_mod.write_features_csv(vectors, self.path("features.csv"))
         ela_mod.write_schema_json(self.path("feature_schema.json"))
         self.manifest.setdefault("sanitation", {})["features"] = int(
@@ -362,7 +380,7 @@ class Pipeline:
                 Xtr, ytr = X[train_idx], y[train_idx]
                 sel_seed = derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, 0)
                 portfolio = shap_mod.select_portfolio(
-                    Xtr, ytr, k=len(schema), feature_names=schema,
+                    Xtr, ytr, feature_names=schema,
                     model_kind=kind, seed=sel_seed, model_params=params,
                     n_permutations=cfg.selection_permutations,
                 )
@@ -373,7 +391,7 @@ class Pipeline:
                     fit_seed = derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, size)
                     model = models_mod.fit_model(kind, Xtr[:, cols], ytr, params, seed=fit_seed)
                     pred = model.predict(X[np.ix_(test_idx, cols)])
-                    m = models_mod.evaluate_model(model, X[np.ix_(test_idx, cols)], y[test_idx])
+                    m = models_mod.evaluate_model(pred, y[test_idx])
                     metrics_rows.append((kind, fold_id, size, m.mae, m.r2))
                     for j, idx in enumerate(test_idx):
                         predictions[fold_id].append(
@@ -504,13 +522,12 @@ class Pipeline:
                     f"no predictions for model {cfg.footprint_model!r} at portfolio "
                     f"size {cfg.footprint_portfolio_size} in fold {fold_id}",
                 )
-            train_values = [
-                v for k, v in y_map.items() if fold_assignment[k] != fold_id
-            ]
             if cfg.t_mode == "explicit":
                 t = float(cfg.t_value)
             else:
-                t = float(np.median(train_values))
+                t = fp_mod.compute_target_t(
+                    [v for k, v in y_map.items() if fold_assignment[k] != fold_id]
+                )
             if cfg.scale == "raw":
                 t = 10.0**t if cfg.t_mode != "explicit" else t
                 predictions = [(k, 10.0**tv, 10.0**pv) for k, tv, pv in predictions]

@@ -45,9 +45,7 @@ class ShapMetaRepresentation:
 
 @dataclass(frozen=True)
 class FeaturePortfolio:
-    size: int
     feature_names: tuple[str, ...]
-    source_model_kind: str
     importances: tuple[float, ...]
 
 
@@ -231,24 +229,18 @@ def global_importance(
 def select_portfolio(
     train_X: np.ndarray,
     train_y: np.ndarray,
-    k: int,
     feature_names: Sequence[str],
     model_kind: str = "random_forest",
     seed: int = 0,
     model_params: dict | None = None,
     n_permutations: int = 64,
 ) -> FeaturePortfolio:
-    """Train on all features, rank by train-set importance, keep the top k.
+    """Train on all features and rank them by train-set importance; a
+    portfolio of size k is the first k of the ranking.
 
     Uses only the training split (the train set doubles as background),
     so no test information leaks into the selection.
     """
-    if k <= 0:
-        raise ConfigurationError("portfolio size must be positive")
-    if k > len(feature_names):
-        raise ConfigurationError(
-            f"portfolio size {k} exceeds schema length {len(feature_names)}"
-        )
     train_X = np.asarray(train_X, dtype=float)
     model = fit_model(model_kind, train_X, train_y, model_params, seed=seed)
     if model_kind == "random_forest":
@@ -260,10 +252,7 @@ def select_portfolio(
             for i in range(train_X.shape[0])
         ]
     ranked = global_importance(reps, feature_names)
-    top = ranked[:k]
     return FeaturePortfolio(
-        size=k,
-        feature_names=tuple(name for name, _ in top),
-        source_model_kind=model_kind,
-        importances=tuple(imp for _, imp in top),
+        feature_names=tuple(name for name, _ in ranked),
+        importances=tuple(imp for _, imp in ranked),
     )

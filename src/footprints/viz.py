@@ -39,7 +39,6 @@ class Embedding2D:
     keys: tuple[Key, ...]
     coords: np.ndarray
     method: str
-    params: dict
 
 
 def _pca_embedding(matrix: np.ndarray) -> np.ndarray:
@@ -68,7 +67,7 @@ def embed_2d(keys: Sequence[Key], matrix: np.ndarray, method: str = "pca") -> Em
     if method not in EMBEDDINGS:
         raise ConfigurationError(f"unknown embedding method {method!r}")
     coords = EMBEDDINGS[method](matrix)
-    return Embedding2D(keys=tuple(keys), coords=coords, method=method, params={})
+    return Embedding2D(keys=tuple(keys), coords=coords, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_validate_footprint_references():
     assert any("portfolio_size" in s for s in validate(cfg))
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"master_seed": -1}, "master_seed must be >= 0"),
+    ({"model": {"forest_trees": 0}}, "model.forest_trees must be >= 1"),
+    # the sampling-Shapley selection of knn and kernel needs one permutation
+    ({"model": {"selection_permutations": 0}}, "model.selection_permutations must be >= 1"),
+])
+def test_validate_minimums_named(data, message):
+    assert message in validate(parse_config(data))
+
+
 def test_validate_budget_vs_population():
     cfg = parse_config({"de": {"budget_multiplier": 1}})
     assert any("budget" in s for s in validate(cfg))
@@ -101,6 +111,66 @@ def test_config_digest_stable_and_sensitive(tmp_path):
     changed = dict(TINY)
     changed["master_seed"] = 8
     assert parse_config(changed).digest() != a.digest()
+
+
+def test_config_digests_pinned():
+    # the digest keys the stage cache: results made by 0.2.0 stay cached
+    root = Path(__file__).resolve().parents[1] / "configs"
+    assert load_config(root / "desk.yaml").digest() == (
+        "a851a45ea4db0b2027442845d8ca0bb96970275c7256245baa848d6ae79255be")
+    assert load_config(root / "smoke.yaml").digest() == (
+        "c8b82a35294b53f72f62f01f333c1a3f535660892c7bcf363d23b6141c9fd72f")
+    assert load_config(root / "full.yaml").digest() == (
+        "34218b33f251e5c601f50075c0fe403b721a058a3f758ee95eab2b6dbe4df8fe")
+    assert parse_config({}).digest() == (
+        "ca1f8f7e9bbc44bb3f57af2bb715dcb86f1b09bbb43a95f1cf209bb204ce0a4d")
+
+
+def test_null_and_empty_keep_defaults():
+    cfg = parse_config({"de": {"configs": None, "n_runs": None},
+                        "footprint": {"t_value": None, "sensitivity_p": []}})
+    assert cfg == parse_config({})
+    assert parse_config({"de": {"configs": []}}).digest() == parse_config({}).digest()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"bogus": 1}, "unknown config key: 'bogus'"),
+    ({"footprint": {"tee": 1.0}}, "unknown config key: footprint.tee"),
+    ({"suite": [1, 2]}, "config section 'suite' must be a mapping"),
+    ({"de": {"configs": [3]}}, "de.configs[0] must be a mapping"),
+    ({"de": {"configs": [{"config_id": "DE1", "f": 0.5}]}},
+     "unknown config key: de.configs[0].f"),
+])
+def test_key_error_messages_exact(data, message):
+    with pytest.raises(ConfigurationError) as info:
+        parse_config(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"suite": {"dimension": "ten"}}, "suite.dimension"),
+    ({"model": {"kinds": "knn"}}, "model.kinds"),
+    ({"model": {"portfolio_sizes": "35"}}, "model.portfolio_sizes"),
+    ({"footprint": {"sensitivity_p": 0.05}}, "footprint.sensitivity_p"),
+    ({"footprint": {"p": "tight"}}, "footprint.p"),
+    ({"suite": {"problems": [1, "two"]}}, "suite.problems"),
+    ({"master_seed": 1.5}, "master_seed"),
+])
+def test_malformed_value_names_key(data, key):
+    with pytest.raises(ConfigurationError, match=f"^config key {key}: "):
+        parse_config(data)
+
+
+def test_yaml_exponent_strings_read_as_numbers():
+    # YAML 1.1 reads 1e-3 (no dot) as a string
+    cfg = parse_config(yaml.safe_load("model: {kernel_penalty: 1e-3}"))
+    assert cfg.kernel_penalty == 1e-3
+
+
+def test_validate_needs_three_problems():
+    cfg = parse_config({"suite": {"problems": [1, 2]}})
+    assert any("suite.problems" in s for s in validate(cfg))
+    assert not validate(parse_config({"suite": {"problems": [1, 2, 3]}}))
 
 
 def test_load_config_from_file(tmp_path):
@@ -131,6 +201,20 @@ def test_cli_unknown_key_is_config_error(tmp_path, capsys):
     path = _write_config(tmp_path, dict(TINY, mystery=1))
     assert main(["validate", "--config", str(path)]) == 1
     assert "mystery" in capsys.readouterr().err
+
+
+def test_cli_malformed_value_is_config_error(tmp_path, capsys):
+    bad = dict(TINY, suite=dict(TINY["suite"], dimension="ten"))
+    path = _write_config(tmp_path, bad)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "config error: config key suite.dimension: " in capsys.readouterr().err
+
+
+def test_cli_two_problems_rejected_by_validate(tmp_path, capsys):
+    bad = dict(TINY, suite=dict(TINY["suite"], problems=[1, 2]))
+    path = _write_config(tmp_path, bad)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "suite.problems" in capsys.readouterr().out
 
 
 def test_cli_missing_inputs_is_stage_failure(tmp_path, capsys):
@@ -241,6 +325,37 @@ def test_changed_performance_reruns_downstream_stages(tiny_run, tmp_path, caplog
     assert ((changed / "predictions/fold_1.csv").read_bytes()
             != (out / "predictions/fold_1.csv").read_bytes())
     assert _stages_run(config_path, changed, caplog) == []
+
+
+def test_exception_inside_stage_is_stage_failure(tiny_run, tmp_path, capsys):
+    # a fold whose explanations hold two rows cannot be embedded in 2-D
+    config_path, out = tiny_run
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    explanations = broken / "explanations/fold_1.csv"
+    explanations.write_text("".join(explanations.read_text().splitlines(True)[:3]))
+    code = main(["report", "--config", str(config_path), "--out", str(broken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage 'report' failed: ContractViolation: embedding needs at least 3 rows" in err
+
+
+def _fail_on_problem_2(item):
+    if item[0] == 2:
+        raise ValueError("boom")
+    return item
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pmap_failure_names_stage_and_item(threads):
+    from footprints.pipeline import StageFailure, _pmap
+
+    items = [(1, 1), (1, 2), (2, 3), (3, 1)]
+    assert _pmap(_fail_on_problem_2, items[:2], threads, "solve") == items[:2]
+    with pytest.raises(StageFailure) as info:
+        _pmap(_fail_on_problem_2, items, threads, "solve")
+    assert info.value.stage == "solve"
+    assert str(info.value) == "stage 'solve' failed: problem 2, instance 3: ValueError: boom"
 
 
 def test_pipeline_manifest_contents(tiny_run):

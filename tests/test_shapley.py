@@ -191,23 +191,11 @@ def test_select_portfolio_full_schema_reorders():
     X = rng.normal(size=(50, 6))
     y = 3.0 * X[:, 2] + rng.normal(scale=0.05, size=50)
     names = [f"f{j}" for j in range(6)]
-    portfolio = select_portfolio(X, y, k=6, feature_names=names,
+    portfolio = select_portfolio(X, y, feature_names=names,
                                  model_params={"n_trees": 20}, seed=0)
     assert isinstance(portfolio, FeaturePortfolio)
     assert sorted(portfolio.feature_names) == sorted(names)
     assert portfolio.feature_names[0] == "f2"  # the informative feature leads
-
-
-def test_select_portfolio_top_k_subset():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(40, 5))
-    y = X[:, 0] - 2.0 * X[:, 4]
-    names = [f"f{j}" for j in range(5)]
-    portfolio = select_portfolio(X, y, k=2, feature_names=names,
-                                 model_params={"n_trees": 20}, seed=1)
-    assert portfolio.size == 2
-    assert set(portfolio.feature_names) <= set(names)
-    assert len(portfolio.feature_names) == 2
 
 
 def test_select_portfolio_shuffled_labels_structural():
@@ -215,19 +203,10 @@ def test_select_portfolio_shuffled_labels_structural():
     X = rng.normal(size=(30, 4))
     y = rng.permutation(np.arange(30)).astype(float)
     names = ["a", "b", "c", "d"]
-    portfolio = select_portfolio(X, y, k=3, feature_names=names,
+    portfolio = select_portfolio(X, y, feature_names=names,
                                  model_params={"n_trees": 10}, seed=2)
-    assert len(portfolio.feature_names) == 3
-    assert set(portfolio.feature_names) <= set(names)
-
-
-def test_select_portfolio_k_validation():
-    X = np.zeros((10, 3))
-    y = np.zeros(10)
-    with pytest.raises(ConfigurationError):
-        select_portfolio(X, y, k=0, feature_names=["a", "b", "c"])
-    with pytest.raises(ConfigurationError):
-        select_portfolio(X, y, k=4, feature_names=["a", "b", "c"])
+    assert sorted(portfolio.feature_names) == names
+    assert len(portfolio.importances) == len(names)
 
 
 def test_select_portfolio_deterministic_and_train_only():
@@ -235,9 +214,9 @@ def test_select_portfolio_deterministic_and_train_only():
     X = rng.normal(size=(30, 5))
     y = rng.normal(size=30)
     names = [f"f{j}" for j in range(5)]
-    a = select_portfolio(X, y, k=3, feature_names=names,
+    a = select_portfolio(X, y, feature_names=names,
                          model_params={"n_trees": 10}, seed=4)
-    b = select_portfolio(X, y, k=3, feature_names=names,
+    b = select_portfolio(X, y, feature_names=names,
                          model_params={"n_trees": 10}, seed=4)
     # recomputation from the training split alone reproduces the selection
     assert a == b
@@ -247,9 +226,9 @@ def test_select_portfolio_sampling_path():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(25, 4))
     y = 2.0 * X[:, 1] + rng.normal(scale=0.1, size=25)
-    portfolio = select_portfolio(X, y, k=2, feature_names=["a", "b", "c", "d"],
+    portfolio = select_portfolio(X, y, feature_names=["a", "b", "c", "d"],
                                  model_kind="knn",
                                  model_params={"k_neighbors": 3},
                                  seed=3, n_permutations=32)
-    assert portfolio.source_model_kind == "knn"
-    assert len(portfolio.feature_names) == 2
+    assert sorted(portfolio.feature_names) == ["a", "b", "c", "d"]
+    assert portfolio.feature_names[0] == "b"  # the informative feature leads
