@@ -119,7 +119,9 @@ class RunConfig:
             return de.default_portfolio(self.dimension)
         out = []
         for raw in self.de_configs:
-            pop = raw.get("population_size") or de.default_population_size(self.dimension)
+            pop = raw.get("population_size")
+            if pop is None:
+                pop = de.default_population_size(self.dimension)
             out.append(
                 de.DeConfig(
                     config_id=str(raw["config_id"]),
@@ -241,6 +243,13 @@ def validate(cfg: RunConfig) -> list[str]:
     for kind in cfg.model_kinds:
         if kind not in models.MODEL_KINDS:
             issues.append(f"model.kinds contains unknown kind {kind!r}")
+    # k_folds equals the instance count, so each fold trains on all other instances
+    train_size = len(set(cfg.problems)) * (len(set(cfg.instances)) - 1)
+    if "knn" in cfg.model_kinds and cfg.knn_neighbors > train_size:
+        issues.append(
+            f"model.knn_neighbors ({cfg.knn_neighbors}) exceeds the training size of a fold "
+            f"({train_size})"
+        )
     if any(s < 1 for s in cfg.portfolio_sizes):
         issues.append("model.portfolio_sizes must all be >= 1")
     if cfg.k_folds != len(set(cfg.instances)):

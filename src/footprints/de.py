@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .csvio import KEY_COLUMNS, write_csv
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND
 
@@ -191,19 +192,13 @@ def measure(
 def write_performance_csv(records: Sequence[PerformanceRecord], path) -> None:
     records = list(records)
     n_runs = len(records[0].raw_precisions) if records else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["config_id", "problem_id", "instance_id", "dimension", "n_runs",
-             "median_log_precision"]
-            + [f"run_{r}" for r in range(n_runs)]
-        )
-        for rec in records:
-            writer.writerow(
-                [rec.config_id, rec.problem_id, rec.instance_id, rec.dimension,
-                 len(rec.raw_precisions), repr(rec.median_log_precision)]
-                + [repr(v) for v in rec.raw_precisions]
-            )
+    write_csv(
+        path,
+        ["config_id", *KEY_COLUMNS, "n_runs", "median_log_precision"]
+        + [f"run_{r}" for r in range(n_runs)],
+        ([rec.config_id, *rec.key, len(rec.raw_precisions), rec.median_log_precision,
+          *rec.raw_precisions] for rec in records),
+    )
 
 
 def read_performance_csv(path) -> list[PerformanceRecord]:

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
+from .csvio import KEY_COLUMNS, row_key, write_csv
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND, ProblemInstance
 
@@ -479,22 +480,16 @@ def extract_all(instance: ProblemInstance, n: int, seed: int) -> ElaFeatureVecto
 
 
 def write_features_csv(vectors: Sequence[ElaFeatureVector], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["problem_id", "instance_id", "dimension"] + FEATURE_SCHEMA)
-        for vec in vectors:
-            writer.writerow(
-                list(vec.key) + [repr(vec.values[name]) for name in FEATURE_SCHEMA]
-            )
+    write_csv(path, [*KEY_COLUMNS, *FEATURE_SCHEMA],
+              ([*vec.key] + [vec.values[name] for name in FEATURE_SCHEMA] for vec in vectors))
 
 
 def read_features_csv(path) -> list[ElaFeatureVector]:
     vectors = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            key = (int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"]))
             values = {name: float(row[name]) for name in FEATURE_SCHEMA}
-            vectors.append(ElaFeatureVector(key=key, values=values))
+            vectors.append(ElaFeatureVector(key=row_key(row), values=values))
     return vectors
 
 

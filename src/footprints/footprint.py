@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .csvio import KEY_COLUMNS, row_key, write_csv
 from .errors import ConfigurationError, ContractViolation
 
 Key = tuple[int, int, int]
@@ -141,18 +142,12 @@ def sensitivity(
 # CSV round trip
 
 def write_assignments_csv(assignments: Sequence[FootprintAssignment], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["fold_id", "model_kind", "problem_id", "instance_id", "dimension",
-             "true", "predicted", "relative_error", "label"]
-        )
-        for a in assignments:
-            writer.writerow(
-                [a.fold_id, a.model_kind, a.key[0], a.key[1], a.key[2],
-                 repr(a.true_value), repr(a.predicted_value),
-                 repr(a.relative_error), a.label.value]
-            )
+    write_csv(
+        path,
+        ["fold_id", "model_kind", *KEY_COLUMNS, "true", "predicted", "relative_error", "label"],
+        ([a.fold_id, a.model_kind, *a.key, a.true_value, a.predicted_value,
+          a.relative_error, a.label.value] for a in assignments),
+    )
 
 
 def read_assignments_csv(path) -> list[FootprintAssignment]:
@@ -161,7 +156,7 @@ def read_assignments_csv(path) -> list[FootprintAssignment]:
         for row in csv.DictReader(fh):
             out.append(
                 FootprintAssignment(
-                    key=(int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"])),
+                    key=row_key(row),
                     true_value=float(row["true"]),
                     predicted_value=float(row["predicted"]),
                     relative_error=float(row["relative_error"]),
@@ -177,15 +172,10 @@ def write_transitions_csv(
     reports: Sequence[tuple[int, float, float, TransitionReport]], path
 ) -> None:
     """Rows: one per instance per (fold, p_from, p_to) sensitivity run."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["fold_id", "p_from", "p_to", "problem_id", "instance_id", "dimension",
-             "label_from", "label_to"]
-        )
-        for fold_id, p_from, p_to, report in reports:
-            for key, label_a, label_b in report.pairs:
-                writer.writerow(
-                    [fold_id, repr(p_from), repr(p_to), key[0], key[1], key[2],
-                     label_a.value, label_b.value]
-                )
+    write_csv(
+        path,
+        ["fold_id", "p_from", "p_to", *KEY_COLUMNS, "label_from", "label_to"],
+        ([fold_id, p_from, p_to, *key, label_a.value, label_b.value]
+         for fold_id, p_from, p_to, report in reports
+         for key, label_a, label_b in report.pairs),
+    )

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -29,6 +30,7 @@ from . import models as models_mod
 from . import shapley as shap_mod
 from . import viz as viz_mod
 from .config import RunConfig, validate
+from .csvio import KEY_COLUMNS, row_key, write_csv
 from .errors import ConfigurationError
 from .seeding import (EXPLAIN_SALT, FEATURES_SALT, FOLDS_SALT, SOLVE_SALT,
                       TRAIN_SALT, derive_seed)
@@ -36,9 +38,35 @@ from .suite import make_instance, make_suite, write_suite_csv, SuiteConfig
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("suite", "solve", "features", "folds", "train", "explain", "footprint", "report")
+# The stage graph: each stage's input files, in run order. A template with
+# {fold} stands for one file per fold; {model} is the footprint model. A
+# stage's outputs are the files its _run_* method names through _output.
+STAGE_INPUTS = {
+    "suite": (),
+    "solve": ("suite.csv",),
+    "features": ("suite.csv",),
+    "folds": ("features.csv",),
+    "train": ("features.csv", "performance.csv", "folds.csv"),
+    "explain": ("features.csv", "performance.csv", "folds.csv",
+                "portfolios/{model}_fold_{fold}.json"),
+    "footprint": ("performance.csv", "folds.csv", "predictions/fold_{fold}.csv"),
+    "report": ("assignments.csv", "features.csv", "explanations/fold_{fold}.csv"),
+}
+STAGES = tuple(STAGE_INPUTS)
+
+# explanations/fold_N.csv: these columns, then one phi column per portfolio feature
+EXPLANATION_COLUMNS = (*KEY_COLUMNS, "base_value", "prediction")
 
 Key = tuple[int, int, int]
+
+
+def stage_inputs(stage: str, cfg: RunConfig) -> list[str]:
+    """The input files of `stage` under `cfg`: its STAGE_INPUTS entry expanded."""
+    return [
+        template.format(fold=fold, model=cfg.footprint_model)
+        for template in STAGE_INPUTS[stage]
+        for fold in (range(1, cfg.k_folds + 1) if "{fold}" in template else (None,))
+    ]
 
 
 class StageFailure(RuntimeError):
@@ -102,84 +130,23 @@ class Pipeline:
         self.force = force
         self.threads = max(1, threads)
         self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / "predictions").mkdir(exist_ok=True)
-        (self.out / "portfolios").mkdir(exist_ok=True)
-        (self.out / "explanations").mkdir(exist_ok=True)
-        (self.out / "figures").mkdir(exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
         self.manifest = self._load_manifest()
+        self._written: list[str] = []
 
     # -- artifact paths ------------------------------------------------
     def path(self, name: str) -> Path:
         return self.out / name
 
+    def _output(self, name: str) -> Path:
+        """Where the running stage writes `name`; its stage record hashes it."""
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._written.append(name)
+        return path
+
     def _fold_ids(self) -> list[int]:
         return list(range(1, self.cfg.k_folds + 1))
-
-    def _stage_outputs(self, stage: str) -> list[Path]:
-        cfg = self.cfg
-        if stage == "suite":
-            return [self.path("suite.csv")]
-        if stage == "solve":
-            return [self.path("performance.csv")]
-        if stage == "features":
-            return [self.path("features.csv"), self.path("feature_schema.json")]
-        if stage == "folds":
-            return [self.path("folds.csv")]
-        if stage == "train":
-            outs = [self.path("metrics.csv")]
-            outs += [self.path(f"predictions/fold_{f}.csv") for f in self._fold_ids()]
-            outs += [
-                self.path(f"portfolios/{kind}_fold_{f}.json")
-                for kind in cfg.model_kinds
-                for f in self._fold_ids()
-            ]
-            return outs
-        if stage == "explain":
-            return [self.path(f"explanations/fold_{f}.csv") for f in self._fold_ids()]
-        if stage == "footprint":
-            outs = [self.path("assignments.csv")]
-            if cfg.sensitivity_p:
-                outs.append(self.path("transitions.csv"))
-            return outs
-        if stage == "report":
-            outs = [
-                self.path("distribution_table.txt"),
-                self.path("distribution_table.csv"),
-            ]
-            for f in self._fold_ids():
-                outs.append(self.path(f"figures/footprint_fold_{f}.svg"))
-                outs.append(self.path(f"figures/beeswarm_fold_{f}.svg"))
-                outs.append(self.path(f"figures/beeswarm_fold_{f}.csv"))
-            # feature distribution figures depend on the selected features;
-            # recorded in the manifest when produced
-            return outs
-        raise StageFailure(stage, "unknown stage")
-
-    def _stage_inputs(self, stage: str) -> list[str]:
-        cfg = self.cfg
-        if stage in ("suite",):
-            return []
-        if stage in ("solve", "features"):
-            return ["suite.csv"]
-        if stage == "folds":
-            return ["features.csv"]
-        if stage == "train":
-            return ["features.csv", "performance.csv", "folds.csv"]
-        if stage == "explain":
-            return ["features.csv", "performance.csv", "folds.csv"] + [
-                f"portfolios/{cfg.footprint_model}_fold_{f}.json"
-                for f in self._fold_ids()
-            ]
-        if stage == "footprint":
-            return ["performance.csv", "folds.csv"] + [
-                f"predictions/fold_{f}.csv" for f in self._fold_ids()
-            ]
-        if stage == "report":
-            return ["assignments.csv", "features.csv"] + [
-                f"explanations/fold_{f}.csv" for f in self._fold_ids()
-            ]
-        raise StageFailure(stage, "unknown stage")
 
     # -- manifest ------------------------------------------------------
     def _load_manifest(self) -> dict:
@@ -197,11 +164,18 @@ class Pipeline:
         }
 
     def _save_manifest(self) -> None:
+        """Written beside manifest.json and renamed over it, so a write that
+        fails part way leaves the previous manifest whole."""
         self.manifest["tool_version"] = __version__
         self.manifest["config_digest"] = self.cfg.digest()
-        with open(self.manifest_path, "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tmp = self.manifest_path.with_name("manifest.json.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(self.manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, self.manifest_path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def _stage_done(self, stage: str) -> bool:
         """Recorded by this code version under this config, with the recorded
@@ -211,8 +185,7 @@ class Pipeline:
                 or record.get("version") != __version__):
             return False
         inputs, outputs = record.get("inputs", {}), record.get("outputs", {})
-        declared = {str(p.relative_to(self.out)) for p in self._stage_outputs(stage)}
-        return (set(self._stage_inputs(stage)) <= set(inputs) and declared <= set(outputs)
+        return (set(stage_inputs(stage, self.cfg)) <= set(inputs)
                 and self._digests_match(inputs) and self._digests_match(outputs))
 
     def _digests_match(self, digests: dict) -> bool:
@@ -221,27 +194,19 @@ class Pipeline:
             for name, digest in digests.items()
         )
 
-    def _record_stage(self, stage: str, elapsed: float, extra_outputs=()) -> None:
-        outputs = {}
-        for p in list(self._stage_outputs(stage)) + list(extra_outputs):
-            outputs[str(Path(p).relative_to(self.out))] = _sha256(Path(p))
-        inputs = {}
-        for name in self._stage_inputs(stage):
-            p = self.out / name
-            if p.exists():
-                inputs[name] = _sha256(p)
+    def _record_stage(self, stage: str, elapsed: float) -> None:
         self.manifest.setdefault("stages", {})[stage] = {
             "version": __version__,
             "config_digest": self.cfg.digest(),
-            "inputs": inputs,
-            "outputs": outputs,
+            "inputs": {name: _sha256(self.out / name) for name in stage_inputs(stage, self.cfg)},
+            "outputs": {name: _sha256(self.out / name) for name in self._written},
             "elapsed_s": round(elapsed, 3),
         }
         self._save_manifest()
 
     def _require_inputs(self, stage: str) -> None:
         missing = [
-            name for name in self._stage_inputs(stage)
+            name for name in stage_inputs(stage, self.cfg)
             if not (self.out / name).exists()
         ]
         if missing:
@@ -262,13 +227,14 @@ class Pipeline:
             self._require_inputs(stage)
             start = time.perf_counter()
             logger.info("stage %s: running", stage)
+            self._written = []
             try:
-                extra = getattr(self, f"_run_{stage}")() or ()
+                getattr(self, f"_run_{stage}")()
             except (ConfigurationError, StageFailure):
                 raise
             except Exception as exc:
                 raise StageFailure(stage, f"{type(exc).__name__}: {exc}") from exc
-            self._record_stage(stage, time.perf_counter() - start, extra)
+            self._record_stage(stage, time.perf_counter() - start)
             logger.info("stage %s: done", stage)
 
     # -- stages ----------------------------------------------------------
@@ -277,7 +243,7 @@ class Pipeline:
         return make_suite(SuiteConfig(tuple(cfg.problems), tuple(cfg.instances), cfg.dimension))
 
     def _run_suite(self):
-        write_suite_csv(self._suite_instances(), self.path("suite.csv"))
+        write_suite_csv(self._suite_instances(), self._output("suite.csv"))
 
     def _run_solve(self):
         cfg = self.cfg
@@ -292,7 +258,7 @@ class Pipeline:
                     base_seed = derive_seed(cfg.master_seed, SOLVE_SALT, ci, p, i)
                     items.append((p, i, cfg.dimension, fields, cfg.budget, cfg.n_runs, base_seed))
         records = _pmap(_solve_item, items, self.threads, "solve")
-        de_mod.write_performance_csv(records, self.path("performance.csv"))
+        de_mod.write_performance_csv(records, self._output("performance.csv"))
 
     def _run_features(self):
         cfg = self.cfg
@@ -303,8 +269,8 @@ class Pipeline:
             for i in cfg.instances
         ]
         vectors = _pmap(_feature_item, items, self.threads, "features")
-        ela_mod.write_features_csv(vectors, self.path("features.csv"))
-        ela_mod.write_schema_json(self.path("feature_schema.json"))
+        ela_mod.write_features_csv(vectors, self._output("features.csv"))
+        ela_mod.write_schema_json(self._output("feature_schema.json"))
         self.manifest.setdefault("sanitation", {})["features"] = int(
             sum(v.sanitized_count for v in vectors)
         )
@@ -314,15 +280,9 @@ class Pipeline:
         keys = [v.key for v in ela_mod.read_features_csv(self.path("features.csv"))]
         folds = models_mod.make_folds(keys, cfg.k_folds,
                                       derive_seed(cfg.master_seed, FOLDS_SALT))
-        with open(self.path("folds.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["problem_id", "instance_id", "dimension", "test_fold"])
-            assignment = {}
-            for fold in folds:
-                for key in fold.test_keys:
-                    assignment[key] = fold.fold_id
-            for key in sorted(assignment):
-                writer.writerow([key[0], key[1], key[2], assignment[key]])
+        assignment = {key: fold.fold_id for fold in folds for key in fold.test_keys}
+        write_csv(self._output("folds.csv"), [*KEY_COLUMNS, "test_fold"],
+                  ([*key, assignment[key]] for key in sorted(assignment)))
 
     # -- shared loading -------------------------------------------------
     def _load_matrix(self):
@@ -337,12 +297,8 @@ class Pipeline:
         return {r.key: r.median_log_precision for r in records if r.config_id == wanted}
 
     def _load_fold_assignment(self) -> dict[Key, int]:
-        out: dict[Key, int] = {}
         with open(self.path("folds.csv"), newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"]))
-                out[key] = int(row["test_fold"])
-        return out
+            return {row_key(row): int(row["test_fold"]) for row in csv.DictReader(fh)}
 
     def _model_params(self, kind: str) -> dict:
         cfg = self.cfg
@@ -393,23 +349,14 @@ class Pipeline:
                     pred = model.predict(X[np.ix_(test_idx, cols)])
                     m = models_mod.evaluate_model(pred, y[test_idx])
                     metrics_rows.append((kind, fold_id, size, m.mae, m.r2))
-                    for j, idx in enumerate(test_idx):
-                        predictions[fold_id].append(
-                            (kind, size, keys[idx], float(y[idx]), float(pred[j]))
-                        )
-        with open(self.path("metrics.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model_kind", "fold_id", "portfolio_size", "mae", "r2"])
-            for kind, fold_id, size, mae, r2 in metrics_rows:
-                writer.writerow([kind, fold_id, size, repr(mae), repr(r2)])
+                    predictions[fold_id] += [
+                        (kind, size, *keys[idx], y[idx], pred[j]) for j, idx in enumerate(test_idx)
+                    ]
+        write_csv(self._output("metrics.csv"),
+                  ["model_kind", "fold_id", "portfolio_size", "mae", "r2"], metrics_rows)
         for fold_id, rows in predictions.items():
-            with open(self.path(f"predictions/fold_{fold_id}.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["model_kind", "portfolio_size", "problem_id",
-                                 "instance_id", "dimension", "true", "predicted"])
-                for kind, size, key, true, pred in rows:
-                    writer.writerow([kind, size, key[0], key[1], key[2],
-                                     repr(true), repr(pred)])
+            write_csv(self._output(f"predictions/fold_{fold_id}.csv"),
+                      ["model_kind", "portfolio_size", *KEY_COLUMNS, "true", "predicted"], rows)
 
     def _write_portfolio(self, kind: str, fold_id: int, portfolio) -> None:
         payload = {
@@ -420,7 +367,7 @@ class Pipeline:
                 for name, imp in zip(portfolio.feature_names, portfolio.importances)
             ],
         }
-        with open(self.path(f"portfolios/{kind}_fold_{fold_id}.json"), "w") as fh:
+        with open(self._output(f"portfolios/{kind}_fold_{fold_id}.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -464,34 +411,23 @@ class Pipeline:
                     )
                     for idx in test_idx
                 ]
-            with open(self.path(f"explanations/fold_{fold_id}.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["problem_id", "instance_id", "dimension",
-                                 "base_value", "prediction"] + names)
-                for rep in reps:
-                    writer.writerow(
-                        [rep.key[0], rep.key[1], rep.key[2],
-                         repr(rep.base_value), repr(rep.prediction)]
-                        + [repr(float(v)) for v in rep.phi]
-                    )
+            write_csv(self._output(f"explanations/fold_{fold_id}.csv"),
+                      [*EXPLANATION_COLUMNS, *names],
+                      ([*rep.key, rep.base_value, rep.prediction, *rep.phi] for rep in reps))
 
     def _read_explanations(self, fold_id: int):
-        path = self.path(f"explanations/fold_{fold_id}.csv")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            names = header[5:]
-            reps = []
-            for row in reader:
-                key = (int(row[0]), int(row[1]), int(row[2]))
-                reps.append(
-                    shap_mod.ShapMetaRepresentation(
-                        key=key,
-                        base_value=float(row[3]),
-                        prediction=float(row[4]),
-                        phi=np.array([float(v) for v in row[5:]]),
-                    )
+        with open(self.path(f"explanations/fold_{fold_id}.csv"), newline="") as fh:
+            reader = csv.DictReader(fh)
+            names = reader.fieldnames[len(EXPLANATION_COLUMNS):]
+            reps = [
+                shap_mod.ShapMetaRepresentation(
+                    key=row_key(row),
+                    base_value=float(row["base_value"]),
+                    prediction=float(row["prediction"]),
+                    phi=np.array([float(row[name]) for name in names]),
                 )
+                for row in reader
+            ]
         return names, reps
 
     def _fold_predictions(self, fold_id: int):
@@ -504,8 +440,7 @@ class Pipeline:
                     continue
                 if int(row["portfolio_size"]) != cfg.footprint_portfolio_size:
                     continue
-                key = (int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"]))
-                out.append((key, float(row["true"]), float(row["predicted"])))
+                out.append((row_key(row), float(row["true"]), float(row["predicted"])))
         return out
 
     def _run_footprint(self):
@@ -543,15 +478,14 @@ class Pipeline:
                 transition_reports.append(
                     (fold_id, cfg.p, p2, fp_mod.sensitivity(assignments, alt))
                 )
-        fp_mod.write_assignments_csv(all_assignments, self.path("assignments.csv"))
+        fp_mod.write_assignments_csv(all_assignments, self._output("assignments.csv"))
         if cfg.sensitivity_p:
-            fp_mod.write_transitions_csv(transition_reports, self.path("transitions.csv"))
+            fp_mod.write_transitions_csv(transition_reports, self._output("transitions.csv"))
 
     def _run_report(self):
         cfg = self.cfg
         assignments = fp_mod.read_assignments_csv(self.path("assignments.csv"))
         _, _, feature_values = self._load_matrix()
-        extra_outputs = []
 
         dist_features: list[str] | None = None
         if isinstance(cfg.distribution_features, list):
@@ -565,16 +499,16 @@ class Pipeline:
             svg = viz_mod.emit_footprint_plot(
                 embedding, fold_assign,
                 title=f"{models_mod.MODEL_LABELS.get(cfg.footprint_model, cfg.footprint_model)}"
-                      f" footprint, fold {fold_id} ({embedding.method} embedding)",
+                      f" footprint, fold {fold_id} (pca embedding)",
             )
-            self.path(f"figures/footprint_fold_{fold_id}.svg").write_text(svg)
+            self._output(f"figures/footprint_fold_{fold_id}.svg").write_text(svg)
             top_k = min(cfg.report_top_k, len(names))
             bee_csv, bee_svg = viz_mod.emit_beeswarm_data(
                 reps, names, feature_values, top_k=top_k,
                 title=f"top {top_k} features, fold {fold_id}",
             )
-            self.path(f"figures/beeswarm_fold_{fold_id}.csv").write_text(bee_csv)
-            self.path(f"figures/beeswarm_fold_{fold_id}.svg").write_text(bee_svg)
+            self._output(f"figures/beeswarm_fold_{fold_id}.csv").write_text(bee_csv)
+            self._output(f"figures/beeswarm_fold_{fold_id}.svg").write_text(bee_svg)
             if dist_features is None:
                 ranking = shap_mod.global_importance(reps, names)[:top_k]
                 dist_features = [name for name, _ in ranking[:2]]
@@ -584,11 +518,8 @@ class Pipeline:
                     embedding, fname, feature_values,
                     title=f"{fname}, fold {fold_id}",
                 )
-                out_path = self.path(f"figures/feature_dist_fold_{fold_id}_{safe}.svg")
-                out_path.write_text(svg)
-                extra_outputs.append(out_path)
+                self._output(f"figures/feature_dist_fold_{fold_id}_{safe}.svg").write_text(svg)
 
         table_txt, table_csv = viz_mod.emit_distribution_table(assignments)
-        self.path("distribution_table.txt").write_text(table_txt)
-        self.path("distribution_table.csv").write_text(table_csv)
-        return extra_outputs
+        self._output("distribution_table.txt").write_text(table_txt)
+        self._output("distribution_table.csv").write_text(table_csv)

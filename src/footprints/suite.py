@@ -20,12 +20,12 @@ being bounded below.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .csvio import KEY_COLUMNS, write_csv
 from .errors import ConfigurationError, ContractViolation
 from .seeding import SUITE_SALT, derive_seed
 
@@ -164,17 +164,11 @@ def precision(instance: ProblemInstance, f_value: float) -> float:
 def write_suite_csv(instances: Iterable[ProblemInstance], path) -> None:
     instances = list(instances)
     dim = instances[0].dimension if instances else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["problem_id", "instance_id", "dimension", "f_offset"]
-            + [f"shift_{j}" for j in range(dim)]
-        )
-        for inst in instances:
-            writer.writerow(
-                [inst.problem_id, inst.instance_id, inst.dimension, repr(inst.f_offset)]
-                + [repr(float(v)) for v in inst.shift]
-            )
+    write_csv(
+        path,
+        [*KEY_COLUMNS, "f_offset"] + [f"shift_{j}" for j in range(dim)],
+        ([*inst.key, inst.f_offset, *inst.shift] for inst in instances),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,20 @@
 """2D embeddings and SVG/CSV report artifacts.
 
-The default embedding is a sign-fixed PCA projection of the attribution
-matrix; alternatives can be registered. Labels and colors never depend on
-the embedding, only on the footprint assignments. SVGs are written by
-hand with fixed decimal formatting so identical inputs give identical
-bytes.
+The embedding is a sign-fixed PCA projection of the attribution matrix.
+Labels and colors never depend on the embedding, only on the footprint
+assignments. SVGs are written by hand with fixed decimal formatting so
+identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .csvio import KEY_COLUMNS, format_csv
 from .errors import ConfigurationError, ContractViolation
 from .footprint import LABEL_ORDER, FootprintAssignment
 from .models import MODEL_LABELS
@@ -38,7 +36,6 @@ MARGIN = 55.0
 class Embedding2D:
     keys: tuple[Key, ...]
     coords: np.ndarray
-    method: str
 
 
 def _pca_embedding(matrix: np.ndarray) -> np.ndarray:
@@ -55,19 +52,13 @@ def _pca_embedding(matrix: np.ndarray) -> np.ndarray:
     return centered @ comps.T
 
 
-EMBEDDINGS: dict[str, Callable[[np.ndarray], np.ndarray]] = {"pca": _pca_embedding}
-
-
-def embed_2d(keys: Sequence[Key], matrix: np.ndarray, method: str = "pca") -> Embedding2D:
+def embed_2d(keys: Sequence[Key], matrix: np.ndarray) -> Embedding2D:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[0] < 3:
         raise ContractViolation("embedding needs at least 3 rows")
     if len(keys) != matrix.shape[0]:
         raise ContractViolation("one key per row required")
-    if method not in EMBEDDINGS:
-        raise ConfigurationError(f"unknown embedding method {method!r}")
-    coords = EMBEDDINGS[method](matrix)
-    return Embedding2D(keys=tuple(keys), coords=coords, method=method)
+    return Embedding2D(keys=tuple(keys), coords=_pca_embedding(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +129,7 @@ def emit_footprint_plot(
         raise ContractViolation(f"no assignment for embedded keys {missing}")
     xs = _scale(embedding.coords[:, 0], MARGIN, WIDTH - MARGIN)
     ys = _scale(-embedding.coords[:, 1], MARGIN + 20, HEIGHT - MARGIN - 40)
-    parts = _svg_open(title or f"footprint ({embedding.method} embedding)")
+    parts = _svg_open(title or "footprint (pca embedding)")
     for i, key in enumerate(embedding.keys):
         a = by_key[key]
         color = ALG_GOOD_COLOR if a.label.algorithm_good else ALG_POOR_COLOR
@@ -194,12 +185,8 @@ def emit_beeswarm_data(
         for i, rep in enumerate(reps):
             raw_rows.append((rank, fname, rep.key, float(rep.phi[col]), float(norm[i])))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["feature_name", "problem_id", "instance_id", "dimension",
-                     "phi", "normalized_value"])
-    for _, fname, key, phi, norm in raw_rows:
-        writer.writerow([fname, key[0], key[1], key[2], repr(phi), repr(norm)])
+    table = format_csv(["feature_name", *KEY_COLUMNS, "phi", "normalized_value"],
+                       ([fname, *key, phi, norm] for _, fname, key, phi, norm in raw_rows))
 
     all_phi = np.array([r[3] for r in raw_rows])
     span = max(float(np.max(np.abs(all_phi))), 1e-12)
@@ -225,7 +212,7 @@ def emit_beeswarm_data(
     parts.append(_legend_text(MARGIN, HEIGHT - 22.0,
                               "x: attribution; color: feature value low (blue) to high (red)"))
     parts.append("</svg>")
-    return buf.getvalue(), "\n".join(parts) + "\n"
+    return table, "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +263,11 @@ def emit_distribution_table(assignments: Sequence[FootprintAssignment]) -> tuple
 
     header = ["model", "fold", "(good, good)", "(good, poor)", "(poor, good)", "(poor, poor)"]
     lines = [" | ".join(header)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "fold", "good_good", "good_poor", "poor_good", "poor_poor"])
+    rows = []
     for model_kind, fold_id in sorted(groups):
         cells = _membership_cells(groups[(model_kind, fold_id)])
         display = MODEL_LABELS.get(model_kind, model_kind)
         lines.append(" | ".join([display, str(fold_id)] + cells))
-        writer.writerow([display, fold_id] + cells)
-    return "\n".join(lines) + "\n", buf.getvalue()
+        rows.append([display, fold_id] + cells)
+    table = format_csv(["model", "fold", "good_good", "good_poor", "poor_good", "poor_poor"], rows)
+    return "\n".join(lines) + "\n", table

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import yaml
 from footprints.cli import main
 from footprints.config import load_config, parse_config, validate
 from footprints.errors import ConfigurationError
+from footprints.pipeline import Pipeline, stage_inputs
 
 TINY = {
     "master_seed": 7,
@@ -102,6 +104,27 @@ def test_validate_minimums_named(data, message):
 def test_validate_budget_vs_population():
     cfg = parse_config({"de": {"budget_multiplier": 1}})
     assert any("budget" in s for s in validate(cfg))
+
+
+def test_validate_population_size_zero_reported():
+    de_config = {"config_id": "DE1", "strategy": "rand/1/bin", "F": 0.5, "Cr": 0.9}
+    cfg = parse_config({"de": {"configs": [dict(de_config, population_size=0)]}})
+    assert any(s.startswith("de.configs invalid: population_size 0 ") for s in validate(cfg))
+    # null keeps the default population
+    cfg = parse_config({"de": {"configs": [dict(de_config, population_size=None)]}})
+    assert validate(cfg) == []
+
+
+def test_validate_knn_neighbors_against_fold_training_size():
+    # each fold trains on 3 problems x (5 - 1) instances = 12 rows
+    model = {"kinds": ["random_forest", "knn"], "knn_neighbors": 13}
+    cfg = parse_config({"suite": {"problems": [1, 2, 3]}, "model": model})
+    assert any(s.startswith("model.knn_neighbors (13) ") for s in validate(cfg))
+    cfg.knn_neighbors = 12
+    assert validate(cfg) == []
+    cfg.model_kinds = ["random_forest"]
+    cfg.knn_neighbors = 13
+    assert validate(cfg) == []
 
 
 def test_config_digest_stable_and_sensitive(tmp_path):
@@ -229,6 +252,16 @@ def test_cli_invalid_config_blocks_pipeline(tmp_path, capsys):
     bad["model"] = dict(TINY["model"], k_folds=4)
     path = _write_config(tmp_path, bad)
     assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_knn_neighbors_over_training_size_blocks_pipeline(tmp_path, capsys):
+    bad = dict(TINY, model=dict(TINY["model"], kinds=["random_forest", "knn"],
+                                knn_neighbors=13))
+    path = _write_config(tmp_path, bad)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
+    assert "model.knn_neighbors" in capsys.readouterr().err
+    assert not (out / "suite.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +401,57 @@ def test_pipeline_manifest_contents(tiny_run):
     for record in manifest["stages"].values():
         assert record["outputs"]
     assert "features" in manifest["sanitation"]
+
+
+def test_every_artifact_is_the_output_of_one_stage(tiny_run):
+    _, out = tiny_run
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    owners = Counter(name for record in stages.values() for name in record["outputs"])
+    files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert set(owners) == files - {"manifest.json"}
+    assert set(owners.values()) == {1}
+
+
+def test_recorded_inputs_expand_the_stage_table(tiny_run):
+    config_path, out = tiny_run
+    cfg = load_config(config_path)
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    for stage, record in stages.items():
+        assert sorted(record["inputs"]) == sorted(stage_inputs(stage, cfg)), stage
+    assert stage_inputs("explain", cfg) == (
+        ["features.csv", "performance.csv", "folds.csv"]
+        + [f"portfolios/random_forest_fold_{f}.json" for f in range(1, 6)])
+    assert stage_inputs("suite", cfg) == []
+
+
+def test_deleted_feature_distribution_figure_reruns_report_only(tiny_run, tmp_path, caplog):
+    config_path, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    figure = sorted(copy.glob("figures/feature_dist_fold_*"))[0]
+    figure.unlink()
+    assert _stages_run(config_path, copy, caplog) == ["report"]
+    assert _digest_tree(copy) == _digest_tree(out)
+
+
+def test_failed_manifest_write_keeps_previous_manifest(tiny_run, tmp_path, monkeypatch):
+    config_path, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    before = (copy / "manifest.json").read_bytes()
+
+    def dump_part_then_fail(obj, fh, **kwargs):
+        fh.write('{"stages": {')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_part_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        Pipeline(load_config(config_path), copy, force=True).run(["suite"])
+    monkeypatch.undo()
+    assert (copy / "manifest.json").read_bytes() == before
+    assert json.loads(before)["stages"]["suite"]
+    assert sorted(p.name for p in copy.iterdir() if p.name.startswith("manifest")) == [
+        "manifest.json"]
 
 
 def test_pipeline_single_stage_rerun_with_force(tiny_run, capsys):

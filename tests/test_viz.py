@@ -40,7 +40,6 @@ def _assignments4():
 def test_embedding_shape_and_tag():
     emb = embed_2d(KEYS4, MAT4)
     assert emb.coords.shape == (4, 2)
-    assert emb.method == "pca"
     assert emb.keys == tuple(KEYS4)
 
 
@@ -75,8 +74,6 @@ def test_embedding_contracts():
         embed_2d(KEYS4[:2], MAT4[:2])
     with pytest.raises(ContractViolation):
         embed_2d(KEYS4[:3], MAT4)
-    with pytest.raises(ConfigurationError):
-        embed_2d(KEYS4, MAT4, method="umap")
 
 
 # ---------------------------------------------------------------------------
