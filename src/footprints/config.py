@@ -243,6 +243,11 @@ def validate(cfg: RunConfig) -> list[str]:
     for kind in cfg.model_kinds:
         if kind not in models.MODEL_KINDS:
             issues.append(f"model.kinds contains unknown kind {kind!r}")
+    # a repeat would train the same models twice and write each key twice
+    for key, values in (("model.kinds", cfg.model_kinds),
+                        ("model.portfolio_sizes", cfg.portfolio_sizes)):
+        if len(set(values)) != len(values):
+            issues.append(f"{key} must not repeat an entry; got {values}")
     # k_folds equals the instance count, so each fold trains on all other instances
     train_size = len(set(cfg.problems)) * (len(set(cfg.instances)) - 1)
     if "knn" in cfg.model_kinds and cfg.knn_neighbors > train_size:
@@ -276,6 +281,10 @@ def validate(cfg: RunConfig) -> list[str]:
         issues.append("footprint.t_value required when t_mode is 'explicit'")
     if cfg.scale not in SCALES:
         issues.append(f"footprint.scale must be one of {SCALES}")
+    if isinstance(cfg.distribution_features, list):
+        unknown = [n for n in cfg.distribution_features if n not in ela.FEATURE_SCHEMA]
+        if unknown:
+            issues.append(f"report.distribution_features contains unknown features {unknown}")
     for v in cfg.sensitivity_p:
         if not 0.0 < v <= 1.0:
             issues.append(f"footprint.sensitivity_p values must be in (0, 1]; got {v}")

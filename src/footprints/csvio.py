@@ -25,6 +25,14 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     Path(path).write_text(format_csv(header, rows), newline="")
 
 
+def read_csv(path) -> tuple[list[str], list[dict[str, str]]]:
+    """The header and the rows, as ``csv.DictReader`` dicts, of a CSV artifact."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    return list(reader.fieldnames or ()), rows
+
+
 def row_key(row: Mapping[str, str]) -> tuple[int, int, int]:
-    """The (problem_id, instance_id, dimension) key of a ``csv.DictReader`` row."""
+    """The (problem_id, instance_id, dimension) key of a ``read_csv`` row."""
     return int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"])

@@ -11,14 +11,13 @@ order is new in 0.2.0 and changes ``performance.csv`` bytes against 0.1.0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .csvio import KEY_COLUMNS, write_csv
+from .csvio import KEY_COLUMNS, read_csv, write_csv
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND
 
@@ -202,19 +201,15 @@ def write_performance_csv(records: Sequence[PerformanceRecord], path) -> None:
 
 
 def read_performance_csv(path) -> list[PerformanceRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            n_runs = int(row["n_runs"])
-            raw = tuple(float(row[f"run_{r}"]) for r in range(n_runs))
-            records.append(
-                PerformanceRecord(
-                    config_id=row["config_id"],
-                    problem_id=int(row["problem_id"]),
-                    instance_id=int(row["instance_id"]),
-                    dimension=int(row["dimension"]),
-                    raw_precisions=raw,
-                    median_log_precision=float(row["median_log_precision"]),
-                )
-            )
-    return records
+    _, rows = read_csv(path)
+    return [
+        PerformanceRecord(
+            config_id=row["config_id"],
+            problem_id=int(row["problem_id"]),
+            instance_id=int(row["instance_id"]),
+            dimension=int(row["dimension"]),
+            raw_precisions=tuple(float(row[f"run_{r}"]) for r in range(int(row["n_runs"]))),
+            median_log_precision=float(row["median_log_precision"]),
+        )
+        for row in rows
+    ]

@@ -13,7 +13,6 @@ counted per vector.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .csvio import KEY_COLUMNS, row_key, write_csv
+from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND, ProblemInstance
 
@@ -485,12 +484,12 @@ def write_features_csv(vectors: Sequence[ElaFeatureVector], path) -> None:
 
 
 def read_features_csv(path) -> list[ElaFeatureVector]:
-    vectors = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            values = {name: float(row[name]) for name in FEATURE_SCHEMA}
-            vectors.append(ElaFeatureVector(key=row_key(row), values=values))
-    return vectors
+    _, rows = read_csv(path)
+    return [
+        ElaFeatureVector(key=row_key(row),
+                         values={name: float(row[name]) for name in FEATURE_SCHEMA})
+        for row in rows
+    ]
 
 
 def write_schema_json(path) -> None:

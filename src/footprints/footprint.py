@@ -7,14 +7,13 @@ boundaries count as Good on both axes.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .csvio import KEY_COLUMNS, row_key, write_csv
+from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
 from .errors import ConfigurationError, ContractViolation
 
 Key = tuple[int, int, int]
@@ -151,21 +150,19 @@ def write_assignments_csv(assignments: Sequence[FootprintAssignment], path) -> N
 
 
 def read_assignments_csv(path) -> list[FootprintAssignment]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                FootprintAssignment(
-                    key=row_key(row),
-                    true_value=float(row["true"]),
-                    predicted_value=float(row["predicted"]),
-                    relative_error=float(row["relative_error"]),
-                    label=FootprintLabel(row["label"]),
-                    fold_id=int(row["fold_id"]),
-                    model_kind=row["model_kind"],
-                )
-            )
-    return out
+    _, rows = read_csv(path)
+    return [
+        FootprintAssignment(
+            key=row_key(row),
+            true_value=float(row["true"]),
+            predicted_value=float(row["predicted"]),
+            relative_error=float(row["relative_error"]),
+            label=FootprintLabel(row["label"]),
+            fold_id=int(row["fold_id"]),
+            model_kind=row["model_kind"],
+        )
+        for row in rows
+    ]
 
 
 def write_transitions_csv(

@@ -10,7 +10,6 @@ of them still match, unless --force is given.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -30,7 +29,7 @@ from . import models as models_mod
 from . import shapley as shap_mod
 from . import viz as viz_mod
 from .config import RunConfig, validate
-from .csvio import KEY_COLUMNS, row_key, write_csv
+from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
 from .errors import ConfigurationError
 from .seeding import (EXPLAIN_SALT, FEATURES_SALT, FOLDS_SALT, SOLVE_SALT,
                       TRAIN_SALT, derive_seed)
@@ -284,12 +283,19 @@ class Pipeline:
         write_csv(self._output("folds.csv"), [*KEY_COLUMNS, "test_fold"],
                   ([*key, assignment[key]] for key in sorted(assignment)))
 
-    # -- shared loading -------------------------------------------------
-    def _load_matrix(self):
+    # -- fold models -----------------------------------------------------
+    def _fold_data(self, stage: str):
+        """keys, the feature matrix, and each key's target and test fold, aligned."""
         vectors = ela_mod.read_features_csv(self.path("features.csv"))
         keys = [v.key for v in vectors]
+        y_map = self._load_targets()
+        if set(keys) - set(y_map):
+            raise StageFailure(
+                stage, f"performance data missing for config {self.cfg.footprint_config_id!r}"
+            )
+        fold_of = self._load_fold_assignment()
         X = np.array([[v.values[name] for name in ela_mod.FEATURE_SCHEMA] for v in vectors])
-        return keys, X, {v.key: v.values for v in vectors}
+        return keys, X, np.array([y_map[k] for k in keys]), np.array([fold_of[k] for k in keys])
 
     def _load_targets(self) -> dict[Key, float]:
         records = de_mod.read_performance_csv(self.path("performance.csv"))
@@ -297,8 +303,8 @@ class Pipeline:
         return {r.key: r.median_log_precision for r in records if r.config_id == wanted}
 
     def _load_fold_assignment(self) -> dict[Key, int]:
-        with open(self.path("folds.csv"), newline="") as fh:
-            return {row_key(row): int(row["test_fold"]) for row in csv.DictReader(fh)}
+        _, rows = read_csv(self.path("folds.csv"))
+        return {row_key(row): int(row["test_fold"]) for row in rows}
 
     def _model_params(self, kind: str) -> dict:
         cfg = self.cfg
@@ -308,49 +314,41 @@ class Pipeline:
             return {"k_neighbors": cfg.knn_neighbors}
         return {"penalty": cfg.kernel_penalty}
 
-    def _split(self, keys, X, y_map, fold_assignment, fold_id):
-        train_idx = [i for i, k in enumerate(keys) if fold_assignment[k] != fold_id]
-        test_idx = [i for i, k in enumerate(keys) if fold_assignment[k] == fold_id]
-        y = np.array([y_map[k] for k in keys])
-        return train_idx, test_idx, y
+    def _fit(self, kind: str, fold_id: int, size: int, ranking, X, y, train):
+        """The fold model that train scores and explain attributes, as
+        (model, its feature columns of X, their names). It is fit on the
+        first `size` features of `ranking`, over the rows where `train` holds."""
+        cfg = self.cfg
+        names = list(ranking[:min(size, len(ela_mod.FEATURE_SCHEMA))])
+        cols = [ela_mod.FEATURE_SCHEMA.index(name) for name in names]
+        seed = derive_seed(cfg.master_seed, TRAIN_SALT, cfg.model_kinds.index(kind), fold_id, size)
+        model = models_mod.fit_model(kind, X[train][:, cols], y[train],
+                                     self._model_params(kind), seed=seed)
+        return model, cols, names
 
     def _run_train(self):
         cfg = self.cfg
-        keys, X, _ = self._load_matrix()
-        y_map = self._load_targets()
-        if set(keys) - set(y_map):
-            raise StageFailure(
-                "train",
-                f"performance data missing for config {cfg.footprint_config_id!r}",
-            )
-        fold_assignment = self._load_fold_assignment()
-        schema = ela_mod.FEATURE_SCHEMA
-        name_to_col = {n: i for i, n in enumerate(schema)}
-
+        keys, X, y, test_fold = self._fold_data("train")
         metrics_rows = []
         predictions: dict[int, list] = {f: [] for f in self._fold_ids()}
         for ki, kind in enumerate(cfg.model_kinds):
-            params = self._model_params(kind)
             for fold_id in self._fold_ids():
-                train_idx, test_idx, y = self._split(keys, X, y_map, fold_assignment, fold_id)
-                Xtr, ytr = X[train_idx], y[train_idx]
-                sel_seed = derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, 0)
+                train, test = test_fold != fold_id, np.flatnonzero(test_fold == fold_id)
                 portfolio = shap_mod.select_portfolio(
-                    Xtr, ytr, feature_names=schema,
-                    model_kind=kind, seed=sel_seed, model_params=params,
+                    X[train], y[train], feature_names=ela_mod.FEATURE_SCHEMA,
+                    model_kind=kind, seed=derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, 0),
+                    model_params=self._model_params(kind),
                     n_permutations=cfg.selection_permutations,
                 )
                 self._write_portfolio(kind, fold_id, portfolio)
                 for size in cfg.portfolio_sizes:
-                    eff = min(size, len(schema))
-                    cols = [name_to_col[n] for n in portfolio.feature_names[:eff]]
-                    fit_seed = derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, size)
-                    model = models_mod.fit_model(kind, Xtr[:, cols], ytr, params, seed=fit_seed)
-                    pred = model.predict(X[np.ix_(test_idx, cols)])
-                    m = models_mod.evaluate_model(pred, y[test_idx])
+                    model, cols, _ = self._fit(kind, fold_id, size, portfolio.feature_names,
+                                               X, y, train)
+                    pred = model.predict(X[np.ix_(test, cols)])
+                    m = models_mod.evaluate_model(pred, y[test])
                     metrics_rows.append((kind, fold_id, size, m.mae, m.r2))
                     predictions[fold_id] += [
-                        (kind, size, *keys[idx], y[idx], pred[j]) for j, idx in enumerate(test_idx)
+                        (kind, size, *keys[i], y[i], p) for i, p in zip(test, pred)
                     ]
         write_csv(self._output("metrics.csv"),
                   ["model_kind", "fold_id", "portfolio_size", "mae", "r2"], metrics_rows)
@@ -376,72 +374,50 @@ class Pipeline:
         return [entry["name"] for entry in payload["ranking"]]
 
     def _run_explain(self):
+        """Refits the footprint model of each fold with _fit, as train did,
+        and attributes its test predictions."""
         cfg = self.cfg
-        keys, X, _ = self._load_matrix()
-        y_map = self._load_targets()
-        fold_assignment = self._load_fold_assignment()
-        schema = ela_mod.FEATURE_SCHEMA
-        name_to_col = {n: i for i, n in enumerate(schema)}
+        keys, X, y, test_fold = self._fold_data("explain")
         kind = cfg.footprint_model
-        ki = cfg.model_kinds.index(kind)
-        size = cfg.footprint_portfolio_size
-        eff = min(size, len(schema))
-        params = self._model_params(kind)
         for fold_id in self._fold_ids():
-            ranking = self._read_portfolio(kind, fold_id)
-            cols = [name_to_col[n] for n in ranking[:eff]]
-            names = ranking[:eff]
-            train_idx, test_idx, y = self._split(keys, X, y_map, fold_assignment, fold_id)
-            fit_seed = derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, size)
-            model = models_mod.fit_model(kind, X[np.ix_(train_idx, cols)], y[train_idx],
-                                         params, seed=fit_seed)
-            background = X[np.ix_(train_idx, cols)]
-            test_keys = [keys[i] for i in test_idx]
-            if kind == "random_forest":
-                reps = shap_mod.tree_shap_batch(
-                    model, X[np.ix_(test_idx, cols)], background, keys=test_keys
-                )
-            else:
-                reps = [
-                    shap_mod.sampling_shap(
-                        model, X[idx, cols], background,
-                        seed=derive_seed(cfg.master_seed, EXPLAIN_SALT, fold_id,
-                                         keys[idx][0], keys[idx][1]),
-                        key=keys[idx],
-                    )
-                    for idx in test_idx
-                ]
+            train, test = test_fold != fold_id, np.flatnonzero(test_fold == fold_id)
+            model, cols, names = self._fit(kind, fold_id, cfg.footprint_portfolio_size,
+                                           self._read_portfolio(kind, fold_id), X, y, train)
+            test_keys = [keys[i] for i in test]
+            reps = shap_mod.attribute(
+                model, X[np.ix_(test, cols)], X[train][:, cols],
+                seeds=[derive_seed(cfg.master_seed, EXPLAIN_SALT, fold_id, p, i)
+                       for p, i, _ in test_keys],
+                keys=test_keys,
+            )
             write_csv(self._output(f"explanations/fold_{fold_id}.csv"),
                       [*EXPLANATION_COLUMNS, *names],
                       ([*rep.key, rep.base_value, rep.prediction, *rep.phi] for rep in reps))
 
     def _read_explanations(self, fold_id: int):
-        with open(self.path(f"explanations/fold_{fold_id}.csv"), newline="") as fh:
-            reader = csv.DictReader(fh)
-            names = reader.fieldnames[len(EXPLANATION_COLUMNS):]
-            reps = [
-                shap_mod.ShapMetaRepresentation(
-                    key=row_key(row),
-                    base_value=float(row["base_value"]),
-                    prediction=float(row["prediction"]),
-                    phi=np.array([float(row[name]) for name in names]),
-                )
-                for row in reader
-            ]
+        header, rows = read_csv(self.path(f"explanations/fold_{fold_id}.csv"))
+        names = header[len(EXPLANATION_COLUMNS):]
+        reps = [
+            shap_mod.ShapMetaRepresentation(
+                key=row_key(row),
+                base_value=float(row["base_value"]),
+                prediction=float(row["prediction"]),
+                phi=np.array([float(row[name]) for name in names]),
+            )
+            for row in rows
+        ]
         return names, reps
 
     def _fold_predictions(self, fold_id: int):
         """(key, true, predicted) for the footprint model/portfolio size."""
         cfg = self.cfg
-        out = []
-        with open(self.path(f"predictions/fold_{fold_id}.csv"), newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row["model_kind"] != cfg.footprint_model:
-                    continue
-                if int(row["portfolio_size"]) != cfg.footprint_portfolio_size:
-                    continue
-                out.append((row_key(row), float(row["true"]), float(row["predicted"])))
-        return out
+        _, rows = read_csv(self.path(f"predictions/fold_{fold_id}.csv"))
+        return [
+            (row_key(row), float(row["true"]), float(row["predicted"]))
+            for row in rows
+            if row["model_kind"] == cfg.footprint_model
+            and int(row["portfolio_size"]) == cfg.footprint_portfolio_size
+        ]
 
     def _run_footprint(self):
         cfg = self.cfg
@@ -485,7 +461,9 @@ class Pipeline:
     def _run_report(self):
         cfg = self.cfg
         assignments = fp_mod.read_assignments_csv(self.path("assignments.csv"))
-        _, _, feature_values = self._load_matrix()
+        feature_values = {
+            v.key: v.values for v in ela_mod.read_features_csv(self.path("features.csv"))
+        }
 
         dist_features: list[str] | None = None
         if isinstance(cfg.distribution_features, list):

@@ -1,14 +1,14 @@
 """Shapley attributions of performance predictions (meta-representations).
 
 Two estimators over an interventional (marginal) value function with a
-finite background set:
+finite background set; ``attribute`` picks the one that fits the model:
 
-* ``tree_shap``: exact, for the from-scratch forest. Works leaf by leaf:
-  a leaf with path features U is reached by coalition S and background b
-  iff every path condition is met by x (feature in S) or by b (feature
-  not in S). Features that both or neither satisfy collapse, leaving a
-  closed-form weight p!q!/(p+q+1)! where p counts x-only and q counts
-  b-only features among U minus the attributed one.
+* ``tree_shap_batch``: exact, for the from-scratch forest. Works leaf by
+  leaf: a leaf with path features U is reached by coalition S and
+  background b iff every path condition is met by x (feature in S) or by
+  b (feature not in S). Features that both or neither satisfy collapse,
+  leaving a closed-form weight p!q!/(p+q+1)! where p counts x-only and q
+  counts b-only features among U minus the attributed one.
 * ``sampling_shap``: model-agnostic permutation sampling with antithetic
   permutation pairs and cycled background rows.
 
@@ -150,13 +150,6 @@ def tree_shap_batch(
     ]
 
 
-def tree_shap(model: RandomForestModel, x: np.ndarray, background: np.ndarray,
-              key: Key | None = None) -> ShapMetaRepresentation:
-    rep = tree_shap_batch(model, np.asarray(x, dtype=float)[None, :], background)[0]
-    return ShapMetaRepresentation(key=key, base_value=rep.base_value, phi=rep.phi,
-                                  prediction=rep.prediction)
-
-
 # ---------------------------------------------------------------------------
 # model-agnostic permutation sampling
 
@@ -208,6 +201,25 @@ def sampling_shap(
     )
 
 
+def attribute(
+    model,
+    X: np.ndarray,
+    background: np.ndarray,
+    seeds: Sequence[int],
+    n_permutations: int = 256,
+    keys: Sequence[Key] | None = None,
+) -> list[ShapMetaRepresentation]:
+    """Attributions of the rows of X: exact for a forest, otherwise
+    permutation sampling of row i seeded with seeds[i]."""
+    if isinstance(model, RandomForestModel):
+        return tree_shap_batch(model, X, background, keys=keys)
+    return [
+        sampling_shap(model, x, background, n_permutations=n_permutations, seed=seed,
+                      key=None if keys is None else keys[i])
+        for i, (x, seed) in enumerate(zip(X, seeds, strict=True))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # global importance and portfolio selection
 
@@ -243,14 +255,8 @@ def select_portfolio(
     """
     train_X = np.asarray(train_X, dtype=float)
     model = fit_model(model_kind, train_X, train_y, model_params, seed=seed)
-    if model_kind == "random_forest":
-        reps = tree_shap_batch(model, train_X, train_X)
-    else:
-        reps = [
-            sampling_shap(model, train_X[i], train_X,
-                          n_permutations=n_permutations, seed=seed + i)
-            for i in range(train_X.shape[0])
-        ]
+    reps = attribute(model, train_X, train_X, range(seed, seed + len(train_X)),
+                     n_permutations=n_permutations)
     ranked = global_importance(reps, feature_names)
     return FeaturePortfolio(
         feature_names=tuple(name for name, _ in ranked),

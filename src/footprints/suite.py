@@ -34,33 +34,6 @@ UPPER_BOUND = 5.0
 SHIFT_RANGE = 4.0
 N_PROBLEMS = 24
 
-PROBLEM_NAMES = {
-    1: "sphere",
-    2: "ellipsoid_separable",
-    3: "rastrigin_separable",
-    4: "bueche_rastrigin",
-    5: "linear_slope",
-    6: "attractive_sector",
-    7: "step_ellipsoid",
-    8: "rosenbrock",
-    9: "rosenbrock_rotated",
-    10: "ellipsoid_rotated",
-    11: "discus",
-    12: "bent_cigar",
-    13: "sharp_ridge",
-    14: "different_powers",
-    15: "rastrigin_rotated",
-    16: "weierstrass",
-    17: "schaffers_f7",
-    18: "schaffers_f7_ill",
-    19: "griewank_rosenbrock",
-    20: "schwefel",
-    21: "gallagher_101",
-    22: "gallagher_21",
-    23: "katsuura",
-    24: "lunacek_bi_rastrigin",
-}
-
 
 @dataclass(frozen=True, eq=False)
 class SuiteConfig:
@@ -103,7 +76,7 @@ class ProblemInstance:
 
     @property
     def name(self) -> str:
-        return PROBLEM_NAMES[self.problem_id]
+        return _PROBLEMS[self.problem_id][0]
 
     def evaluate(self, x: Sequence[float]) -> float:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -115,7 +88,7 @@ class ProblemInstance:
                 f"expected points of dimension {self.dimension}, got shape {X.shape}"
             )
         Y = X - self.shift[None, :]
-        core = _CORES[self.problem_id](Y, self.aux)
+        core = _PROBLEMS[self.problem_id][2](Y, self.aux)
         return core - self.core_at_opt + self.f_offset
 
 
@@ -132,9 +105,10 @@ def make_instance(problem_id: int, instance_id: int, dimension: int) -> ProblemI
     # Fixed draw order: shift, offset, then per-function setup.
     shift = rng.uniform(-SHIFT_RANGE, SHIFT_RANGE, dimension)
     f_offset = round(float(rng.uniform(-100.0, 100.0)), 2)
-    aux = _SETUPS[problem_id](dimension, rng)
+    _, setup, core = _PROBLEMS[problem_id]
+    aux = setup(dimension, rng)
     shift.setflags(write=False)
-    core_at_opt = float(_CORES[problem_id](np.zeros((1, dimension)), aux)[0])
+    core_at_opt = float(core(np.zeros((1, dimension)), aux)[0])
     return ProblemInstance(
         problem_id=problem_id,
         instance_id=instance_id,
@@ -441,10 +415,6 @@ def _gallagher(Y, aux):
     return _t_osz((10.0 - best)[:, None])[:, 0] ** 2
 
 
-_f21_gallagher_101 = _gallagher
-_f22_gallagher_21 = _gallagher
-
-
 _KATSUURA_J = 2.0 ** np.arange(1, 33)
 
 
@@ -472,56 +442,30 @@ def _f24_lunacek(Y, aux):
     return np.minimum(s1, s2) + 10.0 * (dim - np.sum(np.cos(2.0 * np.pi * z), axis=1))
 
 
-_SETUPS = {
-    1: _setup_none,
-    2: _setup_none,
-    3: _setup_none,
-    4: _setup_none,
-    5: _setup_signs,
-    6: _setup_rq_signs,
-    7: _setup_rq,
-    8: _setup_none,
-    9: _setup_r,
-    10: _setup_r,
-    11: _setup_r,
-    12: _setup_r,
-    13: _setup_rq,
-    14: _setup_r,
-    15: _setup_rq,
-    16: _setup_rq,
-    17: _setup_rq,
-    18: _setup_rq,
-    19: _setup_r,
-    20: _setup_signs,
-    21: _setup_gallagher(101, 1000.0, 5.0),
-    22: _setup_gallagher(21, 1000.0**2, 4.9),
-    23: _setup_rq,
-    24: _setup_rq_signs,
-}
-
-_CORES = {
-    1: _f01_sphere,
-    2: _f02_ellipsoid,
-    3: _f03_rastrigin,
-    4: _f04_bueche,
-    5: _f05_linear_slope,
-    6: _f06_attractive_sector,
-    7: _f07_step_ellipsoid,
-    8: _f08_rosenbrock,
-    9: _f09_rosenbrock_rot,
-    10: _f10_ellipsoid_rot,
-    11: _f11_discus,
-    12: _f12_bent_cigar,
-    13: _f13_sharp_ridge,
-    14: _f14_different_powers,
-    15: _f15_rastrigin_rot,
-    16: _f16_weierstrass,
-    17: _f17_schaffers,
-    18: _f18_schaffers_ill,
-    19: _f19_griewank_rosenbrock,
-    20: _f20_schwefel,
-    21: _f21_gallagher_101,
-    22: _f22_gallagher_21,
-    23: _f23_katsuura,
-    24: _f24_lunacek,
+# problem id -> (name, per-instance setup drawn after shift and offset, core)
+_PROBLEMS = {
+    1: ("sphere", _setup_none, _f01_sphere),
+    2: ("ellipsoid_separable", _setup_none, _f02_ellipsoid),
+    3: ("rastrigin_separable", _setup_none, _f03_rastrigin),
+    4: ("bueche_rastrigin", _setup_none, _f04_bueche),
+    5: ("linear_slope", _setup_signs, _f05_linear_slope),
+    6: ("attractive_sector", _setup_rq_signs, _f06_attractive_sector),
+    7: ("step_ellipsoid", _setup_rq, _f07_step_ellipsoid),
+    8: ("rosenbrock", _setup_none, _f08_rosenbrock),
+    9: ("rosenbrock_rotated", _setup_r, _f09_rosenbrock_rot),
+    10: ("ellipsoid_rotated", _setup_r, _f10_ellipsoid_rot),
+    11: ("discus", _setup_r, _f11_discus),
+    12: ("bent_cigar", _setup_r, _f12_bent_cigar),
+    13: ("sharp_ridge", _setup_rq, _f13_sharp_ridge),
+    14: ("different_powers", _setup_r, _f14_different_powers),
+    15: ("rastrigin_rotated", _setup_rq, _f15_rastrigin_rot),
+    16: ("weierstrass", _setup_rq, _f16_weierstrass),
+    17: ("schaffers_f7", _setup_rq, _f17_schaffers),
+    18: ("schaffers_f7_ill", _setup_rq, _f18_schaffers_ill),
+    19: ("griewank_rosenbrock", _setup_r, _f19_griewank_rosenbrock),
+    20: ("schwefel", _setup_signs, _f20_schwefel),
+    21: ("gallagher_101", _setup_gallagher(101, 1000.0, 5.0), _gallagher),
+    22: ("gallagher_21", _setup_gallagher(21, 1000.0**2, 4.9), _gallagher),
+    23: ("katsuura", _setup_rq, _f23_katsuura),
+    24: ("lunacek_bi_rastrigin", _setup_rq_signs, _f24_lunacek),
 }

@@ -2,14 +2,16 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The desk-scale pipeline
 (D=5, budget 2500, 5 runs, one DE config, forest with 30-feature
-portfolio) executes twice in a session fixture; several criteria read its
-artifacts.
+portfolio) executes twice, concurrently, in a session fixture; several
+criteria read its artifacts.
 """
 
 import csv
 import hashlib
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from footprints.ela import (
 )
 from footprints.footprint import FootprintLabel, Thresholds, classify
 from footprints.models import fit_knn, fit_random_forest, make_folds
-from footprints.shapley import sampling_shap, tree_shap
+from footprints.shapley import sampling_shap, tree_shap_batch
 from footprints.suite import make_instance
 
 from _oracles import brute_force_shapley
@@ -68,10 +70,14 @@ def desk_run(tmp_path_factory):
     config_path.write_text(yaml.safe_dump(DESK_CONFIG))
     out_a = root / "run_a"
     out_b = root / "run_b"
-    start = time.perf_counter()
-    assert main(["pipeline", "--config", str(config_path), "--out", str(out_a)]) == 0
-    elapsed = time.perf_counter() - start
-    assert main(["pipeline", "--config", str(config_path), "--out", str(out_b)]) == 0
+    # criterion 9 compares two independent runs: run_b runs in a fresh
+    # interpreter while run_a runs, and is timed, in this process
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        run_b = pool.submit(main, ["pipeline", "--config", str(config_path), "--out", str(out_b)])
+        start = time.perf_counter()
+        assert main(["pipeline", "--config", str(config_path), "--out", str(out_a)]) == 0
+        elapsed = time.perf_counter() - start
+        assert run_b.result() == 0
     return {"out_a": out_a, "out_b": out_b, "elapsed": elapsed}
 
 
@@ -152,7 +158,7 @@ def test_criterion_2_shapley_exactness():
         )
         x = rng.normal(size=n_features)
         background = rng.normal(size=(int(rng.integers(1, 8)), n_features))
-        rep = tree_shap(model, x, background)
+        rep = tree_shap_batch(model, x[None, :], background)[0]
         oracle = brute_force_shapley(model, x, background)
         max_dev = max(max_dev, float(np.max(np.abs(rep.phi - oracle))))
     elapsed = time.perf_counter() - start

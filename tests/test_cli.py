@@ -127,6 +127,23 @@ def test_validate_knn_neighbors_against_fold_training_size():
     assert validate(cfg) == []
 
 
+def test_validate_unknown_distribution_feature_reported():
+    cfg = parse_config({"report": {"distribution_features": ["disp.ratio_mean_02",
+                                                             "bogus.feature"]}})
+    assert validate(cfg) == [
+        "report.distribution_features contains unknown features ['bogus.feature']"]
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"portfolio_sizes": [30, 30], "kinds": ["random_forest"]},
+     "model.portfolio_sizes must not repeat an entry; got [30, 30]"),
+    ({"portfolio_sizes": [30], "kinds": ["random_forest", "random_forest"]},
+     "model.kinds must not repeat an entry; got ['random_forest', 'random_forest']"),
+])
+def test_validate_repeated_model_entries_reported(model, message):
+    assert validate(parse_config({"model": model})) == [message]
+
+
 def test_config_digest_stable_and_sensitive(tmp_path):
     a = parse_config(TINY)
     b = parse_config(TINY)
@@ -137,7 +154,7 @@ def test_config_digest_stable_and_sensitive(tmp_path):
 
 
 def test_config_digests_pinned():
-    # the digest keys the stage cache: results made by 0.2.0 stay cached
+    # the digest keys the stage cache, so a change here invalidates every results directory
     root = Path(__file__).resolve().parents[1] / "configs"
     assert load_config(root / "desk.yaml").digest() == (
         "a851a45ea4db0b2027442845d8ca0bb96970275c7256245baa848d6ae79255be")
@@ -264,6 +281,20 @@ def test_cli_knn_neighbors_over_training_size_blocks_pipeline(tmp_path, capsys):
     assert not (out / "suite.csv").exists()
 
 
+@pytest.mark.parametrize("section, values, key", [
+    ("report", {"distribution_features": ["bogus.feature"]}, "report.distribution_features"),
+    ("model", dict(TINY["model"], portfolio_sizes=[10, 10]), "model.portfolio_sizes"),
+    ("model", dict(TINY["model"], kinds=["random_forest", "random_forest"]), "model.kinds"),
+])
+def test_cli_late_failing_config_blocks_pipeline(tmp_path, capsys, section, values, key):
+    # each of these used to pass validate and fail in the footprint or report stage
+    path = _write_config(tmp_path, dict(TINY, **{section: values}))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "suite.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline end to end (tiny scale)
 
@@ -371,6 +402,50 @@ def test_exception_inside_stage_is_stage_failure(tiny_run, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "stage 'report' failed: ContractViolation: embedding needs at least 3 rows" in err
+
+
+@pytest.mark.parametrize("stage", ["train", "explain"])
+def test_missing_targets_fail_train_and_explain_alike(tiny_run, tmp_path, capsys, stage):
+    config_path, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    performance = copy / "performance.csv"
+    performance.write_text(performance.read_text().replace("DE1,", "DE2,"))
+    assert main([stage, "--config", str(config_path), "--out", str(copy), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert f"stage {stage!r} failed: performance data missing for config 'DE1'" in err
+
+
+def test_explain_refits_the_kernel_model_train_scored(tmp_path, monkeypatch):
+    # explain attributes the model whose predictions train scored: same
+    # seed, and the same training matrix down to its memory layout, so
+    # the standardization and the ridge solve agree to the last bit
+    from footprints import models
+
+    data = dict(TINY, model=dict(TINY["model"], kinds=["kernel"]),
+                footprint=dict(TINY["footprint"], model="kernel"))
+    pipe = Pipeline(parse_config(data), tmp_path / "run")
+    pipe.run(["suite", "solve", "features", "folds"])
+    fit_model = models.fit_model
+
+    def recording(log):
+        def fit(kind, X, y, params=None, seed=0):
+            model = fit_model(kind, X, y, params, seed=seed)
+            log.append((seed, model))
+            return model
+        return fit
+
+    train_fits, explain_fits = [], []
+    monkeypatch.setattr(models, "fit_model", recording(train_fits))
+    pipe.run(["train"])
+    monkeypatch.setattr(models, "fit_model", recording(explain_fits))
+    pipe.run(["explain"])
+    trained = dict(train_fits)
+    assert len(trained) == len(explain_fits) == 5
+    for seed, model in explain_fits:
+        for attr in ("coef", "mean", "std", "X_train"):
+            assert getattr(model, attr).tobytes() == getattr(trained[seed], attr).tobytes(), attr
+        assert (model.bandwidth, model.y_mean) == (trained[seed].bandwidth, trained[seed].y_mean)
 
 
 def _fail_on_problem_2(item):

@@ -5,10 +5,10 @@ from footprints.errors import ConfigurationError, ContractViolation
 from footprints.models import RandomForestModel, RegressionTree, fit_random_forest, fit_knn
 from footprints.shapley import (
     FeaturePortfolio,
+    attribute,
     global_importance,
     sampling_shap,
     select_portfolio,
-    tree_shap,
     tree_shap_batch,
 )
 
@@ -32,7 +32,7 @@ def test_stump_attributes_everything_to_split_feature():
     rng = np.random.default_rng(0)
     background = rng.normal(size=(20, 4))
     x = np.array([0.5, 2.0, -1.0, 0.1])
-    rep = tree_shap(model, x, background)
+    rep = tree_shap_batch(model, x[None, :], background)[0]
     assert rep.phi[1] == pytest.approx(rep.prediction - rep.base_value)
     for j in (0, 2, 3):
         assert rep.phi[j] == 0.0
@@ -44,7 +44,7 @@ def test_null_feature_gets_exact_zero():
     y = X[:, 0] * 2.0  # only feature 0 matters for the fitted trees? not forced
     model = _stump(feature=0, threshold=0.3, left_value=1.0, right_value=2.0,
                    n_features=5)
-    rep = tree_shap(model, rng.normal(size=5), rng.normal(size=(10, 5)))
+    rep = tree_shap_batch(model, rng.normal(size=5)[None, :], rng.normal(size=(10, 5)))[0]
     assert all(rep.phi[j] == 0.0 for j in range(1, 5))
 
 
@@ -58,7 +58,7 @@ def test_symmetric_duplicated_features_equal_attribution():
     col = rng.normal(size=(15, 1))
     background = np.hstack([col, col])
     x = np.array([0.7, 0.7])
-    rep = tree_shap(model, x, background)
+    rep = tree_shap_batch(model, x[None, :], background)[0]
     assert rep.phi[0] == pytest.approx(rep.phi[1], abs=1e-9)
     oracle = brute_force_shapley(model, x, background)
     assert np.max(np.abs(rep.phi - oracle)) <= 1e-9
@@ -76,7 +76,7 @@ def test_matches_brute_force_on_random_ensembles():
         )
         x = rng.normal(size=n_features)
         background = rng.normal(size=(int(rng.integers(1, 8)), n_features))
-        rep = tree_shap(model, x, background)
+        rep = tree_shap_batch(model, x[None, :], background)[0]
         oracle = brute_force_shapley(model, x, background)
         assert np.max(np.abs(rep.phi - oracle)) <= 1e-9
         assert rep.efficiency_gap <= 1e-9
@@ -95,9 +95,9 @@ def test_efficiency_on_fitted_forest():
 def test_background_contract_checks():
     model = _stump(0, 0.0, 0.0, 1.0, 3)
     with pytest.raises(ContractViolation):
-        tree_shap(model, np.zeros(3), np.zeros((0, 3)))
+        tree_shap_batch(model, np.zeros(3)[None, :], np.zeros((0, 3)))
     with pytest.raises(ContractViolation):
-        tree_shap(model, np.zeros(3), np.zeros((4, 2)))
+        tree_shap_batch(model, np.zeros(3)[None, :], np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,24 @@ def test_sampling_rejects_bad_permutation_count():
     with pytest.raises(ConfigurationError):
         sampling_shap(_AdditiveModel([1.0]), np.zeros(1), np.zeros((2, 1)),
                       n_permutations=0)
+
+
+def test_attribute_picks_the_estimator_by_model():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(20, 3))
+    y = X[:, 0] + rng.normal(scale=0.1, size=20)
+    keys = [(1, i, 3) for i in range(4)]
+    forest = fit_random_forest(X, y, n_trees=3, seed=1)
+    exact = tree_shap_batch(forest, X[:4], X, keys=keys)
+    for got, want in zip(attribute(forest, X[:4], X, seeds=range(4), keys=keys), exact):
+        assert got.key == want.key and np.array_equal(got.phi, want.phi)
+    knn = fit_knn(X, y, k_neighbors=3)
+    reps = attribute(knn, X[:4], X, seeds=[5, 6, 7, 8], n_permutations=8, keys=keys)
+    for i, rep in enumerate(reps):
+        want = sampling_shap(knn, X[i], X, n_permutations=8, seed=5 + i)
+        assert rep.key == keys[i] and np.array_equal(rep.phi, want.phi)
+    with pytest.raises(ValueError):
+        attribute(knn, X[:4], X, seeds=[5, 6, 7])
 
 
 # ---------------------------------------------------------------------------
