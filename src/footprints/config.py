@@ -71,7 +71,11 @@ def _de_configs(raw) -> list[dict]:
 
 
 def _names_or_auto(raw) -> list[str] | str:
-    return raw if isinstance(raw, str) else _list_of(_str)(raw)
+    if raw == "auto":
+        return raw
+    if isinstance(raw, str):
+        raise ValueError(f"expected 'auto' or a list, got {raw!r}")
+    return _list_of(_str)(raw)
 
 
 def _key(dotted: str, parse, default, minimum=None):

@@ -13,7 +13,6 @@ counted per vector.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
+from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv, write_json
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND, ProblemInstance
 
@@ -499,6 +498,4 @@ def write_schema_json(path) -> None:
             {"name": name, "group": FEATURE_GROUPS[name]} for name in FEATURE_SCHEMA
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -242,12 +242,9 @@ class KnnModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         Z = (np.asarray(X, dtype=float) - self.mean) / self.std
         dists = cdist(Z, self.X_train)
-        out = np.empty(Z.shape[0])
-        for i in range(Z.shape[0]):
-            # stable sort keeps the lowest training index on distance ties
-            nearest = np.argsort(dists[i], kind="stable")[: self.k_neighbors]
-            out[i] = self.y_train[nearest].mean()
-        return out
+        # stable sort keeps the lowest training index on distance ties
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.k_neighbors]
+        return self.y_train[nearest].mean(axis=1)
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k_neighbors: int = 5) -> KnnModel:

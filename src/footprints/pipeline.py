@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -29,7 +28,7 @@ from . import models as models_mod
 from . import shapley as shap_mod
 from . import viz as viz_mod
 from .config import RunConfig, validate
-from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
+from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv, write_json, write_text
 from .errors import ConfigurationError
 from .seeding import (EXPLAIN_SALT, FEATURES_SALT, FOLDS_SALT, SOLVE_SALT,
                       TRAIN_SALT, derive_seed)
@@ -163,18 +162,9 @@ class Pipeline:
         }
 
     def _save_manifest(self) -> None:
-        """Written beside manifest.json and renamed over it, so a write that
-        fails part way leaves the previous manifest whole."""
         self.manifest["tool_version"] = __version__
         self.manifest["config_digest"] = self.cfg.digest()
-        tmp = self.manifest_path.with_name("manifest.json.tmp")
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(self.manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self.manifest_path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_json(self.manifest_path, self.manifest)
 
     def _stage_done(self, stage: str) -> bool:
         """Recorded by this code version under this config, with the recorded
@@ -365,9 +355,7 @@ class Pipeline:
                 for name, imp in zip(portfolio.feature_names, portfolio.importances)
             ],
         }
-        with open(self._output(f"portfolios/{kind}_fold_{fold_id}.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self._output(f"portfolios/{kind}_fold_{fold_id}.json"), payload)
 
     def _read_portfolio(self, kind: str, fold_id: int) -> list[str]:
         payload = json.loads(self.path(f"portfolios/{kind}_fold_{fold_id}.json").read_text())
@@ -479,14 +467,14 @@ class Pipeline:
                 title=f"{models_mod.MODEL_LABELS.get(cfg.footprint_model, cfg.footprint_model)}"
                       f" footprint, fold {fold_id} (pca embedding)",
             )
-            self._output(f"figures/footprint_fold_{fold_id}.svg").write_text(svg)
+            write_text(self._output(f"figures/footprint_fold_{fold_id}.svg"), svg)
             top_k = min(cfg.report_top_k, len(names))
             bee_csv, bee_svg = viz_mod.emit_beeswarm_data(
                 reps, names, feature_values, top_k=top_k,
                 title=f"top {top_k} features, fold {fold_id}",
             )
-            self._output(f"figures/beeswarm_fold_{fold_id}.csv").write_text(bee_csv)
-            self._output(f"figures/beeswarm_fold_{fold_id}.svg").write_text(bee_svg)
+            write_text(self._output(f"figures/beeswarm_fold_{fold_id}.csv"), bee_csv)
+            write_text(self._output(f"figures/beeswarm_fold_{fold_id}.svg"), bee_svg)
             if dist_features is None:
                 ranking = shap_mod.global_importance(reps, names)[:top_k]
                 dist_features = [name for name, _ in ranking[:2]]
@@ -496,8 +484,8 @@ class Pipeline:
                     embedding, fname, feature_values,
                     title=f"{fname}, fold {fold_id}",
                 )
-                self._output(f"figures/feature_dist_fold_{fold_id}_{safe}.svg").write_text(svg)
+                write_text(self._output(f"figures/feature_dist_fold_{fold_id}_{safe}.svg"), svg)
 
         table_txt, table_csv = viz_mod.emit_distribution_table(assignments)
-        self._output("distribution_table.txt").write_text(table_txt)
-        self._output("distribution_table.csv").write_text(table_csv)
+        write_text(self._output("distribution_table.txt"), table_txt)
+        write_text(self._output("distribution_table.csv"), table_csv)

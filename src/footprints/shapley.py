@@ -10,7 +10,17 @@ finite background set; ``attribute`` picks the one that fits the model:
   leaving a closed-form weight p!q!/(p+q+1)! where p counts x-only and q
   counts b-only features among U minus the attributed one.
 * ``sampling_shap``: model-agnostic permutation sampling with antithetic
-  permutation pairs and cycled background rows.
+  permutation pairs and cycled background rows (Mitchell et al., JMLR
+  2022). The permutations are drawn one by one, in a fixed RNG order, and
+  inverted into ranks; the m + 1 states of every permutation then come
+  from one rank mask, ``where(rank < t, x, b)``, and are predicted in
+  chunks of whole permutations, at most PREDICT_CHUNK_ROWS rows per call.
+  The chunk bounds peak memory: one call for all states would hold KNN's
+  (states x training rows) distance and index matrices at once. For KNN
+  the result is bit-for-bit that of predicting one permutation at a time
+  (``naive_sampling_shap`` in the tests); for kernel ridge it agrees to
+  1e-12, since BLAS may sum a row of the kernel product in another order
+  in a larger batch.
 
 Both satisfy efficiency (base + sum(phi) = prediction) exactly up to FP
 accumulation.
@@ -28,6 +38,9 @@ from .errors import ConfigurationError, ContractViolation
 from .models import RandomForestModel, RegressionTree, fit_model
 
 Key = tuple[int, int, int]
+
+# The most sampling-Shapley states per model.predict call (peak memory).
+PREDICT_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,25 +189,27 @@ def sampling_shap(
     rng = np.random.default_rng(seed)
     n_pairs = (n_permutations + 1) // 2
     total = 2 * n_pairs
-    contribs = np.empty((total, m))
-    base_samples = np.empty(total)
-    row = 0
-    for pair in range(n_pairs):
-        b = B[pair % B.shape[0]]
-        perm = rng.permutation(m)
-        for order in (perm, perm[::-1]):
-            states = np.repeat(b[None, :], m + 1, axis=0)
-            for t, f in enumerate(order):
-                states[t + 1:, f] = x[f]
-            values = model.predict(states)
-            contribs[row, order] = values[1:] - values[:-1]
-            base_samples[row] = values[0]
-            row += 1
+    # row 2p is the p-th drawn permutation, row 2p+1 its reverse
+    perms = np.stack([rng.permutation(m) for _ in range(n_pairs)])
+    orders = np.stack([perms, perms[:, ::-1]], axis=1).reshape(total, m)
+    rank = np.empty_like(orders)
+    np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)
+    b_rows = B[np.arange(total) // 2 % B.shape[0]]
+    # values[r, t]: prediction with the first t features of orders[r] taken from x
+    values = np.empty((total, m + 1))
+    steps = np.arange(m + 1)[None, :, None]
+    per_chunk = max(1, PREDICT_CHUNK_ROWS // (m + 1))
+    for lo in range(0, total, per_chunk):
+        hi = min(lo + per_chunk, total)
+        states = np.where(rank[lo:hi, None, :] < steps, x, b_rows[lo:hi, None, :])
+        values[lo:hi] = model.predict(states.reshape(-1, m)).reshape(hi - lo, m + 1)
+    contribs = (np.take_along_axis(values, rank + 1, axis=1)
+                - np.take_along_axis(values, rank, axis=1))
     phi = contribs.mean(axis=0)
     stderr = contribs.std(axis=0, ddof=1) / math.sqrt(total) if total > 1 else np.zeros(m)
     return ShapMetaRepresentation(
         key=key,
-        base_value=float(base_samples.mean()),
+        base_value=float(values[:, 0].mean()),
         phi=phi,
         prediction=float(model.predict(x[None, :])[0]),
         stderr=stderr,

@@ -134,6 +134,14 @@ def test_validate_unknown_distribution_feature_reported():
         "report.distribution_features contains unknown features ['bogus.feature']"]
 
 
+def test_distribution_features_accepts_only_auto_or_a_list():
+    assert validate(parse_config({"report": {"distribution_features": "auto"}})) == []
+    with pytest.raises(ConfigurationError) as info:
+        parse_config({"report": {"distribution_features": "bogus"}})
+    assert str(info.value) == (
+        "config key report.distribution_features: expected 'auto' or a list, got 'bogus'")
+
+
 @pytest.mark.parametrize("model, message", [
     ({"portfolio_sizes": [30, 30], "kinds": ["random_forest"]},
      "model.portfolio_sizes must not repeat an entry; got [30, 30]"),
@@ -195,6 +203,9 @@ def test_key_error_messages_exact(data, message):
     ({"footprint": {"p": "tight"}}, "footprint.p"),
     ({"suite": {"problems": [1, "two"]}}, "suite.problems"),
     ({"master_seed": 1.5}, "master_seed"),
+    ({"report": {"distribution_features": "bogus"}}, "report.distribution_features"),
+    ({"report": {"distribution_features": "disp.ratio_mean_02"}},
+     "report.distribution_features"),
 ])
 def test_malformed_value_names_key(data, key):
     with pytest.raises(ConfigurationError, match=f"^config key {key}: "):
@@ -285,9 +296,11 @@ def test_cli_knn_neighbors_over_training_size_blocks_pipeline(tmp_path, capsys):
     ("report", {"distribution_features": ["bogus.feature"]}, "report.distribution_features"),
     ("model", dict(TINY["model"], portfolio_sizes=[10, 10]), "model.portfolio_sizes"),
     ("model", dict(TINY["model"], kinds=["random_forest", "random_forest"]), "model.kinds"),
+    ("report", {"distribution_features": "bogus"}, "report.distribution_features"),
 ])
 def test_cli_late_failing_config_blocks_pipeline(tmp_path, capsys, section, values, key):
-    # each of these used to pass validate and fail in the footprint or report stage
+    # each of these used to pass validate, then fail in the footprint or report stage
+    # or, for a bare string, be read as auto
     path = _write_config(tmp_path, dict(TINY, **{section: values}))
     out = tmp_path / "o"
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1

@@ -13,6 +13,8 @@ from footprints.models import (
     make_folds,
 )
 
+from _oracles import naive_knn_predict
+
 
 def _grid_keys(n_problems=24, n_instances=5, dim=10):
     return [(p, i, dim) for p in range(1, n_problems + 1) for i in range(1, n_instances + 1)]
@@ -166,6 +168,27 @@ def test_knn_distance_tie_prefers_lower_index():
     model = fit_knn(X, y, k_neighbors=1)
     # standardization is symmetric in the first two points; query at origin
     assert model.predict(np.array([[0.0, 0.0]]))[0] == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("n, m, k", [(20, 3, 1), (40, 7, 5), (33, 1, 4), (12, 4, 12)])
+def test_knn_predict_matches_row_by_row_reference(n, m, k):
+    rng = np.random.default_rng(n * 100 + m)
+    X = rng.normal(size=(n, m))
+    model = fit_knn(X, rng.normal(size=n), k_neighbors=k)
+    queries = np.vstack([rng.normal(size=(25, m)), X[:3]])
+    assert np.array_equal(model.predict(queries), naive_knn_predict(model, queries))
+
+
+def test_knn_predict_exact_ties_match_reference():
+    # a lattice symmetric about 0, so standardizing keeps equal distances equal
+    grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float) - 1.5
+    y = np.arange(16, dtype=float) ** 1.5
+    queries = np.array([[0.0, 0.0], [0.0, 0.5], [1.0, 1.0], [-1.0, 0.0], [0.5, 0.0]])
+    for k in (1, 2, 3, 5, 16):
+        model = fit_knn(grid, y, k_neighbors=k)
+        assert np.array_equal(model.predict(queries), naive_knn_predict(model, queries))
+    # (0, 0.5) lies midway between rows 6 and 10: k=1 takes the lower index
+    assert fit_knn(grid, y, k_neighbors=1).predict(np.array([[0.0, 0.5]]))[0] == y[6]
 
 
 def test_knn_k_exceeding_rows_rejected():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from footprints.errors import ConfigurationError, ContractViolation
-from footprints.models import RandomForestModel, RegressionTree, fit_random_forest, fit_knn
+from footprints.models import (RandomForestModel, RegressionTree, fit_kernel, fit_knn,
+                               fit_random_forest)
 from footprints.shapley import (
+    PREDICT_CHUNK_ROWS,
     FeaturePortfolio,
     attribute,
     global_importance,
@@ -12,7 +14,7 @@ from footprints.shapley import (
     tree_shap_batch,
 )
 
-from _oracles import brute_force_shapley
+from _oracles import brute_force_shapley, naive_knn_predict, naive_sampling_shap
 
 
 def _stump(feature, threshold, left_value, right_value, n_features):
@@ -157,6 +159,80 @@ def test_sampling_rejects_bad_permutation_count():
     with pytest.raises(ConfigurationError):
         sampling_shap(_AdditiveModel([1.0]), np.zeros(1), np.zeros((2, 1)),
                       n_permutations=0)
+
+
+class _RowByRowKnn:
+    """A KNN model predicted by the row-by-row reference."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict(self, X):
+        return naive_knn_predict(self.model, X)
+
+
+# (m, n_background, n_permutations): odd counts round up to an even total;
+# m = 1; a one-row background; more pairs than background rows; and
+# (m + 1) * 2 * pairs = 2580 states, not a multiple of the chunk
+REFERENCE_CASES = [(5, 20, 31), (1, 10, 8), (4, 1, 12), (3, 4, 40), (9, 30, 257)]
+
+
+@pytest.mark.parametrize("m, n_background, n_permutations", REFERENCE_CASES)
+def test_sampling_knn_matches_reference_bitwise(m, n_background, n_permutations):
+    rng = np.random.default_rng(m * 1000 + n_permutations)
+    X = rng.normal(size=(30, m))
+    model = fit_knn(X, rng.normal(size=30), k_neighbors=3)
+    x, background = rng.normal(size=m), X[:n_background]
+    rep = sampling_shap(model, x, background, n_permutations=n_permutations, seed=11)
+    base, phi, prediction, stderr = naive_sampling_shap(
+        _RowByRowKnn(model), x, background, n_permutations, seed=11)
+    assert rep.base_value == base and rep.prediction == prediction
+    assert np.array_equal(rep.phi, phi) and np.array_equal(rep.stderr, stderr)
+
+
+def test_sampling_knn_full_training_set_matches_reference_bitwise():
+    rng = np.random.default_rng(12)
+    X = np.round(rng.normal(size=(8, 3)), 1)  # coarse values: many distance ties
+    model = fit_knn(X, rng.normal(size=8), k_neighbors=8)
+    rep = sampling_shap(model, X[0] + 0.5, X, n_permutations=16, seed=3)
+    base, phi, prediction, stderr = naive_sampling_shap(
+        _RowByRowKnn(model), X[0] + 0.5, X, 16, seed=3)
+    assert rep.base_value == base and rep.prediction == prediction
+    assert np.array_equal(rep.phi, phi) and np.array_equal(rep.stderr, stderr)
+
+
+@pytest.mark.parametrize("m, n_background, n_permutations", REFERENCE_CASES)
+def test_sampling_kernel_matches_reference(m, n_background, n_permutations):
+    # BLAS may sum a row's kernel product in another order in a larger batch
+    rng = np.random.default_rng(m * 1000 + n_permutations)
+    X = rng.normal(size=(30, m))
+    model = fit_kernel(X, rng.normal(size=30))
+    x, background = rng.normal(size=m), X[:n_background]
+    rep = sampling_shap(model, x, background, n_permutations=n_permutations, seed=11)
+    base, phi, prediction, stderr = naive_sampling_shap(
+        model, x, background, n_permutations, seed=11)
+    assert abs(rep.base_value - base) <= 1e-12 and rep.prediction == prediction
+    assert np.max(np.abs(rep.phi - phi)) <= 1e-12
+    assert np.max(np.abs(rep.stderr - stderr)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 9, 43, 1100])
+def test_sampling_predicts_in_bounded_chunks(m):
+    rows = []
+
+    class Recording(_AdditiveModel):
+        def predict(self, X):
+            rows.append(len(X))
+            return super().predict(X)
+
+    model = Recording(np.ones(m))
+    sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
+    per_call = max(1, PREDICT_CHUNK_ROWS // (m + 1)) * (m + 1)
+    states = 256 * (m + 1)
+    assert rows[-1] == 1  # the prediction of x itself
+    assert sum(rows[:-1]) == states
+    assert max(rows[:-1]) == min(per_call, states)
+    assert len(rows) - 1 == -(-states // per_call)
 
 
 def test_attribute_picks_the_estimator_by_model():
