@@ -45,10 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, default=1,
                            help="parallel workers for solve/features")
 
-    p_pipe = sub.add_parser("pipeline", help="run all stages")
-    add_common(p_pipe)
-    p_pipe.add_argument("--stage", choices=STAGES, default=None,
-                        help="run only this stage")
+    add_common(sub.add_parser("pipeline", help="run all stages"))
     for stage in STAGES:
         p_stage = sub.add_parser(stage, help=f"run the {stage} stage")
         add_common(p_stage)
@@ -78,13 +75,7 @@ def main(argv=None) -> int:
         print("config OK")
         return 0
 
-    stages = None
-    if args.command == "pipeline":
-        if args.stage:
-            stages = [args.stage]
-    else:
-        stages = [args.command]
-
+    stages = None if args.command == "pipeline" else [args.command]
     try:
         pipe = Pipeline(cfg, args.out, force=args.force, threads=args.threads)
     except ConfigurationError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .csvio import KEY_COLUMNS, read_csv, write_csv
 from .errors import ConfigurationError
-from .suite import LOWER_BOUND, UPPER_BOUND
+from .suite import LOWER_BOUND, UPPER_BOUND, precision
 
 STRATEGIES = ("rand/1/bin", "best/1/bin", "rand/2/bin", "current-to-best/1/bin")
 
@@ -164,7 +164,7 @@ def run_de(
         if on_generation is not None:
             on_generation(gen, pop.copy(), fvals.copy())
 
-    return max(best_f - instance.f_offset, 0.0)
+    return precision(instance, best_f)
 
 
 def measure(

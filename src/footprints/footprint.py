@@ -114,16 +114,15 @@ def footprint_fold(
     return assignments
 
 
-@dataclass(frozen=True)
-class TransitionReport:
-    pairs: tuple[tuple[Key, FootprintLabel, FootprintLabel], ...]
+Transition = tuple[Key, FootprintLabel, FootprintLabel]
 
 
 def sensitivity(
     assignments_a: Sequence[FootprintAssignment],
     assignments_b: Sequence[FootprintAssignment],
-) -> TransitionReport:
-    """Per-instance label transitions between two runs differing only in p."""
+) -> tuple[Transition, ...]:
+    """Per-instance (key, label in a, label in b) transitions between two runs
+    differing only in p, in key order."""
     by_key_a = {a.key: a for a in assignments_a}
     by_key_b = {b.key: b for b in assignments_b}
     if set(by_key_a) != set(by_key_b):
@@ -134,7 +133,7 @@ def sensitivity(
         if (a.true_value, a.predicted_value) != (b.true_value, b.predicted_value):
             raise ContractViolation(f"predictions differ for {key}; only p may change")
         pairs.append((key, a.label, b.label))
-    return TransitionReport(pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +165,13 @@ def read_assignments_csv(path) -> list[FootprintAssignment]:
 
 
 def write_transitions_csv(
-    reports: Sequence[tuple[int, float, float, TransitionReport]], path
+    reports: Sequence[tuple[int, float, float, Sequence[Transition]]], path
 ) -> None:
     """Rows: one per instance per (fold, p_from, p_to) sensitivity run."""
     write_csv(
         path,
         ["fold_id", "p_from", "p_to", *KEY_COLUMNS, "label_from", "label_to"],
         ([fold_id, p_from, p_to, *key, label_a.value, label_b.value]
-         for fold_id, p_from, p_to, report in reports
-         for key, label_a, label_b in report.pairs),
+         for fold_id, p_from, p_to, pairs in reports
+         for key, label_a, label_b in pairs),
     )

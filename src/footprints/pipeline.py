@@ -32,13 +32,15 @@ from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv, write_json, write_
 from .errors import ConfigurationError
 from .seeding import (EXPLAIN_SALT, FEATURES_SALT, FOLDS_SALT, SOLVE_SALT,
                       TRAIN_SALT, derive_seed)
-from .suite import make_instance, make_suite, write_suite_csv, SuiteConfig
+from .suite import make_instance, make_suite, write_suite_csv
 
 logger = logging.getLogger(__name__)
 
 # The stage graph: each stage's input files, in run order. A template with
 # {fold} stands for one file per fold; {model} is the footprint model. A
 # stage's outputs are the files its _run_* method names through _output.
+# Footprint needs only train's predictions: their `true` column holds the
+# target of every key, so the other folds' rows are a fold's training targets.
 STAGE_INPUTS = {
     "suite": (),
     "solve": ("suite.csv",),
@@ -47,15 +49,13 @@ STAGE_INPUTS = {
     "train": ("features.csv", "performance.csv", "folds.csv"),
     "explain": ("features.csv", "performance.csv", "folds.csv",
                 "portfolios/{model}_fold_{fold}.json"),
-    "footprint": ("performance.csv", "folds.csv", "predictions/fold_{fold}.csv"),
+    "footprint": ("predictions/fold_{fold}.csv",),
     "report": ("assignments.csv", "features.csv", "explanations/fold_{fold}.csv"),
 }
 STAGES = tuple(STAGE_INPUTS)
 
 # explanations/fold_N.csv: these columns, then one phi column per portfolio feature
 EXPLANATION_COLUMNS = (*KEY_COLUMNS, "base_value", "prediction")
-
-Key = tuple[int, int, int]
 
 
 def stage_inputs(stage: str, cfg: RunConfig) -> list[str]:
@@ -227,12 +227,10 @@ class Pipeline:
             logger.info("stage %s: done", stage)
 
     # -- stages ----------------------------------------------------------
-    def _suite_instances(self):
-        cfg = self.cfg
-        return make_suite(SuiteConfig(tuple(cfg.problems), tuple(cfg.instances), cfg.dimension))
-
     def _run_suite(self):
-        write_suite_csv(self._suite_instances(), self._output("suite.csv"))
+        cfg = self.cfg
+        write_suite_csv(make_suite(cfg.problems, cfg.instances, cfg.dimension),
+                        self._output("suite.csv"))
 
     def _run_solve(self):
         cfg = self.cfg
@@ -278,23 +276,16 @@ class Pipeline:
         """keys, the feature matrix, and each key's target and test fold, aligned."""
         vectors = ela_mod.read_features_csv(self.path("features.csv"))
         keys = [v.key for v in vectors]
-        y_map = self._load_targets()
+        wanted = self.cfg.footprint_config_id
+        y_map = {r.key: r.median_log_precision
+                 for r in de_mod.read_performance_csv(self.path("performance.csv"))
+                 if r.config_id == wanted}
         if set(keys) - set(y_map):
-            raise StageFailure(
-                stage, f"performance data missing for config {self.cfg.footprint_config_id!r}"
-            )
-        fold_of = self._load_fold_assignment()
+            raise StageFailure(stage, f"performance data missing for config {wanted!r}")
+        _, rows = read_csv(self.path("folds.csv"))
+        fold_of = {row_key(row): int(row["test_fold"]) for row in rows}
         X = np.array([[v.values[name] for name in ela_mod.FEATURE_SCHEMA] for v in vectors])
         return keys, X, np.array([y_map[k] for k in keys]), np.array([fold_of[k] for k in keys])
-
-    def _load_targets(self) -> dict[Key, float]:
-        records = de_mod.read_performance_csv(self.path("performance.csv"))
-        wanted = self.cfg.footprint_config_id
-        return {r.key: r.median_log_precision for r in records if r.config_id == wanted}
-
-    def _load_fold_assignment(self) -> dict[Key, int]:
-        _, rows = read_csv(self.path("folds.csv"))
-        return {row_key(row): int(row["test_fold"]) for row in rows}
 
     def _model_params(self, kind: str) -> dict:
         cfg = self.cfg
@@ -324,15 +315,19 @@ class Pipeline:
         for ki, kind in enumerate(cfg.model_kinds):
             for fold_id in self._fold_ids():
                 train, test = test_fold != fold_id, np.flatnonzero(test_fold == fold_id)
-                portfolio = shap_mod.select_portfolio(
+                ranked = shap_mod.select_portfolio(
                     X[train], y[train], feature_names=ela_mod.FEATURE_SCHEMA,
                     model_kind=kind, seed=derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, 0),
                     model_params=self._model_params(kind),
                     n_permutations=cfg.selection_permutations,
                 )
-                self._write_portfolio(kind, fold_id, portfolio)
+                write_json(self._output(f"portfolios/{kind}_fold_{fold_id}.json"), {
+                    "model_kind": kind,
+                    "fold_id": fold_id,
+                    "ranking": [{"name": name, "importance": imp} for name, imp in ranked],
+                })
                 for size in cfg.portfolio_sizes:
-                    model, cols, _ = self._fit(kind, fold_id, size, portfolio.feature_names,
+                    model, cols, _ = self._fit(kind, fold_id, size, [name for name, _ in ranked],
                                                X, y, train)
                     pred = model.predict(X[np.ix_(test, cols)])
                     m = models_mod.evaluate_model(pred, y[test])
@@ -345,17 +340,6 @@ class Pipeline:
         for fold_id, rows in predictions.items():
             write_csv(self._output(f"predictions/fold_{fold_id}.csv"),
                       ["model_kind", "portfolio_size", *KEY_COLUMNS, "true", "predicted"], rows)
-
-    def _write_portfolio(self, kind: str, fold_id: int, portfolio) -> None:
-        payload = {
-            "model_kind": kind,
-            "fold_id": fold_id,
-            "ranking": [
-                {"name": name, "importance": imp}
-                for name, imp in zip(portfolio.feature_names, portfolio.importances)
-            ],
-        }
-        write_json(self._output(f"portfolios/{kind}_fold_{fold_id}.json"), payload)
 
     def _read_portfolio(self, kind: str, fold_id: int) -> list[str]:
         payload = json.loads(self.path(f"portfolios/{kind}_fold_{fold_id}.json").read_text())
@@ -376,25 +360,18 @@ class Pipeline:
                 model, X[np.ix_(test, cols)], X[train][:, cols],
                 seeds=[derive_seed(cfg.master_seed, EXPLAIN_SALT, fold_id, p, i)
                        for p, i, _ in test_keys],
-                keys=test_keys,
             )
             write_csv(self._output(f"explanations/fold_{fold_id}.csv"),
                       [*EXPLANATION_COLUMNS, *names],
-                      ([*rep.key, rep.base_value, rep.prediction, *rep.phi] for rep in reps))
+                      ([*key, rep.base_value, rep.prediction, *rep.phi]
+                       for key, rep in zip(test_keys, reps, strict=True)))
 
     def _read_explanations(self, fold_id: int):
+        """The row keys, the phi column names and the (rows, names) phi matrix."""
         header, rows = read_csv(self.path(f"explanations/fold_{fold_id}.csv"))
         names = header[len(EXPLANATION_COLUMNS):]
-        reps = [
-            shap_mod.ShapMetaRepresentation(
-                key=row_key(row),
-                base_value=float(row["base_value"]),
-                prediction=float(row["prediction"]),
-                phi=np.array([float(row[name]) for name in names]),
-            )
-            for row in rows
-        ]
-        return names, reps
+        phi = np.array([[float(row[name]) for name in names] for row in rows])
+        return [row_key(row) for row in rows], names, phi
 
     def _fold_predictions(self, fold_id: int):
         """(key, true, predicted) for the footprint model/portfolio size."""
@@ -409,12 +386,10 @@ class Pipeline:
 
     def _run_footprint(self):
         cfg = self.cfg
-        y_map = self._load_targets()
-        fold_assignment = self._load_fold_assignment()
+        by_fold = {fold_id: self._fold_predictions(fold_id) for fold_id in self._fold_ids()}
         all_assignments = []
         transition_reports = []
-        for fold_id in self._fold_ids():
-            predictions = self._fold_predictions(fold_id)
+        for fold_id, predictions in by_fold.items():
             if not predictions:
                 raise StageFailure(
                     "footprint",
@@ -424,9 +399,8 @@ class Pipeline:
             if cfg.t_mode == "explicit":
                 t = float(cfg.t_value)
             else:
-                t = fp_mod.compute_target_t(
-                    [v for k, v in y_map.items() if fold_assignment[k] != fold_id]
-                )
+                t = fp_mod.compute_target_t([true for other, rows in by_fold.items()
+                                             if other != fold_id for _, true, _ in rows])
             if cfg.scale == "raw":
                 t = 10.0**t if cfg.t_mode != "explicit" else t
                 predictions = [(k, 10.0**tv, 10.0**pv) for k, tv, pv in predictions]
@@ -458,10 +432,9 @@ class Pipeline:
             dist_features = list(cfg.distribution_features)
 
         for fold_id in self._fold_ids():
-            names, reps = self._read_explanations(fold_id)
+            keys, names, phi = self._read_explanations(fold_id)
             fold_assign = [a for a in assignments if a.fold_id == fold_id]
-            embedding = viz_mod.embed_2d([r.key for r in reps],
-                                         np.stack([r.phi for r in reps]))
+            embedding = viz_mod.embed_2d(keys, phi)
             svg = viz_mod.emit_footprint_plot(
                 embedding, fold_assign,
                 title=f"{models_mod.MODEL_LABELS.get(cfg.footprint_model, cfg.footprint_model)}"
@@ -470,13 +443,13 @@ class Pipeline:
             write_text(self._output(f"figures/footprint_fold_{fold_id}.svg"), svg)
             top_k = min(cfg.report_top_k, len(names))
             bee_csv, bee_svg = viz_mod.emit_beeswarm_data(
-                reps, names, feature_values, top_k=top_k,
+                keys, phi, names, feature_values, top_k=top_k,
                 title=f"top {top_k} features, fold {fold_id}",
             )
             write_text(self._output(f"figures/beeswarm_fold_{fold_id}.csv"), bee_csv)
             write_text(self._output(f"figures/beeswarm_fold_{fold_id}.svg"), bee_svg)
             if dist_features is None:
-                ranking = shap_mod.global_importance(reps, names)[:top_k]
+                ranking = shap_mod.global_importance(phi, names)[:top_k]
                 dist_features = [name for name, _ in ranking[:2]]
             for fname in dist_features:
                 safe = fname.replace(".", "_")

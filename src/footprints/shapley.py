@@ -37,15 +37,12 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 from .models import RandomForestModel, RegressionTree, fit_model
 
-Key = tuple[int, int, int]
-
 # The most sampling-Shapley states per model.predict call (peak memory).
 PREDICT_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class ShapMetaRepresentation:
-    key: Key | None
     base_value: float
     phi: np.ndarray
     prediction: float
@@ -54,12 +51,6 @@ class ShapMetaRepresentation:
     @property
     def efficiency_gap(self) -> float:
         return abs(self.base_value + float(np.sum(self.phi)) - self.prediction)
-
-
-@dataclass(frozen=True)
-class FeaturePortfolio:
-    feature_names: tuple[str, ...]
-    importances: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,6 @@ def tree_shap_batch(
     model: RandomForestModel,
     X: np.ndarray,
     background: np.ndarray,
-    keys: Sequence[Key] | None = None,
 ) -> list[ShapMetaRepresentation]:
     """Exact interventional attributions for many inputs at once."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -153,13 +143,8 @@ def tree_shap_batch(
     base = float(model.predict(B).mean())
     preds = model.predict(X)
     return [
-        ShapMetaRepresentation(
-            key=None if keys is None else keys[i],
-            base_value=base,
-            phi=phi[i],
-            prediction=float(preds[i]),
-        )
-        for i in range(X.shape[0])
+        ShapMetaRepresentation(base_value=base, phi=row, prediction=float(pred))
+        for row, pred in zip(phi, preds)
     ]
 
 
@@ -172,7 +157,6 @@ def sampling_shap(
     background: np.ndarray,
     n_permutations: int = 256,
     seed: int = 0,
-    key: Key | None = None,
 ) -> ShapMetaRepresentation:
     """Permutation-sampling estimate with antithetic pairs.
 
@@ -208,7 +192,6 @@ def sampling_shap(
     phi = contribs.mean(axis=0)
     stderr = contribs.std(axis=0, ddof=1) / math.sqrt(total) if total > 1 else np.zeros(m)
     return ShapMetaRepresentation(
-        key=key,
         base_value=float(values[:, 0].mean()),
         phi=phi,
         prediction=float(model.predict(x[None, :])[0]),
@@ -222,32 +205,29 @@ def attribute(
     background: np.ndarray,
     seeds: Sequence[int],
     n_permutations: int = 256,
-    keys: Sequence[Key] | None = None,
 ) -> list[ShapMetaRepresentation]:
     """Attributions of the rows of X: exact for a forest, otherwise
     permutation sampling of row i seeded with seeds[i]."""
     if isinstance(model, RandomForestModel):
-        return tree_shap_batch(model, X, background, keys=keys)
+        return tree_shap_batch(model, X, background)
     return [
-        sampling_shap(model, x, background, n_permutations=n_permutations, seed=seed,
-                      key=None if keys is None else keys[i])
-        for i, (x, seed) in enumerate(zip(X, seeds, strict=True))
+        sampling_shap(model, x, background, n_permutations=n_permutations, seed=seed)
+        for x, seed in zip(X, seeds, strict=True)
     ]
 
 
 # ---------------------------------------------------------------------------
 # global importance and portfolio selection
 
-def global_importance(
-    reps: Sequence[ShapMetaRepresentation], feature_names: Sequence[str]
-) -> list[tuple[str, float]]:
-    """Mean |phi| per feature, descending; ties broken by name."""
-    if not reps:
-        raise ContractViolation("need at least one meta-representation")
-    mat = np.stack([rep.phi for rep in reps])
-    if mat.shape[1] != len(feature_names):
+def global_importance(phi: np.ndarray, feature_names: Sequence[str]) -> list[tuple[str, float]]:
+    """Mean |phi| per feature (column of the (n, m) matrix), descending;
+    ties broken by name."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2 or phi.shape[0] == 0:
+        raise ContractViolation("need an (n, m) phi matrix with at least one row")
+    if phi.shape[1] != len(feature_names):
         raise ContractViolation("feature name count does not match phi length")
-    means = np.mean(np.abs(mat), axis=0)
+    means = np.mean(np.abs(phi), axis=0)
     pairs = list(zip(feature_names, means.tolist()))
     pairs.sort(key=lambda kv: (-kv[1], kv[0]))
     return pairs
@@ -261,9 +241,9 @@ def select_portfolio(
     seed: int = 0,
     model_params: dict | None = None,
     n_permutations: int = 64,
-) -> FeaturePortfolio:
-    """Train on all features and rank them by train-set importance; a
-    portfolio of size k is the first k of the ranking.
+) -> list[tuple[str, float]]:
+    """Train on all features and rank them by train-set importance, as
+    ``global_importance`` pairs; a portfolio of size k is the first k names.
 
     Uses only the training split (the train set doubles as background),
     so no test information leaks into the selection.
@@ -272,8 +252,4 @@ def select_portfolio(
     model = fit_model(model_kind, train_X, train_y, model_params, seed=seed)
     reps = attribute(model, train_X, train_X, range(seed, seed + len(train_X)),
                      n_permutations=n_permutations)
-    ranked = global_importance(reps, feature_names)
-    return FeaturePortfolio(
-        feature_names=tuple(name for name, _ in ranked),
-        importances=tuple(imp for _, imp in ranked),
-    )
+    return global_importance(np.stack([rep.phi for rep in reps]), feature_names)

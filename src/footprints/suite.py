@@ -36,28 +36,6 @@ N_PROBLEMS = 24
 
 
 @dataclass(frozen=True, eq=False)
-class SuiteConfig:
-    """Selection of problems, instances and the shared dimension."""
-
-    problem_ids: tuple[int, ...]
-    instance_ids: tuple[int, ...]
-    dimension: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "problem_ids", tuple(sorted(set(self.problem_ids))))
-        object.__setattr__(self, "instance_ids", tuple(sorted(set(self.instance_ids))))
-        if not self.problem_ids or not self.instance_ids:
-            raise ConfigurationError("problem_ids and instance_ids must be non-empty")
-        bad = [p for p in self.problem_ids if not 1 <= p <= N_PROBLEMS]
-        if bad:
-            raise ConfigurationError(f"unknown problem ids {bad}; valid range is 1..{N_PROBLEMS}")
-        if any(i < 1 for i in self.instance_ids):
-            raise ConfigurationError("instance ids must be >= 1")
-        if self.dimension < 2:
-            raise ConfigurationError("dimension must be >= 2")
-
-
-@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """One transformed benchmark function; immutable and safe to share."""
 
@@ -121,12 +99,14 @@ def make_instance(problem_id: int, instance_id: int, dimension: int) -> ProblemI
     )
 
 
-def make_suite(config: SuiteConfig) -> list[ProblemInstance]:
-    """All (problem, instance) pairs in problem-major, instance-minor order."""
+def make_suite(problems: Iterable[int], instances: Iterable[int],
+               dimension: int) -> list[ProblemInstance]:
+    """All distinct (problem, instance) pairs in problem-major, instance-minor
+    order of their ids."""
     return [
-        make_instance(p, i, config.dimension)
-        for p in config.problem_ids
-        for i in config.instance_ids
+        make_instance(p, i, dimension)
+        for p in sorted(set(problems))
+        for i in sorted(set(instances))
     ]
 
 

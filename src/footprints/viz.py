@@ -18,7 +18,7 @@ from .csvio import KEY_COLUMNS, format_csv
 from .errors import ConfigurationError, ContractViolation
 from .footprint import LABEL_ORDER, FootprintAssignment
 from .models import MODEL_LABELS
-from .shapley import ShapMetaRepresentation, global_importance
+from .shapley import global_importance
 
 Key = tuple[int, int, int]
 
@@ -157,33 +157,27 @@ def _legend_text(x: float, y: float, text: str) -> str:
 # ---------------------------------------------------------------------------
 # beeswarm (top-k attribution spread)
 
-def _normalize_column(values: np.ndarray) -> np.ndarray:
-    vmin, vmax = float(values.min()), float(values.max())
-    if vmax - vmin <= 0:
-        return np.full(values.shape, 0.5)
-    return (values - vmin) / (vmax - vmin)
-
-
 def emit_beeswarm_data(
-    reps: Sequence[ShapMetaRepresentation],
+    keys: Sequence[Key],
+    phi: np.ndarray,
     feature_names: Sequence[str],
     feature_values: Mapping[Key, Mapping[str, float]],
     top_k: int = 10,
     title: str = "",
 ) -> tuple[str, str]:
-    """CSV rows and a beeswarm SVG for the top-k most important features."""
+    """CSV rows and a beeswarm SVG for the top-k most important features;
+    row i of the (n, m) `phi` attributes keys[i] over `feature_names`."""
     if top_k > len(feature_names):
         raise ConfigurationError("top_k exceeds portfolio size")
-    ranking = global_importance(reps, feature_names)[:top_k]
+    ranking = global_importance(phi, feature_names)[:top_k]
     name_to_col = {name: i for i, name in enumerate(feature_names)}
 
     raw_rows = []  # (feature, key, phi, normalized value)
     for rank, (fname, _) in enumerate(ranking):
         col = name_to_col[fname]
-        raws = np.array([float(feature_values[rep.key][fname]) for rep in reps])
-        norm = _normalize_column(raws)
-        for i, rep in enumerate(reps):
-            raw_rows.append((rank, fname, rep.key, float(rep.phi[col]), float(norm[i])))
+        norm = _scale(np.array([float(feature_values[key][fname]) for key in keys]), 0.0, 1.0)
+        for i, key in enumerate(keys):
+            raw_rows.append((rank, fname, key, float(phi[i, col]), float(norm[i])))
 
     table = format_csv(["feature_name", *KEY_COLUMNS, "phi", "normalized_value"],
                        ([fname, *key, phi, norm] for _, fname, key, phi, norm in raw_rows))
@@ -228,7 +222,7 @@ def emit_feature_distribution(
         raws = np.array([float(feature_values[key][feature_name]) for key in embedding.keys])
     except KeyError as exc:
         raise ConfigurationError(f"unknown feature or key: {exc}") from exc
-    norm = _normalize_column(raws)
+    norm = _scale(raws, 0.0, 1.0)
     xs = _scale(embedding.coords[:, 0], MARGIN, WIDTH - MARGIN)
     ys = _scale(-embedding.coords[:, 1], MARGIN + 20, HEIGHT - MARGIN - 40)
     parts = _svg_open(title or feature_name)

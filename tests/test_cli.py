@@ -7,6 +7,7 @@ import shutil
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -509,7 +510,44 @@ def test_recorded_inputs_expand_the_stage_table(tiny_run):
     assert stage_inputs("explain", cfg) == (
         ["features.csv", "performance.csv", "folds.csv"]
         + [f"portfolios/random_forest_fold_{f}.json" for f in range(1, 6)])
+    assert stage_inputs("footprint", cfg) == [f"predictions/fold_{f}.csv" for f in range(1, 6)]
     assert stage_inputs("suite", cfg) == []
+
+
+def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_path,
+                                                                   monkeypatch):
+    # a fold's t is the median target over its training keys; here the
+    # targets come from performance.csv and the training keys from folds.csv
+    from footprints import footprint
+    from footprints.de import read_performance_csv
+
+    config_path, out = tiny_run
+    targets = {r.key: r.median_log_precision
+               for r in read_performance_csv(out / "performance.csv") if r.config_id == "DE1"}
+    with open(out / "folds.csv", newline="") as fh:
+        fold_of = {(int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"])):
+                   int(row["test_fold"]) for row in csv.DictReader(fh)}
+    training = {fold: sorted(y for key, y in targets.items() if fold_of[key] != fold)
+                for fold in range(1, 6)}
+    assignments = footprint.read_assignments_csv(out / "assignments.csv")
+    assert sorted(a.key for a in assignments) == sorted(targets)
+    for fold, train_targets in training.items():
+        t = float(np.median(train_targets))
+        in_fold = [a for a in assignments if a.fold_id == fold]
+        assert in_fold and all(fold_of[a.key] == fold for a in in_fold)
+        for a in in_fold:
+            assert a.true_value == targets[a.key]
+            assert a.label.algorithm_good == (a.true_value <= t), (fold, a.key)
+    # and t is computed from exactly those training targets, fold by fold
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    seen = []
+    compute = footprint.compute_target_t
+    monkeypatch.setattr(footprint, "compute_target_t",
+                        lambda values: seen.append(sorted(values)) or compute(values))
+    Pipeline(load_config(config_path), copy, force=True).run(["footprint"])
+    assert seen == list(training.values())
+    assert _digest_tree(copy) == _digest_tree(out)
 
 
 def test_deleted_feature_distribution_figure_reruns_report_only(tiny_run, tmp_path, caplog):
@@ -562,8 +600,8 @@ def test_solve_stage_parallel_results_order_independent(tiny_run, tmp_path):
     # seeds are assigned before dispatch, so worker count must not matter
     config_path, out = tiny_run
     par = tmp_path / "par"
-    assert main(["pipeline", "--config", str(config_path), "--out", str(par),
-                 "--stage", "suite", "--threads", "2"]) == 0
+    assert main(["suite", "--config", str(config_path), "--out", str(par),
+                 "--threads", "2"]) == 0
     assert main(["solve", "--config", str(config_path), "--out", str(par),
                  "--threads", "2"]) == 0
     assert (par / "performance.csv").read_bytes() == (out / "performance.csv").read_bytes()

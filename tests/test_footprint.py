@@ -84,8 +84,7 @@ def test_sensitivity_tightening_p_only_degrades_model_axis():
     predictions = [((p, 1, 5), 1.0 + p * 0.1, (1.0 + p * 0.1) * 1.1) for p in range(1, 25)]
     a = footprint_fold(predictions, Thresholds(t=2.0, p=0.15), 1, "rf")
     b = footprint_fold(predictions, Thresholds(t=2.0, p=0.05), 1, "rf")
-    report = sensitivity(a, b)
-    for _, from_label, to_label in report.pairs:
+    for _, from_label, to_label in sensitivity(a, b):
         assert from_label.algorithm_good == to_label.algorithm_good
         if from_label != to_label:
             assert from_label.model_good and not to_label.model_good
@@ -94,8 +93,9 @@ def test_sensitivity_tightening_p_only_degrades_model_axis():
 def test_sensitivity_identity_when_p_unchanged():
     predictions = [((p, 1, 5), float(p), float(p) * 1.01) for p in range(1, 10)]
     a = footprint_fold(predictions, TH, 1, "rf")
-    report = sensitivity(a, a)
-    assert all(x == y for _, x, y in report.pairs)
+    pairs = sensitivity(a, a)
+    assert len(pairs) == len(predictions)
+    assert all(x == y for _, x, y in pairs)
 
 
 def test_sensitivity_threshold_crossing():

@@ -6,7 +6,6 @@ from footprints.models import (RandomForestModel, RegressionTree, fit_kernel, fi
                                fit_random_forest)
 from footprints.shapley import (
     PREDICT_CHUNK_ROWS,
-    FeaturePortfolio,
     attribute,
     global_importance,
     sampling_shap,
@@ -239,16 +238,18 @@ def test_attribute_picks_the_estimator_by_model():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(20, 3))
     y = X[:, 0] + rng.normal(scale=0.1, size=20)
-    keys = [(1, i, 3) for i in range(4)]
     forest = fit_random_forest(X, y, n_trees=3, seed=1)
-    exact = tree_shap_batch(forest, X[:4], X, keys=keys)
-    for got, want in zip(attribute(forest, X[:4], X, seeds=range(4), keys=keys), exact):
-        assert got.key == want.key and np.array_equal(got.phi, want.phi)
+    exact = tree_shap_batch(forest, X[:4], X)
+    got = attribute(forest, X[:4], X, seeds=range(4))
+    assert len(got) == len(exact) == 4
+    for rep, want in zip(got, exact):
+        assert np.array_equal(rep.phi, want.phi)
     knn = fit_knn(X, y, k_neighbors=3)
-    reps = attribute(knn, X[:4], X, seeds=[5, 6, 7, 8], n_permutations=8, keys=keys)
+    reps = attribute(knn, X[:4], X, seeds=[5, 6, 7, 8], n_permutations=8)
+    assert len(reps) == 4
     for i, rep in enumerate(reps):
         want = sampling_shap(knn, X[i], X, n_permutations=8, seed=5 + i)
-        assert rep.key == keys[i] and np.array_equal(rep.phi, want.phi)
+        assert np.array_equal(rep.phi, want.phi)
     with pytest.raises(ValueError):
         attribute(knn, X[:4], X, seeds=[5, 6, 7])
 
@@ -256,27 +257,20 @@ def test_attribute_picks_the_estimator_by_model():
 # ---------------------------------------------------------------------------
 # importance + portfolio
 
-def _rep(phi):
-    from footprints.shapley import ShapMetaRepresentation
-
-    return ShapMetaRepresentation(key=None, base_value=0.0,
-                                  phi=np.asarray(phi, dtype=float), prediction=0.0)
-
-
 def test_global_importance_single_rep():
-    order = global_importance([_rep([0.5, -2.0, 1.0])], ["a", "b", "c"])
+    order = global_importance(np.array([[0.5, -2.0, 1.0]]), ["a", "b", "c"])
     assert [name for name, _ in order] == ["b", "c", "a"]
 
 
 def test_global_importance_tie_breaks_alphabetically():
-    reps = [_rep([1.0, -1.0]), _rep([-1.0, 1.0])]
-    order = global_importance(reps, ["zeta", "alpha"])
+    phi = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    order = global_importance(phi, ["zeta", "alpha"])
     assert [name for name, _ in order] == ["alpha", "zeta"]
     assert all(imp == pytest.approx(1.0) for _, imp in order)
 
 
 def test_global_importance_zero_feature_last():
-    order = global_importance([_rep([0.0, 3.0, 1.0])], ["z", "m", "a"])
+    order = global_importance(np.array([[0.0, 3.0, 1.0]]), ["z", "m", "a"])
     assert order[-1] == ("z", 0.0)
 
 
@@ -285,11 +279,11 @@ def test_select_portfolio_full_schema_reorders():
     X = rng.normal(size=(50, 6))
     y = 3.0 * X[:, 2] + rng.normal(scale=0.05, size=50)
     names = [f"f{j}" for j in range(6)]
-    portfolio = select_portfolio(X, y, feature_names=names,
-                                 model_params={"n_trees": 20}, seed=0)
-    assert isinstance(portfolio, FeaturePortfolio)
-    assert sorted(portfolio.feature_names) == sorted(names)
-    assert portfolio.feature_names[0] == "f2"  # the informative feature leads
+    ranked = select_portfolio(X, y, feature_names=names,
+                              model_params={"n_trees": 20}, seed=0)
+    assert all(isinstance(name, str) and isinstance(imp, float) for name, imp in ranked)
+    assert sorted(name for name, _ in ranked) == sorted(names)
+    assert ranked[0][0] == "f2"  # the informative feature leads
 
 
 def test_select_portfolio_shuffled_labels_structural():
@@ -297,10 +291,10 @@ def test_select_portfolio_shuffled_labels_structural():
     X = rng.normal(size=(30, 4))
     y = rng.permutation(np.arange(30)).astype(float)
     names = ["a", "b", "c", "d"]
-    portfolio = select_portfolio(X, y, feature_names=names,
-                                 model_params={"n_trees": 10}, seed=2)
-    assert sorted(portfolio.feature_names) == names
-    assert len(portfolio.importances) == len(names)
+    ranked = select_portfolio(X, y, feature_names=names,
+                              model_params={"n_trees": 10}, seed=2)
+    assert sorted(name for name, _ in ranked) == names
+    assert len(ranked) == len(names)
 
 
 def test_select_portfolio_deterministic_and_train_only():
@@ -320,9 +314,9 @@ def test_select_portfolio_sampling_path():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(25, 4))
     y = 2.0 * X[:, 1] + rng.normal(scale=0.1, size=25)
-    portfolio = select_portfolio(X, y, feature_names=["a", "b", "c", "d"],
-                                 model_kind="knn",
-                                 model_params={"k_neighbors": 3},
-                                 seed=3, n_permutations=32)
-    assert sorted(portfolio.feature_names) == ["a", "b", "c", "d"]
-    assert portfolio.feature_names[0] == "b"  # the informative feature leads
+    ranked = select_portfolio(X, y, feature_names=["a", "b", "c", "d"],
+                              model_kind="knn",
+                              model_params={"k_neighbors": 3},
+                              seed=3, n_permutations=32)
+    assert sorted(name for name, _ in ranked) == ["a", "b", "c", "d"]
+    assert ranked[0][0] == "b"  # the informative feature leads

@@ -7,7 +7,6 @@ from footprints.errors import ConfigurationError, ContractViolation
 from footprints.suite import (
     N_PROBLEMS,
     ProblemInstance,
-    SuiteConfig,
     make_instance,
     make_suite,
     precision,
@@ -16,19 +15,19 @@ from footprints.suite import (
 
 
 def test_full_suite_has_120_instances():
-    config = SuiteConfig(tuple(range(1, 25)), (1, 2, 3, 4, 5), 10)
-    instances = make_suite(config)
+    instances = make_suite(range(1, 25), (1, 2, 3, 4, 5), 10)
     assert len(instances) == 120
 
 
 def test_singleton_config():
-    instances = make_suite(SuiteConfig((1,), (1,), 10))
+    instances = make_suite((1,), (1,), 10)
     assert len(instances) == 1
     assert instances[0].key == (1, 1, 10)
 
 
 def test_suite_order_problem_major():
-    instances = make_suite(SuiteConfig((1, 2), (1, 2, 3), 5))
+    # ids are deduplicated and sorted, whatever order they are given in
+    instances = make_suite((2, 1, 2), (3, 1, 2, 1), 5)
     assert [(i.problem_id, i.instance_id) for i in instances] == [
         (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)
     ]
@@ -36,18 +35,18 @@ def test_suite_order_problem_major():
 
 def test_unknown_problem_id_rejected():
     with pytest.raises(ConfigurationError):
-        SuiteConfig((0,), (1,), 5)
+        make_suite((0,), (1,), 5)
     with pytest.raises(ConfigurationError):
-        SuiteConfig((25,), (1,), 5)
+        make_suite((25,), (1,), 5)
     with pytest.raises(ConfigurationError):
         make_instance(99, 1, 5)
 
 
 def test_bad_dimension_and_instance_rejected():
     with pytest.raises(ConfigurationError):
-        SuiteConfig((1,), (1,), 1)
+        make_suite((1,), (1,), 1)
     with pytest.raises(ConfigurationError):
-        SuiteConfig((1,), (0,), 5)
+        make_suite((1,), (0,), 5)
 
 
 def test_sphere_optimum_is_offset_exactly():
@@ -131,7 +130,7 @@ def test_evaluation_allowed_outside_bounds():
 
 
 def test_suite_csv_export(tmp_path):
-    instances = make_suite(SuiteConfig((1, 2), (1, 2), 3))
+    instances = make_suite((1, 2), (1, 2), 3)
     path = tmp_path / "suite.csv"
     write_suite_csv(instances, path)
     with open(path, newline="") as fh:

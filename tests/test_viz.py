@@ -6,7 +6,6 @@ import pytest
 
 from footprints.errors import ConfigurationError, ContractViolation
 from footprints.footprint import FootprintLabel, Thresholds, footprint_fold
-from footprints.shapley import ShapMetaRepresentation
 from footprints.viz import (
     EMPTY_CELL,
     embed_2d,
@@ -119,38 +118,34 @@ def _reps24():
     rng = np.random.default_rng(0)
     keys = [(p, 1, 5) for p in range(1, 25)]
     names = [f"feat.{chr(97 + j)}" for j in range(12)]
-    reps = [
-        ShapMetaRepresentation(key=k, base_value=0.0,
-                               phi=rng.normal(size=12), prediction=0.0)
-        for k in keys
-    ]
+    phi = np.stack([rng.normal(size=12) for _ in keys])
     values = {k: {n: float(rng.uniform()) for n in names} for k in keys}
-    return reps, names, values
+    return keys, phi, names, values
 
 
 def test_beeswarm_row_count_k_times_n():
-    reps, names, values = _reps24()
-    csv_text, svg = emit_beeswarm_data(reps, names, values, top_k=10)
+    keys, phi, names, values = _reps24()
+    csv_text, svg = emit_beeswarm_data(keys, phi, names, values, top_k=10)
     rows = csv_text.strip().splitlines()
     assert len(rows) == 1 + 10 * 24
     ET.fromstring(svg)
 
 
 def test_beeswarm_first_block_is_most_important_feature():
-    reps, names, values = _reps24()
+    keys, phi, names, values = _reps24()
     from footprints.shapley import global_importance
 
-    top = global_importance(reps, names)[0][0]
-    csv_text, _ = emit_beeswarm_data(reps, names, values, top_k=5)
+    top = global_importance(phi, names)[0][0]
+    csv_text, _ = emit_beeswarm_data(keys, phi, names, values, top_k=5)
     first_row = csv_text.splitlines()[1]
     assert first_row.startswith(top + ",")
 
 
 def test_beeswarm_constant_feature_normalizes_to_half():
-    reps, names, values = _reps24()
+    keys, phi, names, values = _reps24()
     for k in values:
         values[k][names[0]] = 2.0
-    csv_text, _ = emit_beeswarm_data(reps, names, values, top_k=len(names))
+    csv_text, _ = emit_beeswarm_data(keys, phi, names, values, top_k=len(names))
     for line in csv_text.splitlines()[1:]:
         cells = line.split(",")
         if cells[0] == names[0]:
@@ -158,9 +153,9 @@ def test_beeswarm_constant_feature_normalizes_to_half():
 
 
 def test_beeswarm_top_k_validated():
-    reps, names, values = _reps24()
+    keys, phi, names, values = _reps24()
     with pytest.raises(ConfigurationError):
-        emit_beeswarm_data(reps, names, values, top_k=len(names) + 1)
+        emit_beeswarm_data(keys, phi, names, values, top_k=len(names) + 1)
 
 
 # ---------------------------------------------------------------------------
