@@ -277,7 +277,9 @@ class KernelRidgeModel:
         Z = (np.asarray(X, dtype=float) - self.mean) / self.std
         sq = cdist(Z, self.X_train, "sqeuclidean")
         K = np.exp(-sq / (2.0 * self.bandwidth**2))
-        return K @ self.coef + self.y_mean
+        # one reduction per row: BLAS `K @ coef` sums a row in an order that
+        # depends on the other rows of the call, and so its last bits too
+        return np.einsum("ij,j->i", K, self.coef) + self.y_mean
 
 
 def fit_kernel(

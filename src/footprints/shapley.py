@@ -16,11 +16,10 @@ finite background set; ``attribute`` picks the one that fits the model:
   from one rank mask, ``where(rank < t, x, b)``, and are predicted in
   chunks of whole permutations, at most PREDICT_CHUNK_ROWS rows per call.
   The chunk bounds peak memory: one call for all states would hold KNN's
-  (states x training rows) distance and index matrices at once. For KNN
-  the result is bit-for-bit that of predicting one permutation at a time
-  (``naive_sampling_shap`` in the tests); for kernel ridge it agrees to
-  1e-12, since BLAS may sum a row of the kernel product in another order
-  in a larger batch.
+  (states x training rows) distance and index matrices at once. KNN and
+  kernel ridge predict each row independently of the others in the call,
+  so the result is bit-for-bit that of predicting one permutation at a
+  time (``naive_sampling_shap`` in the tests).
 
 Both satisfy efficiency (base + sum(phi) = prediction) exactly up to FP
 accumulation.

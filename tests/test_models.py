@@ -248,6 +248,18 @@ def test_kernel_default_bandwidth_is_median_distance():
     assert model.bandwidth == pytest.approx(float(np.median(pdist(Z))))
 
 
+def test_kernel_predict_row_does_not_depend_on_the_batch():
+    # a row's prediction is bitwise the same in a batch and on its own
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(96, 30))
+    model = fit_kernel(X, rng.normal(size=96))
+    Q = rng.normal(size=(300, 30))
+    batch = model.predict(Q)
+    single = np.array([model.predict(Q[i:i + 1])[0] for i in range(len(Q))])
+    assert np.array_equal(batch, single)
+    assert np.array_equal(model.predict(Q[7:40]), batch[7:40])
+
+
 def test_kernel_penalty_must_be_positive():
     with pytest.raises(ConfigurationError):
         fit_kernel(np.zeros((4, 2)), np.zeros(4), penalty=0.0)
