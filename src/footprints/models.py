@@ -2,8 +2,13 @@
 
 The forest is built from scratch (CART regression trees on bootstrap
 samples, per-split random feature subsets) so that tree internals are
-available to the exact Shapley attribution. KNN and RBF kernel ridge
-(the svm surrogate) standardize features with train-only statistics.
+available to the exact Shapley attribution. A node scores all of its
+candidate columns in one pass (one stable sort, column-wise cumulative
+sums, one SSE matrix). Its first minimum breaks ties to the lowest
+threshold within a column and the lowest feature index across columns,
+so the trees equal those of scoring one feature at a time. KNN and RBF
+kernel ridge (the svm surrogate) standardize features with train-only
+statistics.
 """
 
 from __future__ import annotations
@@ -114,15 +119,15 @@ class _TreeBuilder:
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(float(self.y[idx].mean()))
         y = self.y[idx]
+        self.value.append(float(y.mean()))
         if (
             len(idx) < 2 * self.min_leaf
             or (self.max_depth is not None and depth >= self.max_depth)
             or np.all(y == y[0])
         ):
             return node
-        split = self._best_split(idx)
+        split = self._best_split(idx, y)
         if split is None:
             return node
         j, thr = split
@@ -135,39 +140,30 @@ class _TreeBuilder:
         self.right[node] = right_child
         return node
 
-    def _best_split(self, idx: np.ndarray):
-        n_features = self.X.shape[1]
-        chosen = np.sort(self.rng.choice(n_features, size=self.n_sub, replace=False))
-        y = self.y[idx]
+    def _best_split(self, idx: np.ndarray, y: np.ndarray):
+        chosen = np.sort(self.rng.choice(self.X.shape[1], size=self.n_sub, replace=False))
         n = len(idx)
         parent_sse = float(np.sum((y - y.mean()) ** 2))
-        best = None
-        best_sse = parent_sse
-        for j in chosen:
-            xs = self.X[idx, j]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            ys_sorted = y[order]
-            s1 = np.cumsum(ys_sorted)
-            s2 = np.cumsum(ys_sorted**2)
-            sizes = np.arange(1, n)  # left sizes at split positions
-            sse_left = s2[:-1] - s1[:-1] ** 2 / sizes
-            sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
-            total = sse_left + sse_right
-            valid = (
-                (sizes >= self.min_leaf)
-                & (sizes <= n - self.min_leaf)
-                & (xs_sorted[:-1] < xs_sorted[1:])
-            )
-            if not valid.any():
-                continue
-            total = np.where(valid, total, np.inf)
-            pos = int(np.argmin(total))  # first minimum: lowest threshold wins ties
-            if total[pos] < best_sse:
-                best_sse = float(total[pos])
-                thr = 0.5 * (xs_sorted[pos] + xs_sorted[pos + 1])
-                best = (int(j), float(thr))
-        return best
+        xs = self.X[np.ix_(idx, chosen)]
+        order = np.argsort(xs, axis=0, kind="stable")
+        xs = np.take_along_axis(xs, order, axis=0)
+        ys = y[order]
+        s1 = np.cumsum(ys, axis=0)
+        s2 = np.cumsum(ys**2, axis=0)
+        sizes = np.arange(1, n)[:, None]  # left sizes at split positions
+        sse_left = s2[:-1] - s1[:-1] ** 2 / sizes
+        sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
+        valid = (sizes >= self.min_leaf) & (sizes <= n - self.min_leaf) & (xs[:-1] < xs[1:])
+        total = np.where(valid, sse_left + sse_right, np.inf)
+        # first minimum: the lowest threshold wins within a column and the
+        # lowest feature index across columns; a split must beat the parent's SSE
+        pos = np.argmin(total, axis=0)
+        sse = total[pos, np.arange(self.n_sub)]
+        col = int(np.argmin(np.where(sse < parent_sse, sse, np.inf)))
+        if not sse[col] < parent_sse:
+            return None
+        row = pos[col]
+        return int(chosen[col]), float(0.5 * (xs[row, col] + xs[row + 1, col]))
 
     def finish(self) -> RegressionTree:
         return RegressionTree(

@@ -98,13 +98,14 @@ def _feature_item(args):
 
 
 def _pmap(fn, items, threads: int, stage: str):
-    """fn over (problem, instance, ...) items, in order. The StageFailure that
-    names a failing item is raised here, in the parent: it does not survive
-    unpickling from a pool worker."""
+    """fn over (problem, instance, ...) items, in order, on at most one
+    worker per item. The StageFailure that names a failing item is raised
+    here, in the parent: it does not survive unpickling from a pool worker."""
+    workers = min(threads, len(items))
     with ExitStack() as stack:
         mapper = map
-        if threads > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=threads)).map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         results = mapper(fn, items)
         out = []
         for item in items:

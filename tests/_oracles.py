@@ -89,3 +89,77 @@ def naive_sampling_shap(model, x: np.ndarray, background: np.ndarray,
     stderr = contribs.std(axis=0, ddof=1) / math.sqrt(total)
     prediction = float(model.predict(x[None, :])[0])
     return float(base_samples.mean()), contribs.mean(axis=0), prediction, stderr
+
+
+def naive_fit_random_forest(X, y, *, n_trees=100, min_leaf=2, max_depth=None,
+                            bootstrap=True, seed=0, n_sub=None):
+    """The CART forest with one argsort and one cumsum per candidate feature:
+    each feature is scored on its own, and a later feature replaces the best
+    split only if its SSE is strictly lower. Returns each tree's flat arrays
+    as a dict (feature, threshold, left, right, value). `n_sub` defaults to
+    the forest's ceil(m/3)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = X.shape
+    n_sub = math.ceil(m / 3) if n_sub is None else n_sub
+    trees = []
+    for t in range(n_trees):
+        seed_seq = np.random.SeedSequence([int(seed), int(t)])
+        rng = np.random.default_rng(int(seed_seq.generate_state(1, np.uint64)[0]))
+        idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
+        trees.append(naive_build_tree(X, y, np.asarray(idx), rng, min_leaf, max_depth,
+                                      n_sub))
+    return trees
+
+
+def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
+    arrays = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def best_split(rows):
+        chosen = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
+        yr = y[rows]
+        n = len(rows)
+        best, best_sse = None, float(np.sum((yr - yr.mean()) ** 2))
+        for j in chosen:
+            xs = X[rows, j]
+            order = np.argsort(xs, kind="stable")
+            xs_sorted, ys_sorted = xs[order], yr[order]
+            s1 = np.cumsum(ys_sorted)
+            s2 = np.cumsum(ys_sorted**2)
+            sizes = np.arange(1, n)
+            sse_left = s2[:-1] - s1[:-1] ** 2 / sizes
+            sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
+            valid = ((sizes >= min_leaf) & (sizes <= n - min_leaf)
+                     & (xs_sorted[:-1] < xs_sorted[1:]))
+            if not valid.any():
+                continue
+            total = np.where(valid, sse_left + sse_right, np.inf)
+            pos = int(np.argmin(total))
+            if total[pos] < best_sse:
+                best_sse = float(total[pos])
+                best = (int(j), float(0.5 * (xs_sorted[pos] + xs_sorted[pos + 1])))
+        return best
+
+    def build(rows, depth):
+        node = len(arrays["feature"])
+        for name, default in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                              ("right", -1)):
+            arrays[name].append(default)
+        yr = y[rows]
+        arrays["value"].append(float(yr.mean()))
+        if (len(rows) < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
+                or np.all(yr == yr[0])):
+            return node
+        split = best_split(rows)
+        if split is None:
+            return node
+        j, thr = split
+        goes_left = X[rows, j] <= thr
+        arrays["feature"][node], arrays["threshold"][node] = j, thr
+        arrays["left"][node] = build(rows[goes_left], depth + 1)
+        arrays["right"][node] = build(rows[~goes_left], depth + 1)
+        return node
+
+    build(idx, 0)
+    return {name: np.asarray(values, dtype=float if name in ("threshold", "value") else int)
+            for name, values in arrays.items()}

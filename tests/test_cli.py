@@ -480,6 +480,33 @@ def test_pmap_failure_names_stage_and_item(threads):
     assert str(info.value) == "stage 'solve' failed: problem 2, instance 3: ValueError: boom"
 
 
+@pytest.mark.parametrize("threads, n_items, workers", [
+    (8, 3, 3), (2, 5, 2), (4, 1, None), (1, 4, None), (3, 0, None),
+])
+def test_pmap_starts_no_more_workers_than_items(monkeypatch, threads, n_items, workers):
+    from footprints import pipeline
+
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingExecutor)
+    items = [(1, i) for i in range(1, n_items + 1)]
+    assert pipeline._pmap(_fail_on_problem_2, items, threads, "solve") == items
+    assert started == ([] if workers is None else [workers])
+
+
 def test_pipeline_manifest_contents(tiny_run):
     _, out = tiny_run
     manifest = json.loads((out / "manifest.json").read_text())

@@ -11,9 +11,11 @@ from footprints.models import (
     fit_model,
     fit_random_forest,
     make_folds,
+    _TreeBuilder,
 )
+from footprints.seeding import derive_seed
 
-from _oracles import naive_knn_predict
+from _oracles import naive_build_tree, naive_fit_random_forest, naive_knn_predict
 
 
 def _grid_keys(n_problems=24, n_instances=5, dim=10):
@@ -139,6 +141,137 @@ def test_forest_learns_signal():
     Xt = rng.uniform(-1, 1, size=(50, 3))
     yt = 4.0 * Xt[:, 0] + np.sin(3 * Xt[:, 1])
     assert evaluate_model(model.predict(Xt), yt).r2 > 0.5
+
+
+def _assert_trees_bitwise_equal(trees, reference):
+    assert len(trees) == len(reference)
+    for t, (tree, ref) in enumerate(zip(trees, reference)):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            got, want = getattr(tree, name), ref[name]
+            assert got.dtype == want.dtype, (t, name)
+            assert got.shape == want.shape, (t, name)
+            assert got.tobytes() == want.tobytes(), (t, name)
+
+
+def _forest_case(name):
+    """(X, y, fit kwargs) of one named split-search edge case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "ties_and_boundary_duplicates":
+        return rng.integers(0, 4, (40, 6)).astype(float), rng.normal(size=40), {}
+    if name == "constant_columns":
+        X = rng.normal(size=(30, 7))
+        X[:, [0, 3, 4, 5]] = 2.0
+        return X, rng.normal(size=30), {}
+    if name == "no_valid_split":
+        # the only distinct boundary leaves 1 row on the right, under min_leaf
+        X = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [1.0]])
+        return X, np.arange(6.0), {"bootstrap": False}
+    if name == "split_equal_to_parent_sse_refused":
+        # the one allowed split leaves both sides' means at the parent's
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        return X, np.array([0.0, 1.0, 0.0, 1.0]), {"bootstrap": False}
+    if name == "min_leaf_1":
+        X = np.round(rng.normal(size=(35, 5)), 1)
+        return X, rng.normal(size=35), {"min_leaf": 1}
+    if name == "max_depth_1":
+        return rng.normal(size=(25, 8)), rng.normal(size=25), {"max_depth": 1}
+    if name == "two_rows_one_feature":
+        return np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), {"min_leaf": 1}
+    if name == "one_feature_n_sub_equals_m":
+        return np.round(rng.normal(size=(20, 1)), 1), rng.normal(size=20), {}
+    if name == "bootstrap_duplicates":
+        return rng.normal(size=(12, 4)), rng.normal(size=12), {"n_trees": 30}
+    if name == "y_constant_inside_nodes":
+        X = rng.integers(0, 5, (45, 6)).astype(float)
+        return X, 3.0 * (X[:, 1] > 2) + (X[:, 4] > 3), {"min_leaf": 1}
+    if name == "identical_columns_tie_across_features":
+        X = np.repeat(rng.normal(size=(30, 1)), 6, axis=1)
+        return X, rng.normal(size=30), {}
+    raise KeyError(name)
+
+
+FOREST_CASES = [
+    "ties_and_boundary_duplicates", "constant_columns", "no_valid_split",
+    "split_equal_to_parent_sse_refused", "min_leaf_1", "max_depth_1",
+    "two_rows_one_feature", "one_feature_n_sub_equals_m", "bootstrap_duplicates",
+    "y_constant_inside_nodes", "identical_columns_tie_across_features",
+]
+
+
+@pytest.mark.parametrize("name", FOREST_CASES)
+def test_forest_matches_per_feature_reference(name):
+    X, y, kwargs = _forest_case(name)
+    kwargs = {"n_trees": 8, "seed": 3, **kwargs}
+    model = fit_random_forest(X, y, **kwargs)
+    _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, **kwargs))
+
+
+def test_forest_reference_cases_reach_their_paths():
+    """The named cases above exercise what their names say."""
+    def fit(name):
+        X, y, kwargs = _forest_case(name)
+        return fit_random_forest(X, y, **{"n_trees": 8, "seed": 3, **kwargs}).trees
+
+    for name in ("no_valid_split", "split_equal_to_parent_sse_refused"):
+        assert [len(tree.feature) for tree in fit(name)] == [1] * 8, name
+    assert all(len(tree.feature) == 3 for tree in fit("max_depth_1"))
+    assert any(tree.feature[0] == 0 for tree in fit("two_rows_one_feature"))
+    for tree in fit("identical_columns_tie_across_features"):
+        splits = tree.feature[tree.feature >= 0]
+        assert len(splits) and np.all(splits <= 4)
+    X, _, kwargs = _forest_case("bootstrap_duplicates")
+    rng = np.random.default_rng(derive_seed(3, 0))
+    assert len(np.unique(rng.integers(0, len(X), len(X)))) < len(X)
+
+
+@pytest.mark.parametrize("n_sub", [1, 3, 5])
+def test_tree_with_every_n_sub_matches_reference(n_sub):
+    rng = np.random.default_rng(n_sub)
+    X = np.round(rng.normal(size=(40, 5)), 1)
+    X[:, 2] = 1.0
+    y = np.round(rng.normal(size=40), 1)
+    trees, reference = [], []
+    for seed in range(4):
+        idx = np.random.default_rng(seed).integers(0, 40, 40)
+        builder = _TreeBuilder(X, y, np.random.default_rng(seed), 2, None, n_sub)
+        builder.build(idx, 0)
+        trees.append(builder.finish())
+        reference.append(naive_build_tree(X, y, idx, np.random.default_rng(seed), 2, None,
+                                          n_sub))
+    _assert_trees_bitwise_equal(trees, reference)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_sse_across_columns_goes_to_the_lower_feature(seed):
+    # columns 0 and 1 cut the rows into the same two halves; column 1 ties
+    # within each half, so only a stable sort sums its halves in row order
+    # and gives exactly column 0's SSE
+    rng = np.random.default_rng(seed)
+    n = 40
+    upper = rng.permutation(n) >= n // 2
+    rank = np.empty(n)
+    rank[~upper], rank[upper] = np.arange(n // 2), np.arange(n // 2, n)
+    X = np.column_stack([rank, upper]).astype(float)
+    y = 5.0 * upper + rng.normal(size=n)
+    builder = _TreeBuilder(X, y, np.random.default_rng(seed), 2, 1, 2)
+    builder.build(np.arange(n), 0)
+    tree = builder.finish()
+    assert (tree.feature[0], tree.threshold[0]) == (0, n // 2 - 0.5)
+    reference = naive_build_tree(X, y, np.arange(n), np.random.default_rng(seed), 2, 1, 2)
+    _assert_trees_bitwise_equal([tree], [reference])
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_forest_matches_per_feature_reference_random(case):
+    rng = np.random.default_rng(1000 + case)
+    n, m = int(rng.integers(4, 131)), int(rng.integers(1, 45))
+    X = rng.normal(size=(n, m))
+    if case % 2:
+        X = np.round(X, 1)
+    y = rng.integers(0, 4, n).astype(float) if case % 3 == 0 else rng.normal(size=n)
+    kwargs = {"n_trees": 2, "seed": case, "min_leaf": 1 + case % 3}
+    model = fit_random_forest(X, y, **kwargs)
+    _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, **kwargs))
 
 
 # ---------------------------------------------------------------------------
