@@ -92,16 +92,15 @@ def naive_sampling_shap(model, x: np.ndarray, background: np.ndarray,
 
 
 def naive_fit_random_forest(X, y, *, n_trees=100, min_leaf=2, max_depth=None,
-                            bootstrap=True, seed=0, n_sub=None):
+                            bootstrap=True, seed=0):
     """The CART forest with one argsort and one cumsum per candidate feature:
     each feature is scored on its own, and a later feature replaces the best
     split only if its SSE is strictly lower. Returns each tree's flat arrays
-    as a dict (feature, threshold, left, right, value). `n_sub` defaults to
-    the forest's ceil(m/3)."""
+    as a dict (feature, threshold, left, right, value)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = X.shape
-    n_sub = math.ceil(m / 3) if n_sub is None else n_sub
+    n_sub = math.ceil(m / 3)
     trees = []
     for t in range(n_trees):
         seed_seq = np.random.SeedSequence([int(seed), int(t)])
@@ -113,6 +112,8 @@ def naive_fit_random_forest(X, y, *, n_trees=100, min_leaf=2, max_depth=None,
 
 
 def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
+    """One tree grown from the rows `idx`; each node draws its `n_sub`
+    candidate columns from `rng` before scoring them."""
     arrays = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
     def best_split(rows):
