@@ -82,7 +82,6 @@ class SampleDesign:
 
     X: np.ndarray
     y: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +103,7 @@ def sample_design(instance: ProblemInstance, n: int, seed: int) -> SampleDesign:
         strata = rng.permutation(n)
         X[:, j] = LOWER_BOUND + (strata + rng.random(n)) * span / n
     y = instance.evaluate_batch(X)
-    return SampleDesign(X=X, y=y, seed=seed)
+    return SampleDesign(X=X, y=y)
 
 
 def _safe_ratio(a: float, b: float, eps: float = _EPS) -> float:

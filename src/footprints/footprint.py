@@ -34,25 +34,18 @@ class FootprintLabel(enum.Enum):
         return self in (FootprintLabel.GOOD_GOOD, FootprintLabel.POOR_GOOD)
 
 
-LABEL_ORDER = (
-    FootprintLabel.GOOD_GOOD,
-    FootprintLabel.GOOD_POOR,
-    FootprintLabel.POOR_GOOD,
-    FootprintLabel.POOR_POOR,
-)
+# the floor of a relative error's denominator, for true values near zero
+EPS_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
 class Thresholds:
     t: float
     p: float
-    eps_guard: float = 1e-6
 
     def __post_init__(self):
         if self.p <= 0:
             raise ConfigurationError("tolerance p must be positive")
-        if self.eps_guard <= 0:
-            raise ConfigurationError("eps_guard must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,15 +66,13 @@ def compute_target_t(train_values: Sequence[float]) -> float:
     return float(np.median(train_values))
 
 
-def relative_error(true_value: float, predicted_value: float, eps_guard: float = 1e-6) -> float:
-    return abs(predicted_value - true_value) / max(abs(true_value), eps_guard)
+def relative_error(true_value: float, predicted_value: float) -> float:
+    return abs(predicted_value - true_value) / max(abs(true_value), EPS_GUARD)
 
 
 def classify(true_value: float, predicted_value: float, thresholds: Thresholds) -> FootprintLabel:
     algorithm_good = true_value <= thresholds.t
-    model_good = (
-        relative_error(true_value, predicted_value, thresholds.eps_guard) <= thresholds.p
-    )
+    model_good = relative_error(true_value, predicted_value) <= thresholds.p
     if algorithm_good:
         return FootprintLabel.GOOD_GOOD if model_good else FootprintLabel.GOOD_POOR
     return FootprintLabel.POOR_GOOD if model_good else FootprintLabel.POOR_POOR
@@ -105,7 +96,7 @@ def footprint_fold(
                 key=key,
                 true_value=float(true_value),
                 predicted_value=float(predicted_value),
-                relative_error=relative_error(true_value, predicted_value, thresholds.eps_guard),
+                relative_error=relative_error(true_value, predicted_value),
                 label=classify(true_value, predicted_value, thresholds),
                 fold_id=fold_id,
                 model_kind=model_kind,
@@ -118,22 +109,14 @@ Transition = tuple[Key, FootprintLabel, FootprintLabel]
 
 
 def sensitivity(
-    assignments_a: Sequence[FootprintAssignment],
-    assignments_b: Sequence[FootprintAssignment],
+    assignments: Sequence[FootprintAssignment], thresholds: Thresholds
 ) -> tuple[Transition, ...]:
-    """Per-instance (key, label in a, label in b) transitions between two runs
-    differing only in p, in key order."""
-    by_key_a = {a.key: a for a in assignments_a}
-    by_key_b = {b.key: b for b in assignments_b}
-    if set(by_key_a) != set(by_key_b):
-        raise ContractViolation("assignment sets cover different instances")
-    pairs = []
-    for key in sorted(by_key_a):
-        a, b = by_key_a[key], by_key_b[key]
-        if (a.true_value, a.predicted_value) != (b.true_value, b.predicted_value):
-            raise ContractViolation(f"predictions differ for {key}; only p may change")
-        pairs.append((key, a.label, b.label))
-    return tuple(pairs)
+    """Per-instance (key, label, label under `thresholds`) transitions of one
+    fold's labelling, in key order."""
+    return tuple(
+        (a.key, a.label, classify(a.true_value, a.predicted_value, thresholds))
+        for a in sorted(assignments, key=lambda a: a.key)
+    )
 
 
 # ---------------------------------------------------------------------------

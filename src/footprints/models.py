@@ -14,7 +14,7 @@ statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -179,7 +179,6 @@ class _TreeBuilder:
 class RandomForestModel:
     trees: list[RegressionTree]
     n_features: int
-    kind: str = field(default="random_forest")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -233,7 +232,6 @@ class KnnModel:
     X_train: np.ndarray
     y_train: np.ndarray
     k_neighbors: int
-    kind: str = field(default="knn")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         Z = (np.asarray(X, dtype=float) - self.mean) / self.std
@@ -267,7 +265,6 @@ class KernelRidgeModel:
     coef: np.ndarray
     bandwidth: float
     y_mean: float
-    kind: str = field(default="kernel")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         Z = (np.asarray(X, dtype=float) - self.mean) / self.std
@@ -283,7 +280,6 @@ def fit_kernel(
     y: np.ndarray,
     *,
     penalty: float = 1e-3,
-    bandwidth: float | None = None,
 ) -> KernelRidgeModel:
     if penalty <= 0:
         raise ConfigurationError("ridge penalty must be positive")
@@ -291,11 +287,10 @@ def fit_kernel(
     y = np.asarray(y, dtype=float)
     mean, std = _standardize_params(X)
     Z = (X - mean) / std
-    if bandwidth is None:
-        dists = pdist(Z)
-        bandwidth = float(np.median(dists)) if len(dists) else 1.0
-        if bandwidth <= 0:
-            bandwidth = 1.0
+    dists = pdist(Z)
+    bandwidth = float(np.median(dists)) if len(dists) else 1.0
+    if bandwidth <= 0:
+        bandwidth = 1.0
     sq = cdist(Z, Z, "sqeuclidean")
     K = np.exp(-sq / (2.0 * bandwidth**2))
     y_mean = float(y.mean())

@@ -233,28 +233,30 @@ class Pipeline:
         write_suite_csv(make_suite(cfg.problems, cfg.instances, cfg.dimension),
                         self._output("suite.csv"))
 
+    def _suite_keys(self) -> list[tuple[int, int, int]]:
+        """The instance keys of suite.csv, in its row order."""
+        return [row_key(row) for row in read_csv(self.path("suite.csv"))[1]]
+
     def _run_solve(self):
         cfg = self.cfg
+        keys = self._suite_keys()
         items = []
         for ci, dcfg in enumerate(cfg.resolved_de_configs()):
             fields = {
                 "config_id": dcfg.config_id, "strategy": dcfg.strategy,
                 "F": dcfg.F, "Cr": dcfg.Cr, "population_size": dcfg.population_size,
             }
-            for p in cfg.problems:
-                for i in cfg.instances:
-                    base_seed = derive_seed(cfg.master_seed, SOLVE_SALT, ci, p, i)
-                    items.append((p, i, cfg.dimension, fields, cfg.budget, cfg.n_runs, base_seed))
+            for p, i, d in keys:
+                base_seed = derive_seed(cfg.master_seed, SOLVE_SALT, ci, p, i)
+                items.append((p, i, d, fields, cfg.budget, cfg.n_runs, base_seed))
         records = _pmap(_solve_item, items, self.threads, "solve")
         de_mod.write_performance_csv(records, self._output("performance.csv"))
 
     def _run_features(self):
         cfg = self.cfg
         items = [
-            (p, i, cfg.dimension, cfg.sample_size,
-             derive_seed(cfg.master_seed, FEATURES_SALT, p, i, cfg.dimension))
-            for p in cfg.problems
-            for i in cfg.instances
+            (p, i, d, cfg.sample_size, derive_seed(cfg.master_seed, FEATURES_SALT, p, i, d))
+            for p, i, d in self._suite_keys()
         ]
         vectors = _pmap(_feature_item, items, self.threads, "features")
         ela_mod.write_features_csv(vectors, self._output("features.csv"))
@@ -405,18 +407,14 @@ class Pipeline:
             if cfg.scale == "raw":
                 t = 10.0**t if cfg.t_mode != "explicit" else t
                 predictions = [(k, 10.0**tv, 10.0**pv) for k, tv, pv in predictions]
-            thresholds = fp_mod.Thresholds(t=t, p=cfg.p)
             assignments = fp_mod.footprint_fold(
-                predictions, thresholds, fold_id, cfg.footprint_model
+                predictions, fp_mod.Thresholds(t=t, p=cfg.p), fold_id, cfg.footprint_model
             )
             all_assignments.extend(assignments)
-            for p2 in cfg.sensitivity_p:
-                alt = fp_mod.footprint_fold(
-                    predictions, fp_mod.Thresholds(t=t, p=p2), fold_id, cfg.footprint_model
-                )
-                transition_reports.append(
-                    (fold_id, cfg.p, p2, fp_mod.sensitivity(assignments, alt))
-                )
+            transition_reports += [
+                (fold_id, cfg.p, p2, fp_mod.sensitivity(assignments, fp_mod.Thresholds(t=t, p=p2)))
+                for p2 in cfg.sensitivity_p
+            ]
         fp_mod.write_assignments_csv(all_assignments, self._output("assignments.csv"))
         if cfg.sensitivity_p:
             fp_mod.write_transitions_csv(transition_reports, self._output("transitions.csv"))
@@ -435,9 +433,9 @@ class Pipeline:
         for fold_id in self._fold_ids():
             keys, names, phi = self._read_explanations(fold_id)
             fold_assign = [a for a in assignments if a.fold_id == fold_id]
-            embedding = viz_mod.embed_2d(keys, phi)
+            coords = viz_mod.embed_2d(phi)
             svg = viz_mod.emit_footprint_plot(
-                embedding, fold_assign,
+                keys, coords, fold_assign,
                 title=f"{models_mod.MODEL_LABELS.get(cfg.footprint_model, cfg.footprint_model)}"
                       f" footprint, fold {fold_id} (pca embedding)",
             )
@@ -455,7 +453,7 @@ class Pipeline:
             for fname in dist_features:
                 safe = fname.replace(".", "_")
                 svg = viz_mod.emit_feature_distribution(
-                    embedding, fname, feature_values,
+                    keys, coords, fname, feature_values,
                     title=f"{fname}, fold {fold_id}",
                 )
                 write_text(self._output(f"figures/feature_dist_fold_{fold_id}_{safe}.svg"), svg)

@@ -8,15 +8,14 @@ identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .csvio import KEY_COLUMNS, format_csv
 from .errors import ConfigurationError, ContractViolation
-from .footprint import LABEL_ORDER, FootprintAssignment
+from .footprint import FootprintAssignment, FootprintLabel
 from .models import MODEL_LABELS
 from .shapley import global_importance
 
@@ -32,13 +31,11 @@ HEIGHT = 480
 MARGIN = 55.0
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding2D:
-    keys: tuple[Key, ...]
-    coords: np.ndarray
-
-
-def _pca_embedding(matrix: np.ndarray) -> np.ndarray:
+def embed_2d(phi: np.ndarray) -> np.ndarray:
+    """The (n, 2) coordinates of the n rows of `phi`."""
+    matrix = np.atleast_2d(np.asarray(phi, dtype=float))
+    if matrix.shape[0] < 3:
+        raise ContractViolation("embedding needs at least 3 rows")
     centered = matrix - matrix.mean(axis=0)
     if not np.any(centered):
         return np.zeros((matrix.shape[0], 2))
@@ -50,15 +47,6 @@ def _pca_embedding(matrix: np.ndarray) -> np.ndarray:
         if comps[r, j] < 0:
             comps[r] = -comps[r]
     return centered @ comps.T
-
-
-def embed_2d(keys: Sequence[Key], matrix: np.ndarray) -> Embedding2D:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.shape[0] < 3:
-        raise ContractViolation("embedding needs at least 3 rows")
-    if len(keys) != matrix.shape[0]:
-        raise ContractViolation("one key per row required")
-    return Embedding2D(keys=tuple(keys), coords=_pca_embedding(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +104,55 @@ def _value_color(v: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# footprint scatter
+# scatter plots over the embedding
+
+def _scatter(
+    keys: Sequence[Key],
+    coords: np.ndarray,
+    markers: Sequence[tuple[Callable[[float, float, str], str], str]],
+    title: str,
+    legend: Sequence[str],
+) -> str:
+    """An SVG with the (shape, color) marker of markers[i] and the problem id
+    of keys[i] at row i of `coords`, scaled into the plot area, then the
+    `legend` parts."""
+    if len(keys) != len(coords):
+        raise ContractViolation("one key per row required")
+    xs = _scale(coords[:, 0], MARGIN, WIDTH - MARGIN)
+    ys = _scale(-coords[:, 1], MARGIN + 20, HEIGHT - MARGIN - 40)
+    parts = _svg_open(title)
+    for key, (shape, color), x, y in zip(keys, markers, xs, ys):
+        parts.append(shape(float(x), float(y), color))
+        parts.append(_annotation(float(x), float(y), str(key[0])))
+    parts.extend(legend)
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
 
 def emit_footprint_plot(
-    embedding: Embedding2D,
+    keys: Sequence[Key],
+    coords: np.ndarray,
     assignments: Sequence[FootprintAssignment],
     title: str = "",
 ) -> str:
-    by_key = {a.key: a for a in assignments}
-    missing = [key for key in embedding.keys if key not in by_key]
+    label_of = {a.key: a.label for a in assignments}
+    missing = [key for key in keys if key not in label_of]
     if missing:
         raise ContractViolation(f"no assignment for embedded keys {missing}")
-    xs = _scale(embedding.coords[:, 0], MARGIN, WIDTH - MARGIN)
-    ys = _scale(-embedding.coords[:, 1], MARGIN + 20, HEIGHT - MARGIN - 40)
-    parts = _svg_open(title or "footprint (pca embedding)")
-    for i, key in enumerate(embedding.keys):
-        a = by_key[key]
-        color = ALG_GOOD_COLOR if a.label.algorithm_good else ALG_POOR_COLOR
-        marker = _circle if a.label.model_good else _cross
-        parts.append(marker(float(xs[i]), float(ys[i]), color))
-        parts.append(_annotation(float(xs[i]), float(ys[i]), str(key[0])))
+    markers = [
+        (_circle if label_of[key].model_good else _cross,
+         ALG_GOOD_COLOR if label_of[key].algorithm_good else ALG_POOR_COLOR)
+        for key in keys
+    ]
     ly = HEIGHT - 22.0
-    parts.append(_circle(MARGIN, ly, ALG_GOOD_COLOR, 5.0))
-    parts.append(_legend_text(MARGIN + 10, ly, "algorithm good"))
-    parts.append(_circle(MARGIN + 140, ly, ALG_POOR_COLOR, 5.0))
-    parts.append(_legend_text(MARGIN + 150, ly, "algorithm poor"))
-    parts.append(_cross(MARGIN + 280, ly, "#333333", 5.0))
-    parts.append(_legend_text(MARGIN + 290, ly, "model poor (O = model good)"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _scatter(keys, coords, markers, title or "footprint (pca embedding)", [
+        _circle(MARGIN, ly, ALG_GOOD_COLOR, 5.0),
+        _legend_text(MARGIN + 10, ly, "algorithm good"),
+        _circle(MARGIN + 140, ly, ALG_POOR_COLOR, 5.0),
+        _legend_text(MARGIN + 150, ly, "algorithm poor"),
+        _cross(MARGIN + 280, ly, "#333333", 5.0),
+        _legend_text(MARGIN + 290, ly, "model poor (O = model good)"),
+    ])
 
 
 def _legend_text(x: float, y: float, text: str) -> str:
@@ -213,26 +221,21 @@ def emit_beeswarm_data(
 # feature value over the embedding
 
 def emit_feature_distribution(
-    embedding: Embedding2D,
+    keys: Sequence[Key],
+    coords: np.ndarray,
     feature_name: str,
     feature_values: Mapping[Key, Mapping[str, float]],
     title: str = "",
 ) -> str:
     try:
-        raws = np.array([float(feature_values[key][feature_name]) for key in embedding.keys])
+        raws = np.array([float(feature_values[key][feature_name]) for key in keys])
     except KeyError as exc:
         raise ConfigurationError(f"unknown feature or key: {exc}") from exc
-    norm = _scale(raws, 0.0, 1.0)
-    xs = _scale(embedding.coords[:, 0], MARGIN, WIDTH - MARGIN)
-    ys = _scale(-embedding.coords[:, 1], MARGIN + 20, HEIGHT - MARGIN - 40)
-    parts = _svg_open(title or feature_name)
-    for i, key in enumerate(embedding.keys):
-        parts.append(_circle(float(xs[i]), float(ys[i]), _value_color(float(norm[i]))))
-        parts.append(_annotation(float(xs[i]), float(ys[i]), str(key[0])))
-    parts.append(_legend_text(MARGIN, HEIGHT - 22.0,
-                              f"{feature_name}: low (blue) to high (red), min-max over plotted set"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    markers = [(_circle, _value_color(float(v))) for v in _scale(raws, 0.0, 1.0)]
+    return _scatter(keys, coords, markers, title or feature_name, [
+        _legend_text(MARGIN, HEIGHT - 22.0,
+                     f"{feature_name}: low (blue) to high (red), min-max over plotted set"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ EMPTY_CELL = "–"  # en dash
 
 def _membership_cells(assignments: Sequence[FootprintAssignment]) -> list[str]:
     cells = []
-    for label in LABEL_ORDER:
+    for label in FootprintLabel:
         ids = sorted(a.key[0] for a in assignments if a.label == label)
         cells.append(", ".join(str(i) for i in ids) if ids else EMPTY_CELL)
     return cells

@@ -577,6 +577,50 @@ def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_
     assert _digest_tree(copy) == _digest_tree(out)
 
 
+def test_transitions_relabel_the_assignments_under_each_tolerance(tiny_run):
+    from footprints.csvio import read_csv, row_key
+    from footprints.footprint import FootprintLabel
+
+    config_path, out = tiny_run
+    cfg = load_config(config_path)
+    _, folds = read_csv(out / "folds.csv")
+    test_keys = {fold: sorted(row_key(r) for r in folds if int(r["test_fold"]) == fold)
+                 for fold in range(1, cfg.k_folds + 1)}
+    _, assigned = read_csv(out / "assignments.csv")
+    assignment = {(int(r["fold_id"]), row_key(r)): r for r in assigned}
+    _, transitions = read_csv(out / "transitions.csv")
+    blocks: dict[tuple[int, float], list] = {}
+    for row in transitions:
+        fold, key, p_to = int(row["fold_id"]), row_key(row), float(row["p_to"])
+        a = assignment[(fold, key)]
+        assert float(row["p_from"]) == cfg.p
+        assert row["label_from"] == a["label"], (fold, key)
+        label_from, label_to = FootprintLabel(row["label_from"]), FootprintLabel(row["label_to"])
+        assert label_to.algorithm_good == label_from.algorithm_good, (fold, key)
+        assert label_to.model_good == (float(a["relative_error"]) <= p_to), (fold, key)
+        blocks.setdefault((fold, p_to), []).append(key)
+    assert any(r["label_from"] != r["label_to"] for r in transitions)
+    # one row per test key and tolerance, in key order
+    assert blocks == {(fold, p): keys for fold, keys in test_keys.items()
+                      for p in cfg.sensitivity_p}
+
+
+def test_solve_and_features_iterate_the_suite_csv(tiny_run, tmp_path):
+    # suite.csv holds each (problem, instance) once, in id order; a config that
+    # repeats or reorders problem ids must give the same artifacts through folds
+    _, out = tiny_run
+    data = dict(TINY, suite=dict(TINY["suite"], problems=[24, 1, 2, 1]))
+    config_path = _write_config(tmp_path, data)
+    run = tmp_path / "run"
+    for stage in ("suite", "solve", "features", "folds"):
+        assert main([stage, "--config", str(config_path), "--out", str(run)]) == 0, stage
+    reference = _digest_tree(out)
+    digests = _digest_tree(run)
+    assert sorted(digests) == ["feature_schema.json", "features.csv", "folds.csv",
+                               "performance.csv", "suite.csv"]
+    assert digests == {name: reference[name] for name in digests}
+
+
 def test_deleted_feature_distribution_figure_reruns_report_only(tiny_run, tmp_path, caplog):
     config_path, out = tiny_run
     copy = tmp_path / "copy"

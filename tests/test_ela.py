@@ -26,8 +26,8 @@ from footprints.errors import ConfigurationError
 from footprints.suite import make_instance
 
 
-def _design(X, y, seed=0):
-    return SampleDesign(X=np.asarray(X, dtype=float), y=np.asarray(y, dtype=float), seed=seed)
+def _design(X, y):
+    return SampleDesign(X=np.asarray(X, dtype=float), y=np.asarray(y, dtype=float))
 
 
 def _line_design(y_values):

@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 from footprints.errors import ConfigurationError
 from footprints.models import (
     FoldSplit,
+    KernelRidgeModel,
+    KnnModel,
+    RandomForestModel,
     evaluate_model,
     fit_kernel,
     fit_knn,
@@ -402,9 +405,9 @@ def test_fit_model_dispatch():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
-    assert fit_model("random_forest", X, y, {"n_trees": 5}).kind == "random_forest"
-    assert fit_model("knn", X, y, {"k_neighbors": 3}).kind == "knn"
-    assert fit_model("kernel", X, y).kind == "kernel"
+    assert isinstance(fit_model("random_forest", X, y, {"n_trees": 5}), RandomForestModel)
+    assert isinstance(fit_model("knn", X, y, {"k_neighbors": 3}), KnnModel)
+    assert isinstance(fit_model("kernel", X, y), KernelRidgeModel)
     with pytest.raises(ConfigurationError):
         fit_model("boosting", X, y)
 

@@ -37,49 +37,50 @@ def _assignments4():
 # embedding
 
 def test_embedding_shape_and_tag():
-    emb = embed_2d(KEYS4, MAT4)
-    assert emb.coords.shape == (4, 2)
-    assert emb.keys == tuple(KEYS4)
+    assert embed_2d(MAT4).shape == (4, 2)
 
 
 def test_embedding_rank_one_line_collapses_second_axis():
     t = np.linspace(-2, 2, 6)
     mat = t[:, None] * np.array([1.0, -2.0, 0.5])[None, :] + 3.0
-    emb = embed_2d([(i, 1, 2) for i in range(6)], mat)
-    assert np.max(np.abs(emb.coords[:, 1])) <= 1e-9
-    assert np.std(emb.coords[:, 0]) > 0
+    coords = embed_2d(mat)
+    assert np.max(np.abs(coords[:, 1])) <= 1e-9
+    assert np.std(coords[:, 0]) > 0
 
 
 def test_embedding_duplicate_rows_identical_coords():
     mat = np.vstack([MAT4, MAT4[1]])
-    emb = embed_2d(KEYS4 + [(9, 9, 5)], mat)
-    assert np.allclose(emb.coords[1], emb.coords[4])
+    coords = embed_2d(mat)
+    assert np.allclose(coords[1], coords[4])
 
 
 def test_embedding_zero_variance_all_origin():
     mat = np.ones((5, 3))
-    emb = embed_2d([(i, 1, 2) for i in range(5)], mat)
-    assert np.allclose(emb.coords, 0.0)
+    assert np.allclose(embed_2d(mat), 0.0)
 
 
 def test_embedding_deterministic_sign():
-    a = embed_2d(KEYS4, MAT4).coords
-    b = embed_2d(KEYS4, MAT4).coords
+    a = embed_2d(MAT4)
+    b = embed_2d(MAT4)
     assert np.array_equal(a, b)
 
 
 def test_embedding_contracts():
     with pytest.raises(ContractViolation):
-        embed_2d(KEYS4[:2], MAT4[:2])
-    with pytest.raises(ContractViolation):
-        embed_2d(KEYS4[:3], MAT4)
+        embed_2d(MAT4[:2])
+    # both scatter plots need one key per embedded row
+    values = {k: {"f": 0.0} for k in KEYS4}
+    with pytest.raises(ContractViolation, match="one key per row"):
+        emit_footprint_plot(KEYS4[:3], embed_2d(MAT4), _assignments4())
+    with pytest.raises(ContractViolation, match="one key per row"):
+        emit_feature_distribution(KEYS4[:3], embed_2d(MAT4), "f", values)
 
 
 # ---------------------------------------------------------------------------
 # footprint plot
 
 def test_footprint_plot_marker_and_color_counts():
-    svg = emit_footprint_plot(embed_2d(KEYS4, MAT4), _assignments4())
+    svg = emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4())
     assert svg.count('stroke-width="3.0"') == 2 + 1  # 2 cross points + legend cross
     assert svg.count("#1f77b4") == 2 + 1             # 2 good points + legend circle
     assert svg.count("#ffcc00") == 2 + 1
@@ -87,8 +88,8 @@ def test_footprint_plot_marker_and_color_counts():
 
 def test_footprint_plot_labels_independent_of_embedding():
     assignments = _assignments4()
-    svg_a = emit_footprint_plot(embed_2d(KEYS4, MAT4), assignments)
-    svg_b = emit_footprint_plot(embed_2d(KEYS4, MAT4 * -3.0 + 1.0), assignments)
+    svg_a = emit_footprint_plot(KEYS4, embed_2d(MAT4), assignments)
+    svg_b = emit_footprint_plot(KEYS4, embed_2d(MAT4 * -3.0 + 1.0), assignments)
 
     def markers(svg):
         return [line.split()[0] for line in svg.splitlines() if "circle" in line or "path" in line]
@@ -98,16 +99,16 @@ def test_footprint_plot_labels_independent_of_embedding():
 
 def test_footprint_plot_missing_assignment_rejected():
     with pytest.raises(ContractViolation):
-        emit_footprint_plot(embed_2d(KEYS4, MAT4), _assignments4()[:3])
+        emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4()[:3])
 
 
 def test_footprint_plot_golden():
-    svg = emit_footprint_plot(embed_2d(KEYS4, MAT4), _assignments4(), title="toy footprint")
+    svg = emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4(), title="toy footprint")
     assert svg == (GOLDEN / "footprint_toy.svg").read_text()
 
 
 def test_footprint_plot_is_valid_xml():
-    svg = emit_footprint_plot(embed_2d(KEYS4, MAT4), _assignments4())
+    svg = emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4())
     ET.fromstring(svg)
 
 
@@ -162,9 +163,9 @@ def test_beeswarm_top_k_validated():
 # feature distribution
 
 def test_feature_distribution_color_endpoints():
-    emb = embed_2d(KEYS4, MAT4)
+    coords = embed_2d(MAT4)
     values = {k: {"f": float(i)} for i, k in enumerate(KEYS4)}
-    svg = emit_feature_distribution(emb, "f", values)
+    svg = emit_feature_distribution(KEYS4, coords, "f", values)
     # min instance gets the low color, max gets the high color
     assert "#1f77b4" in svg
     assert "#d62728" in svg
@@ -172,28 +173,28 @@ def test_feature_distribution_color_endpoints():
 
 
 def test_feature_distribution_positions_shared_across_features():
-    emb = embed_2d(KEYS4, MAT4)
+    coords = embed_2d(MAT4)
     values = {k: {"f": float(i), "g": float(-i)} for i, k in enumerate(KEYS4)}
 
     def centers(svg):
         return [part.split('"')[1] for part in svg.split("cx=")[1:]]
 
-    assert centers(emit_feature_distribution(emb, "f", values)) == centers(
-        emit_feature_distribution(emb, "g", values)
+    assert centers(emit_feature_distribution(KEYS4, coords, "f", values)) == centers(
+        emit_feature_distribution(KEYS4, coords, "g", values)
     )
 
 
 def test_feature_distribution_unknown_feature_rejected():
-    emb = embed_2d(KEYS4, MAT4)
+    coords = embed_2d(MAT4)
     values = {k: {"f": 0.0} for k in KEYS4}
     with pytest.raises(ConfigurationError):
-        emit_feature_distribution(emb, "nope", values)
+        emit_feature_distribution(KEYS4, coords, "nope", values)
 
 
 def test_feature_distribution_golden():
-    emb = embed_2d(KEYS4, MAT4)
+    coords = embed_2d(MAT4)
     values = {k: {"feat.a": float(i)} for i, k in enumerate(KEYS4)}
-    svg = emit_feature_distribution(emb, "feat.a", values, title="toy feature")
+    svg = emit_feature_distribution(KEYS4, coords, "feat.a", values, title="toy feature")
     assert svg == (GOLDEN / "feature_dist_toy.svg").read_text()
 
 
