@@ -124,7 +124,7 @@ class _TreeBuilder:
         if (
             len(idx) < 2 * self.min_leaf
             or (self.max_depth is not None and depth >= self.max_depth)
-            or np.all(y == y[0])
+            or (y == y[0]).all()
         ):
             return node
         split = self._best_split(idx, y)
@@ -144,9 +144,9 @@ class _TreeBuilder:
         chosen = np.sort(self.rng.choice(self.X.shape[1], size=self.n_sub, replace=False))
         n = len(idx)
         parent_sse = float(np.sum((y - y.mean()) ** 2))
-        xs = self.X[np.ix_(idx, chosen)]
+        xs = self.X[idx[:, None], chosen]
         order = np.argsort(xs, axis=0, kind="stable")
-        xs = np.take_along_axis(xs, order, axis=0)
+        xs = xs[order, np.arange(self.n_sub)]
         ys = y[order]
         s1 = np.cumsum(ys, axis=0)
         s2 = np.cumsum(ys**2, axis=0)

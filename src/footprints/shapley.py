@@ -3,12 +3,20 @@
 Two estimators over an interventional (marginal) value function with a
 finite background set; ``attribute`` picks the one that fits the model:
 
-* ``tree_shap_batch``: exact, for the from-scratch forest. Works leaf by
-  leaf: a leaf with path features U is reached by coalition S and
-  background b iff every path condition is met by x (feature in S) or by
-  b (feature not in S). Features that both or neither satisfy collapse,
-  leaving a closed-form weight p!q!/(p+q+1)! where p counts x-only and q
-  counts b-only features among U minus the attributed one.
+* ``tree_shap_batch``: exact, for the from-scratch forest. A leaf with
+  path features U is reached by coalition S and background b iff every
+  path condition is met by x (feature in S) or by b (feature not in S).
+  Features that both or neither satisfy collapse, leaving a closed-form
+  weight p!q!/(p+q+1)! where p counts x-only and q counts b-only features
+  among U minus the attributed one. The forest's leaf paths are built
+  once per call, level by level over all trees, as arrays padded to the
+  longest path; chunks of whole paths then get their pass/fail masks,
+  their (p, q) counts for every (x, b) pair from one matmul, and one row
+  over the background per (path, feature, x) slot, summed on its own.
+  Each row holds the elements the leaf-by-leaf loop summed, in the same
+  order, and the slots are added into phi in (tree, path, feature) order,
+  so the result is bit-for-bit that loop's (``naive_tree_shap`` in the
+  tests). TREE_CHUNK_CELLS bounds the temporaries.
 * ``sampling_shap``: model-agnostic permutation sampling with antithetic
   permutation pairs and cycled background rows (Mitchell et al., JMLR
   2022). The permutations are drawn one by one, in a fixed RNG order, and
@@ -38,6 +46,9 @@ from .models import RandomForestModel, RegressionTree, fit_model
 
 # The most sampling-Shapley states per model.predict call (peak memory).
 PREDICT_CHUNK_ROWS = 1024
+# The most (slot, x row, background row) cells per tree-Shapley chunk (peak
+# memory; also keeps the temporaries in cache).
+TREE_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,54 +76,116 @@ def _shapley_weight_table(max_features: int) -> np.ndarray:
     return table
 
 
-def _leaf_paths(tree: RegressionTree):
-    """Leaves as (value, path features, lower bounds, upper bounds).
+def _leaf_paths(trees: Sequence[RegressionTree]):
+    """The forest's non-empty root-to-leaf paths, tree by tree and left
+    before right within a tree, as arrays padded to the longest path.
 
-    Bounds are per distinct feature on the root-to-leaf path; a value v
-    satisfies the path iff lo < v <= hi.
+    Returns (value, feature, lo, hi, valid). Path l has the distinct
+    features feature[l, valid[l]], ascending, and a value v satisfies the
+    path iff lo < v <= hi on each of them. Padded slots hold feature 0 and
+    the bounds (-inf, inf].
     """
-    paths = []
+    sizes = [len(tree.feature) for tree in trees]
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    split = np.flatnonzero(feature >= 0)
+    left = np.concatenate([tree.left for tree in trees])[split] + start[split]
+    right = np.concatenate([tree.right for tree in trees])[split] + start[split]
+    parent = np.full(len(feature), -1)
+    parent[left] = split
+    parent[right] = split
+    is_right = np.zeros(len(feature), dtype=bool)
+    is_right[right] = True
+    leaves = np.flatnonzero((feature < 0) & (parent >= 0))  # a root leaf has no path
+    # walk all leaves up to their roots at once; edge e joins child[e] to its
+    # parent on the path of leaf row[e], up[e] levels above the leaf
+    rows, child, up = [], [], []
+    row, node = np.arange(len(leaves)), leaves
+    while len(node):
+        rows.append(row)
+        child.append(node)
+        up.append(np.full(len(node), len(up)))
+        node = parent[node]
+        below_root = parent[node] >= 0
+        row, node = row[below_root], node[below_root]
+    row, child, up = (np.concatenate(e or [leaves]) for e in (rows, child, up))
+    node = parent[child]
+    # left before right is the lexicographic order of the root-to-leaf turns
+    depth = np.bincount(row, minlength=len(leaves))
+    turns = np.zeros((len(rows), len(leaves)), dtype=bool)
+    turns[depth[row] - 1 - up, row] = is_right[child]
+    order = np.lexsort((*turns[::-1], np.repeat(np.arange(len(trees)), sizes)[leaves]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # one slot per distinct (path, feature): lo is the largest threshold the
+    # path takes to the right, hi the smallest it takes to the left
+    width = int(feature.max(initial=0)) + 1
+    key = rank[row] * width + feature[node]
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    thr, went_right = threshold[node][by_key], is_right[child][by_key]
+    slot_path, slot_feature = np.divmod(key[first], width)
+    counts = np.bincount(slot_path, minlength=len(leaves))
+    valid = np.arange(counts.max(initial=0))[None, :] < counts[:, None]
+    feat = np.zeros(valid.shape, dtype=np.intp)
+    lo = np.full(valid.shape, -np.inf)
+    hi = np.full(valid.shape, np.inf)
+    feat[valid] = slot_feature
+    if len(first):
+        lo[valid] = np.maximum.reduceat(np.where(went_right, thr, -np.inf), first)
+        hi[valid] = np.minimum.reduceat(np.where(went_right, np.inf, thr), first)
+    value = np.concatenate([tree.value for tree in trees])[leaves[order]]
+    return value, feat, lo, hi, valid
 
-    def rec(node: int, bounds: dict[int, tuple[float, float]]):
-        feat = int(tree.feature[node])
-        if feat < 0:
-            feats = np.array(sorted(bounds), dtype=int)
-            lo = np.array([bounds[j][0] for j in feats])
-            hi = np.array([bounds[j][1] for j in feats])
-            paths.append((float(tree.value[node]), feats, lo, hi))
-            return
-        thr = float(tree.threshold[node])
-        old = bounds.get(feat, (-math.inf, math.inf))
-        left_bounds = dict(bounds)
-        left_bounds[feat] = (old[0], min(old[1], thr))
-        rec(int(tree.left[node]), left_bounds)
-        right_bounds = dict(bounds)
-        right_bounds[feat] = (max(old[0], thr), old[1])
-        rec(int(tree.right[node]), right_bounds)
 
-    rec(0, {})
-    return paths
-
-
-def _accumulate_tree(phi: np.ndarray, tree_paths, X: np.ndarray, B: np.ndarray,
-                     weights: np.ndarray) -> None:
-    for value, feats, lo, hi in tree_paths:
-        if len(feats) == 0:
-            continue  # unconditional leaf appears in both v(S+i) and v(S)
-        C = (B[:, feats] > lo[None, :]) & (B[:, feats] <= hi[None, :])
-        A = (X[:, feats] > lo[None, :]) & (X[:, feats] <= hi[None, :])
-        Cn, An = ~C, ~A
-        a16, an16 = A.astype(np.int16), An.astype(np.int16)
-        c16t, cn16t = C.astype(np.int16).T, Cn.astype(np.int16).T
-        alive = (an16 @ cn16t) == 0          # no feature failed by both sides
-        P = a16 @ cn16t                      # passed only by x, per (x, b)
-        Q = an16 @ c16t                      # passed only by background
-        wx = weights[np.maximum(P - 1, 0), Q]
-        wb = weights[P, np.maximum(Q - 1, 0)]
-        for t, f in enumerate(feats):
-            sel_x = alive & A[:, t][:, None] & Cn[:, t][None, :]
-            sel_b = alive & An[:, t][:, None] & C[:, t][None, :]
-            phi[:, f] += value * ((wx * sel_x).sum(axis=1) - (wb * sel_b).sum(axis=1))
+def _accumulate(phi: np.ndarray, paths, X: np.ndarray, B: np.ndarray) -> None:
+    """Add every leaf path's attributions into phi (unnormalized), in
+    (tree, path, feature) order, TREE_CHUNK_CELLS cells at a time."""
+    value, feature, lo, hi, valid = paths
+    weights = _shapley_weight_table(max(valid.shape[1], 1))
+    size = weights.shape[0]
+    # w at index p*size + q for an attributed feature passed only by x (row
+    # 1) or only by b (row 0); an index >= size*size (some path feature failed
+    # by both x and b) reads 0
+    p, q = np.divmod(np.arange(size * size), size)
+    table = np.zeros((2, size * size + 1))
+    table[0, :-1] = weights[p, np.maximum(q - 1, 0)]
+    table[1, :-1] = weights[np.maximum(p - 1, 0), q]
+    XT, BT = np.ascontiguousarray(X.T), np.ascontiguousarray(B.T)
+    nx, nb = len(X), len(B)
+    counts = valid.sum(axis=1)
+    slot_end = np.cumsum(counts)
+    slot_start = slot_end - counts
+    per_chunk = max(1, TREE_CHUNK_CELLS // max(nx * nb, 1))
+    p0 = 0
+    while p0 < len(value):
+        # whole paths, at least one, with at most per_chunk slots in all
+        p1 = max(p0 + 1, int(np.searchsorted(slot_end, slot_start[p0] + per_chunk, "right")))
+        n_paths = p1 - p0
+        f, pad = feature[p0:p1], ~valid[p0:p1, :, None]
+        low, high = lo[p0:p1, :, None], hi[p0:p1, :, None]
+        xs, bs = XT[f], BT[f]                                  # (k, u, nx), (k, u, nb)
+        A = ((xs > low) & (xs <= high)) | pad
+        C = ((bs > low) & (bs <= high)) | pad
+        a, c = A.astype(float), C.astype(float)
+        # index P*size + Q + N*size*size per (x, b): P path features passed
+        # only by x, Q only by b, N by neither; the counts are at most u, so
+        # the float products are exact
+        lhs = np.concatenate([a * size, 1.0 - a, (1.0 - a) * (size * size)], axis=1)
+        rhs = np.concatenate([1.0 - c, c, 1.0 - c], axis=1)
+        K = (lhs.transpose(0, 2, 1) @ rhs).astype(np.intp)     # (k, nx, nb)
+        W = np.take(table, K, axis=1, mode="clip").reshape(-1, nb)
+        sp, st = np.nonzero(valid[p0:p1])
+        As, Cs = A[sp, st], C[sp, st]                          # (slots, nx), (slots, nb)
+        # x passes the attributed feature: wx where b fails it; otherwise wb
+        # where b passes it, subtracted
+        rows = W[(As * n_paths + sp[:, None]) * nx + np.arange(nx)]  # (slots, nx, nb)
+        rows *= Cs[:, None, :] != As[:, :, None]
+        r = rows.sum(axis=2)
+        np.add.at(phi.T, f[sp, st], value[p0:p1][sp, None] * np.where(As, r, -r))
+        p0 = p1
 
 
 def tree_shap_batch(
@@ -130,14 +203,8 @@ def tree_shap_batch(
             f"feature count mismatch: model has {model.n_features}, "
             f"got X {X.shape[1]} / background {B.shape[1]}"
         )
-    all_paths = [_leaf_paths(tree) for tree in model.trees]
-    max_u = max(
-        (len(feats) for paths in all_paths for _, feats, _, _ in paths), default=1
-    )
-    weights = _shapley_weight_table(max(max_u, 1))
     phi = np.zeros((X.shape[0], model.n_features))
-    for paths in all_paths:
-        _accumulate_tree(phi, paths, X, B, weights)
+    _accumulate(phi, _leaf_paths(model.trees), X, B)
     phi /= B.shape[0] * len(model.trees)
     base = float(model.predict(B).mean())
     preds = model.predict(X)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from footprints.errors import ConfigurationError, ContractViolation
+from footprints import shapley
 from footprints.models import (RandomForestModel, RegressionTree, fit_kernel, fit_knn,
                                fit_random_forest)
 from footprints.shapley import (
@@ -13,7 +14,8 @@ from footprints.shapley import (
     tree_shap_batch,
 )
 
-from _oracles import brute_force_shapley, naive_knn_predict, naive_sampling_shap
+from _oracles import (brute_force_shapley, naive_knn_predict, naive_sampling_shap,
+                      naive_tree_shap)
 
 
 def _stump(feature, threshold, left_value, right_value, n_features):
@@ -99,6 +101,118 @@ def test_background_contract_checks():
         tree_shap_batch(model, np.zeros(3)[None, :], np.zeros((0, 3)))
     with pytest.raises(ContractViolation):
         tree_shap_batch(model, np.zeros(3)[None, :], np.zeros((4, 2)))
+
+
+def _assert_tree_shap_matches_reference(model, X, background):
+    reps = tree_shap_batch(model, X, background)
+    base, phi, preds = naive_tree_shap(model, X, background)
+    got_phi = np.stack([rep.phi for rep in reps])
+    got_base = np.array([rep.base_value for rep in reps])
+    got_preds = np.array([rep.prediction for rep in reps])
+    assert got_phi.dtype == phi.dtype and got_phi.shape == phi.shape
+    assert got_phi.tobytes() == phi.tobytes()
+    assert got_base.tobytes() == np.full(len(reps), base).tobytes()
+    assert got_preds.dtype == preds.dtype and got_preds.tobytes() == preds.tobytes()
+    return got_phi
+
+
+def _tree(feature, threshold, left, right, value):
+    return RegressionTree(feature=np.array(feature), threshold=np.array(threshold, dtype=float),
+                          left=np.array(left), right=np.array(right),
+                          value=np.array(value, dtype=float))
+
+
+# feature 0 is split at the root and again on each side, feature 1 in between
+_REPEATED = dict(feature=[0, 0, -1, -1, 1, -1, 0, -1, -1],
+                 threshold=[0.5, -0.3, 0, 0, 0.0, 0, 1.2, 0, 0],
+                 left=[1, 2, -1, -1, 5, -1, 7, -1, -1],
+                 right=[4, 3, -1, -1, 6, -1, 8, -1, -1],
+                 value=[0, 0, -2.0, 0.7, 0, 1.3, 0, -0.4, 3.1])
+
+
+def _renumbered(arrays, new_of_old):
+    """The same tree with node i stored at new_of_old[i] (the root stays 0)."""
+    new_of_old = np.asarray(new_of_old)
+    out = {}
+    for name, values in arrays.items():
+        values = np.asarray(values)
+        if name in ("left", "right"):
+            values = np.where(values >= 0, new_of_old[values], -1)
+        moved = np.empty_like(values)
+        moved[new_of_old] = values
+        out[name] = moved
+    return _tree(**out)
+
+
+def _hand_built(name):
+    stump = _stump(1, 0.0, -3.0, 5.0, 3).trees[0]
+    repeated = _tree(**_REPEATED)
+    # children stored before their parents and right subtrees before left ones
+    shuffled = _renumbered(_REPEATED, [0, 5, 8, 1, 2, 7, 3, 6, 4])
+    root_only = [_tree([-1], [0.0], [-1], [-1], [v]) for v in (1.5, -0.25, 4.0)]
+    trees = {"stump": [stump], "repeated_feature": [repeated, stump],
+             "renumbered_nodes": [shuffled, stump], "root_only": root_only,
+             "root_only_and_stump": [root_only[0], stump, root_only[1]]}[name]
+    return RandomForestModel(trees=trees, n_features=3)
+
+
+@pytest.mark.parametrize("name", ["stump", "repeated_feature", "renumbered_nodes",
+                                  "root_only", "root_only_and_stump"])
+def test_tree_shap_hand_built_trees_match_reference_bitwise(name):
+    rng = np.random.default_rng(len(name))
+    X = np.round(rng.normal(scale=0.8, size=(9, 3)), 1)  # coarse: values on thresholds
+    background = np.round(rng.normal(scale=0.8, size=(14, 3)), 1)
+    phi = _assert_tree_shap_matches_reference(_hand_built(name), X, background)
+    if name == "root_only":
+        assert not phi.any()
+
+
+# (rows, features, x rows, background rows, trees, fit params): the desk
+# selection shape (x rows are the training rows); the unshrunk explain shape
+# (several chunks); x and background counts that differ; one x row and one
+# background row; m = 1; deep trees that split features again and again
+FITTED_CASES = [
+    (24, 43, 24, 24, 100, {}),
+    (96, 30, 24, 96, 20, {}),
+    (30, 5, 7, 13, 10, {}),
+    (30, 5, 1, 1, 10, {}),
+    (40, 1, 9, 17, 10, {}),
+    (60, 3, 12, 20, 8, {"min_leaf": 1}),
+]
+
+
+@pytest.mark.parametrize("n, m, n_x, n_background, n_trees, params", FITTED_CASES)
+def test_tree_shap_fitted_forest_matches_reference_bitwise(n, m, n_x, n_background,
+                                                          n_trees, params):
+    rng = np.random.default_rng(n * 100 + m)
+    X = rng.normal(size=(n, m))
+    y = X[:, 0] + 0.5 * X[:, m - 1] ** 2 + rng.normal(scale=0.3, size=n)
+    model = fit_random_forest(X, y, n_trees=n_trees, seed=m, **params)
+    explicands = X[:n_x] if n_x == n_background else rng.normal(size=(n_x, m))
+    _assert_tree_shap_matches_reference(model, explicands, X[:n_background])
+
+
+@pytest.mark.parametrize("cells", [1, 7 * 5 * 13 + 3])
+def test_tree_shap_chunk_edges_match_reference_bitwise(monkeypatch, cells):
+    # 1 cell: one path per chunk; 7 * x rows * background rows + 3 cells:
+    # at most 7 slots per chunk, which splits the forest between and
+    # inside trees at no fixed path length
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, 6))
+    model = fit_random_forest(X, X[:, 0] - X[:, 3] + rng.normal(scale=0.2, size=40),
+                              n_trees=12, min_leaf=1, seed=4)
+    monkeypatch.setattr(shapley, "TREE_CHUNK_CELLS", cells)
+    _assert_tree_shap_matches_reference(model, X[:5], X[5:18])
+
+
+def test_tree_shap_non_finite_explicand_values_match_reference_bitwise():
+    # padded path slots pass for every value, -inf and NaN included
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(30, 3))
+    model = fit_random_forest(X, X[:, 0] + X[:, 2], n_trees=6, seed=2)
+    explicands = X[:6].copy()
+    explicands[0, 0], explicands[1, 2], explicands[2, 1] = -np.inf, np.nan, np.inf
+    _assert_tree_shap_matches_reference(model, explicands, X[6:])
 
 
 # ---------------------------------------------------------------------------
