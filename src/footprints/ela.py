@@ -86,9 +86,12 @@ class SampleDesign:
 
 @dataclass(frozen=True, eq=False)
 class ElaFeatureVector:
+    """One instance's features: `values` in FEATURE_SCHEMA order, of which
+    `sanitized_count` were non-finite and replaced by 0."""
+
     key: tuple[int, int, int]
-    values: dict[str, float]
-    sanitized_count: int = 0
+    values: np.ndarray
+    sanitized_count: int
 
 
 def sample_design(instance: ProblemInstance, n: int, seed: int) -> SampleDesign:
@@ -328,37 +331,36 @@ def _class_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _discriminant_predict(X, means, covs, priors, pooled: bool):
-    dim = X.shape[1]
-    reg = 1e-6 * np.eye(dim)
-    scores = np.empty((X.shape[0], 2))
-    if pooled:
-        cov = (covs[0] + covs[1]) / 2.0 + reg
+def _discriminant_predict(X, means, covs, priors):
+    """The (lda, qda) predictions of the rows of X: lda scores both classes
+    under their pooled covariance, qda under each class's own."""
+    reg = 1e-6 * np.eye(X.shape[1])
+    pooled_inv = np.linalg.inv((covs[0] + covs[1]) / 2.0 + reg)
+    lda = np.empty((X.shape[0], 2))
+    qda = np.empty((X.shape[0], 2))
+    for c in (0, 1):
+        diff = X - means[c]
+        lda[:, c] = -0.5 * np.sum((diff @ pooled_inv) * diff, axis=1) + math.log(priors[c])
+        cov = covs[c] + reg
         inv = np.linalg.inv(cov)
-        for c in (0, 1):
-            diff = X - means[c]
-            scores[:, c] = -0.5 * np.sum((diff @ inv) * diff, axis=1) + math.log(priors[c])
-    else:
-        for c in (0, 1):
-            cov = covs[c] + reg
-            inv = np.linalg.inv(cov)
-            sign, logdet = np.linalg.slogdet(cov)
-            diff = X - means[c]
-            scores[:, c] = (
-                -0.5 * logdet
-                - 0.5 * np.sum((diff @ inv) * diff, axis=1)
-                + math.log(priors[c])
-            )
-    return (scores[:, 1] > scores[:, 0]).astype(int)
+        _, logdet = np.linalg.slogdet(cov)
+        qda[:, c] = (
+            -0.5 * logdet
+            - 0.5 * np.sum((diff @ inv) * diff, axis=1)
+            + math.log(priors[c])
+        )
+    return lda[:, 1] > lda[:, 0], qda[:, 1] > qda[:, 0]
 
 
-def _cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool) -> float:
+def _cv_mmce(X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """The (lda, qda) misclassification rates under stratified
+    cross-validation; each fold's class statistics serve both."""
     n = len(labels)
     folds = np.empty(n, dtype=int)
     for cls in (0, 1):
         idx = np.nonzero(labels == cls)[0]
         folds[idx] = np.arange(len(idx)) % LEVEL_CV_FOLDS
-    errors = 0
+    errors_lda = errors_qda = 0
     for f in range(LEVEL_CV_FOLDS):
         test = folds == f
         train = ~test
@@ -372,9 +374,10 @@ def _cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool) -> float:
             means.append(mean)
             covs.append(cov)
             priors.append(member.mean())
-        pred = _discriminant_predict(X[test], means, covs, priors, pooled)
-        errors += int(np.sum(pred != labels[test]))
-    return errors / n
+        lda, qda = _discriminant_predict(X[test], means, covs, priors)
+        errors_lda += int(np.sum(lda != labels[test]))
+        errors_qda += int(np.sum(qda != labels[test]))
+    return errors_lda / n, errors_qda / n
 
 
 def level_features(design: SampleDesign) -> dict[str, float]:
@@ -388,8 +391,7 @@ def level_features(design: SampleDesign) -> dict[str, float]:
         m = math.ceil(q * n)
         labels = np.zeros(n, dtype=int)
         labels[order[:m]] = 1  # lowest q share of objective values
-        mmce_lda = _cv_mmce(X, labels, pooled=True)
-        mmce_qda = _cv_mmce(X, labels, pooled=False)
+        mmce_lda, mmce_qda = _cv_mmce(X, labels)
         tag = _q_tag(q)
         out[f"ela_level.mmce_lda_{tag}"] = mmce_lda
         out[f"ela_level.mmce_qda_{tag}"] = mmce_qda
@@ -464,30 +466,24 @@ def extract_all(instance: ProblemInstance, n: int, seed: int) -> ElaFeatureVecto
     raw.update(meta_model_features(design))
     raw.update(level_features(design))
     raw.update(pca_features(design))
-    values: dict[str, float] = {}
-    sanitized = 0
-    for name in FEATURE_SCHEMA:
-        v = float(raw[name])
-        if not math.isfinite(v):
-            logger.warning("non-finite feature %s on %s replaced by 0", name, instance.key)
-            v = 0.0
-            sanitized += 1
-        values[name] = v
-    return ElaFeatureVector(key=instance.key, values=values, sanitized_count=sanitized)
+    values = np.array([raw[name] for name in FEATURE_SCHEMA], dtype=float)
+    bad = ~np.isfinite(values)
+    for j in np.flatnonzero(bad):
+        logger.warning("non-finite feature %s on %s replaced by 0", FEATURE_SCHEMA[j], instance.key)
+    values[bad] = 0.0
+    return ElaFeatureVector(key=instance.key, values=values, sanitized_count=int(bad.sum()))
 
 
 def write_features_csv(vectors: Sequence[ElaFeatureVector], path) -> None:
     write_csv(path, [*KEY_COLUMNS, *FEATURE_SCHEMA],
-              ([*vec.key] + [vec.values[name] for name in FEATURE_SCHEMA] for vec in vectors))
+              ([*vec.key, *vec.values] for vec in vectors))
 
 
-def read_features_csv(path) -> list[ElaFeatureVector]:
+def read_features_csv(path) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """The row keys and the (rows, features) matrix, in FEATURE_SCHEMA order."""
     _, rows = read_csv(path)
-    return [
-        ElaFeatureVector(key=row_key(row),
-                         values={name: float(row[name]) for name in FEATURE_SCHEMA})
-        for row in rows
-    ]
+    X = np.array([[float(row[name]) for name in FEATURE_SCHEMA] for row in rows])
+    return [row_key(row) for row in rows], X
 
 
 def write_schema_json(path) -> None:

@@ -36,15 +36,9 @@ MODEL_LABELS = {
 # ---------------------------------------------------------------------------
 # folds
 
-@dataclass(frozen=True)
-class FoldSplit:
-    fold_id: int
-    train_keys: tuple[Key, ...]
-    test_keys: tuple[Key, ...]
-
-
-def make_folds(keys: Sequence[Key], k: int, seed: int) -> list[FoldSplit]:
-    """Stratified folds: each test fold holds exactly one instance per problem.
+def make_folds(keys: Sequence[Key], k: int, seed: int) -> dict[Key, int]:
+    """Stratified folds, as each key's test fold in 1..k: each test fold
+    holds exactly one instance per problem.
 
     Slot assignment comes from a seeded permutation of each problem's
     instances, so every instance appears in exactly one test fold.
@@ -60,19 +54,13 @@ def make_folds(keys: Sequence[Key], k: int, seed: int) -> list[FoldSplit]:
             f"every problem needs exactly k={k} instances; got counts {counts}"
         )
     rng = np.random.default_rng(seed)
-    slots: dict[Key, int] = {}
+    fold_of: dict[Key, int] = {}
     for problem in sorted(by_problem):
         members = sorted(by_problem[problem])
         perm = rng.permutation(k)
         for slot, key in zip(perm, members):
-            slots[key] = int(slot)
-    all_keys = sorted(keys)
-    folds = []
-    for fold_id in range(1, k + 1):
-        test = tuple(key for key in all_keys if slots[key] == fold_id - 1)
-        train = tuple(key for key in all_keys if slots[key] != fold_id - 1)
-        folds.append(FoldSplit(fold_id=fold_id, train_keys=train, test_keys=test))
-    return folds
+            fold_of[key] = int(slot) + 1
+    return fold_of
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,8 @@ def _sha256(path: Path) -> str:
 # parallel work items (module level for pickling)
 
 def _solve_item(args):
-    (problem_id, instance_id, dimension, cfg_fields, budget, n_runs, base_seed) = args
+    (problem_id, instance_id, dimension, config, budget, n_runs, base_seed) = args
     instance = make_instance(problem_id, instance_id, dimension)
-    config = de_mod.DeConfig(**cfg_fields)
     return de_mod.measure(instance, config, budget, n_runs, base_seed)
 
 
@@ -242,13 +241,9 @@ class Pipeline:
         keys = self._suite_keys()
         items = []
         for ci, dcfg in enumerate(cfg.resolved_de_configs()):
-            fields = {
-                "config_id": dcfg.config_id, "strategy": dcfg.strategy,
-                "F": dcfg.F, "Cr": dcfg.Cr, "population_size": dcfg.population_size,
-            }
             for p, i, d in keys:
                 base_seed = derive_seed(cfg.master_seed, SOLVE_SALT, ci, p, i)
-                items.append((p, i, d, fields, cfg.budget, cfg.n_runs, base_seed))
+                items.append((p, i, d, dcfg, cfg.budget, cfg.n_runs, base_seed))
         records = _pmap(_solve_item, items, self.threads, "solve")
         de_mod.write_performance_csv(records, self._output("performance.csv"))
 
@@ -267,18 +262,15 @@ class Pipeline:
 
     def _run_folds(self):
         cfg = self.cfg
-        keys = [v.key for v in ela_mod.read_features_csv(self.path("features.csv"))]
-        folds = models_mod.make_folds(keys, cfg.k_folds,
-                                      derive_seed(cfg.master_seed, FOLDS_SALT))
-        assignment = {key: fold.fold_id for fold in folds for key in fold.test_keys}
+        keys, _ = ela_mod.read_features_csv(self.path("features.csv"))
+        fold_of = models_mod.make_folds(keys, cfg.k_folds, derive_seed(cfg.master_seed, FOLDS_SALT))
         write_csv(self._output("folds.csv"), [*KEY_COLUMNS, "test_fold"],
-                  ([*key, assignment[key]] for key in sorted(assignment)))
+                  ([*key, fold_of[key]] for key in sorted(fold_of)))
 
     # -- fold models -----------------------------------------------------
     def _fold_data(self, stage: str):
         """keys, the feature matrix, and each key's target and test fold, aligned."""
-        vectors = ela_mod.read_features_csv(self.path("features.csv"))
-        keys = [v.key for v in vectors]
+        keys, X = ela_mod.read_features_csv(self.path("features.csv"))
         wanted = self.cfg.footprint_config_id
         y_map = {r.key: r.median_log_precision
                  for r in de_mod.read_performance_csv(self.path("performance.csv"))
@@ -287,7 +279,6 @@ class Pipeline:
             raise StageFailure(stage, f"performance data missing for config {wanted!r}")
         _, rows = read_csv(self.path("folds.csv"))
         fold_of = {row_key(row): int(row["test_fold"]) for row in rows}
-        X = np.array([[v.values[name] for name in ela_mod.FEATURE_SCHEMA] for v in vectors])
         return keys, X, np.array([y_map[k] for k in keys]), np.array([fold_of[k] for k in keys])
 
     def _model_params(self, kind: str) -> dict:
@@ -422,9 +413,8 @@ class Pipeline:
     def _run_report(self):
         cfg = self.cfg
         assignments = fp_mod.read_assignments_csv(self.path("assignments.csv"))
-        feature_values = {
-            v.key: v.values for v in ela_mod.read_features_csv(self.path("features.csv"))
-        }
+        feature_keys, X = ela_mod.read_features_csv(self.path("features.csv"))
+        row_of = {key: i for i, key in enumerate(feature_keys)}
 
         dist_features: list[str] | None = None
         if isinstance(cfg.distribution_features, list):
@@ -432,6 +422,7 @@ class Pipeline:
 
         for fold_id in self._fold_ids():
             keys, names, phi = self._read_explanations(fold_id)
+            rows = [row_of[key] for key in keys]
             fold_assign = [a for a in assignments if a.fold_id == fold_id]
             coords = viz_mod.embed_2d(phi)
             svg = viz_mod.emit_footprint_plot(
@@ -442,7 +433,9 @@ class Pipeline:
             write_text(self._output(f"figures/footprint_fold_{fold_id}.svg"), svg)
             top_k = min(cfg.report_top_k, len(names))
             bee_csv, bee_svg = viz_mod.emit_beeswarm_data(
-                keys, phi, names, feature_values, top_k=top_k,
+                keys, phi, names,
+                X[np.ix_(rows, [ela_mod.FEATURE_SCHEMA.index(name) for name in names])],
+                top_k=top_k,
                 title=f"top {top_k} features, fold {fold_id}",
             )
             write_text(self._output(f"figures/beeswarm_fold_{fold_id}.csv"), bee_csv)
@@ -453,7 +446,7 @@ class Pipeline:
             for fname in dist_features:
                 safe = fname.replace(".", "_")
                 svg = viz_mod.emit_feature_distribution(
-                    keys, coords, fname, feature_values,
+                    keys, coords, fname, X[rows, ela_mod.FEATURE_SCHEMA.index(fname)],
                     title=f"{fname}, fold {fold_id}",
                 )
                 write_text(self._output(f"figures/feature_dist_fold_{fold_id}_{safe}.svg"), svg)

@@ -3,8 +3,8 @@
 Each problem id maps to one of the classic noiseless single-objective test
 functions (sphere ... bi-Rastrigin). An instance shifts the optimum to a
 seed-derived point in [-4, 4]^D and translates the objective by a
-seed-derived offset, so ``evaluate(instance, x_opt) == f_offset`` exactly
-and ``evaluate(instance, x) >= f_offset`` everywhere.
+seed-derived offset, so ``evaluate_batch`` gives exactly ``f_offset`` at the
+optimum ``x_opt = shift`` and at least ``f_offset`` everywhere.
 
 Functions are written in optimum-at-origin coordinates ``y = x - shift``.
 Where the classic definition pins its optimum elsewhere (linear slope,
@@ -21,7 +21,7 @@ being bounded below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ProblemInstance:
     dimension: int
     shift: np.ndarray
     f_offset: float
-    seed: int
     aux: dict = field(repr=False)
     core_at_opt: float = field(repr=False)
 
@@ -55,9 +54,6 @@ class ProblemInstance:
     @property
     def name(self) -> str:
         return _PROBLEMS[self.problem_id][0]
-
-    def evaluate(self, x: Sequence[float]) -> float:
-        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -93,7 +89,6 @@ def make_instance(problem_id: int, instance_id: int, dimension: int) -> ProblemI
         dimension=dimension,
         shift=shift,
         f_offset=f_offset,
-        seed=seed,
         aux=aux,
         core_at_opt=core_at_opt,
     )

@@ -8,7 +8,7 @@ identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -169,21 +169,25 @@ def emit_beeswarm_data(
     keys: Sequence[Key],
     phi: np.ndarray,
     feature_names: Sequence[str],
-    feature_values: Mapping[Key, Mapping[str, float]],
+    values: np.ndarray,
     top_k: int = 10,
     title: str = "",
 ) -> tuple[str, str]:
     """CSV rows and a beeswarm SVG for the top-k most important features;
-    row i of the (n, m) `phi` attributes keys[i] over `feature_names`."""
+    row i of the (n, m) `phi` attributes keys[i] over `feature_names`, and
+    row i of the (n, m) `values` holds that key's values of those features."""
     if top_k > len(feature_names):
         raise ConfigurationError("top_k exceeds portfolio size")
+    if np.shape(values) != np.shape(phi):
+        raise ContractViolation(
+            f"feature values of shape {np.shape(values)} do not match phi {np.shape(phi)}")
     ranking = global_importance(phi, feature_names)[:top_k]
     name_to_col = {name: i for i, name in enumerate(feature_names)}
 
     raw_rows = []  # (feature, key, phi, normalized value)
     for rank, (fname, _) in enumerate(ranking):
         col = name_to_col[fname]
-        norm = _scale(np.array([float(feature_values[key][fname]) for key in keys]), 0.0, 1.0)
+        norm = _scale(values[:, col], 0.0, 1.0)
         for i, key in enumerate(keys):
             raw_rows.append((rank, fname, key, float(phi[i, col]), float(norm[i])))
 
@@ -224,14 +228,15 @@ def emit_feature_distribution(
     keys: Sequence[Key],
     coords: np.ndarray,
     feature_name: str,
-    feature_values: Mapping[Key, Mapping[str, float]],
+    values: np.ndarray,
     title: str = "",
 ) -> str:
-    try:
-        raws = np.array([float(feature_values[key][feature_name]) for key in keys])
-    except KeyError as exc:
-        raise ConfigurationError(f"unknown feature or key: {exc}") from exc
-    markers = [(_circle, _value_color(float(v))) for v in _scale(raws, 0.0, 1.0)]
+    """An SVG of the embedding `coords`, colored by `values[i]`, the value of
+    `feature_name` on keys[i]."""
+    if np.shape(values) != (len(keys),):
+        raise ContractViolation(
+            f"{np.shape(values)} values of {feature_name} for {len(keys)} keys")
+    markers = [(_circle, _value_color(float(v))) for v in _scale(values, 0.0, 1.0)]
     return _scatter(keys, coords, markers, title or feature_name, [
         _legend_text(MARGIN, HEIGHT - 22.0,
                      f"{feature_name}: low (blue) to high (red), min-max over plotted set"),

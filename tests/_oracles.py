@@ -218,3 +218,53 @@ def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
     build(idx, 0)
     return {name: np.asarray(values, dtype=float if name in ("threshold", "value") else int)
             for name, values in arrays.items()}
+
+
+def naive_cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool, n_folds: int) -> float:
+    """Cross-validated lda (pooled) or qda misclassification rate, one
+    discriminant per call: the folds and each fold's class means and
+    covariances are built again for each of the two."""
+    n = len(labels)
+    folds = np.empty(n, dtype=int)
+    for cls in (0, 1):
+        idx = np.nonzero(labels == cls)[0]
+        folds[idx] = np.arange(len(idx)) % n_folds
+    errors = 0
+    for f in range(n_folds):
+        test = folds == f
+        train = ~test
+        if not test.any():
+            continue
+        Xtr, ltr = X[train], labels[train]
+        means, covs, priors = [], [], []
+        for c in (0, 1):
+            member = ltr == c
+            Xc = Xtr[member]
+            mean = Xc.mean(axis=0)
+            centered = Xc - mean
+            means.append(mean)
+            covs.append(centered.T @ centered / max(len(Xc) - 1, 1))
+            priors.append(member.mean())
+        Xte = X[test]
+        reg = 1e-6 * np.eye(X.shape[1])
+        scores = np.empty((Xte.shape[0], 2))
+        if pooled:
+            cov = (covs[0] + covs[1]) / 2.0 + reg
+            inv = np.linalg.inv(cov)
+            for c in (0, 1):
+                diff = Xte - means[c]
+                scores[:, c] = -0.5 * np.sum((diff @ inv) * diff, axis=1) + math.log(priors[c])
+        else:
+            for c in (0, 1):
+                cov = covs[c] + reg
+                inv = np.linalg.inv(cov)
+                _, logdet = np.linalg.slogdet(cov)
+                diff = Xte - means[c]
+                scores[:, c] = (
+                    -0.5 * logdet
+                    - 0.5 * np.sum((diff @ inv) * diff, axis=1)
+                    + math.log(priors[c])
+                )
+        pred = (scores[:, 1] > scores[:, 0]).astype(int)
+        errors += int(np.sum(pred != labels[test]))
+    return errors / n

@@ -188,12 +188,11 @@ def test_criterion_3_efficiency(desk_run):
     # sampling path: a knn model on the same features, checked against its
     # own reported Monte-Carlo standard errors
     import footprints.ela as ela_mod
-    vectors = ela_mod.read_features_csv(out / "features.csv")
-    X = np.array([[v.values[n] for n in FEATURE_SCHEMA] for v in vectors])
+    keys, X = ela_mod.read_features_csv(out / "features.csv")
     import footprints.de as de_mod
     records = de_mod.read_performance_csv(out / "performance.csv")
     y_map = {r.key: r.median_log_precision for r in records}
-    y = np.array([y_map[v.key] for v in vectors])
+    y = np.array([y_map[key] for key in keys])
     model = fit_knn(X[:96], y[:96], k_neighbors=5)
     sampling_ok = True
     detail_gap = 0.0
@@ -215,14 +214,14 @@ def test_criterion_4_fold_structure():
     rng = np.random.default_rng(20240004)
     ok = True
     for _ in range(100):
-        folds = make_folds(keys, k=5, seed=int(rng.integers(0, 2**63 - 1)))
+        fold_of = make_folds(keys, k=5, seed=int(rng.integers(0, 2**63 - 1)))
         seen = []
-        for fold in folds:
-            ok = ok and len(fold.test_keys) == 24
-            ok = ok and len({k[0] for k in fold.test_keys}) == 24
-            ok = ok and not set(fold.test_keys) & set(fold.train_keys)
-            seen.extend(fold.test_keys)
-        ok = ok and sorted(seen) == sorted(keys)
+        for fold in range(1, 6):
+            test = [key for key, f in fold_of.items() if f == fold]
+            ok = ok and len(test) == 24
+            ok = ok and len({k[0] for k in test}) == 24
+            seen.extend(test)
+        ok = ok and sorted(seen) == sorted(fold_of) == sorted(keys)
         if not ok:
             break
     _report(4, "stratified folds partition 120 instances, one per problem, 100 seeds", ok)
@@ -255,9 +254,8 @@ def test_criterion_5_ela_fixtures():
         for instance_id in range(1, 6):
             inst = make_instance(problem, instance_id, 10)
             vec = extract_all(inst, 1000, seed=20240005)
-            values = vec.values
-            finite_ok = finite_ok and all(math.isfinite(v) for v in values.values())
-            for name, v in values.items():
+            finite_ok = finite_ok and bool(np.isfinite(vec.values).all())
+            for name, v in zip(FEATURE_SCHEMA, vec.values, strict=True):
                 if name.startswith("pca.expl_var"):
                     range_ok = range_ok and 0.0 <= v <= 1.0
                 if "mmce" in name:

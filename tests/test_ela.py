@@ -1,12 +1,17 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import footprints.ela as ela_mod
 from footprints.ela import (
     FEATURE_GROUPS,
     FEATURE_SCHEMA,
+    LEVEL_CV_FOLDS,
+    LEVEL_QUANTILES,
     SampleDesign,
+    _cv_mmce,
     _pair_entropy,
     _safe_ratio,
     _symbol_sequence,
@@ -24,6 +29,8 @@ from footprints.ela import (
 )
 from footprints.errors import ConfigurationError
 from footprints.suite import make_instance
+
+from _oracles import naive_cv_mmce
 
 
 def _design(X, y):
@@ -280,6 +287,53 @@ def test_level_needs_50_points():
         level_features(_design(rng.normal(size=(49, 2)), rng.normal(size=49)))
 
 
+def _level_labels(y, q):
+    """The level split of level_features: 1 on the lowest ceil(q n) objective values."""
+    labels = np.zeros(len(y), dtype=int)
+    labels[np.argsort(y, kind="stable")[:math.ceil(q * len(y))]] = 1
+    return labels
+
+
+def _assert_cv_matches_two_pass_reference(X, labels):
+    lda, qda = _cv_mmce(X, labels)
+    assert (lda, qda) == (naive_cv_mmce(X, labels, pooled=True, n_folds=LEVEL_CV_FOLDS),
+                          naive_cv_mmce(X, labels, pooled=False, n_folds=LEVEL_CV_FOLDS))
+
+
+@pytest.mark.parametrize("seed, n, dim", [(0, 50, 2), (1, 60, 3), (2, 120, 5), (3, 250, 4)])
+@pytest.mark.parametrize("q", LEVEL_QUANTILES)
+def test_cv_mmce_matches_two_pass_reference_on_random_designs(seed, n, dim, q):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-5, 5, size=(n, dim))
+    y = np.sum(X**2, axis=1) + rng.normal(scale=5.0, size=n)
+    _assert_cv_matches_two_pass_reference(X, _level_labels(y, q))
+
+
+@pytest.mark.parametrize("q", LEVEL_QUANTILES)
+def test_cv_mmce_matches_two_pass_reference_on_tied_objective_values(q):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-5, 5, size=(80, 3))
+    y = rng.integers(0, 4, size=80).astype(float)
+    _assert_cv_matches_two_pass_reference(X, _level_labels(y, q))
+
+
+@pytest.mark.parametrize("problem_id", [1, 8, 15, 21])
+def test_cv_mmce_matches_two_pass_reference_on_sampled_designs(problem_id):
+    design = sample_design(make_instance(problem_id, 1, 5), 100, seed=problem_id)
+    for q in LEVEL_QUANTILES:
+        _assert_cv_matches_two_pass_reference(design.X, _level_labels(design.y, q))
+
+
+@pytest.mark.parametrize("size", range(2, LEVEL_CV_FOLDS))
+def test_cv_mmce_matches_two_pass_reference_with_a_class_below_the_fold_count(size):
+    rng = np.random.default_rng(40 + size)
+    X = rng.normal(size=(50, 3))
+    labels = np.zeros(50, dtype=int)
+    labels[rng.permutation(50)[:size]] = 1
+    _assert_cv_matches_two_pass_reference(X, labels)
+    _assert_cv_matches_two_pass_reference(X, 1 - labels)
+
+
 # ---------------------------------------------------------------------------
 # pca
 
@@ -331,11 +385,32 @@ def test_extract_all_schema_and_determinism():
     inst = make_instance(5, 1, 2)
     a = extract_all(inst, 60, seed=4)
     b = extract_all(inst, 60, seed=4)
-    assert list(a.values) == FEATURE_SCHEMA
-    assert a.values == b.values
+    assert a.values.shape == (len(FEATURE_SCHEMA),)
+    assert a.values.tobytes() == b.values.tobytes()
     assert a.sanitized_count == 0
     other = extract_all(make_instance(22, 3, 2), 60, seed=4)
-    assert list(other.values) == list(a.values)
+    assert other.values.shape == a.values.shape
+
+
+def test_extract_all_zeroes_and_counts_non_finite_features(monkeypatch, caplog):
+    inst = make_instance(5, 1, 2)
+    clean = extract_all(inst, 60, seed=4)
+    broken = {"pca.expl_var.cov_x": math.nan, "pca.expl_var.cor_x": -math.inf,
+              "pca.expl_var_PC1.cor_init": math.inf}
+    real = ela_mod.pca_features
+    monkeypatch.setattr(ela_mod, "pca_features", lambda design: {**real(design), **broken})
+    with caplog.at_level(logging.WARNING, logger="footprints.ela"):
+        vec = extract_all(inst, 60, seed=4)
+    cols = [FEATURE_SCHEMA.index(name) for name in broken]
+    assert vec.sanitized_count == 3
+    assert vec.values[cols].tolist() == [0.0, 0.0, 0.0]
+    kept = np.ones(len(FEATURE_SCHEMA), dtype=bool)
+    kept[cols] = False
+    assert vec.values[kept].tobytes() == clean.values[kept].tobytes()
+    warned = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
+    assert len(warned) == 3
+    for name in broken:
+        assert sum(f"feature {name} " in message for message in warned) == 1
 
 
 def test_extract_all_minimum_size_guard():
@@ -348,13 +423,13 @@ def test_extract_all_minimum_size_guard():
 def test_extract_all_values_finite():
     inst = make_instance(16, 2, 3)
     vec = extract_all(inst, 100, seed=5)
-    assert all(math.isfinite(v) for v in vec.values.values())
+    assert np.isfinite(vec.values).all()
 
 
 def test_features_csv_roundtrip(tmp_path):
     vectors = [extract_all(make_instance(p, 1, 2), 60, seed=1) for p in (1, 2)]
     path = tmp_path / "features.csv"
     write_features_csv(vectors, path)
-    loaded = read_features_csv(path)
-    assert [v.key for v in loaded] == [(1, 1, 2), (2, 1, 2)]
-    assert loaded[0].values == vectors[0].values
+    keys, X = read_features_csv(path)
+    assert keys == [(1, 1, 2), (2, 1, 2)]
+    assert X.tobytes() == np.stack([v.values for v in vectors]).tobytes()

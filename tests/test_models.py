@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from footprints.errors import ConfigurationError
 from footprints.models import (
-    FoldSplit,
     KernelRidgeModel,
     KnnModel,
     RandomForestModel,
@@ -28,23 +27,24 @@ def _grid_keys(n_problems=24, n_instances=5, dim=10):
 # ---------------------------------------------------------------------------
 # folds
 
+def _test_sets(fold_of, k):
+    """The test keys of each fold 1..k of a make_folds map."""
+    return [[key for key, fold in fold_of.items() if fold == f] for f in range(1, k + 1)]
+
+
 def test_fold_counts_24x5():
-    folds = make_folds(_grid_keys(), k=5, seed=0)
-    assert len(folds) == 5
-    for fold in folds:
-        assert len(fold.test_keys) == 24
-        assert len(fold.train_keys) == 96
-        assert len({key[0] for key in fold.test_keys}) == 24  # one per problem
+    fold_of = make_folds(_grid_keys(), k=5, seed=0)
+    assert set(fold_of.values()) == {1, 2, 3, 4, 5}
+    for test in _test_sets(fold_of, 5):
+        assert len(test) == 24
+        assert len({key[0] for key in test}) == 24  # one per problem
 
 
 def test_folds_partition_test_sets():
-    folds = make_folds(_grid_keys(), k=5, seed=3)
-    seen = [key for fold in folds for key in fold.test_keys]
-    assert len(seen) == 120
+    fold_of = make_folds(_grid_keys(), k=5, seed=3)
+    seen = [key for test in _test_sets(fold_of, 5) for key in test]
+    assert len(seen) == len(fold_of) == 120
     assert set(seen) == set(_grid_keys())
-    for fold in folds:
-        assert not set(fold.train_keys) & set(fold.test_keys)
-        assert set(fold.train_keys) | set(fold.test_keys) == set(_grid_keys())
 
 
 def test_k1_rejected():
@@ -63,20 +63,18 @@ def test_unequal_instance_counts_rejected():
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_fold_invariants_hold_for_any_seed(seed):
     keys = _grid_keys(n_problems=6, n_instances=4, dim=5)
-    folds = make_folds(keys, k=4, seed=seed)
+    fold_of = make_folds(keys, k=4, seed=seed)
     seen = []
-    for fold in folds:
-        assert isinstance(fold, FoldSplit)
-        assert len({key[0] for key in fold.test_keys}) == 6
-        assert not set(fold.train_keys) & set(fold.test_keys)
-        seen.extend(fold.test_keys)
-    assert sorted(seen) == sorted(keys)
+    for test in _test_sets(fold_of, 4):
+        assert len(test) == len({key[0] for key in test}) == 6
+        seen.extend(test)
+    assert sorted(seen) == sorted(fold_of) == sorted(keys)
 
 
 def test_folds_deterministic_given_seed():
     a = make_folds(_grid_keys(), k=5, seed=11)
     b = make_folds(_grid_keys(), k=5, seed=11)
-    assert a == b
+    assert list(a.items()) == list(b.items())
 
 
 # ---------------------------------------------------------------------------

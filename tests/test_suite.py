@@ -51,15 +51,15 @@ def test_bad_dimension_and_instance_rejected():
 
 def test_sphere_optimum_is_offset_exactly():
     inst = make_instance(1, 1, 10)
-    assert inst.evaluate(inst.shift) == inst.f_offset
-    assert precision(inst, inst.evaluate(inst.shift)) == 0.0
+    assert inst.evaluate_batch(inst.shift[None, :])[0] == inst.f_offset
+    assert precision(inst, inst.evaluate_batch(inst.shift[None, :])[0]) == 0.0
 
 
 def test_sphere_unit_step():
     inst = make_instance(1, 1, 10)
     e1 = np.zeros(10)
     e1[0] = 1.0
-    assert inst.evaluate(inst.shift + e1) == pytest.approx(inst.f_offset + 1.0, abs=1e-12)
+    assert inst.evaluate_batch((inst.shift + e1)[None, :])[0] == pytest.approx(inst.f_offset + 1.0, abs=1e-12)
 
 
 def test_instances_of_same_problem_differ():
@@ -67,7 +67,7 @@ def test_instances_of_same_problem_differ():
     b = make_instance(1, 2, 10)
     assert not np.allclose(a.shift, b.shift)
     # b's optimum is not a's optimum
-    assert a.evaluate(b.shift) > a.f_offset
+    assert a.evaluate_batch(b.shift[None, :])[0] > a.f_offset
 
 
 def test_precision_examples():
@@ -80,7 +80,7 @@ def test_precision_examples():
 @pytest.mark.parametrize("problem_id", range(1, N_PROBLEMS + 1))
 def test_optimum_exact_and_precision_nonnegative(problem_id):
     inst = make_instance(problem_id, 1, 5)
-    assert inst.evaluate(inst.shift) == inst.f_offset
+    assert inst.evaluate_batch(inst.shift[None, :])[0] == inst.f_offset
     rng = np.random.default_rng(1234 + problem_id)
     X = rng.uniform(-5.0, 5.0, (1000, 5))
     values = inst.evaluate_batch(X)
@@ -117,14 +117,14 @@ def test_optimum_inside_domain():
 def test_dimension_mismatch_is_contract_violation():
     inst = make_instance(1, 1, 5)
     with pytest.raises(ContractViolation):
-        inst.evaluate(np.zeros(4))
+        inst.evaluate_batch(np.zeros((1, 4)))
     with pytest.raises(ContractViolation):
         inst.evaluate_batch(np.zeros((3, 6)))
 
 
 def test_evaluation_allowed_outside_bounds():
     inst = make_instance(2, 1, 5)
-    value = inst.evaluate(np.full(5, 7.5))
+    value = inst.evaluate_batch(np.full((1, 5), 7.5))[0]
     assert np.isfinite(value)
     assert value >= inst.f_offset
 

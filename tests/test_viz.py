@@ -69,11 +69,10 @@ def test_embedding_contracts():
     with pytest.raises(ContractViolation):
         embed_2d(MAT4[:2])
     # both scatter plots need one key per embedded row
-    values = {k: {"f": 0.0} for k in KEYS4}
     with pytest.raises(ContractViolation, match="one key per row"):
         emit_footprint_plot(KEYS4[:3], embed_2d(MAT4), _assignments4())
     with pytest.raises(ContractViolation, match="one key per row"):
-        emit_feature_distribution(KEYS4[:3], embed_2d(MAT4), "f", values)
+        emit_feature_distribution(KEYS4[:3], embed_2d(MAT4), "f", np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ def _reps24():
     keys = [(p, 1, 5) for p in range(1, 25)]
     names = [f"feat.{chr(97 + j)}" for j in range(12)]
     phi = np.stack([rng.normal(size=12) for _ in keys])
-    values = {k: {n: float(rng.uniform()) for n in names} for k in keys}
+    values = rng.uniform(size=phi.shape)
     return keys, phi, names, values
 
 
@@ -144,8 +143,7 @@ def test_beeswarm_first_block_is_most_important_feature():
 
 def test_beeswarm_constant_feature_normalizes_to_half():
     keys, phi, names, values = _reps24()
-    for k in values:
-        values[k][names[0]] = 2.0
+    values[:, 0] = 2.0
     csv_text, _ = emit_beeswarm_data(keys, phi, names, values, top_k=len(names))
     for line in csv_text.splitlines()[1:]:
         cells = line.split(",")
@@ -159,13 +157,19 @@ def test_beeswarm_top_k_validated():
         emit_beeswarm_data(keys, phi, names, values, top_k=len(names) + 1)
 
 
+@pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1], np.s_[:, :, None]])
+def test_beeswarm_value_shape_mismatch_rejected(cut):
+    keys, phi, names, values = _reps24()
+    with pytest.raises(ContractViolation, match="do not match phi"):
+        emit_beeswarm_data(keys, phi, names, values[cut], top_k=5)
+
+
 # ---------------------------------------------------------------------------
 # feature distribution
 
 def test_feature_distribution_color_endpoints():
     coords = embed_2d(MAT4)
-    values = {k: {"f": float(i)} for i, k in enumerate(KEYS4)}
-    svg = emit_feature_distribution(KEYS4, coords, "f", values)
+    svg = emit_feature_distribution(KEYS4, coords, "f", np.arange(4.0))
     # min instance gets the low color, max gets the high color
     assert "#1f77b4" in svg
     assert "#d62728" in svg
@@ -174,27 +178,24 @@ def test_feature_distribution_color_endpoints():
 
 def test_feature_distribution_positions_shared_across_features():
     coords = embed_2d(MAT4)
-    values = {k: {"f": float(i), "g": float(-i)} for i, k in enumerate(KEYS4)}
 
     def centers(svg):
         return [part.split('"')[1] for part in svg.split("cx=")[1:]]
 
-    assert centers(emit_feature_distribution(KEYS4, coords, "f", values)) == centers(
-        emit_feature_distribution(KEYS4, coords, "g", values)
+    assert centers(emit_feature_distribution(KEYS4, coords, "f", np.arange(4.0))) == centers(
+        emit_feature_distribution(KEYS4, coords, "g", -np.arange(4.0))
     )
 
 
-def test_feature_distribution_unknown_feature_rejected():
-    coords = embed_2d(MAT4)
-    values = {k: {"f": 0.0} for k in KEYS4}
-    with pytest.raises(ConfigurationError):
-        emit_feature_distribution(KEYS4, coords, "nope", values)
+@pytest.mark.parametrize("values", [np.arange(3.0), np.arange(5.0), np.zeros((4, 1))])
+def test_feature_distribution_value_shape_mismatch_rejected(values):
+    with pytest.raises(ContractViolation, match="values of f for 4 keys"):
+        emit_feature_distribution(KEYS4, embed_2d(MAT4), "f", values)
 
 
 def test_feature_distribution_golden():
     coords = embed_2d(MAT4)
-    values = {k: {"feat.a": float(i)} for i, k in enumerate(KEYS4)}
-    svg = emit_feature_distribution(KEYS4, coords, "feat.a", values, title="toy feature")
+    svg = emit_feature_distribution(KEYS4, coords, "feat.a", np.arange(4.0), title="toy feature")
     assert svg == (GOLDEN / "feature_dist_toy.svg").read_text()
 
 
