@@ -283,6 +283,8 @@ def validate(cfg: RunConfig) -> list[str]:
         issues.append(f"footprint.t_mode must be one of {T_MODES}")
     if cfg.t_mode == "explicit" and cfg.t_value is None:
         issues.append("footprint.t_value required when t_mode is 'explicit'")
+    if cfg.t_mode == "train-median" and cfg.t_value is not None:
+        issues.append("footprint.t_value is only read when t_mode is 'explicit'")
     if cfg.scale not in SCALES:
         issues.append(f"footprint.scale must be one of {SCALES}")
     if isinstance(cfg.distribution_features, list):

@@ -116,10 +116,11 @@ def _safe_ratio(a: float, b: float, eps: float = _EPS) -> float:
 # ---------------------------------------------------------------------------
 # dispersion
 
-def disp_features(design: SampleDesign, quantiles: Sequence[float] = DISP_QUANTILES) -> dict[str, float]:
-    X, y = design.X, design.y
+def disp_features(design: SampleDesign, dmat: np.ndarray,
+                  quantiles: Sequence[float] = DISP_QUANTILES) -> dict[str, float]:
+    """`dmat`: the pairwise distances of design.X, with a zero diagonal."""
+    y = design.y
     n = len(y)
-    dmat = squareform(pdist(X))
     mean_all = float(dmat.sum() / (n * (n - 1)))
     order = np.argsort(y, kind="stable")  # ties: lowest index wins
     out: dict[str, float] = {}
@@ -136,11 +137,10 @@ def disp_features(design: SampleDesign, quantiles: Sequence[float] = DISP_QUANTI
 # ---------------------------------------------------------------------------
 # information content
 
-def _nearest_neighbor_tour(X: np.ndarray) -> np.ndarray:
-    """Greedy tour starting at index 0; distance ties go to the lowest index."""
-    n = X.shape[0]
-    dmat = squareform(pdist(X))
-    np.fill_diagonal(dmat, np.inf)
+def _nearest_neighbor_tour(dmat: np.ndarray) -> np.ndarray:
+    """Greedy tour over the points of the distance matrix `dmat`, starting
+    at index 0; distance ties go to the lowest index."""
+    n = dmat.shape[0]
     order = np.empty(n, dtype=int)
     order[0] = 0
     visited = np.zeros(n, dtype=bool)
@@ -184,11 +184,12 @@ def _partial_information(diffs: np.ndarray) -> float:
     return changes / len(diffs)
 
 
-def ic_features(design: SampleDesign) -> dict[str, float]:
+def ic_features(design: SampleDesign, dmat: np.ndarray) -> dict[str, float]:
+    """`dmat`: the pairwise distances of design.X; its diagonal is not read."""
     n = len(design.y)
     if n < 3:
         raise ConfigurationError("information content needs at least 3 points")
-    order = _nearest_neighbor_tour(design.X)
+    order = _nearest_neighbor_tour(dmat)
     diffs = np.diff(design.y[order])
     dmax = float(np.max(np.abs(diffs))) if len(diffs) else 0.0
     zero = {"ic.h_max": 0.0, "ic.eps_max": 0.0, "ic.eps_s": 0.0,
@@ -218,13 +219,12 @@ def ic_features(design: SampleDesign) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # nearest-better clustering
 
-def nbc_features(design: SampleDesign) -> dict[str, float]:
-    X, y = design.X, design.y
+def nbc_features(design: SampleDesign, dmat: np.ndarray) -> dict[str, float]:
+    """`dmat`: the pairwise distances of design.X, with an infinite diagonal."""
+    y = design.y
     n = len(y)
     if n < 3:
         raise ConfigurationError("nearest-better clustering needs at least 3 points")
-    dmat = squareform(pdist(X))
-    np.fill_diagonal(dmat, np.inf)
     nn_dist = dmat.min(axis=1)
     better = y[None, :] < y[:, None]  # strictly lower objective
     masked = np.where(better, dmat, np.inf)
@@ -459,10 +459,16 @@ def extract_all(instance: ProblemInstance, n: int, seed: int) -> ElaFeatureVecto
     if n < need:
         raise ConfigurationError(f"sample size {n} below required {need} for D={instance.dimension}")
     design = sample_design(instance, n, seed)
+    # the one n x n distance matrix: disp reads its zero diagonal, ic and nbc
+    # the infinite one set in place; none copies it, and it goes before the
+    # meta-models
+    dmat = squareform(pdist(design.X))
     raw: dict[str, float] = {}
-    raw.update(disp_features(design))
-    raw.update(ic_features(design))
-    raw.update(nbc_features(design))
+    raw.update(disp_features(design, dmat))
+    np.fill_diagonal(dmat, np.inf)
+    raw.update(ic_features(design, dmat))
+    raw.update(nbc_features(design, dmat))
+    del dmat
     raw.update(meta_model_features(design))
     raw.update(level_features(design))
     raw.update(pca_features(design))

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
@@ -368,51 +369,59 @@ class Pipeline:
         return [row_key(row) for row in rows], names, phi
 
     def _fold_predictions(self, fold_id: int):
-        """(key, true, predicted) for the footprint model/portfolio size."""
+        """The keys and the true and predicted values of the footprint
+        model/portfolio size in one fold, as (keys, true, predicted)."""
         cfg = self.cfg
         _, rows = read_csv(self.path(f"predictions/fold_{fold_id}.csv"))
-        return [
-            (row_key(row), float(row["true"]), float(row["predicted"]))
-            for row in rows
-            if row["model_kind"] == cfg.footprint_model
-            and int(row["portfolio_size"]) == cfg.footprint_portfolio_size
-        ]
+        rows = [row for row in rows if row["model_kind"] == cfg.footprint_model
+                and int(row["portfolio_size"]) == cfg.footprint_portfolio_size]
+        if not rows:
+            raise StageFailure(
+                "footprint",
+                f"no predictions for model {cfg.footprint_model!r} at portfolio "
+                f"size {cfg.footprint_portfolio_size} in fold {fold_id}",
+            )
+        keys = [row_key(row) for row in rows]
+        if len(set(keys)) < len(keys):
+            duplicated = sorted(key for key, n in Counter(keys).items() if n > 1)
+            raise StageFailure("footprint",
+                               f"duplicate instance keys {duplicated} in fold {fold_id}")
+        return (keys, np.array([float(row["true"]) for row in rows]),
+                np.array([float(row["predicted"]) for row in rows]))
 
     def _run_footprint(self):
+        """Labels each fold once under footprint.p and once more under each
+        sensitivity tolerance, from the same relative errors."""
         cfg = self.cfg
         by_fold = {fold_id: self._fold_predictions(fold_id) for fold_id in self._fold_ids()}
-        all_assignments = []
-        transition_reports = []
-        for fold_id, predictions in by_fold.items():
-            if not predictions:
-                raise StageFailure(
-                    "footprint",
-                    f"no predictions for model {cfg.footprint_model!r} at portfolio "
-                    f"size {cfg.footprint_portfolio_size} in fold {fold_id}",
-                )
+        folds, reports = [], []
+        for fold_id, (keys, true, predicted) in by_fold.items():
             if cfg.t_mode == "explicit":
                 t = float(cfg.t_value)
             else:
-                t = fp_mod.compute_target_t([true for other, rows in by_fold.items()
-                                             if other != fold_id for _, true, _ in rows])
+                t = fp_mod.compute_target_t(np.concatenate(
+                    [other_true for other, (_, other_true, _) in by_fold.items()
+                     if other != fold_id]))
             if cfg.scale == "raw":
+                # Python's 10.0**v per element: numpy's power can differ in the last bit
                 t = 10.0**t if cfg.t_mode != "explicit" else t
-                predictions = [(k, 10.0**tv, 10.0**pv) for k, tv, pv in predictions]
-            assignments = fp_mod.footprint_fold(
-                predictions, fp_mod.Thresholds(t=t, p=cfg.p), fold_id, cfg.footprint_model
-            )
-            all_assignments.extend(assignments)
-            transition_reports += [
-                (fold_id, cfg.p, p2, fp_mod.sensitivity(assignments, fp_mod.Thresholds(t=t, p=p2)))
-                for p2 in cfg.sensitivity_p
-            ]
-        fp_mod.write_assignments_csv(all_assignments, self._output("assignments.csv"))
+                true = np.array([10.0**v for v in true.tolist()])
+                predicted = np.array([10.0**v for v in predicted.tolist()])
+            rel_err = fp_mod.relative_error(true, predicted)
+            labels = fp_mod.footprint_fold(true, rel_err, t, cfg.p)
+            folds.append((fold_id, keys, true, predicted, rel_err, labels))
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            reports += [(fold_id, cfg.p, p2, [keys[i] for i in order], labels[order],
+                         fp_mod.footprint_fold(true, rel_err, t, p2)[order])
+                        for p2 in cfg.sensitivity_p]
+        fp_mod.write_assignments_csv(cfg.footprint_model, folds, self._output("assignments.csv"))
         if cfg.sensitivity_p:
-            fp_mod.write_transitions_csv(transition_reports, self._output("transitions.csv"))
+            fp_mod.write_transitions_csv(reports, self._output("transitions.csv"))
 
     def _run_report(self):
         cfg = self.cfg
-        assignments = fp_mod.read_assignments_csv(self.path("assignments.csv"))
+        assigned_keys, assigned_folds, labels = fp_mod.read_assignments_csv(
+            self.path("assignments.csv"))
         feature_keys, X = ela_mod.read_features_csv(self.path("features.csv"))
         row_of = {key: i for i, key in enumerate(feature_keys)}
 
@@ -423,10 +432,11 @@ class Pipeline:
         for fold_id in self._fold_ids():
             keys, names, phi = self._read_explanations(fold_id)
             rows = [row_of[key] for key in keys]
-            fold_assign = [a for a in assignments if a.fold_id == fold_id]
+            label_of = {key: label for key, f, label in zip(assigned_keys, assigned_folds, labels)
+                        if f == fold_id}
             coords = viz_mod.embed_2d(phi)
             svg = viz_mod.emit_footprint_plot(
-                keys, coords, fold_assign,
+                keys, coords, label_of,
                 title=f"{models_mod.MODEL_LABELS.get(cfg.footprint_model, cfg.footprint_model)}"
                       f" footprint, fold {fold_id} (pca embedding)",
             )
@@ -451,6 +461,7 @@ class Pipeline:
                 )
                 write_text(self._output(f"figures/feature_dist_fold_{fold_id}_{safe}.svg"), svg)
 
-        table_txt, table_csv = viz_mod.emit_distribution_table(assignments)
+        table_txt, table_csv = viz_mod.emit_distribution_table(
+            cfg.footprint_model, assigned_folds, assigned_keys, labels)
         write_text(self._output("distribution_table.txt"), table_txt)
         write_text(self._output("distribution_table.csv"), table_csv)

@@ -2,20 +2,21 @@
 
 The embedding is a sign-fixed PCA projection of the attribution matrix.
 Labels and colors never depend on the embedding, only on the footprint
-assignments. SVGs are written by hand with fixed decimal formatting so
-identical inputs give identical bytes.
+labels, read through the encoding constants of footprint.py. SVGs are
+written by hand with fixed decimal formatting so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .csvio import KEY_COLUMNS, format_csv
 from .errors import ConfigurationError, ContractViolation
-from .footprint import FootprintAssignment, FootprintLabel
+from .footprint import ALGORITHM_POOR, LABELS, MODEL_POOR
 from .models import MODEL_LABELS
 from .shapley import global_importance
 
@@ -132,16 +133,18 @@ def _scatter(
 def emit_footprint_plot(
     keys: Sequence[Key],
     coords: np.ndarray,
-    assignments: Sequence[FootprintAssignment],
+    label_of: Mapping[Key, int],
     title: str = "",
 ) -> str:
-    label_of = {a.key: a.label for a in assignments}
+    """An SVG of the embedding `coords`, marked by the LABELS index
+    label_of[keys[i]] of row i: a cross when the model is poor, yellow when
+    the algorithm is."""
     missing = [key for key in keys if key not in label_of]
     if missing:
         raise ContractViolation(f"no assignment for embedded keys {missing}")
     markers = [
-        (_circle if label_of[key].model_good else _cross,
-         ALG_GOOD_COLOR if label_of[key].algorithm_good else ALG_POOR_COLOR)
+        (_cross if label_of[key] & MODEL_POOR else _circle,
+         ALG_POOR_COLOR if label_of[key] & ALGORITHM_POOR else ALG_GOOD_COLOR)
         for key in keys
     ]
     ly = HEIGHT - 22.0
@@ -249,27 +252,21 @@ def emit_feature_distribution(
 EMPTY_CELL = "–"  # en dash
 
 
-def _membership_cells(assignments: Sequence[FootprintAssignment]) -> list[str]:
-    cells = []
-    for label in FootprintLabel:
-        ids = sorted(a.key[0] for a in assignments if a.label == label)
-        cells.append(", ".join(str(i) for i in ids) if ids else EMPTY_CELL)
-    return cells
-
-
-def emit_distribution_table(assignments: Sequence[FootprintAssignment]) -> tuple[str, str]:
-    """Per (model, fold) membership lists; text table and CSV companion."""
-    groups: dict[tuple[str, int], list[FootprintAssignment]] = {}
-    for a in assignments:
-        groups.setdefault((a.model_kind, a.fold_id), []).append(a)
-
-    header = ["model", "fold", "(good, good)", "(good, poor)", "(poor, good)", "(poor, poor)"]
+def emit_distribution_table(
+    model_kind: str, fold_ids: np.ndarray, keys: Sequence[Key], labels: np.ndarray
+) -> tuple[str, str]:
+    """The problem ids of each LABELS column, per fold in fold order, for
+    rows (fold_ids[i], keys[i], labels[i]) of one model; text table and
+    CSV companion."""
+    display = MODEL_LABELS.get(model_kind, model_kind)
+    problems = np.array([key[0] for key in keys])
+    header = ["model", "fold", *(f"({label.replace('_', ', ')})" for label in LABELS)]
     lines = [" | ".join(header)]
     rows = []
-    for model_kind, fold_id in sorted(groups):
-        cells = _membership_cells(groups[(model_kind, fold_id)])
-        display = MODEL_LABELS.get(model_kind, model_kind)
-        lines.append(" | ".join([display, str(fold_id)] + cells))
-        rows.append([display, fold_id] + cells)
-    table = format_csv(["model", "fold", "good_good", "good_poor", "poor_good", "poor_poor"], rows)
-    return "\n".join(lines) + "\n", table
+    for fold_id in np.unique(fold_ids).tolist():
+        in_fold = fold_ids == fold_id
+        cells = [", ".join(str(i) for i in sorted(problems[in_fold & (labels == label)].tolist()))
+                 or EMPTY_CELL for label in range(len(LABELS))]
+        lines.append(" | ".join([display, str(fold_id), *cells]))
+        rows.append([display, fold_id, *cells])
+    return "\n".join(lines) + "\n", format_csv(["model", "fold", *LABELS], rows)

@@ -268,3 +268,36 @@ def naive_cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool, n_folds: int)
         pred = (scores[:, 1] > scores[:, 0]).astype(int)
         errors += int(np.sum(pred != labels[test]))
     return errors / n
+
+
+def naive_relative_error(true_value: float, predicted_value: float) -> float:
+    """|predicted - true| over |true|, the denominator floored at 1e-6."""
+    return abs(predicted_value - true_value) / max(abs(true_value), 1e-6)
+
+
+def naive_classify(true_value: float, predicted_value: float, t: float, p: float) -> str:
+    """The footprint label of one instance as a name: algorithm good when
+    true <= t, model good when its relative error <= p."""
+    algorithm = "good" if true_value <= t else "poor"
+    model = "good" if naive_relative_error(true_value, predicted_value) <= p else "poor"
+    return f"{algorithm}_{model}"
+
+
+def naive_footprint_fold(predictions, t: float, p: float) -> list:
+    """(key, true, predicted, relative error, label name) for every
+    (key, true, predicted) triple of one fold, one triple at a time."""
+    out, seen = [], set()
+    for key, true_value, predicted_value in predictions:
+        assert key not in seen, f"duplicate instance key {key}"
+        seen.add(key)
+        out.append((key, float(true_value), float(predicted_value),
+                    naive_relative_error(true_value, predicted_value),
+                    naive_classify(true_value, predicted_value, t, p)))
+    return out
+
+
+def naive_sensitivity(assignments, t: float, p: float) -> list:
+    """(key, label, label under tolerance p) of each naive_footprint_fold
+    row, in key order."""
+    return [(key, label, naive_classify(true_value, predicted_value, t, p))
+            for key, true_value, predicted_value, _, label in sorted(assignments)]

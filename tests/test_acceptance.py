@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.spatial.distance import pdist, squareform
 
 from footprints.cli import main
 from footprints.ela import (
@@ -25,7 +26,7 @@ from footprints.ela import (
     ic_features,
     meta_model_features,
 )
-from footprints.footprint import FootprintLabel, Thresholds, classify
+from footprints.footprint import LABELS, footprint_fold, relative_error
 from footprints.models import fit_knn, fit_random_forest, make_folds
 from footprints.shapley import sampling_shap, tree_shap_batch
 from footprints.suite import make_instance
@@ -88,53 +89,44 @@ def test_criterion_1_truth_table():
     # exact boundary cases with a binary-representable tolerance, so that
     # rel err == p holds without rounding slack
     t, p = 1.0, 0.25
-    thresholds = Thresholds(t=t, p=p)
     cases = [
         # all four open quadrants
-        (0.5, 0.5 * 1.10, FootprintLabel.GOOD_GOOD),
-        (0.5, 0.5 * 1.75, FootprintLabel.GOOD_POOR),
-        (2.0, 2.0 * 0.90, FootprintLabel.POOR_GOOD),
-        (2.0, 2.0 * 0.25, FootprintLabel.POOR_POOR),
+        (0.5, 0.5 * 1.10, "good_good"),
+        (0.5, 0.5 * 1.75, "good_poor"),
+        (2.0, 2.0 * 0.90, "poor_good"),
+        (2.0, 2.0 * 0.25, "poor_poor"),
         # boundary: true == t is Good on the algorithm axis
-        (t, t * 1.10, FootprintLabel.GOOD_GOOD),
-        (t, t * 2.00, FootprintLabel.GOOD_POOR),
+        (t, t * 1.10, "good_good"),
+        (t, t * 2.00, "good_poor"),
         # boundary: relative error exactly p is Good on the model axis
-        (2.0, 2.5, FootprintLabel.POOR_GOOD),   # (2.5-2)/2 == 0.25 exactly
-        (2.0, 1.5, FootprintLabel.POOR_GOOD),
-        (0.5, 0.625, FootprintLabel.GOOD_GOOD),
+        (2.0, 2.5, "poor_good"),   # (2.5-2)/2 == 0.25 exactly
+        (2.0, 1.5, "poor_good"),
+        (0.5, 0.625, "good_good"),
         # both boundaries at once
-        (t, t + p, FootprintLabel.GOOD_GOOD),
+        (t, t + p, "good_good"),
         # negative targets (log-precision scale goes below zero)
-        (-2.0, -2.5, FootprintLabel.GOOD_GOOD),
-        (-2.0, -4.0, FootprintLabel.GOOD_POOR),
+        (-2.0, -2.5, "good_good"),
+        (-2.0, -4.0, "good_poor"),
         # one ulp beyond each boundary flips the coordinate
-        (np.nextafter(t, 2.0), t, FootprintLabel.POOR_GOOD),
-        (2.0, np.nextafter(2.5, 3.0), FootprintLabel.POOR_POOR),
+        (np.nextafter(t, 2.0), t, "poor_good"),
+        (2.0, np.nextafter(2.5, 3.0), "poor_poor"),
     ]
     # dense grid checked against the rule restated from the definitions
-    thresholds_grid = Thresholds(t=1.0, p=0.15)
     grid_cases = []
     for true in np.linspace(-4.0, 4.0, 21):
         for pred in np.linspace(-4.0, 4.0, 21):
-            alg = true <= 1.0
+            alg = "good" if true <= 1.0 else "poor"
             rel = abs(pred - true) / max(abs(true), 1e-6)
-            model = rel <= 0.15
-            expected = {
-                (True, True): FootprintLabel.GOOD_GOOD,
-                (True, False): FootprintLabel.GOOD_POOR,
-                (False, True): FootprintLabel.POOR_GOOD,
-                (False, False): FootprintLabel.POOR_POOR,
-            }[(alg, model)]
-            grid_cases.append((float(true), float(pred), expected))
-    wrong = [
-        (true, pred) for true, pred, expected in cases
-        if classify(true, pred, thresholds) != expected
-    ]
-    wrong += [
-        (true, pred) for true, pred, expected in grid_cases
-        if classify(true, pred, thresholds_grid) != expected
-    ]
-    _report(1, "classify matches the deterministic-cluster truth table",
+            model = "good" if rel <= 0.15 else "poor"
+            grid_cases.append((float(true), float(pred), f"{alg}_{model}"))
+
+    def wrong_labels(rows, t, p):
+        true, pred, expected = (np.array(col) for col in zip(*rows))
+        labels = footprint_fold(true, relative_error(true, pred), t, p)
+        return [(tv, pv) for tv, pv, e, i in zip(true, pred, expected, labels) if LABELS[i] != e]
+
+    wrong = wrong_labels(cases, t, p) + wrong_labels(grid_cases, 1.0, 0.15)
+    _report(1, "footprint_fold matches the deterministic-cluster truth table",
             not wrong, f"{len(cases) + len(grid_cases)} cases")
 
 
@@ -241,7 +233,7 @@ def test_criterion_5_ela_fixtures():
     linear = meta_model_features(_Design(X, 1.0 + X @ np.array([2.0, -1.0, 0.5, 3.0])))
     lin_ok = abs(linear["ela_meta.lin_simple.adj_r2"] - 1.0) <= 1e-9
 
-    constant = ic_features(_Design(X, np.full(200, 3.0)))
+    constant = ic_features(_Design(X, np.full(200, 3.0)), squareform(pdist(X)))
     ic_ok = constant["ic.h_max"] == 0.0
 
     Xc = X - X.mean(axis=0)
@@ -349,23 +341,25 @@ def test_criterion_9_rerun_determinism(desk_run):
 # 10. membership table golden rendering
 
 def test_criterion_10_table_golden():
-    from footprints.footprint import footprint_fold
     from footprints.viz import emit_distribution_table
 
     memberships = {
-        FootprintLabel.GOOD_GOOD: [16, 19, 20, 21, 22],
-        FootprintLabel.GOOD_POOR: [1, 2, 5, 14, 17, 18, 23],
-        FootprintLabel.POOR_GOOD: [3, 4, 6, 7, 8, 9, 10, 11, 12, 15, 24],
-        FootprintLabel.POOR_POOR: [13],
+        "good_good": [16, 19, 20, 21, 22],
+        "good_poor": [1, 2, 5, 14, 17, 18, 23],
+        "poor_good": [3, 4, 6, 7, 8, 9, 10, 11, 12, 15, 24],
+        "poor_poor": [13],
     }
-    rows = []
+    keys, true, pred = [], [], []
     for label, problems in memberships.items():
         for problem in problems:
-            true = 0.5 if label.algorithm_good else 2.0
-            pred = true * (1.05 if label.model_good else 2.0)
-            rows.append(((problem, 1, 10), true, pred))
-    assignments = footprint_fold(rows, Thresholds(t=1.0, p=0.15), 1, "random_forest")
-    text, _ = emit_distribution_table(assignments)
+            value = 0.5 if label.startswith("good_") else 2.0
+            keys.append((problem, 1, 10))
+            true.append(value)
+            pred.append(value * (1.05 if label.endswith("_good") else 2.0))
+    true, pred = np.array(true), np.array(pred)
+    labels = footprint_fold(true, relative_error(true, pred), 1.0, 0.15)
+    text, _ = emit_distribution_table("random_forest", np.ones(len(keys), dtype=int),
+                                      keys, labels)
     frozen = (GOLDEN / "table_fold1.txt").read_text()
     _report(10, "fold-1 membership table matches the frozen layout character for character",
             text == frozen)

@@ -97,6 +97,8 @@ def test_validate_footprint_references():
     ({"model": {"forest_trees": 0}}, "model.forest_trees must be >= 1"),
     # the sampling-Shapley selection of knn and kernel needs one permutation
     ({"model": {"selection_permutations": 0}}, "model.selection_permutations must be >= 1"),
+    # a target under train-median would be ignored without a word
+    ({"footprint": {"t_value": 0.5}}, "footprint.t_value is only read when t_mode is 'explicit'"),
 ])
 def test_validate_minimums_named(data, message):
     assert message in validate(parse_config(data))
@@ -556,15 +558,18 @@ def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_
                    int(row["test_fold"]) for row in csv.DictReader(fh)}
     training = {fold: sorted(y for key, y in targets.items() if fold_of[key] != fold)
                 for fold in range(1, 6)}
-    assignments = footprint.read_assignments_csv(out / "assignments.csv")
-    assert sorted(a.key for a in assignments) == sorted(targets)
+    keys, fold_ids, labels = footprint.read_assignments_csv(out / "assignments.csv")
+    with open(out / "assignments.csv", newline="") as fh:
+        true = [float(row["true"]) for row in csv.DictReader(fh)]
+    assert sorted(keys) == sorted(targets)
     for fold, train_targets in training.items():
         t = float(np.median(train_targets))
-        in_fold = [a for a in assignments if a.fold_id == fold]
-        assert in_fold and all(fold_of[a.key] == fold for a in in_fold)
-        for a in in_fold:
-            assert a.true_value == targets[a.key]
-            assert a.label.algorithm_good == (a.true_value <= t), (fold, a.key)
+        in_fold = np.flatnonzero(fold_ids == fold)
+        assert len(in_fold) and all(fold_of[keys[i]] == fold for i in in_fold)
+        for i in in_fold:
+            assert true[i] == targets[keys[i]]
+            algorithm_good = not labels[i] & footprint.ALGORITHM_POOR
+            assert algorithm_good == (true[i] <= t), (fold, keys[i])
     # and t is computed from exactly those training targets, fold by fold
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
@@ -579,7 +584,7 @@ def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_
 
 def test_transitions_relabel_the_assignments_under_each_tolerance(tiny_run):
     from footprints.csvio import read_csv, row_key
-    from footprints.footprint import FootprintLabel
+    from footprints.footprint import ALGORITHM_POOR, LABELS, MODEL_POOR
 
     config_path, out = tiny_run
     cfg = load_config(config_path)
@@ -595,14 +600,39 @@ def test_transitions_relabel_the_assignments_under_each_tolerance(tiny_run):
         a = assignment[(fold, key)]
         assert float(row["p_from"]) == cfg.p
         assert row["label_from"] == a["label"], (fold, key)
-        label_from, label_to = FootprintLabel(row["label_from"]), FootprintLabel(row["label_to"])
-        assert label_to.algorithm_good == label_from.algorithm_good, (fold, key)
-        assert label_to.model_good == (float(a["relative_error"]) <= p_to), (fold, key)
+        label_from, label_to = LABELS.index(row["label_from"]), LABELS.index(row["label_to"])
+        assert label_to & ALGORITHM_POOR == label_from & ALGORITHM_POOR, (fold, key)
+        assert (not label_to & MODEL_POOR) == (float(a["relative_error"]) <= p_to), (fold, key)
         blocks.setdefault((fold, p_to), []).append(key)
     assert any(r["label_from"] != r["label_to"] for r in transitions)
     # one row per test key and tolerance, in key order
     assert blocks == {(fold, p): keys for fold, keys in test_keys.items()
                       for p in cfg.sensitivity_p}
+
+
+def test_duplicate_prediction_key_fails_footprint_stage(tiny_run, tmp_path, capsys):
+    config_path, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    path = copy / "predictions" / "fold_1.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines, lines[1]]))
+    assert main(["footprint", "--config", str(config_path), "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    key = tuple(int(v) for v in lines[1].split(",")[2:5])
+    assert f"stage 'footprint' failed: duplicate instance keys [{key}] in fold 1" in err
+
+
+def test_transitions_in_key_order_whatever_the_prediction_order(tiny_run, tmp_path):
+    config_path, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    path = copy / "predictions" / "fold_1.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([header, *reversed(rows)]))
+    assert main(["footprint", "--config", str(config_path), "--out", str(copy)]) == 0
+    assert (copy / "transitions.csv").read_bytes() == (out / "transitions.csv").read_bytes()
+    assert (copy / "assignments.csv").read_bytes() != (out / "assignments.csv").read_bytes()
 
 
 def test_solve_and_features_iterate_the_suite_csv(tiny_run, tmp_path):
@@ -683,7 +713,8 @@ def test_footprint_raw_scale_switch(tiny_run, tmp_path):
     # because the transform is monotone and t moves with it
     import shutil
 
-    from footprints.footprint import read_assignments_csv
+    from footprints.csvio import read_csv, row_key
+    from footprints.footprint import ALGORITHM_POOR, LABELS
 
     config_path, out = tiny_run
     raw_dir = tmp_path / "raw"
@@ -695,9 +726,14 @@ def test_footprint_raw_scale_switch(tiny_run, tmp_path):
     raw_config_path.write_text(yaml.safe_dump(raw_cfg))
     assert main(["footprint", "--config", str(raw_config_path),
                  "--out", str(raw_dir)]) == 0
-    log_rows = {a.key: a for a in read_assignments_csv(out / "assignments.csv")}
-    raw_rows = {a.key: a for a in read_assignments_csv(raw_dir / "assignments.csv")}
+    log_rows = {row_key(r): r for r in read_csv(out / "assignments.csv")[1]}
+    raw_rows = {row_key(r): r for r in read_csv(raw_dir / "assignments.csv")[1]}
     assert set(log_rows) == set(raw_rows)
-    for key in log_rows:
-        assert log_rows[key].label.algorithm_good == raw_rows[key].label.algorithm_good
-        assert raw_rows[key].true_value == pytest.approx(10.0 ** log_rows[key].true_value)
+
+    def algorithm_poor(row):
+        return LABELS.index(row["label"]) & ALGORITHM_POOR
+
+    for key, log_row in log_rows.items():
+        assert algorithm_poor(log_row) == algorithm_poor(raw_rows[key])
+        for column in ("true", "predicted"):
+            assert float(raw_rows[key][column]) == 10.0 ** float(log_row[column])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import footprints.ela as ela_mod
 from footprints.ela import (
@@ -35,6 +36,13 @@ from _oracles import naive_cv_mmce
 
 def _design(X, y):
     return SampleDesign(X=np.asarray(X, dtype=float), y=np.asarray(y, dtype=float))
+
+
+def _distances(design, diagonal=0.0):
+    """The pairwise distance matrix of design.X, with `diagonal` on its diagonal."""
+    dmat = squareform(pdist(design.X))
+    np.fill_diagonal(dmat, diagonal)
+    return dmat
 
 
 def _line_design(y_values):
@@ -83,7 +91,7 @@ def test_lhs_size_guard():
 def test_disp_whole_sample_hook():
     rng = np.random.default_rng(0)
     design = _design(rng.normal(size=(50, 3)), rng.normal(size=50))
-    out = disp_features(design, quantiles=(1.0,))
+    out = disp_features(design, _distances(design), quantiles=(1.0,))
     assert out["disp.ratio_mean_100"] == pytest.approx(1.0)
     assert out["disp.diff_mean_100"] == pytest.approx(0.0)
 
@@ -91,7 +99,7 @@ def test_disp_whole_sample_hook():
 def test_disp_constant_y_ties_finite():
     rng = np.random.default_rng(1)
     design = _design(rng.normal(size=(60, 3)), np.zeros(60))
-    out = disp_features(design)
+    out = disp_features(design, _distances(design))
     for q in ("02", "05", "10", "25"):
         assert out[f"disp.ratio_mean_{q}"] > 0.0
         assert math.isfinite(out[f"disp.diff_mean_{q}"])
@@ -101,14 +109,15 @@ def test_disp_sphere_best_points_cluster():
     # derived numerically: on a sphere the best 5% concentrate near the optimum
     inst = make_instance(1, 1, 5)
     design = sample_design(inst, 1000, seed=11)
-    out = disp_features(design)
+    out = disp_features(design, _distances(design))
     assert out["disp.ratio_mean_05"] < 1.0
 
 
 def test_disp_tiny_subset_uses_two_points():
     rng = np.random.default_rng(2)
     design = _design(rng.normal(size=(20, 2)), rng.normal(size=20))
-    out = disp_features(design, quantiles=(0.01,))  # 1 point requested, 2 used
+    # 1 point requested, 2 used
+    out = disp_features(design, _distances(design), quantiles=(0.01,))
     assert out["disp.ratio_mean_01"] > 0.0
 
 
@@ -118,7 +127,7 @@ def test_disp_tiny_subset_uses_two_points():
 def test_ic_constant_y_all_zero():
     rng = np.random.default_rng(3)
     design = _design(rng.normal(size=(30, 2)), np.full(30, 2.5))
-    out = ic_features(design)
+    out = ic_features(design, _distances(design))
     assert out["ic.h_max"] == 0.0
     assert out["ic.m0"] == 0.0
 
@@ -136,7 +145,7 @@ def test_ic_alternating_entropy_exactly_one():
     # so H = -2 * (1/2) * log2(1/2) = 1
     n = 40
     design = _line_design([0.0, 1.0] * (n // 2))
-    out = ic_features(design)
+    out = ic_features(design, _distances(design))
     assert out["ic.h_max"] == pytest.approx(1.0)
     # every step changes sign: partial information is maximal
     assert out["ic.m0"] == pytest.approx(1.0)
@@ -144,7 +153,7 @@ def test_ic_alternating_entropy_exactly_one():
 
 def test_ic_monotone_tour_zero_entropy():
     design = _line_design(np.arange(30, dtype=float))
-    out = ic_features(design)
+    out = ic_features(design, _distances(design))
     assert out["ic.h_max"] == 0.0
 
 
@@ -152,7 +161,7 @@ def test_ic_entropy_range_invariant():
     rng = np.random.default_rng(4)
     for trial in range(5):
         design = _design(rng.normal(size=(80, 3)), rng.normal(size=80))
-        out = ic_features(design)
+        out = ic_features(design, _distances(design))
         assert 0.0 <= out["ic.h_max"] <= math.log2(6.0) + 1e-12
         assert out["ic.eps_s"] >= 0.0
 
@@ -165,14 +174,14 @@ def test_nbc_three_point_hand_value():
     # nn = [1, 1, 2]; nearest-better = [1, 2, max(1, 2) = 2]
     # mean ratio = mean(nn)/mean(nb) = (4/3)/(5/3) = 0.8
     design = _design([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [3.0, 2.0, 1.0])
-    out = nbc_features(design)
+    out = nbc_features(design, _distances(design, np.inf))
     assert out["nbc.nn_nb.mean_ratio"] == pytest.approx(0.8)
 
 
 def test_nbc_identical_y_convention_ratios_one():
     rng = np.random.default_rng(5)
     design = _design(rng.normal(size=(25, 3)), np.zeros(25))
-    out = nbc_features(design)
+    out = nbc_features(design, _distances(design, np.inf))
     assert out["nbc.nn_nb.mean_ratio"] == pytest.approx(1.0)
     assert out["nbc.nn_nb.sd_ratio"] == pytest.approx(1.0)
     assert out["nbc.nb_fitness.cor"] == 0.0
@@ -181,7 +190,7 @@ def test_nbc_identical_y_convention_ratios_one():
 def test_nbc_duplicate_point_guarded():
     design = _design([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
                      [1.0, 2.0, 3.0, 4.0])
-    out = nbc_features(design)
+    out = nbc_features(design, _distances(design, np.inf))
     for value in out.values():
         assert math.isfinite(value)
 
@@ -191,7 +200,7 @@ def test_nbc_correlation_sign_forced():
     # distances grow as y falls, so the correlation must be negative
     xs = [0.0, 1.0, 3.0, 7.0, 15.0]
     design = _design([[x, 0.0] for x in xs], [5.0, 4.0, 3.0, 2.0, 1.0])
-    out = nbc_features(design)
+    out = nbc_features(design, _distances(design, np.inf))
     assert -1.0 <= out["nbc.nb_fitness.cor"] < 0.0
 
 
@@ -411,6 +420,24 @@ def test_extract_all_zeroes_and_counts_non_finite_features(monkeypatch, caplog):
     assert len(warned) == 3
     for name in broken:
         assert sum(f"feature {name} " in message for message in warned) == 1
+
+
+def test_extract_all_shares_one_distance_matrix(monkeypatch):
+    # disp, ic and nbc read one matrix built once; ic reads no diagonal entry
+    inst = make_instance(5, 1, 2)
+    design = sample_design(inst, 60, seed=4)
+    assert ic_features(design, _distances(design)) == ic_features(design,
+                                                                  _distances(design, np.inf))
+    calls = []
+    real = ela_mod.pdist
+    monkeypatch.setattr(ela_mod, "pdist", lambda X: calls.append(X.shape) or real(X))
+    vec = extract_all(inst, 60, seed=4)
+    assert calls == [(60, 2)]
+    expected = {**disp_features(design, _distances(design)),
+                **ic_features(design, _distances(design, np.inf)),
+                **nbc_features(design, _distances(design, np.inf))}
+    assert [vec.values[FEATURE_SCHEMA.index(name)] for name in expected] == list(
+        expected.values())
 
 
 def test_extract_all_minimum_size_guard():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from footprints.errors import ConfigurationError, ContractViolation
-from footprints.footprint import FootprintLabel, Thresholds, footprint_fold
+from footprints.footprint import ALGORITHM_POOR, LABELS, MODEL_POOR, footprint_fold, relative_error
 from footprints.viz import (
     EMPTY_CELL,
     embed_2d,
@@ -21,16 +21,17 @@ KEYS4 = [(1, 1, 5), (2, 1, 5), (3, 1, 5), (4, 1, 5)]
 MAT4 = np.array(
     [[0.0, 0.0, 1.0], [1.0, 0.5, 0.0], [-1.0, 2.0, 0.5], [0.5, -1.5, 2.0]]
 )
-PRED4 = [
-    ((1, 1, 5), 0.5, 0.5),
-    ((2, 1, 5), 0.5, 2.0),
-    ((3, 1, 5), 3.0, 3.1),
-    ((4, 1, 5), 3.0, 9.0),
-]
+TRUE4 = np.array([0.5, 0.5, 3.0, 3.0])
+PRED4 = np.array([0.5, 2.0, 3.1, 9.0])
+
+
+def _labels(true, pred):
+    """The labels of (true, pred) under t = 1 and p = 0.15."""
+    return footprint_fold(true, relative_error(true, pred), 1.0, 0.15)
 
 
 def _assignments4():
-    return footprint_fold(PRED4, Thresholds(t=1.0, p=0.15), 1, "random_forest")
+    return dict(zip(KEYS4, _labels(TRUE4, PRED4)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +98,10 @@ def test_footprint_plot_labels_independent_of_embedding():
 
 
 def test_footprint_plot_missing_assignment_rejected():
-    with pytest.raises(ContractViolation):
-        emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4()[:3])
+    label_of = _assignments4()
+    del label_of[KEYS4[3]]
+    with pytest.raises(ContractViolation, match="no assignment for embedded keys"):
+        emit_footprint_plot(KEYS4, embed_2d(MAT4), label_of)
 
 
 def test_footprint_plot_golden():
@@ -203,38 +206,44 @@ def test_feature_distribution_golden():
 # distribution table
 
 def test_table_all_good_good_row():
-    preds = [((p, 1, 5), 0.0, 0.0) for p in range(1, 25)]
-    assignments = footprint_fold(preds, Thresholds(t=1.0, p=0.15), 1, "random_forest")
-    text, _ = emit_distribution_table(assignments)
+    keys = [(p, 1, 5) for p in range(1, 25)]
+    labels = _labels(np.zeros(24), np.zeros(24))
+    text, _ = emit_distribution_table("random_forest", np.ones(24, dtype=int), keys, labels)
     row = text.splitlines()[1]
     expected_ids = ", ".join(str(p) for p in range(1, 25))
     assert row == f"RF | 1 | {expected_ids} | {EMPTY_CELL} | {EMPTY_CELL} | {EMPTY_CELL}"
 
 
-def test_table_reference_fold1_layout_golden():
+def _reference_fold1():
+    """The keys and labels of the frozen fold-1 membership table."""
     memberships = {
-        FootprintLabel.GOOD_GOOD: [16, 19, 20, 21, 22],
-        FootprintLabel.GOOD_POOR: [1, 2, 5, 14, 17, 18, 23],
-        FootprintLabel.POOR_GOOD: [3, 4, 6, 7, 8, 9, 10, 11, 12, 15, 24],
-        FootprintLabel.POOR_POOR: [13],
+        "good_good": [16, 19, 20, 21, 22],
+        "good_poor": [1, 2, 5, 14, 17, 18, 23],
+        "poor_good": [3, 4, 6, 7, 8, 9, 10, 11, 12, 15, 24],
+        "poor_poor": [13],
     }
-    rows = []
+    keys, true, pred = [], [], []
     for label, problems in memberships.items():
         for p in problems:
-            true = 0.5 if label.algorithm_good else 2.0
-            pred = true * (1.05 if label.model_good else 2.0)
-            rows.append(((p, 1, 10), true, pred))
-    assignments = footprint_fold(rows, Thresholds(t=1.0, p=0.15), 1, "random_forest")
-    text, _ = emit_distribution_table(assignments)
+            t = 2.0 if LABELS.index(label) & ALGORITHM_POOR else 0.5
+            keys.append((p, 1, 10))
+            true.append(t)
+            pred.append(t * (2.0 if LABELS.index(label) & MODEL_POOR else 1.05))
+    return keys, _labels(np.array(true), np.array(pred))
+
+
+def test_table_reference_fold1_layout_golden():
+    keys, labels = _reference_fold1()
+    text, _ = emit_distribution_table("random_forest", np.ones(len(keys), dtype=int), keys, labels)
     assert text == (GOLDEN / "table_fold1.txt").read_text()
 
 
 def test_table_every_problem_in_exactly_one_column():
     rng = np.random.default_rng(1)
-    preds = [((p, 1, 5), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-             for p in range(1, 25)]
-    assignments = footprint_fold(preds, Thresholds(t=0.0, p=0.15), 2, "knn")
-    text, csv_text = emit_distribution_table(assignments)
+    keys = [(p, 1, 5) for p in range(1, 25)]
+    true, pred = rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24)
+    labels = footprint_fold(true, relative_error(true, pred), 0.0, 0.15)
+    text, csv_text = emit_distribution_table("knn", np.full(24, 2), keys, labels)
     cells = text.splitlines()[1].split(" | ")[2:]
     ids = []
     for cell in cells:
@@ -244,14 +253,16 @@ def test_table_every_problem_in_exactly_one_column():
     assert csv_text.splitlines()[0] == "model,fold,good_good,good_poor,poor_good,poor_poor"
 
 
-def test_table_groups_sorted_by_model_and_fold():
-    preds = [((1, 1, 5), 0.0, 0.0)]
-    rows = []
-    for model in ("random_forest", "knn"):
-        for fold in (2, 1):
-            rows.extend(footprint_fold(preds, Thresholds(t=1.0, p=0.15), fold, model))
-    text, _ = emit_distribution_table(rows)
+def test_table_rows_in_fold_order():
+    # rows of folds 2, 3 and 1, interleaved: one table row per fold, in fold order
+    keys = [(p, 1, 5) for p in range(1, 7)]
+    fold_ids = np.array([2, 3, 1, 2, 3, 1])
+    labels = _labels(np.zeros(6), np.zeros(6))
+    text, csv_text = emit_distribution_table("random_forest", fold_ids, keys, labels)
     lines = text.strip().splitlines()[1:]
-    assert [line.split(" | ")[:2] for line in lines] == [
-        ["KNN", "1"], ["KNN", "2"], ["RF", "1"], ["RF", "2"]
+    assert [line.split(" | ")[:3] for line in lines] == [
+        ["RF", "1", "3, 6"], ["RF", "2", "1, 4"], ["RF", "3", "2, 5"]
+    ]
+    assert [row.split(",")[:2] for row in csv_text.splitlines()[1:]] == [
+        ["RF", "1"], ["RF", "2"], ["RF", "3"]
     ]
