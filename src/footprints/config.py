@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,19 +24,23 @@ _DE_CONFIG_KEYS = frozenset(f.name for f in fields(de.DeConfig))
 # saying what they expected; parse_config names the key.
 
 def _scalar(kind, what: str, accepted: tuple):
-    # strings are converted too: YAML 1.1 reads 1e-3 as a string
+    # strings are converted too: YAML 1.1 reads 1e-3 as a string; a float
+    # must be finite, so YAML's .nan and .inf and "1e400" are rejected
     def parse(raw):
         if isinstance(raw, accepted) and not isinstance(raw, bool):
             try:
-                return kind(raw)
+                value = kind(raw)
             except (ValueError, OverflowError):
                 pass
+            else:
+                if not isinstance(value, float) or math.isfinite(value):
+                    return value
         raise ValueError(f"expected {what}, got {raw!r}")
     return parse
 
 
 _int = _scalar(int, "an integer", (int, str))
-_float = _scalar(float, "a number", (int, float, str))
+_float = _scalar(float, "a finite number", (int, float, str))
 _str = _scalar(str, "a string", (str, int, float))
 
 
@@ -247,9 +252,10 @@ def validate(cfg: RunConfig) -> list[str]:
     for kind in cfg.model_kinds:
         if kind not in models.MODEL_KINDS:
             issues.append(f"model.kinds contains unknown kind {kind!r}")
-    # a repeat would train the same models twice and write each key twice
+    # a repeat would train the same models twice, or label each key twice, and write it twice
     for key, values in (("model.kinds", cfg.model_kinds),
-                        ("model.portfolio_sizes", cfg.portfolio_sizes)):
+                        ("model.portfolio_sizes", cfg.portfolio_sizes),
+                        ("footprint.sensitivity_p", cfg.sensitivity_p)):
         if len(set(values)) != len(values):
             issues.append(f"{key} must not repeat an entry; got {values}")
     # k_folds equals the instance count, so each fold trains on all other instances

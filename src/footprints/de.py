@@ -5,31 +5,31 @@ exactly ``budget`` objective evaluations; the last generation is truncated
 when the remaining budget is smaller than the population.
 
 Selection is generational (Storn & Price 1997), so each generation's trials
-are built from one batched draw of parents and crossover masks. This draw
-order is new in 0.2.0 and changes ``performance.csv`` bytes against 0.1.0.
+are built from one batched draw of parents and crossover masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .csvio import KEY_COLUMNS, read_csv, write_csv
+from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND, precision
 
-STRATEGIES = ("rand/1/bin", "best/1/bin", "rand/2/bin", "current-to-best/1/bin")
-
-# distinct parent indices needed besides the target itself
-_N_PARENTS = {
-    "rand/1/bin": 3,
-    "best/1/bin": 2,
-    "rand/2/bin": 5,
-    "current-to-best/1/bin": 2,
+# strategy -> (distinct parents besides the target, mutant(x, best, current, F)),
+# where x[j] holds parent j of every target
+_MUTANTS = {
+    "rand/1/bin": (3, lambda x, best, current, F: x[0] + F * (x[1] - x[2])),
+    "best/1/bin": (2, lambda x, best, current, F: best + F * (x[0] - x[1])),
+    "rand/2/bin": (5, lambda x, best, current, F: x[0] + F * (x[1] - x[2]) + F * (x[3] - x[4])),
+    "current-to-best/1/bin": (
+        2, lambda x, best, current, F: current + F * (best - current) + F * (x[0] - x[1])),
 }
+STRATEGIES = tuple(_MUTANTS)
 
 PRECISION_FLOOR = 1e-8
 
@@ -51,7 +51,7 @@ class DeConfig:
             raise ConfigurationError("F must be in (0, 2]")
         if not 0.0 <= self.Cr <= 1.0:
             raise ConfigurationError("Cr must be in [0, 1]")
-        min_pop = _N_PARENTS[self.strategy] + 1
+        min_pop = _MUTANTS[self.strategy][0] + 1
         if self.population_size < max(4, min_pop):
             raise ConfigurationError(
                 f"population_size {self.population_size} too small for "
@@ -71,20 +71,6 @@ def default_portfolio(dimension: int) -> list[DeConfig]:
         DeConfig("DE2", "best/1/bin", 0.8, 0.5, pop),
         DeConfig("DE3", "rand/2/bin", 0.5, 0.3, pop),
     ]
-
-
-@dataclass(frozen=True)
-class PerformanceRecord:
-    config_id: str
-    problem_id: int
-    instance_id: int
-    dimension: int
-    raw_precisions: tuple[float, ...]
-    median_log_precision: float
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.problem_id, self.instance_id, self.dimension)
 
 
 def median_log_precision(raw_precisions: Sequence[float]) -> float:
@@ -126,7 +112,7 @@ def run_de(
     if budget < pop_size:
         raise ConfigurationError(f"budget {budget} smaller than population {pop_size}")
     dim = instance.dimension
-    F = config.F
+    n_parents, mutant = _MUTANTS[config.strategy]
     rng = np.random.default_rng(seed)
 
     pop = rng.uniform(LOWER_BOUND, UPPER_BOUND, (pop_size, dim))
@@ -140,17 +126,9 @@ def run_de(
     while evals < budget:
         m = min(pop_size, budget - evals)
         best = pop[np.argmin(fvals)]
-        r = _draw_parents(rng, pop_size, m, _N_PARENTS[config.strategy])
-        x = pop[r.T]  # x[j] holds parent j of every target
+        r = _draw_parents(rng, pop_size, m, n_parents)
         current = pop[:m]
-        if config.strategy == "rand/1/bin":
-            v = x[0] + F * (x[1] - x[2])
-        elif config.strategy == "best/1/bin":
-            v = best + F * (x[0] - x[1])
-        elif config.strategy == "rand/2/bin":
-            v = x[0] + F * (x[1] - x[2]) + F * (x[3] - x[4])
-        else:  # current-to-best/1/bin
-            v = current + F * (best - current) + F * (x[0] - x[1])
+        v = mutant(pop[r.T], best, current, config.F)
         cross = rng.random((m, dim)) < config.Cr
         cross[np.arange(m), rng.integers(dim, size=m)] = True
         trials = _reflect(np.where(cross, v, current))
@@ -167,49 +145,29 @@ def run_de(
     return precision(instance, best_f)
 
 
-def measure(
-    instance,
-    config: DeConfig,
-    budget: int,
-    n_runs: int,
-    base_seed: int,
-) -> PerformanceRecord:
-    """Aggregate repeated runs (seeds base_seed..base_seed+n_runs-1)."""
+def measure(instance, config: DeConfig, budget: int, n_runs: int,
+            base_seed: int) -> tuple[float, ...]:
+    """The precisions of `n_runs` runs, seeded base_seed..base_seed+n_runs-1."""
     if n_runs < 1:
         raise ConfigurationError("n_runs must be >= 1")
-    raw = tuple(run_de(instance, config, budget, base_seed + r) for r in range(n_runs))
-    return PerformanceRecord(
-        config_id=config.config_id,
-        problem_id=instance.problem_id,
-        instance_id=instance.instance_id,
-        dimension=instance.dimension,
-        raw_precisions=raw,
-        median_log_precision=median_log_precision(raw),
-    )
+    return tuple(run_de(instance, config, budget, base_seed + r) for r in range(n_runs))
 
 
-def write_performance_csv(records: Sequence[PerformanceRecord], path) -> None:
-    records = list(records)
-    n_runs = len(records[0].raw_precisions) if records else 0
+def write_performance_csv(rows: Iterable[tuple[str, tuple, Sequence[float]]], path) -> None:
+    """One line per (config_id, key, precisions) row, with its median_log_precision."""
+    rows = list(rows)
+    n_runs = len(rows[0][2]) if rows else 0
     write_csv(
         path,
         ["config_id", *KEY_COLUMNS, "n_runs", "median_log_precision"]
         + [f"run_{r}" for r in range(n_runs)],
-        ([rec.config_id, *rec.key, len(rec.raw_precisions), rec.median_log_precision,
-          *rec.raw_precisions] for rec in records),
+        ([config_id, *key, len(precisions), median_log_precision(precisions), *precisions]
+         for config_id, key, precisions in rows),
     )
 
 
-def read_performance_csv(path) -> list[PerformanceRecord]:
+def read_performance_csv(path, config_id: str) -> dict[tuple[int, int, int], float]:
+    """{key: median_log_precision} of the rows of one DE config."""
     _, rows = read_csv(path)
-    return [
-        PerformanceRecord(
-            config_id=row["config_id"],
-            problem_id=int(row["problem_id"]),
-            instance_id=int(row["instance_id"]),
-            dimension=int(row["dimension"]),
-            raw_precisions=tuple(float(row[f"run_{r}"]) for r in range(int(row["n_runs"]))),
-            median_log_precision=float(row["median_log_precision"]),
-        )
-        for row in rows
-    ]
+    return {row_key(row): float(row["median_log_precision"])
+            for row in rows if row["config_id"] == config_id}

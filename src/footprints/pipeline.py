@@ -86,9 +86,11 @@ def _sha256(path: Path) -> str:
 # parallel work items (module level for pickling)
 
 def _solve_item(args):
+    """One performance.csv row: (config_id, key, run precisions)."""
     (problem_id, instance_id, dimension, config, budget, n_runs, base_seed) = args
     instance = make_instance(problem_id, instance_id, dimension)
-    return de_mod.measure(instance, config, budget, n_runs, base_seed)
+    return (config.config_id, instance.key,
+            de_mod.measure(instance, config, budget, n_runs, base_seed))
 
 
 def _feature_item(args):
@@ -245,8 +247,8 @@ class Pipeline:
             for p, i, d in keys:
                 base_seed = derive_seed(cfg.master_seed, SOLVE_SALT, ci, p, i)
                 items.append((p, i, d, dcfg, cfg.budget, cfg.n_runs, base_seed))
-        records = _pmap(_solve_item, items, self.threads, "solve")
-        de_mod.write_performance_csv(records, self._output("performance.csv"))
+        de_mod.write_performance_csv(_pmap(_solve_item, items, self.threads, "solve"),
+                                     self._output("performance.csv"))
 
     def _run_features(self):
         cfg = self.cfg
@@ -273,9 +275,7 @@ class Pipeline:
         """keys, the feature matrix, and each key's target and test fold, aligned."""
         keys, X = ela_mod.read_features_csv(self.path("features.csv"))
         wanted = self.cfg.footprint_config_id
-        y_map = {r.key: r.median_log_precision
-                 for r in de_mod.read_performance_csv(self.path("performance.csv"))
-                 if r.config_id == wanted}
+        y_map = de_mod.read_performance_csv(self.path("performance.csv"), wanted)
         if set(keys) - set(y_map):
             raise StageFailure(stage, f"performance data missing for config {wanted!r}")
         _, rows = read_csv(self.path("folds.csv"))

@@ -21,6 +21,7 @@ being bounded below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -166,26 +167,14 @@ def _rot(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # per-problem setup (seed-derived constants) and cores
 
-def _setup_none(dim, rng):
-    return {}
+def _setup(*names):
+    """A setup drawing the named constants in the order named: "R" and "Q"
+    are orthogonal matrices, "signs" a vector of random signs."""
+    def setup(dim, rng):
+        return {name: np.where(rng.random(dim) < 0.5, -1.0, 1.0) if name == "signs"
+                else _orthogonal(rng, dim) for name in names}
 
-
-def _setup_signs(dim, rng):
-    return {"signs": np.where(rng.random(dim) < 0.5, -1.0, 1.0)}
-
-
-def _setup_r(dim, rng):
-    return {"R": _orthogonal(rng, dim)}
-
-
-def _setup_rq(dim, rng):
-    return {"R": _orthogonal(rng, dim), "Q": _orthogonal(rng, dim)}
-
-
-def _setup_rq_signs(dim, rng):
-    aux = _setup_rq(dim, rng)
-    aux["signs"] = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
-    return aux
+    return setup
 
 
 def _setup_gallagher(n_peaks: int, alpha_first: float, peak_range: float):
@@ -348,14 +337,6 @@ def _schaffers(Y, aux, condition):
     return (total / (dim - 1.0)) ** 2
 
 
-def _f17_schaffers(Y, aux):
-    return _schaffers(Y, aux, 10.0)
-
-
-def _f18_schaffers_ill(Y, aux):
-    return _schaffers(Y, aux, 1000.0)
-
-
 def _f19_griewank_rosenbrock(Y, aux):
     dim = Y.shape[1]
     z = max(1.0, np.sqrt(dim) / 8.0) * _rot(Y, aux["R"]) + 1.0
@@ -419,28 +400,28 @@ def _f24_lunacek(Y, aux):
 
 # problem id -> (name, per-instance setup drawn after shift and offset, core)
 _PROBLEMS = {
-    1: ("sphere", _setup_none, _f01_sphere),
-    2: ("ellipsoid_separable", _setup_none, _f02_ellipsoid),
-    3: ("rastrigin_separable", _setup_none, _f03_rastrigin),
-    4: ("bueche_rastrigin", _setup_none, _f04_bueche),
-    5: ("linear_slope", _setup_signs, _f05_linear_slope),
-    6: ("attractive_sector", _setup_rq_signs, _f06_attractive_sector),
-    7: ("step_ellipsoid", _setup_rq, _f07_step_ellipsoid),
-    8: ("rosenbrock", _setup_none, _f08_rosenbrock),
-    9: ("rosenbrock_rotated", _setup_r, _f09_rosenbrock_rot),
-    10: ("ellipsoid_rotated", _setup_r, _f10_ellipsoid_rot),
-    11: ("discus", _setup_r, _f11_discus),
-    12: ("bent_cigar", _setup_r, _f12_bent_cigar),
-    13: ("sharp_ridge", _setup_rq, _f13_sharp_ridge),
-    14: ("different_powers", _setup_r, _f14_different_powers),
-    15: ("rastrigin_rotated", _setup_rq, _f15_rastrigin_rot),
-    16: ("weierstrass", _setup_rq, _f16_weierstrass),
-    17: ("schaffers_f7", _setup_rq, _f17_schaffers),
-    18: ("schaffers_f7_ill", _setup_rq, _f18_schaffers_ill),
-    19: ("griewank_rosenbrock", _setup_r, _f19_griewank_rosenbrock),
-    20: ("schwefel", _setup_signs, _f20_schwefel),
+    1: ("sphere", _setup(), _f01_sphere),
+    2: ("ellipsoid_separable", _setup(), _f02_ellipsoid),
+    3: ("rastrigin_separable", _setup(), _f03_rastrigin),
+    4: ("bueche_rastrigin", _setup(), _f04_bueche),
+    5: ("linear_slope", _setup("signs"), _f05_linear_slope),
+    6: ("attractive_sector", _setup("R", "Q", "signs"), _f06_attractive_sector),
+    7: ("step_ellipsoid", _setup("R", "Q"), _f07_step_ellipsoid),
+    8: ("rosenbrock", _setup(), _f08_rosenbrock),
+    9: ("rosenbrock_rotated", _setup("R"), _f09_rosenbrock_rot),
+    10: ("ellipsoid_rotated", _setup("R"), _f10_ellipsoid_rot),
+    11: ("discus", _setup("R"), _f11_discus),
+    12: ("bent_cigar", _setup("R"), _f12_bent_cigar),
+    13: ("sharp_ridge", _setup("R", "Q"), _f13_sharp_ridge),
+    14: ("different_powers", _setup("R"), _f14_different_powers),
+    15: ("rastrigin_rotated", _setup("R", "Q"), _f15_rastrigin_rot),
+    16: ("weierstrass", _setup("R", "Q"), _f16_weierstrass),
+    17: ("schaffers_f7", _setup("R", "Q"), partial(_schaffers, condition=10.0)),
+    18: ("schaffers_f7_ill", _setup("R", "Q"), partial(_schaffers, condition=1000.0)),
+    19: ("griewank_rosenbrock", _setup("R"), _f19_griewank_rosenbrock),
+    20: ("schwefel", _setup("signs"), _f20_schwefel),
     21: ("gallagher_101", _setup_gallagher(101, 1000.0, 5.0), _gallagher),
     22: ("gallagher_21", _setup_gallagher(21, 1000.0**2, 4.9), _gallagher),
-    23: ("katsuura", _setup_rq, _f23_katsuura),
-    24: ("lunacek_bi_rastrigin", _setup_rq_signs, _f24_lunacek),
+    23: ("katsuura", _setup("R", "Q"), _f23_katsuura),
+    24: ("lunacek_bi_rastrigin", _setup("R", "Q", "signs"), _f24_lunacek),
 }

@@ -104,6 +104,78 @@ def random_search_precision(instance, budget: int, seed: int) -> float:
     return max(best - instance.f_offset, 0.0)
 
 
+# distinct parents besides the target, per DE strategy
+NAIVE_N_PARENTS = {
+    "rand/1/bin": 3,
+    "best/1/bin": 2,
+    "rand/2/bin": 5,
+    "current-to-best/1/bin": 2,
+}
+
+
+def naive_mutant(strategy: str, x, best, current, F: float) -> np.ndarray:
+    """The mutant vectors of one DE generation, one strategy per branch;
+    x[j] holds parent j of every target."""
+    if strategy == "rand/1/bin":
+        return x[0] + F * (x[1] - x[2])
+    if strategy == "best/1/bin":
+        return best + F * (x[0] - x[1])
+    if strategy == "rand/2/bin":
+        return x[0] + F * (x[1] - x[2]) + F * (x[3] - x[4])
+    assert strategy == "current-to-best/1/bin", strategy
+    return current + F * (best - current) + F * (x[0] - x[1])
+
+
+def _naive_orthogonal(rng, dim):
+    g = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diag(r))[None, :]
+
+
+def _naive_signs(rng, dim):
+    return np.where(rng.random(dim) < 0.5, -1.0, 1.0)
+
+
+def _naive_setup_none(dim, rng):
+    return {}
+
+
+def _naive_setup_signs(dim, rng):
+    return {"signs": _naive_signs(rng, dim)}
+
+
+def _naive_setup_r(dim, rng):
+    return {"R": _naive_orthogonal(rng, dim)}
+
+
+def _naive_setup_rq(dim, rng):
+    return {"R": _naive_orthogonal(rng, dim), "Q": _naive_orthogonal(rng, dim)}
+
+
+def _naive_setup_rq_signs(dim, rng):
+    aux = _naive_setup_rq(dim, rng)
+    aux["signs"] = _naive_signs(rng, dim)
+    return aux
+
+
+# problem id -> its per-instance setup; the Gallagher problems (21, 22) draw
+# their peaks with a setup of their own and are not listed
+_NAIVE_SETUPS = {
+    **dict.fromkeys((1, 2, 3, 4, 8), _naive_setup_none),
+    **dict.fromkeys((5, 20), _naive_setup_signs),
+    **dict.fromkeys((9, 10, 11, 12, 14, 19), _naive_setup_r),
+    **dict.fromkeys((7, 13, 15, 16, 17, 18, 23), _naive_setup_rq),
+    **dict.fromkeys((6, 24), _naive_setup_rq_signs),
+}
+NAIVE_SETUP_PROBLEMS = tuple(sorted(_NAIVE_SETUPS))
+
+
+def naive_setup(problem_id: int, dim: int, rng) -> dict:
+    """The aux constants of one problem, drawn from `rng` after the instance's
+    shift and offset, one setup function per combination of draws."""
+    return _NAIVE_SETUPS[problem_id](dim, rng)
+
+
 def naive_knn_predict(model, X: np.ndarray) -> np.ndarray:
     """KNN prediction one row at a time: a stable sort of the row's
     distances, so the lowest training index wins a distance tie."""

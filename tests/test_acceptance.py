@@ -182,8 +182,7 @@ def test_criterion_3_efficiency(desk_run):
     import footprints.ela as ela_mod
     keys, X = ela_mod.read_features_csv(out / "features.csv")
     import footprints.de as de_mod
-    records = de_mod.read_performance_csv(out / "performance.csv")
-    y_map = {r.key: r.median_log_precision for r in records}
+    y_map = de_mod.read_performance_csv(out / "performance.csv", "DE1")
     y = np.array([y_map[key] for key in keys])
     model = fit_knn(X[:96], y[:96], k_neighbors=5)
     sampling_ok = True

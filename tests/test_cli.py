@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import logging
@@ -155,6 +154,13 @@ def test_validate_repeated_model_entries_reported(model, message):
     assert validate(parse_config({"model": model})) == [message]
 
 
+def test_validate_repeated_sensitivity_tolerance_reported():
+    # each tolerance relabels every key once, so a repeat wrote each transition twice
+    cfg = parse_config({"footprint": {"sensitivity_p": [0.05, 0.1, 0.05]}})
+    assert validate(cfg) == [
+        "footprint.sensitivity_p must not repeat an entry; got [0.05, 0.1, 0.05]"]
+
+
 def test_config_digest_stable_and_sensitive(tmp_path):
     a = parse_config(TINY)
     b = parse_config(TINY)
@@ -209,6 +215,10 @@ def test_key_error_messages_exact(data, message):
     ({"report": {"distribution_features": "bogus"}}, "report.distribution_features"),
     ({"report": {"distribution_features": "disp.ratio_mean_02"}},
      "report.distribution_features"),
+    ({"model": {"kernel_penalty": float("nan")}}, "model.kernel_penalty"),
+    ({"model": {"kernel_penalty": float("inf")}}, "model.kernel_penalty"),
+    ({"footprint": {"sensitivity_p": [0.05, -float("inf")]}}, "footprint.sensitivity_p"),
+    ({"footprint": {"t_value": "1e400"}}, "footprint.t_value"),
 ])
 def test_malformed_value_names_key(data, key):
     with pytest.raises(ConfigurationError, match=f"^config key {key}: "):
@@ -300,10 +310,15 @@ def test_cli_knn_neighbors_over_training_size_blocks_pipeline(tmp_path, capsys):
     ("model", dict(TINY["model"], portfolio_sizes=[10, 10]), "model.portfolio_sizes"),
     ("model", dict(TINY["model"], kinds=["random_forest", "random_forest"]), "model.kinds"),
     ("report", {"distribution_features": "bogus"}, "report.distribution_features"),
+    ("model", dict(TINY["model"], kinds=["random_forest", "kernel"],
+                   kernel_penalty=float("nan")), "model.kernel_penalty"),
+    ("footprint", dict(TINY["footprint"], sensitivity_p=[0.05, 0.05]),
+     "footprint.sensitivity_p"),
 ])
 def test_cli_late_failing_config_blocks_pipeline(tmp_path, capsys, section, values, key):
-    # each of these used to pass validate, then fail in the footprint or report stage
-    # or, for a bare string, be read as auto
+    # each of these used to pass validate, then fail in the footprint or report stage,
+    # or, for a bare string, be read as auto, or, for a repeated tolerance, write
+    # every transition twice
     path = _write_config(tmp_path, dict(TINY, **{section: values}))
     out = tmp_path / "o"
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
@@ -382,18 +397,16 @@ def test_stage_records_from_older_version_rerun(tiny_run, tmp_path, caplog):
 def test_changed_performance_reruns_downstream_stages(tiny_run, tmp_path, caplog):
     # as after `solve --force` under a new code version: performance.csv and
     # the solve record change together, the config does not
-    from footprints.de import read_performance_csv, write_performance_csv
+    from footprints.csvio import read_csv, write_csv
 
     config_path, out = tiny_run
     changed = tmp_path / "changed"
     shutil.copytree(out, changed)
     perf = changed / "performance.csv"
-    records = read_performance_csv(perf)
-    write_performance_csv(
-        [dataclasses.replace(r, median_log_precision=-r.median_log_precision)
-         for r in records],
-        perf,
-    )
+    header, rows = read_csv(perf)
+    write_csv(perf, header,
+              ([-float(v) if name == "median_log_precision" else v for name, v in row.items()]
+               for row in rows))
     manifest = json.loads((changed / "manifest.json").read_text())
     manifest["stages"]["solve"]["outputs"]["performance.csv"] = (
         hashlib.sha256(perf.read_bytes()).hexdigest()
@@ -551,8 +564,7 @@ def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_
     from footprints.de import read_performance_csv
 
     config_path, out = tiny_run
-    targets = {r.key: r.median_log_precision
-               for r in read_performance_csv(out / "performance.csv") if r.config_id == "DE1"}
+    targets = read_performance_csv(out / "performance.csv", "DE1")
     with open(out / "folds.csv", newline="") as fh:
         fold_of = {(int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"])):
                    int(row["test_fold"]) for row in csv.DictReader(fh)}

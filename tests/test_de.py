@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from footprints.csvio import read_csv
 from footprints.de import (
     STRATEGIES,
+    _MUTANTS,
     DeConfig,
-    PerformanceRecord,
     _draw_parents,
     _reflect,
     default_population_size,
@@ -22,7 +23,7 @@ from footprints.de import (
 from footprints.errors import ConfigurationError
 from footprints.suite import make_instance
 
-from _oracles import random_search_precision
+from _oracles import NAIVE_N_PARENTS, naive_mutant, random_search_precision
 
 RAND1 = DeConfig("DE1", "rand/1/bin", 0.5, 0.9, 20)
 
@@ -188,14 +189,15 @@ def test_seed_determinism():
     config = DeConfig("DE2", "best/1/bin", 0.8, 0.5, 30)
     a = measure(inst, config, budget=300, n_runs=4, base_seed=77)
     b = measure(inst, config, budget=300, n_runs=4, base_seed=77)
-    assert a.raw_precisions == b.raw_precisions
+    assert len(a) == 4
+    assert a == b
 
 
 def test_measure_uses_consecutive_seeds():
     inst = make_instance(2, 1, 3)
-    rec = measure(inst, RAND1, budget=100, n_runs=3, base_seed=50)
+    precisions = measure(inst, RAND1, budget=100, n_runs=3, base_seed=50)
     singles = tuple(run_de(inst, RAND1, budget=100, seed=50 + r) for r in range(3))
-    assert rec.raw_precisions == singles
+    assert precisions == singles
 
 
 def test_all_strategies_run():
@@ -215,9 +217,9 @@ def test_median_log_examples():
 
 def test_measure_median_and_floor():
     inst = ConstantInstance()
-    rec = measure(inst, RAND1, budget=40, n_runs=3, base_seed=0)
-    assert rec.median_log_precision == pytest.approx(-8.0)
-    assert len(rec.raw_precisions) == 3
+    precisions = measure(inst, RAND1, budget=40, n_runs=3, base_seed=0)
+    assert precisions == (0.0, 0.0, 0.0)
+    assert median_log_precision(precisions) == pytest.approx(-8.0)
 
 
 def test_config_validation():
@@ -248,17 +250,40 @@ def test_n_runs_validated():
 
 
 def test_performance_csv_roundtrip(tmp_path):
-    inst = make_instance(1, 1, 3)
-    records = [measure(inst, RAND1, budget=60, n_runs=2, base_seed=s) for s in (0, 10)]
+    # two configs over two instances: each config reads back its own targets
+    rows = [
+        (config_id, inst.key, measure(inst, RAND1, budget=60, n_runs=2, base_seed=seed))
+        for config_id, seed in (("DE1", 0), ("DE2", 10))
+        for inst in (make_instance(1, 1, 3), make_instance(2, 1, 3))
+    ]
     path = tmp_path / "performance.csv"
-    write_performance_csv(records, path)
-    loaded = read_performance_csv(path)
-    assert len(loaded) == 2
-    assert loaded[0] == PerformanceRecord(
-        config_id=records[0].config_id,
-        problem_id=records[0].problem_id,
-        instance_id=records[0].instance_id,
-        dimension=records[0].dimension,
-        raw_precisions=records[0].raw_precisions,
-        median_log_precision=records[0].median_log_precision,
-    )
+    write_performance_csv(rows, path)
+    for config_id in ("DE1", "DE2"):
+        assert read_performance_csv(path, config_id) == {
+            key: median_log_precision(precisions)
+            for cid, key, precisions in rows if cid == config_id
+        }
+    assert read_performance_csv(path, "DE3") == {}
+    header, written = read_csv(path)
+    assert header == ["config_id", "problem_id", "instance_id", "dimension", "n_runs",
+                      "median_log_precision", "run_0", "run_1"]
+    assert [(row["config_id"], int(row["n_runs"]), float(row["run_0"]), float(row["run_1"]))
+            for row in written] == [(cid, 2, *precisions) for cid, _, precisions in rows]
+
+
+@pytest.mark.parametrize("m", [20, 13])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_mutants_match_naive_mutant(strategy, m):
+    # m < pop_size is a truncated last generation
+    assert STRATEGIES == tuple(NAIVE_N_PARENTS)
+    pop_size, F = 20, 0.7
+    rng = np.random.default_rng(3)
+    pop = rng.uniform(-5.0, 5.0, (pop_size, 4))
+    best = pop[rng.integers(pop_size)]
+    n_parents, mutant = _MUTANTS[strategy]
+    assert n_parents == NAIVE_N_PARENTS[strategy]
+    x = pop[_draw_parents(rng, pop_size, m, n_parents).T]
+    got = mutant(x, best, pop[:m], F)
+    expected = naive_mutant(strategy, x, best, pop[:m], F)
+    assert got.shape == expected.shape == (m, 4)
+    assert got.tobytes() == expected.tobytes()

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from footprints.errors import ConfigurationError, ContractViolation
+from footprints.seeding import SUITE_SALT, derive_seed
 from footprints.suite import (
     N_PROBLEMS,
+    SHIFT_RANGE,
     ProblemInstance,
     make_instance,
     make_suite,
     precision,
     write_suite_csv,
 )
+
+from _oracles import NAIVE_SETUP_PROBLEMS, naive_setup
 
 
 def test_full_suite_has_120_instances():
@@ -98,6 +102,24 @@ def test_bit_identical_reconstruction():
         assert np.array_equal(a.shift, b.shift)
         assert a.f_offset == b.f_offset
         assert np.array_equal(a.evaluate_batch(X), b.evaluate_batch(X))
+
+
+@pytest.mark.parametrize("dimension", [2, 5, 10])
+def test_setups_match_naive_setup(dimension):
+    # each setup names its draws; they come in the named order, after the
+    # shift and the offset, bit for bit as the one-function-per-combination setups
+    for problem_id in NAIVE_SETUP_PROBLEMS:
+        for instance_id in (1, 4):
+            rng = np.random.default_rng(derive_seed(SUITE_SALT, problem_id, instance_id,
+                                                    dimension))
+            rng.uniform(-SHIFT_RANGE, SHIFT_RANGE, dimension)
+            rng.uniform(-100.0, 100.0)
+            expected = naive_setup(problem_id, dimension, rng)
+            aux = make_instance(problem_id, instance_id, dimension).aux
+            assert list(aux) == list(expected), problem_id
+            for name, value in expected.items():
+                assert aux[name].dtype == value.dtype and aux[name].shape == value.shape
+                assert aux[name].tobytes() == value.tobytes(), (problem_id, name)
 
 
 def test_shifts_pairwise_distinct_across_instances():
