@@ -17,8 +17,6 @@ from .suite import N_PROBLEMS
 T_MODES = ("train-median", "explicit")
 SCALES = ("log", "raw")
 
-_DE_CONFIG_KEYS = frozenset(f.name for f in fields(de.DeConfig))
-
 
 # Value parsers take the raw YAML value, never null, and raise ValueError
 # saying what they expected; parse_config names the key.
@@ -64,15 +62,31 @@ def _expand_ids(raw) -> list[int]:
     return [_int(raw)]
 
 
+# each DeConfig field's parser, by its annotation
+_DE_CONFIG_PARSERS = {f.name: {"str": _str, "float": _float, "int": _int}[f.type]
+                      for f in fields(de.DeConfig)}
+
+
 def _de_configs(raw) -> list[dict]:
-    """DE config mappings, kept raw (resolved_de_configs converts them)."""
+    """DE config mappings with typed values; a null population_size stays
+    None, and resolved_de_configs fills in the default."""
+    out = []
     for i, entry in enumerate(_list_of(lambda v: v)(raw)):
         if not isinstance(entry, dict):
             raise ConfigurationError(f"de.configs[{i}] must be a mapping")
-        for sub in entry:
-            if sub not in _DE_CONFIG_KEYS:
+        typed = {}
+        for sub, value in entry.items():
+            if sub not in _DE_CONFIG_PARSERS:
                 raise ConfigurationError(f"unknown config key: de.configs[{i}].{sub}")
-    return [dict(entry) for entry in raw]
+            if value is None and sub == "population_size":
+                typed[sub] = None
+                continue
+            try:
+                typed[sub] = _DE_CONFIG_PARSERS[sub](value)
+            except ValueError as exc:
+                raise ConfigurationError(f"config key de.configs[{i}].{sub}: {exc}") from exc
+        out.append(typed)
+    return out
 
 
 def _names_or_auto(raw) -> list[str] | str:
@@ -127,19 +141,10 @@ class RunConfig:
         if not self.de_configs:
             return de.default_portfolio(self.dimension)
         out = []
-        for raw in self.de_configs:
-            pop = raw.get("population_size")
-            if pop is None:
-                pop = de.default_population_size(self.dimension)
-            out.append(
-                de.DeConfig(
-                    config_id=str(raw["config_id"]),
-                    strategy=str(raw["strategy"]),
-                    F=float(raw["F"]),
-                    Cr=float(raw["Cr"]),
-                    population_size=int(pop),
-                )
-            )
+        for entry in self.de_configs:
+            if entry.get("population_size") is None:
+                entry = {**entry, "population_size": de.default_population_size(self.dimension)}
+            out.append(de.DeConfig(**entry))
         return out
 
     @property
@@ -243,7 +248,7 @@ def validate(cfg: RunConfig) -> list[str]:
             issues.append(
                 f"footprint.config_id {cfg.footprint_config_id!r} not among de configs {ids}"
             )
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, TypeError) as exc:  # TypeError: a missing key
         issues.append(f"de.configs invalid: {exc}")
     if cfg.dimension >= 2 and cfg.sample_size < (min_n := ela.minimum_sample_size(cfg.dimension)):
         issues.append(

@@ -5,8 +5,10 @@ hypercube sample of a problem instance. Groups: dispersion, information
 content, nearest-better clustering, regression meta-models, level-set
 separability (lda/qda) and principal component structure.
 
-The schema (names and order) is a function of nothing but this module;
-every instance of a run produces the same names in the same order. All
+Each group declares its feature names in a tuple beside the function that
+computes them, which returns one value per name in that order.
+FEATURE_SCHEMA is the concatenation of the six tuples, and a name's group
+is its prefix before the first dot (flacco's `<group>.<feature>`). All
 outputs are finite: non-finite intermediate results are replaced by 0 and
 counted per vector.
 """
@@ -39,51 +41,6 @@ def _q_tag(q: float) -> str:
     return f"{int(round(q * 100)):02d}"
 
 
-def _build_schema() -> tuple[list[str], dict[str, str]]:
-    names: list[str] = []
-    groups: dict[str, str] = {}
-
-    def add(group: str, *feat_names: str):
-        for fname in feat_names:
-            names.append(fname)
-            groups[fname] = group
-
-    add("disp", *[f"disp.ratio_mean_{_q_tag(q)}" for q in DISP_QUANTILES])
-    add("disp", *[f"disp.diff_mean_{_q_tag(q)}" for q in DISP_QUANTILES])
-    add("ic", "ic.h_max", "ic.eps_max", "ic.eps_s", "ic.eps_ratio", "ic.m0")
-    add("nbc", "nbc.nn_nb.mean_ratio", "nbc.nn_nb.sd_ratio",
-        "nbc.dist_ratio.coeff_var", "nbc.nb_fitness.cor")
-    add("ela_meta",
-        "ela_meta.lin_simple.adj_r2", "ela_meta.lin_simple.intercept",
-        "ela_meta.lin_simple.coef.min", "ela_meta.lin_simple.coef.max",
-        "ela_meta.lin_simple.coef.max_by_min",
-        "ela_meta.lin_w_interact.adj_r2",
-        "ela_meta.quad_simple.adj_r2", "ela_meta.quad_simple.cond",
-        "ela_meta.quad_w_interact.adj_r2")
-    for q in LEVEL_QUANTILES:
-        add("ela_level",
-            f"ela_level.mmce_lda_{_q_tag(q)}",
-            f"ela_level.mmce_qda_{_q_tag(q)}",
-            f"ela_level.lda_qda_{_q_tag(q)}")
-    add("pca",
-        "pca.expl_var.cov_x", "pca.expl_var.cor_x",
-        "pca.expl_var.cov_init", "pca.expl_var.cor_init",
-        "pca.expl_var_PC1.cov_x", "pca.expl_var_PC1.cor_x",
-        "pca.expl_var_PC1.cov_init", "pca.expl_var_PC1.cor_init")
-    return names, groups
-
-
-FEATURE_SCHEMA, FEATURE_GROUPS = _build_schema()
-
-
-@dataclass(frozen=True, eq=False)
-class SampleDesign:
-    """Evaluated sample: rows of X within bounds, y[i] = f(X[i])."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class ElaFeatureVector:
     """One instance's features: `values` in FEATURE_SCHEMA order, of which
@@ -94,8 +51,9 @@ class ElaFeatureVector:
     sanitized_count: int
 
 
-def sample_design(instance: ProblemInstance, n: int, seed: int) -> SampleDesign:
-    """Latin hypercube sample of the instance domain, evaluated."""
+def sample_design(instance: ProblemInstance, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Latin hypercube sample `(X, y)` of the instance domain: rows of X
+    within bounds, y[i] = f(X[i])."""
     dim = instance.dimension
     if n < 10 * dim:
         raise ConfigurationError(f"sample size {n} below 10*D = {10 * dim}")
@@ -105,8 +63,7 @@ def sample_design(instance: ProblemInstance, n: int, seed: int) -> SampleDesign:
     for j in range(dim):
         strata = rng.permutation(n)
         X[:, j] = LOWER_BOUND + (strata + rng.random(n)) * span / n
-    y = instance.evaluate_batch(X)
-    return SampleDesign(X=X, y=y)
+    return X, instance.evaluate_batch(X)
 
 
 def _safe_ratio(a: float, b: float, eps: float = _EPS) -> float:
@@ -116,22 +73,22 @@ def _safe_ratio(a: float, b: float, eps: float = _EPS) -> float:
 # ---------------------------------------------------------------------------
 # dispersion
 
-def disp_features(design: SampleDesign, dmat: np.ndarray,
-                  quantiles: Sequence[float] = DISP_QUANTILES) -> dict[str, float]:
-    """`dmat`: the pairwise distances of design.X, with a zero diagonal."""
-    y = design.y
+DISP_FEATURES = tuple(f"disp.{stat}_mean_{_q_tag(q)}"
+                      for stat in ("ratio", "diff") for q in DISP_QUANTILES)
+
+
+def disp_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
+    """`dmat`: the pairwise distances of the sample points, with a zero diagonal."""
     n = len(y)
     mean_all = float(dmat.sum() / (n * (n - 1)))
     order = np.argsort(y, kind="stable")  # ties: lowest index wins
-    out: dict[str, float] = {}
-    for q in quantiles:
+    mean_best = []
+    for q in DISP_QUANTILES:
         m = max(2, math.ceil(q * n))
         idx = order[:m]
-        sub = dmat[np.ix_(idx, idx)]
-        mean_best = float(sub.sum() / (m * (m - 1)))
-        out[f"disp.ratio_mean_{_q_tag(q)}"] = mean_best / max(mean_all, _EPS)
-        out[f"disp.diff_mean_{_q_tag(q)}"] = mean_best - mean_all
-    return out
+        mean_best.append(float(dmat[np.ix_(idx, idx)].sum() / (m * (m - 1))))
+    return ([mb / max(mean_all, _EPS) for mb in mean_best]
+            + [mb - mean_all for mb in mean_best])
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +141,18 @@ def _partial_information(diffs: np.ndarray) -> float:
     return changes / len(diffs)
 
 
-def ic_features(design: SampleDesign, dmat: np.ndarray) -> dict[str, float]:
-    """`dmat`: the pairwise distances of design.X; its diagonal is not read."""
-    n = len(design.y)
-    if n < 3:
+IC_FEATURES = ("ic.h_max", "ic.eps_max", "ic.eps_s", "ic.eps_ratio", "ic.m0")
+
+
+def ic_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
+    """`dmat`: the pairwise distances of the sample points; its diagonal is not read."""
+    if len(y) < 3:
         raise ConfigurationError("information content needs at least 3 points")
     order = _nearest_neighbor_tour(dmat)
-    diffs = np.diff(design.y[order])
+    diffs = np.diff(y[order])
     dmax = float(np.max(np.abs(diffs))) if len(diffs) else 0.0
-    zero = {"ic.h_max": 0.0, "ic.eps_max": 0.0, "ic.eps_s": 0.0,
-            "ic.eps_ratio": 0.0, "ic.m0": 0.0}
     if dmax == 0.0:
-        return zero
+        return [0.0] * len(IC_FEATURES)
     lo = min(1e-5, dmax)
     if lo == dmax:
         grid = np.array([0.0, dmax])
@@ -207,23 +164,19 @@ def ic_features(design: SampleDesign, dmat: np.ndarray) -> dict[str, float]:
     below = np.nonzero(entropies < IC_SETTLING_THRESHOLD)[0]
     eps_s = float(grid[below[0]]) if len(below) else float(grid[-1])
     eps_ratio = math.log10(_safe_ratio(eps_max, eps_s))
-    return {
-        "ic.h_max": h_max,
-        "ic.eps_max": eps_max,
-        "ic.eps_s": eps_s,
-        "ic.eps_ratio": eps_ratio,
-        "ic.m0": _partial_information(diffs),
-    }
+    return [h_max, eps_max, eps_s, eps_ratio, _partial_information(diffs)]
 
 
 # ---------------------------------------------------------------------------
 # nearest-better clustering
 
-def nbc_features(design: SampleDesign, dmat: np.ndarray) -> dict[str, float]:
-    """`dmat`: the pairwise distances of design.X, with an infinite diagonal."""
-    y = design.y
-    n = len(y)
-    if n < 3:
+NBC_FEATURES = ("nbc.nn_nb.mean_ratio", "nbc.nn_nb.sd_ratio",
+                "nbc.dist_ratio.coeff_var", "nbc.nb_fitness.cor")
+
+
+def nbc_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
+    """`dmat`: the pairwise distances of the sample points, with an infinite diagonal."""
+    if len(y) < 3:
         raise ConfigurationError("nearest-better clustering needs at least 3 points")
     nn_dist = dmat.min(axis=1)
     better = y[None, :] < y[:, None]  # strictly lower objective
@@ -242,12 +195,12 @@ def nbc_features(design: SampleDesign, dmat: np.ndarray) -> dict[str, float]:
         cor = float(np.corrcoef(nb_dist, y)[0, 1])
     else:
         cor = 0.0
-    return {
-        "nbc.nn_nb.mean_ratio": _safe_ratio(np.mean(nn_dist), np.mean(nb_dist)),
-        "nbc.nn_nb.sd_ratio": _safe_ratio(np.std(nn_dist, ddof=1), np.std(nb_dist, ddof=1)),
-        "nbc.dist_ratio.coeff_var": cv,
-        "nbc.nb_fitness.cor": cor,
-    }
+    return [
+        _safe_ratio(np.mean(nn_dist), np.mean(nb_dist)),
+        _safe_ratio(np.std(nn_dist, ddof=1), np.std(nb_dist, ddof=1)),
+        cv,
+        cor,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +236,16 @@ def _adjusted_r2(sse: float, sst: float, n: int, n_predictors: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - n_predictors - 1)
 
 
-def meta_model_features(design: SampleDesign) -> dict[str, float]:
-    X, y = design.X, design.y
+META_MODEL_FEATURES = (
+    "ela_meta.lin_simple.adj_r2", "ela_meta.lin_simple.intercept",
+    "ela_meta.lin_simple.coef.min", "ela_meta.lin_simple.coef.max",
+    "ela_meta.lin_simple.coef.max_by_min", "ela_meta.lin_w_interact.adj_r2",
+    "ela_meta.quad_simple.adj_r2", "ela_meta.quad_simple.cond",
+    "ela_meta.quad_w_interact.adj_r2",
+)
+
+
+def meta_model_features(X: np.ndarray, y: np.ndarray) -> list[float]:
     n, dim = X.shape
     if n <= n_meta_model_coefficients(dim):
         raise ConfigurationError(
@@ -305,19 +266,17 @@ def meta_model_features(design: SampleDesign) -> dict[str, float]:
 
     lin_coefs = np.abs(beta_lin[1:])
     quad_coefs = np.abs(beta_quad[1 + dim:])
-    return {
-        "ela_meta.lin_simple.adj_r2": _adjusted_r2(sse_lin, sst, n, dim),
-        "ela_meta.lin_simple.intercept": float(beta_lin[0]),
-        "ela_meta.lin_simple.coef.min": float(lin_coefs.min()),
-        "ela_meta.lin_simple.coef.max": float(lin_coefs.max()),
-        "ela_meta.lin_simple.coef.max_by_min": _safe_ratio(lin_coefs.max(), lin_coefs.min()),
-        "ela_meta.lin_w_interact.adj_r2": _adjusted_r2(
-            sse_lin_i, sst, n, z_lin_i.shape[1] - 1),
-        "ela_meta.quad_simple.adj_r2": _adjusted_r2(sse_quad, sst, n, 2 * dim),
-        "ela_meta.quad_simple.cond": _safe_ratio(quad_coefs.max(), quad_coefs.min()),
-        "ela_meta.quad_w_interact.adj_r2": _adjusted_r2(
-            sse_quad_i, sst, n, z_quad_i.shape[1] - 1),
-    }
+    return [
+        _adjusted_r2(sse_lin, sst, n, dim),
+        float(beta_lin[0]),
+        float(lin_coefs.min()),
+        float(lin_coefs.max()),
+        _safe_ratio(lin_coefs.max(), lin_coefs.min()),
+        _adjusted_r2(sse_lin_i, sst, n, z_lin_i.shape[1] - 1),
+        _adjusted_r2(sse_quad, sst, n, 2 * dim),
+        _safe_ratio(quad_coefs.max(), quad_coefs.min()),
+        _adjusted_r2(sse_quad_i, sst, n, z_quad_i.shape[1] - 1),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +339,21 @@ def _cv_mmce(X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     return errors_lda / n, errors_qda / n
 
 
-def level_features(design: SampleDesign) -> dict[str, float]:
-    X, y = design.X, design.y
+LEVEL_FEATURES = tuple(f"ela_level.{stat}_{_q_tag(q)}" for q in LEVEL_QUANTILES
+                       for stat in ("mmce_lda", "mmce_qda", "lda_qda"))
+
+
+def level_features(X: np.ndarray, y: np.ndarray) -> list[float]:
     n = len(y)
     if n < 50:
         raise ConfigurationError("level-set features need at least 50 points")
     order = np.argsort(y, kind="stable")
-    out: dict[str, float] = {}
+    out: list[float] = []
     for q in LEVEL_QUANTILES:
-        m = math.ceil(q * n)
         labels = np.zeros(n, dtype=int)
-        labels[order[:m]] = 1  # lowest q share of objective values
+        labels[order[:math.ceil(q * n)]] = 1  # lowest q share of objective values
         mmce_lda, mmce_qda = _cv_mmce(X, labels)
-        tag = _q_tag(q)
-        out[f"ela_level.mmce_lda_{tag}"] = mmce_lda
-        out[f"ela_level.mmce_qda_{tag}"] = mmce_qda
-        out[f"ela_level.lda_qda_{tag}"] = _safe_ratio(mmce_lda, mmce_qda)
+        out += [mmce_lda, mmce_qda, _safe_ratio(mmce_lda, mmce_qda)]
     return out
 
 
@@ -424,30 +382,27 @@ def _pca_pair(M: np.ndarray, correlation: bool) -> tuple[float, float]:
     return k90 / n_vars, float(props[0])
 
 
-def pca_features(design: SampleDesign) -> dict[str, float]:
-    X, y = design.X, design.y
+PCA_FEATURES = tuple(f"pca.expl_var{stat}.{space}" for stat in ("", "_PC1")
+                     for space in ("cov_x", "cor_x", "cov_init", "cor_init"))
+
+
+def pca_features(X: np.ndarray, y: np.ndarray) -> list[float]:
+    """The fractions of PCs for 90% variance, then the PC1 proportions, of
+    X and of X with y appended, each under covariance and correlation."""
     n, dim = X.shape
     if n <= dim:
         raise ConfigurationError("pca features need more points than dimensions")
     init = np.hstack([X, y[:, None]])
-    frac_cov_x, pc1_cov_x = _pca_pair(X, correlation=False)
-    frac_cor_x, pc1_cor_x = _pca_pair(X, correlation=True)
-    frac_cov_i, pc1_cov_i = _pca_pair(init, correlation=False)
-    frac_cor_i, pc1_cor_i = _pca_pair(init, correlation=True)
-    return {
-        "pca.expl_var.cov_x": frac_cov_x,
-        "pca.expl_var.cor_x": frac_cor_x,
-        "pca.expl_var.cov_init": frac_cov_i,
-        "pca.expl_var.cor_init": frac_cor_i,
-        "pca.expl_var_PC1.cov_x": pc1_cov_x,
-        "pca.expl_var_PC1.cor_x": pc1_cor_x,
-        "pca.expl_var_PC1.cov_init": pc1_cov_i,
-        "pca.expl_var_PC1.cor_init": pc1_cor_i,
-    }
+    pairs = [_pca_pair(M, correlation) for M in (X, init) for correlation in (False, True)]
+    return [frac for frac, _ in pairs] + [pc1 for _, pc1 in pairs]
 
 
 # ---------------------------------------------------------------------------
 # full vector
+
+FEATURE_SCHEMA = (*DISP_FEATURES, *IC_FEATURES, *NBC_FEATURES,
+                  *META_MODEL_FEATURES, *LEVEL_FEATURES, *PCA_FEATURES)
+
 
 def minimum_sample_size(dim: int) -> int:
     return max(10 * dim, 50, n_meta_model_coefficients(dim) + 1, dim + 1)
@@ -458,21 +413,20 @@ def extract_all(instance: ProblemInstance, n: int, seed: int) -> ElaFeatureVecto
     need = minimum_sample_size(instance.dimension)
     if n < need:
         raise ConfigurationError(f"sample size {n} below required {need} for D={instance.dimension}")
-    design = sample_design(instance, n, seed)
+    X, y = sample_design(instance, n, seed)
     # the one n x n distance matrix: disp reads its zero diagonal, ic and nbc
     # the infinite one set in place; none copies it, and it goes before the
     # meta-models
-    dmat = squareform(pdist(design.X))
-    raw: dict[str, float] = {}
-    raw.update(disp_features(design, dmat))
+    dmat = squareform(pdist(X))
+    raw = disp_features(y, dmat)
     np.fill_diagonal(dmat, np.inf)
-    raw.update(ic_features(design, dmat))
-    raw.update(nbc_features(design, dmat))
+    raw += ic_features(y, dmat)
+    raw += nbc_features(y, dmat)
     del dmat
-    raw.update(meta_model_features(design))
-    raw.update(level_features(design))
-    raw.update(pca_features(design))
-    values = np.array([raw[name] for name in FEATURE_SCHEMA], dtype=float)
+    raw += meta_model_features(X, y)
+    raw += level_features(X, y)
+    raw += pca_features(X, y)
+    values = np.array(raw, dtype=float)
     bad = ~np.isfinite(values)
     for j in np.flatnonzero(bad):
         logger.warning("non-finite feature %s on %s replaced by 0", FEATURE_SCHEMA[j], instance.key)
@@ -496,7 +450,7 @@ def write_schema_json(path) -> None:
     payload = {
         "n_features": len(FEATURE_SCHEMA),
         "features": [
-            {"name": name, "group": FEATURE_GROUPS[name]} for name in FEATURE_SCHEMA
+            {"name": name, "group": name.partition(".")[0]} for name in FEATURE_SCHEMA
         ],
     }
     write_json(path, payload)

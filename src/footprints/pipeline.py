@@ -153,9 +153,12 @@ class Pipeline:
     def _load_manifest(self) -> dict:
         if self.manifest_path.exists():
             try:
-                return json.loads(self.manifest_path.read_text())
-            except json.JSONDecodeError:
-                logger.warning("unreadable manifest; starting fresh")
+                manifest = json.loads(self.manifest_path.read_text())
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                manifest = None
+            if isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict):
+                return manifest
+            logger.warning("unreadable manifest; starting fresh")
         return {
             "tool_version": __version__,
             "config_digest": self.cfg.digest(),

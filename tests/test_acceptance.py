@@ -22,6 +22,8 @@ from scipy.spatial.distance import pdist, squareform
 from footprints.cli import main
 from footprints.ela import (
     FEATURE_SCHEMA,
+    IC_FEATURES,
+    META_MODEL_FEATURES,
     extract_all,
     ic_features,
     meta_model_features,
@@ -223,20 +225,16 @@ def test_criterion_4_fold_structure():
 
 def test_criterion_5_ela_fixtures():
     rng = np.random.default_rng(20240005)
-
-    class _Design:
-        def __init__(self, X, y):
-            self.X, self.y, self.seed = X, y, 0
-
     X = rng.uniform(-5, 5, size=(200, 4))
-    linear = meta_model_features(_Design(X, 1.0 + X @ np.array([2.0, -1.0, 0.5, 3.0])))
+    linear = dict(zip(META_MODEL_FEATURES,
+                      meta_model_features(X, 1.0 + X @ np.array([2.0, -1.0, 0.5, 3.0]))))
     lin_ok = abs(linear["ela_meta.lin_simple.adj_r2"] - 1.0) <= 1e-9
 
-    constant = ic_features(_Design(X, np.full(200, 3.0)), squareform(pdist(X)))
+    constant = dict(zip(IC_FEATURES, ic_features(np.full(200, 3.0), squareform(pdist(X)))))
     ic_ok = constant["ic.h_max"] == 0.0
 
     Xc = X - X.mean(axis=0)
-    quad = meta_model_features(_Design(Xc, np.sum(Xc**2, axis=1)))
+    quad = dict(zip(META_MODEL_FEATURES, meta_model_features(Xc, np.sum(Xc**2, axis=1))))
     quad_ok = abs(quad["ela_meta.quad_simple.adj_r2"] - 1.0) <= 1e-9
 
     start = time.perf_counter()

@@ -197,6 +197,11 @@ def test_null_and_empty_keep_defaults():
     ({"de": {"configs": [3]}}, "de.configs[0] must be a mapping"),
     ({"de": {"configs": [{"config_id": "DE1", "f": 0.5}]}},
      "unknown config key: de.configs[0].f"),
+    # de.configs entries are typed like every other key: no truncation, no bool as 1.0
+    ({"de": {"configs": [{"config_id": "DE1", "population_size": 20.7}]}},
+     "config key de.configs[0].population_size: expected an integer, got 20.7"),
+    ({"de": {"configs": [{"config_id": "DE1"}, {"config_id": "DE2", "F": True}]}},
+     "config key de.configs[1].F: expected a finite number, got True"),
 ])
 def test_key_error_messages_exact(data, message):
     with pytest.raises(ConfigurationError) as info:
@@ -671,6 +676,20 @@ def test_deleted_feature_distribution_figure_reruns_report_only(tiny_run, tmp_pa
     figure.unlink()
     assert _stages_run(config_path, copy, caplog) == ["report"]
     assert _digest_tree(copy) == _digest_tree(out)
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("content", [b'{"stages": {', b"[]", b'{"stages": []}', b"\xff"],
+                         ids=["truncated", "list", "stages-list", "not-utf8"])
+def test_malformed_manifest_starts_fresh(tmp_path, caplog, content, force):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_bytes(content)
+    args = ["suite", "--config", str(_write_config(tmp_path, TINY)), "--out", str(out)]
+    with caplog.at_level(logging.WARNING, logger="footprints.pipeline"):
+        assert main(args + ["--force"] * force) == 0
+    assert "unreadable manifest; starting fresh" in caplog.text
+    assert list(json.loads((out / "manifest.json").read_text())["stages"]) == ["suite"]
 
 
 def test_failed_manifest_write_keeps_previous_manifest(tiny_run, tmp_path, monkeypatch):

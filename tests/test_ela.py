@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -7,11 +8,15 @@ from scipy.spatial.distance import pdist, squareform
 
 import footprints.ela as ela_mod
 from footprints.ela import (
-    FEATURE_GROUPS,
+    DISP_FEATURES,
     FEATURE_SCHEMA,
+    IC_FEATURES,
     LEVEL_CV_FOLDS,
+    LEVEL_FEATURES,
     LEVEL_QUANTILES,
-    SampleDesign,
+    META_MODEL_FEATURES,
+    NBC_FEATURES,
+    PCA_FEATURES,
     _cv_mmce,
     _pair_entropy,
     _safe_ratio,
@@ -34,15 +39,31 @@ from footprints.suite import make_instance
 from _oracles import naive_cv_mmce
 
 
+def _named(names, values):
+    return dict(zip(names, values, strict=True))
+
+
 def _design(X, y):
-    return SampleDesign(X=np.asarray(X, dtype=float), y=np.asarray(y, dtype=float))
+    return np.asarray(X, dtype=float), np.asarray(y, dtype=float)
 
 
-def _distances(design, diagonal=0.0):
-    """The pairwise distance matrix of design.X, with `diagonal` on its diagonal."""
-    dmat = squareform(pdist(design.X))
+def _distances(X, diagonal=0.0):
+    """The pairwise distance matrix of X, with `diagonal` on its diagonal."""
+    dmat = squareform(pdist(X))
     np.fill_diagonal(dmat, diagonal)
     return dmat
+
+
+def _disp(X, y):
+    return _named(DISP_FEATURES, disp_features(y, _distances(X)))
+
+
+def _ic(X, y, diagonal=0.0):
+    return _named(IC_FEATURES, ic_features(y, _distances(X, diagonal)))
+
+
+def _nbc(X, y):
+    return _named(NBC_FEATURES, nbc_features(y, _distances(X, np.inf)))
 
 
 def _line_design(y_values):
@@ -58,25 +79,24 @@ def _line_design(y_values):
 
 def test_lhs_one_point_per_stratum():
     inst = make_instance(1, 1, 10)
-    design = sample_design(inst, 100, seed=3)
-    assert design.X.shape == (100, 10)
+    X, _ = sample_design(inst, 100, seed=3)
+    assert X.shape == (100, 10)
     for j in range(10):
-        strata = np.floor((design.X[:, j] + 5.0) / 10.0 * 100).astype(int)
+        strata = np.floor((X[:, j] + 5.0) / 10.0 * 100).astype(int)
         assert sorted(strata) == list(range(100))
 
 
 def test_lhs_determinism():
     inst = make_instance(2, 1, 4)
-    a = sample_design(inst, 60, seed=9)
-    b = sample_design(inst, 60, seed=9)
-    assert np.array_equal(a.X, b.X)
-    assert np.array_equal(a.y, b.y)
+    (Xa, ya), (Xb, yb) = sample_design(inst, 60, seed=9), sample_design(inst, 60, seed=9)
+    assert np.array_equal(Xa, Xb)
+    assert np.array_equal(ya, yb)
 
 
 def test_lhs_y_matches_evaluate():
     inst = make_instance(7, 2, 3)
-    design = sample_design(inst, 40, seed=1)
-    assert np.array_equal(design.y, inst.evaluate_batch(design.X))
+    X, y = sample_design(inst, 40, seed=1)
+    assert np.array_equal(y, inst.evaluate_batch(X))
 
 
 def test_lhs_size_guard():
@@ -88,18 +108,9 @@ def test_lhs_size_guard():
 # ---------------------------------------------------------------------------
 # dispersion
 
-def test_disp_whole_sample_hook():
-    rng = np.random.default_rng(0)
-    design = _design(rng.normal(size=(50, 3)), rng.normal(size=50))
-    out = disp_features(design, _distances(design), quantiles=(1.0,))
-    assert out["disp.ratio_mean_100"] == pytest.approx(1.0)
-    assert out["disp.diff_mean_100"] == pytest.approx(0.0)
-
-
 def test_disp_constant_y_ties_finite():
     rng = np.random.default_rng(1)
-    design = _design(rng.normal(size=(60, 3)), np.zeros(60))
-    out = disp_features(design, _distances(design))
+    out = _disp(*_design(rng.normal(size=(60, 3)), np.zeros(60)))
     for q in ("02", "05", "10", "25"):
         assert out[f"disp.ratio_mean_{q}"] > 0.0
         assert math.isfinite(out[f"disp.diff_mean_{q}"])
@@ -108,17 +119,21 @@ def test_disp_constant_y_ties_finite():
 def test_disp_sphere_best_points_cluster():
     # derived numerically: on a sphere the best 5% concentrate near the optimum
     inst = make_instance(1, 1, 5)
-    design = sample_design(inst, 1000, seed=11)
-    out = disp_features(design, _distances(design))
+    out = _disp(*sample_design(inst, 1000, seed=11))
     assert out["disp.ratio_mean_05"] < 1.0
 
 
 def test_disp_tiny_subset_uses_two_points():
-    rng = np.random.default_rng(2)
-    design = _design(rng.normal(size=(20, 2)), rng.normal(size=20))
-    # 1 point requested, 2 used
-    out = disp_features(design, _distances(design), quantiles=(0.01,))
-    assert out["disp.ratio_mean_01"] > 0.0
+    # 20 points 1 apart on a line, best first: 2%, 5% and 10% of 20 ask for
+    # 1, 1 and 2 points and all use the best 2, at distance 1; 25% uses the
+    # best 5. The mean distance over distinct pairs of k points spaced 1
+    # apart is (k + 1) / 3: 7 for all 20, 2 for the best 5.
+    out = _disp(*_line_design(np.arange(20.0)))
+    for tag in ("02", "05", "10"):
+        assert out[f"disp.ratio_mean_{tag}"] == pytest.approx(1.0 / 7.0)
+        assert out[f"disp.diff_mean_{tag}"] == pytest.approx(1.0 - 7.0)
+    assert out["disp.ratio_mean_25"] == pytest.approx(2.0 / 7.0)
+    assert out["disp.diff_mean_25"] == pytest.approx(2.0 - 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +141,7 @@ def test_disp_tiny_subset_uses_two_points():
 
 def test_ic_constant_y_all_zero():
     rng = np.random.default_rng(3)
-    design = _design(rng.normal(size=(30, 2)), np.full(30, 2.5))
-    out = ic_features(design, _distances(design))
+    out = _ic(*_design(rng.normal(size=(30, 2)), np.full(30, 2.5)))
     assert out["ic.h_max"] == 0.0
     assert out["ic.m0"] == 0.0
 
@@ -144,24 +158,21 @@ def test_ic_alternating_entropy_exactly_one():
     # hand formula: pairs alternate (1,-1) and (-1,1), each with p = 1/2,
     # so H = -2 * (1/2) * log2(1/2) = 1
     n = 40
-    design = _line_design([0.0, 1.0] * (n // 2))
-    out = ic_features(design, _distances(design))
+    out = _ic(*_line_design([0.0, 1.0] * (n // 2)))
     assert out["ic.h_max"] == pytest.approx(1.0)
     # every step changes sign: partial information is maximal
     assert out["ic.m0"] == pytest.approx(1.0)
 
 
 def test_ic_monotone_tour_zero_entropy():
-    design = _line_design(np.arange(30, dtype=float))
-    out = ic_features(design, _distances(design))
+    out = _ic(*_line_design(np.arange(30, dtype=float)))
     assert out["ic.h_max"] == 0.0
 
 
 def test_ic_entropy_range_invariant():
     rng = np.random.default_rng(4)
     for trial in range(5):
-        design = _design(rng.normal(size=(80, 3)), rng.normal(size=80))
-        out = ic_features(design, _distances(design))
+        out = _ic(*_design(rng.normal(size=(80, 3)), rng.normal(size=80)))
         assert 0.0 <= out["ic.h_max"] <= math.log2(6.0) + 1e-12
         assert out["ic.eps_s"] >= 0.0
 
@@ -173,24 +184,21 @@ def test_nbc_three_point_hand_value():
     # collinear points 0, 1, 3 with strictly decreasing y:
     # nn = [1, 1, 2]; nearest-better = [1, 2, max(1, 2) = 2]
     # mean ratio = mean(nn)/mean(nb) = (4/3)/(5/3) = 0.8
-    design = _design([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [3.0, 2.0, 1.0])
-    out = nbc_features(design, _distances(design, np.inf))
+    out = _nbc(*_design([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], [3.0, 2.0, 1.0]))
     assert out["nbc.nn_nb.mean_ratio"] == pytest.approx(0.8)
 
 
 def test_nbc_identical_y_convention_ratios_one():
     rng = np.random.default_rng(5)
-    design = _design(rng.normal(size=(25, 3)), np.zeros(25))
-    out = nbc_features(design, _distances(design, np.inf))
+    out = _nbc(*_design(rng.normal(size=(25, 3)), np.zeros(25)))
     assert out["nbc.nn_nb.mean_ratio"] == pytest.approx(1.0)
     assert out["nbc.nn_nb.sd_ratio"] == pytest.approx(1.0)
     assert out["nbc.nb_fitness.cor"] == 0.0
 
 
 def test_nbc_duplicate_point_guarded():
-    design = _design([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-                     [1.0, 2.0, 3.0, 4.0])
-    out = nbc_features(design, _distances(design, np.inf))
+    out = _nbc(*_design([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                        [1.0, 2.0, 3.0, 4.0]))
     for value in out.values():
         assert math.isfinite(value)
 
@@ -199,8 +207,7 @@ def test_nbc_correlation_sign_forced():
     # geometrically increasing gaps with decreasing y: nearest-better
     # distances grow as y falls, so the correlation must be negative
     xs = [0.0, 1.0, 3.0, 7.0, 15.0]
-    design = _design([[x, 0.0] for x in xs], [5.0, 4.0, 3.0, 2.0, 1.0])
-    out = nbc_features(design, _distances(design, np.inf))
+    out = _nbc(*_design([[x, 0.0] for x in xs], [5.0, 4.0, 3.0, 2.0, 1.0]))
     assert -1.0 <= out["nbc.nb_fitness.cor"] < 0.0
 
 
@@ -211,7 +218,7 @@ def test_meta_linear_fit_perfect():
     rng = np.random.default_rng(7)
     X = rng.uniform(-5, 5, size=(100, 4))
     y = 3.0 - 2.0 * X[:, 0] + 0.5 * X[:, 2]
-    out = meta_model_features(_design(X, y))
+    out = _named(META_MODEL_FEATURES, meta_model_features(X, y))
     assert out["ela_meta.lin_simple.adj_r2"] == pytest.approx(1.0, abs=1e-9)
     assert out["ela_meta.lin_simple.intercept"] == pytest.approx(3.0, abs=1e-8)
     assert out["ela_meta.lin_simple.coef.max"] == pytest.approx(2.0, abs=1e-8)
@@ -222,7 +229,7 @@ def test_meta_quadratic_bowl():
     X = rng.uniform(-5, 5, size=(120, 3))
     X -= X.mean(axis=0)
     y = np.sum(X**2, axis=1)
-    out = meta_model_features(_design(X, y))
+    out = _named(META_MODEL_FEATURES, meta_model_features(X, y))
     assert out["ela_meta.quad_simple.adj_r2"] == pytest.approx(1.0, abs=1e-9)
     assert out["ela_meta.lin_simple.adj_r2"] < 0.5
 
@@ -231,14 +238,14 @@ def test_meta_quad_condition_number():
     rng = np.random.default_rng(9)
     X = rng.uniform(-5, 5, size=(150, 2))
     y = X[:, 0] ** 2 + 10.0 * X[:, 1] ** 2
-    out = meta_model_features(_design(X, y))
+    out = _named(META_MODEL_FEATURES, meta_model_features(X, y))
     assert out["ela_meta.quad_simple.cond"] == pytest.approx(10.0, abs=1e-6)
 
 
 def test_meta_constant_y_convention():
     rng = np.random.default_rng(10)
     X = rng.uniform(-5, 5, size=(80, 3))
-    out = meta_model_features(_design(X, np.full(80, 1.5)))
+    out = _named(META_MODEL_FEATURES, meta_model_features(X, np.full(80, 1.5)))
     for name in ("lin_simple", "lin_w_interact", "quad_simple", "quad_w_interact"):
         assert out[f"ela_meta.{name}.adj_r2"] == 0.0
 
@@ -247,7 +254,7 @@ def test_meta_needs_enough_points():
     rng = np.random.default_rng(11)
     X = rng.uniform(-5, 5, size=(10, 4))
     with pytest.raises(ConfigurationError):
-        meta_model_features(_design(X, np.zeros(10)))
+        meta_model_features(X, np.zeros(10))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,7 @@ def test_level_separable_blobs():
     X[: n // 2, 0] -= 5.0
     X[n // 2:, 0] += 5.0
     y = X[:, 0]
-    out = level_features(_design(X, y))
+    out = _named(LEVEL_FEATURES, level_features(X, y))
     assert out["ela_level.mmce_lda_50"] <= 0.02
 
 
@@ -270,7 +277,7 @@ def test_level_no_signal_error_near_minority_rate():
     rng = np.random.default_rng(13)
     X = rng.uniform(-5, 5, size=(500, 3))
     y = rng.normal(size=500)  # independent of X
-    out = level_features(_design(X, y))
+    out = _named(LEVEL_FEATURES, level_features(X, y))
     for q, rate in ((10, 0.10), (25, 0.25), (50, 0.50)):
         assert abs(out[f"ela_level.mmce_lda_{q:02d}"] - rate) <= 0.1
 
@@ -283,8 +290,7 @@ def test_level_ratio_guard():
 
 def test_level_mmce_in_unit_interval():
     inst = make_instance(3, 1, 3)
-    design = sample_design(inst, 120, seed=2)
-    out = level_features(design)
+    out = _named(LEVEL_FEATURES, level_features(*sample_design(inst, 120, seed=2)))
     for name, value in out.items():
         if "mmce" in name:
             assert 0.0 <= value <= 1.0
@@ -293,7 +299,7 @@ def test_level_mmce_in_unit_interval():
 def test_level_needs_50_points():
     rng = np.random.default_rng(14)
     with pytest.raises(ConfigurationError):
-        level_features(_design(rng.normal(size=(49, 2)), rng.normal(size=49)))
+        level_features(rng.normal(size=(49, 2)), rng.normal(size=49))
 
 
 def _level_labels(y, q):
@@ -328,9 +334,9 @@ def test_cv_mmce_matches_two_pass_reference_on_tied_objective_values(q):
 
 @pytest.mark.parametrize("problem_id", [1, 8, 15, 21])
 def test_cv_mmce_matches_two_pass_reference_on_sampled_designs(problem_id):
-    design = sample_design(make_instance(problem_id, 1, 5), 100, seed=problem_id)
+    X, y = sample_design(make_instance(problem_id, 1, 5), 100, seed=problem_id)
     for q in LEVEL_QUANTILES:
-        _assert_cv_matches_two_pass_reference(design.X, _level_labels(design.y, q))
+        _assert_cv_matches_two_pass_reference(X, _level_labels(y, q))
 
 
 @pytest.mark.parametrize("size", range(2, LEVEL_CV_FOLDS))
@@ -348,8 +354,7 @@ def test_cv_mmce_matches_two_pass_reference_with_a_class_below_the_fold_count(si
 
 def test_pca_isotropic_cube():
     inst = make_instance(1, 1, 5)
-    design = sample_design(inst, 1000, seed=21)
-    out = pca_features(design)
+    out = _named(PCA_FEATURES, pca_features(*sample_design(inst, 1000, seed=21)))
     assert out["pca.expl_var_PC1.cov_x"] == pytest.approx(1.0 / 5.0, abs=0.05)
 
 
@@ -357,15 +362,14 @@ def test_pca_rank_one_line():
     t = np.linspace(-1, 1, 50)
     direction = np.array([1.0, 2.0, -1.0])
     X = t[:, None] * direction[None, :]
-    out = pca_features(_design(X, t))
+    out = _named(PCA_FEATURES, pca_features(X, t))
     assert out["pca.expl_var_PC1.cov_x"] == pytest.approx(1.0)
     assert out["pca.expl_var.cov_x"] == pytest.approx(1.0 / 3.0)
 
 
 def test_pca_fraction_range():
     rng = np.random.default_rng(15)
-    design = _design(rng.normal(size=(60, 4)), rng.normal(size=60))
-    out = pca_features(design)
+    out = _named(PCA_FEATURES, pca_features(rng.normal(size=(60, 4)), rng.normal(size=60)))
     for name, value in out.items():
         if name.startswith("pca.expl_var."):
             assert 0.0 < value <= 1.0
@@ -377,8 +381,7 @@ def test_pca_zero_variance_column_under_correlation():
     rng = np.random.default_rng(16)
     X = rng.normal(size=(50, 3))
     X[:, 1] = 2.0  # constant column
-    out = pca_features(_design(X, rng.normal(size=50)))
-    assert all(math.isfinite(v) for v in out.values())
+    assert all(math.isfinite(v) for v in pca_features(X, rng.normal(size=50)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +389,30 @@ def test_pca_zero_variance_column_under_correlation():
 
 def test_schema_has_enough_features_across_groups():
     assert len(FEATURE_SCHEMA) >= 40
-    groups = set(FEATURE_GROUPS.values())
+    groups = {name.partition(".")[0] for name in FEATURE_SCHEMA}
     assert groups == {"disp", "ic", "nbc", "ela_meta", "ela_level", "pca"}
+
+
+def test_feature_schema_pinned():
+    # the schema names the columns of features.csv and feature_schema.json, in order
+    assert len(FEATURE_SCHEMA) == len(set(FEATURE_SCHEMA)) == 43
+    assert hashlib.sha256("\n".join(FEATURE_SCHEMA).encode()).hexdigest() == (
+        "428903fe9e9dceb2db896b8e1905137c8f0fd60ebdb17d08e87de8a4eebb565e")
+
+
+@pytest.mark.parametrize("group, names, diagonal", [
+    (disp_features, DISP_FEATURES, 0.0),
+    (ic_features, IC_FEATURES, np.inf),
+    (nbc_features, NBC_FEATURES, np.inf),
+    (meta_model_features, META_MODEL_FEATURES, None),
+    (level_features, LEVEL_FEATURES, None),
+    (pca_features, PCA_FEATURES, None),
+], ids=["disp", "ic", "nbc", "meta_model", "level", "pca"])
+def test_group_returns_one_value_per_name(group, names, diagonal):
+    # values carry no names, so a short or long group would misalign the schema
+    X, y = sample_design(make_instance(5, 1, 3), 100, seed=4)
+    values = group(X, y) if diagonal is None else group(y, _distances(X, diagonal))
+    assert len(values) == len(names)
 
 
 def test_extract_all_schema_and_determinism():
@@ -407,7 +432,8 @@ def test_extract_all_zeroes_and_counts_non_finite_features(monkeypatch, caplog):
     broken = {"pca.expl_var.cov_x": math.nan, "pca.expl_var.cor_x": -math.inf,
               "pca.expl_var_PC1.cor_init": math.inf}
     real = ela_mod.pca_features
-    monkeypatch.setattr(ela_mod, "pca_features", lambda design: {**real(design), **broken})
+    monkeypatch.setattr(ela_mod, "pca_features", lambda X, y: [
+        broken.get(name, value) for name, value in zip(PCA_FEATURES, real(X, y))])
     with caplog.at_level(logging.WARNING, logger="footprints.ela"):
         vec = extract_all(inst, 60, seed=4)
     cols = [FEATURE_SCHEMA.index(name) for name in broken]
@@ -425,17 +451,14 @@ def test_extract_all_zeroes_and_counts_non_finite_features(monkeypatch, caplog):
 def test_extract_all_shares_one_distance_matrix(monkeypatch):
     # disp, ic and nbc read one matrix built once; ic reads no diagonal entry
     inst = make_instance(5, 1, 2)
-    design = sample_design(inst, 60, seed=4)
-    assert ic_features(design, _distances(design)) == ic_features(design,
-                                                                  _distances(design, np.inf))
+    X, y = sample_design(inst, 60, seed=4)
+    assert _ic(X, y) == _ic(X, y, np.inf)
     calls = []
     real = ela_mod.pdist
     monkeypatch.setattr(ela_mod, "pdist", lambda X: calls.append(X.shape) or real(X))
     vec = extract_all(inst, 60, seed=4)
     assert calls == [(60, 2)]
-    expected = {**disp_features(design, _distances(design)),
-                **ic_features(design, _distances(design, np.inf)),
-                **nbc_features(design, _distances(design, np.inf))}
+    expected = {**_disp(X, y), **_ic(X, y, np.inf), **_nbc(X, y)}
     assert [vec.values[FEATURE_SCHEMA.index(name)] for name in expected] == list(
         expected.values())
 
