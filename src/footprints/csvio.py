@@ -16,6 +16,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 KEY_COLUMNS = ("problem_id", "instance_id", "dimension")
+# an instance key: the values of KEY_COLUMNS
+Key = tuple[int, int, int]
 
 
 def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -65,6 +67,6 @@ def read_csv(path) -> tuple[list[str], list[dict[str, str]]]:
     return list(reader.fieldnames or ()), rows
 
 
-def row_key(row: Mapping[str, str]) -> tuple[int, int, int]:
+def row_key(row: Mapping[str, str]) -> Key:
     """The (problem_id, instance_id, dimension) key of a ``read_csv`` row."""
     return int(row["problem_id"]), int(row["instance_id"]), int(row["dimension"])

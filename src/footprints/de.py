@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
+from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND, precision
 
@@ -166,7 +166,7 @@ def write_performance_csv(rows: Iterable[tuple[str, tuple, Sequence[float]]], pa
     )
 
 
-def read_performance_csv(path, config_id: str) -> dict[tuple[int, int, int], float]:
+def read_performance_csv(path, config_id: str) -> dict[Key, float]:
     """{key: median_log_precision} of the rows of one DE config."""
     _, rows = read_csv(path)
     return {row_key(row): float(row["median_log_precision"])

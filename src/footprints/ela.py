@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv, write_json
+from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv, write_json
 from .errors import ConfigurationError
 from .suite import LOWER_BOUND, UPPER_BOUND, ProblemInstance
 
@@ -46,7 +46,7 @@ class ElaFeatureVector:
     """One instance's features: `values` in FEATURE_SCHEMA order, of which
     `sanitized_count` were non-finite and replaced by 0."""
 
-    key: tuple[int, int, int]
+    key: Key
     values: np.ndarray
     sanitized_count: int
 
@@ -439,7 +439,7 @@ def write_features_csv(vectors: Sequence[ElaFeatureVector], path) -> None:
               ([*vec.key, *vec.values] for vec in vectors))
 
 
-def read_features_csv(path) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+def read_features_csv(path) -> tuple[list[Key], np.ndarray]:
     """The row keys and the (rows, features) matrix, in FEATURE_SCHEMA order."""
     _, rows = read_csv(path)
     X = np.array([[float(row[name]) for name in FEATURE_SCHEMA] for row in rows])

@@ -15,10 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv
+from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv
 from .errors import ContractViolation
-
-Key = tuple[int, int, int]
 
 LABELS = ("good_good", "good_poor", "poor_good", "poor_poor")
 ALGORITHM_POOR = 2

@@ -20,17 +20,21 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+from .csvio import Key
 from .errors import ConfigurationError
 from .seeding import derive_seed
 
-Key = tuple[int, int, int]
-
-MODEL_KINDS = ("random_forest", "knn", "kernel")
-MODEL_LABELS = {
-    "random_forest": "RF",
-    "knn": "KNN",
-    "kernel": "kernel (svm-surrogate)",
+# Each model kind: (display label, the RunConfig field of its hyperparameter,
+# fit(X, y, value, seed)). A fit calls its fit_* function by its module-level
+# name, so that a patched module attribute is the one called.
+MODELS = {
+    "random_forest": ("RF", "forest_trees",
+                      lambda X, y, value, seed: fit_random_forest(X, y, n_trees=value, seed=seed)),
+    "knn": ("KNN", "knn_neighbors", lambda X, y, value, seed: fit_knn(X, y, k_neighbors=value)),
+    "kernel": ("kernel (svm-surrogate)", "kernel_penalty",
+               lambda X, y, value, seed: fit_kernel(X, y, penalty=value)),
 }
+MODEL_KINDS = tuple(MODELS)
 
 
 # ---------------------------------------------------------------------------
@@ -287,28 +291,11 @@ def fit_kernel(
                             bandwidth=bandwidth, y_mean=y_mean)
 
 
-def fit_model(kind: str, X, y, params: dict | None = None, seed: int = 0):
-    params = dict(params or {})
-    if kind == "random_forest":
-        return fit_random_forest(X, y, seed=seed, **params)
-    if kind == "knn":
-        return fit_knn(X, y, **params)
-    if kind == "kernel":
-        return fit_kernel(X, y, **params)
-    raise ConfigurationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
-@dataclass(frozen=True)
-class ModelMetrics:
-    mae: float
-    r2: float
-
-
-def evaluate_model(pred: np.ndarray, y_test: np.ndarray) -> ModelMetrics:
-    """MAE and R^2 of a model's test-set predictions."""
+def evaluate_model(pred: np.ndarray, y_test: np.ndarray) -> tuple[float, float]:
+    """(MAE, R^2) of a model's test-set predictions."""
     pred = np.asarray(pred, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     mae = float(np.mean(np.abs(pred - y_test)))
@@ -318,4 +305,4 @@ def evaluate_model(pred: np.ndarray, y_test: np.ndarray) -> ModelMetrics:
         r2 = 1.0 if sse == 0 else 0.0
     else:
         r2 = 1.0 - sse / sst
-    return ModelMetrics(mae=mae, r2=r2)
+    return mae, r2

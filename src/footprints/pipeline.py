@@ -29,7 +29,7 @@ from . import models as models_mod
 from . import shapley as shap_mod
 from . import viz as viz_mod
 from .config import RunConfig, validate
-from .csvio import KEY_COLUMNS, read_csv, row_key, write_csv, write_json, write_text
+from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv, write_json, write_text
 from .errors import ConfigurationError
 from .seeding import (EXPLAIN_SALT, FEATURES_SALT, FOLDS_SALT, SOLVE_SALT,
                       TRAIN_SALT, derive_seed)
@@ -156,20 +156,23 @@ class Pipeline:
                 manifest = json.loads(self.manifest_path.read_text())
             except (json.JSONDecodeError, UnicodeDecodeError):
                 manifest = None
-            if isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict):
+            stages = manifest.get("stages") if isinstance(manifest, dict) else None
+            # the stage records, their inputs and outputs, and the sanitation
+            # counts are read and updated as mappings
+            if (isinstance(stages, dict) and isinstance(manifest.get("sanitation", {}), dict)
+                    and all(isinstance(record, dict)
+                            and isinstance(record.get("inputs", {}), dict)
+                            and isinstance(record.get("outputs", {}), dict)
+                            for record in stages.values())):
                 return manifest
             logger.warning("unreadable manifest; starting fresh")
-        return {
-            "tool_version": __version__,
-            "config_digest": self.cfg.digest(),
-            "master_seed": self.cfg.master_seed,
-            "stages": {},
-            "sanitation": {},
-        }
+        return {"stages": {}, "sanitation": {}}
 
     def _save_manifest(self) -> None:
+        """Writes the manifest under this run's version, config and master seed."""
         self.manifest["tool_version"] = __version__
         self.manifest["config_digest"] = self.cfg.digest()
+        self.manifest["master_seed"] = self.cfg.master_seed
         write_json(self.manifest_path, self.manifest)
 
     def _stage_done(self, stage: str) -> bool:
@@ -238,7 +241,7 @@ class Pipeline:
         write_suite_csv(make_suite(cfg.problems, cfg.instances, cfg.dimension),
                         self._output("suite.csv"))
 
-    def _suite_keys(self) -> list[tuple[int, int, int]]:
+    def _suite_keys(self) -> list[Key]:
         """The instance keys of suite.csv, in its row order."""
         return [row_key(row) for row in read_csv(self.path("suite.csv"))[1]]
 
@@ -285,51 +288,46 @@ class Pipeline:
         fold_of = {row_key(row): int(row["test_fold"]) for row in rows}
         return keys, X, np.array([y_map[k] for k in keys]), np.array([fold_of[k] for k in keys])
 
-    def _model_params(self, kind: str) -> dict:
+    def _train_seed(self, kind: str, fold_id: int, size: int) -> int:
+        """The seed of the `kind` model of a fold on `size` portfolio
+        features; size 0 is selection's model, on every feature."""
         cfg = self.cfg
-        if kind == "random_forest":
-            return {"n_trees": cfg.forest_trees}
-        if kind == "knn":
-            return {"k_neighbors": cfg.knn_neighbors}
-        return {"penalty": cfg.kernel_penalty}
+        return derive_seed(cfg.master_seed, TRAIN_SALT, cfg.model_kinds.index(kind), fold_id, size)
 
-    def _fit(self, kind: str, fold_id: int, size: int, ranking, X, y, train):
-        """The fold model that train scores and explain attributes, as
-        (model, its feature columns of X, their names). It is fit on the
-        first `size` features of `ranking`, over the rows where `train` holds."""
-        cfg = self.cfg
-        names = list(ranking[:min(size, len(ela_mod.FEATURE_SCHEMA))])
-        cols = [ela_mod.FEATURE_SCHEMA.index(name) for name in names]
-        seed = derive_seed(cfg.master_seed, TRAIN_SALT, cfg.model_kinds.index(kind), fold_id, size)
-        model = models_mod.fit_model(kind, X[train][:, cols], y[train],
-                                     self._model_params(kind), seed=seed)
-        return model, cols, names
+    def _fit(self, kind: str, fold_id: int, size: int, X, y):
+        """The `kind` model of a fold on `size` portfolio features, fit on X
+        and y. Every fold model, selection's included, is fit here."""
+        _, field, fit = models_mod.MODELS[kind]
+        return fit(X, y, getattr(self.cfg, field), self._train_seed(kind, fold_id, size))
 
     def _run_train(self):
         cfg = self.cfg
         keys, X, y, test_fold = self._fold_data("train")
         metrics_rows = []
         predictions: dict[int, list] = {f: [] for f in self._fold_ids()}
-        for ki, kind in enumerate(cfg.model_kinds):
+        for kind in cfg.model_kinds:
             for fold_id in self._fold_ids():
                 train, test = test_fold != fold_id, np.flatnonzero(test_fold == fold_id)
+                # selection's model is fit on X[train] itself: a column-gathered
+                # copy is F-ordered, and its standardization differs in the last bit
+                train_X, train_y = X[train], y[train]
                 ranked = shap_mod.select_portfolio(
-                    X[train], y[train], feature_names=ela_mod.FEATURE_SCHEMA,
-                    model_kind=kind, seed=derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, 0),
-                    model_params=self._model_params(kind),
-                    n_permutations=cfg.selection_permutations,
+                    self._fit(kind, fold_id, 0, train_X, train_y), train_X,
+                    ela_mod.FEATURE_SCHEMA, self._train_seed(kind, fold_id, 0),
+                    cfg.selection_permutations,
                 )
                 write_json(self._output(f"portfolios/{kind}_fold_{fold_id}.json"), {
                     "model_kind": kind,
                     "fold_id": fold_id,
                     "ranking": [{"name": name, "importance": imp} for name, imp in ranked],
                 })
+                ranked_cols = [ela_mod.FEATURE_SCHEMA.index(name) for name, _ in ranked]
                 for size in cfg.portfolio_sizes:
-                    model, cols, _ = self._fit(kind, fold_id, size, [name for name, _ in ranked],
-                                               X, y, train)
+                    cols = ranked_cols[:size]
+                    model = self._fit(kind, fold_id, size, train_X[:, cols], train_y)
                     pred = model.predict(X[np.ix_(test, cols)])
-                    m = models_mod.evaluate_model(pred, y[test])
-                    metrics_rows.append((kind, fold_id, size, m.mae, m.r2))
+                    metrics_rows.append((kind, fold_id, size,
+                                         *models_mod.evaluate_model(pred, y[test])))
                     predictions[fold_id] += [
                         (kind, size, *keys[i], y[i], p) for i, p in zip(test, pred)
                     ]
@@ -344,18 +342,20 @@ class Pipeline:
         return [entry["name"] for entry in payload["ranking"]]
 
     def _run_explain(self):
-        """Refits the footprint model of each fold with _fit, as train did,
-        and attributes its test predictions."""
+        """Refits the footprint model of each fold with _fit, on the same
+        matrix as train did, and attributes its test predictions."""
         cfg = self.cfg
         keys, X, y, test_fold = self._fold_data("explain")
-        kind = cfg.footprint_model
+        kind, size = cfg.footprint_model, cfg.footprint_portfolio_size
         for fold_id in self._fold_ids():
             train, test = test_fold != fold_id, np.flatnonzero(test_fold == fold_id)
-            model, cols, names = self._fit(kind, fold_id, cfg.footprint_portfolio_size,
-                                           self._read_portfolio(kind, fold_id), X, y, train)
+            names = self._read_portfolio(kind, fold_id)[:size]
+            cols = [ela_mod.FEATURE_SCHEMA.index(name) for name in names]
+            train_X = X[train][:, cols]
+            model = self._fit(kind, fold_id, size, train_X, y[train])
             test_keys = [keys[i] for i in test]
             reps = shap_mod.attribute(
-                model, X[np.ix_(test, cols)], X[train][:, cols],
+                model, X[np.ix_(test, cols)], train_X,
                 seeds=[derive_seed(cfg.master_seed, EXPLAIN_SALT, fold_id, p, i)
                        for p, i, _ in test_keys],
             )
@@ -440,8 +440,8 @@ class Pipeline:
             coords = viz_mod.embed_2d(phi)
             svg = viz_mod.emit_footprint_plot(
                 keys, coords, label_of,
-                title=f"{models_mod.MODEL_LABELS.get(cfg.footprint_model, cfg.footprint_model)}"
-                      f" footprint, fold {fold_id} (pca embedding)",
+                title=f"{models_mod.MODELS[cfg.footprint_model][0]} footprint, fold {fold_id}"
+                      " (pca embedding)",
             )
             write_text(self._output(f"figures/footprint_fold_{fold_id}.svg"), svg)
             top_k = min(cfg.report_top_k, len(names))

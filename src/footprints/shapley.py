@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .models import RandomForestModel, RegressionTree, fit_model
+from .models import RandomForestModel, RegressionTree
 
 # The most sampling-Shapley states per model.predict call (peak memory).
 PREDICT_CHUNK_ROWS = 1024
@@ -300,22 +300,20 @@ def global_importance(phi: np.ndarray, feature_names: Sequence[str]) -> list[tup
 
 
 def select_portfolio(
+    model,
     train_X: np.ndarray,
-    train_y: np.ndarray,
     feature_names: Sequence[str],
-    model_kind: str = "random_forest",
-    seed: int = 0,
-    model_params: dict | None = None,
-    n_permutations: int = 64,
+    seed: int,
+    n_permutations: int,
 ) -> list[tuple[str, float]]:
-    """Train on all features and rank them by train-set importance, as
-    ``global_importance`` pairs; a portfolio of size k is the first k names.
+    """The features of `model`, fit on train_X, ranked by train-set
+    importance as ``global_importance`` pairs; a portfolio of size k is the
+    first k names.
 
-    Uses only the training split (the train set doubles as background),
-    so no test information leaks into the selection.
+    Only the training split is read (it doubles as the background), so no
+    test information leaks into the selection. Sampling row i is seeded
+    with seed + i.
     """
-    train_X = np.asarray(train_X, dtype=float)
-    model = fit_model(model_kind, train_X, train_y, model_params, seed=seed)
     reps = attribute(model, train_X, train_X, range(seed, seed + len(train_X)),
                      n_permutations=n_permutations)
     return global_importance(np.stack([rep.phi for rep in reps]), feature_names)

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .csvio import KEY_COLUMNS, write_csv
+from .csvio import KEY_COLUMNS, Key, write_csv
 from .errors import ConfigurationError, ContractViolation
 from .seeding import SUITE_SALT, derive_seed
 
@@ -49,7 +49,7 @@ class ProblemInstance:
     core_at_opt: float = field(repr=False)
 
     @property
-    def key(self) -> tuple[int, int, int]:
+    def key(self) -> Key:
         return (self.problem_id, self.instance_id, self.dimension)
 
     @property

@@ -14,13 +14,11 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .csvio import KEY_COLUMNS, format_csv
+from .csvio import KEY_COLUMNS, Key, format_csv
 from .errors import ConfigurationError, ContractViolation
 from .footprint import ALGORITHM_POOR, LABELS, MODEL_POOR
-from .models import MODEL_LABELS
+from .models import MODELS
 from .shapley import global_importance
-
-Key = tuple[int, int, int]
 
 ALG_GOOD_COLOR = "#1f77b4"   # blue: good algorithm performance
 ALG_POOR_COLOR = "#ffcc00"   # yellow: poor algorithm performance
@@ -258,7 +256,7 @@ def emit_distribution_table(
     """The problem ids of each LABELS column, per fold in fold order, for
     rows (fold_ids[i], keys[i], labels[i]) of one model; text table and
     CSV companion."""
-    display = MODEL_LABELS.get(model_kind, model_kind)
+    display = MODELS[model_kind][0]
     problems = np.array([key[0] for key in keys])
     header = ["model", "fold", *(f"({label.replace('_', ', ')})" for label in LABELS)]
     lines = [" | ".join(header)]

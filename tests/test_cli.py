@@ -98,6 +98,8 @@ def test_validate_footprint_references():
     ({"model": {"selection_permutations": 0}}, "model.selection_permutations must be >= 1"),
     # a target under train-median would be ignored without a word
     ({"footprint": {"t_value": 0.5}}, "footprint.t_value is only read when t_mode is 'explicit'"),
+    ({"model": {"kinds": ["random_forest", "boosting"]}},
+     "model.kinds contains unknown kind 'boosting'"),
 ])
 def test_validate_minimums_named(data, message):
     assert message in validate(parse_config(data))
@@ -451,35 +453,63 @@ def test_missing_targets_fail_train_and_explain_alike(tiny_run, tmp_path, capsys
 
 
 def test_explain_refits_the_kernel_model_train_scored(tmp_path, monkeypatch):
-    # explain attributes the model whose predictions train scored: same
-    # seed, and the same training matrix down to its memory layout, so
-    # the standardization and the ridge solve agree to the last bit
+    # explain attributes the model whose predictions train scored: the same
+    # training matrix down to its memory layout, so the standardization and
+    # the ridge solve agree to the last bit
     from footprints import models
 
     data = dict(TINY, model=dict(TINY["model"], kinds=["kernel"]),
                 footprint=dict(TINY["footprint"], model="kernel"))
     pipe = Pipeline(parse_config(data), tmp_path / "run")
     pipe.run(["suite", "solve", "features", "folds"])
-    fit_model = models.fit_model
+    fit_kernel = models.fit_kernel
 
     def recording(log):
-        def fit(kind, X, y, params=None, seed=0):
-            model = fit_model(kind, X, y, params, seed=seed)
-            log.append((seed, model))
+        def fit(X, y, *, penalty):
+            model = fit_kernel(X, y, penalty=penalty)
+            log.append(model)
             return model
         return fit
 
     train_fits, explain_fits = [], []
-    monkeypatch.setattr(models, "fit_model", recording(train_fits))
+    monkeypatch.setattr(models, "fit_kernel", recording(train_fits))
     pipe.run(["train"])
-    monkeypatch.setattr(models, "fit_model", recording(explain_fits))
+    monkeypatch.setattr(models, "fit_kernel", recording(explain_fits))
     pipe.run(["explain"])
-    trained = dict(train_fits)
-    assert len(trained) == len(explain_fits) == 5
-    for seed, model in explain_fits:
+    # train fits selection's model, then the one portfolio size, per fold
+    trained = train_fits[1::2]
+    assert len(train_fits) == 10 and len(explain_fits) == 5
+    for model, reference in zip(explain_fits, trained):
         for attr in ("coef", "mean", "std", "X_train"):
-            assert getattr(model, attr).tobytes() == getattr(trained[seed], attr).tobytes(), attr
-        assert (model.bandwidth, model.y_mean) == (trained[seed].bandwidth, trained[seed].y_mean)
+            assert getattr(model, attr).tobytes() == getattr(reference, attr).tobytes(), attr
+        assert (model.bandwidth, model.y_mean) == (reference.bandwidth, reference.y_mean)
+
+
+def test_sampling_portfolios_rank_a_model_fit_on_the_train_rows(tmp_path):
+    # selection's model is fit on X[train] itself: a column-gathered copy is
+    # F-ordered, and its standardization differs in the last bit
+    from footprints import ela, models
+    from footprints.seeding import TRAIN_SALT, derive_seed
+    from footprints.shapley import select_portfolio
+
+    data = dict(TINY, model=dict(TINY["model"], kinds=["knn", "kernel"]),
+                footprint=dict(TINY["footprint"], model="knn"))
+    cfg = parse_config(data)
+    pipe = Pipeline(cfg, tmp_path / "run")
+    pipe.run(["suite", "solve", "features", "folds", "train"])
+    _, X, y, test_fold = pipe._fold_data("train")
+    fits = {"knn": lambda X, y: models.fit_knn(X, y, k_neighbors=cfg.knn_neighbors),
+            "kernel": lambda X, y: models.fit_kernel(X, y, penalty=cfg.kernel_penalty)}
+    for ki, kind in enumerate(cfg.model_kinds):
+        for fold_id in range(1, cfg.k_folds + 1):
+            train = test_fold != fold_id
+            expected = select_portfolio(
+                fits[kind](X[train], y[train]), X[train], ela.FEATURE_SCHEMA,
+                derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, 0),
+                cfg.selection_permutations)
+            payload = json.loads((tmp_path / f"run/portfolios/{kind}_fold_{fold_id}.json")
+                                 .read_text())
+            assert [(e["name"], e["importance"]) for e in payload["ranking"]] == expected
 
 
 def _fail_on_problem_2(item):
@@ -679,8 +709,13 @@ def test_deleted_feature_distribution_figure_reruns_report_only(tiny_run, tmp_pa
 
 
 @pytest.mark.parametrize("force", [False, True])
-@pytest.mark.parametrize("content", [b'{"stages": {', b"[]", b'{"stages": []}', b"\xff"],
-                         ids=["truncated", "list", "stages-list", "not-utf8"])
+@pytest.mark.parametrize("content", [
+    b'{"stages": {', b"[]", b'{"stages": []}', b"\xff", b'{"stages": {"suite": 3}}',
+    b'{"stages": {"suite": {"inputs": [], "outputs": {}}}}',
+    b'{"stages": {"suite": {"inputs": {}, "outputs": "suite.csv"}}}',
+    b'{"stages": {}, "sanitation": 3}',
+], ids=["truncated", "list", "stages-list", "not-utf8", "record-int", "inputs-list",
+        "outputs-str", "sanitation-int"])
 def test_malformed_manifest_starts_fresh(tmp_path, caplog, content, force):
     out = tmp_path / "out"
     out.mkdir()
@@ -690,6 +725,14 @@ def test_malformed_manifest_starts_fresh(tmp_path, caplog, content, force):
         assert main(args + ["--force"] * force) == 0
     assert "unreadable manifest; starting fresh" in caplog.text
     assert list(json.loads((out / "manifest.json").read_text())["stages"]) == ["suite"]
+
+
+def test_manifest_records_the_last_master_seed(tmp_path):
+    out = tmp_path / "out"
+    for seed in (7, 99):
+        config = _write_config(tmp_path, dict(TINY, master_seed=seed))
+        assert main(["suite", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == seed
 
 
 def test_failed_manifest_write_keeps_previous_manifest(tiny_run, tmp_path, monkeypatch):

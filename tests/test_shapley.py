@@ -392,8 +392,8 @@ def test_select_portfolio_full_schema_reorders():
     X = rng.normal(size=(50, 6))
     y = 3.0 * X[:, 2] + rng.normal(scale=0.05, size=50)
     names = [f"f{j}" for j in range(6)]
-    ranked = select_portfolio(X, y, feature_names=names,
-                              model_params={"n_trees": 20}, seed=0)
+    ranked = select_portfolio(fit_random_forest(X, y, n_trees=20, seed=0), X, names,
+                              seed=0, n_permutations=64)
     assert all(isinstance(name, str) and isinstance(imp, float) for name, imp in ranked)
     assert sorted(name for name, _ in ranked) == sorted(names)
     assert ranked[0][0] == "f2"  # the informative feature leads
@@ -404,8 +404,8 @@ def test_select_portfolio_shuffled_labels_structural():
     X = rng.normal(size=(30, 4))
     y = rng.permutation(np.arange(30)).astype(float)
     names = ["a", "b", "c", "d"]
-    ranked = select_portfolio(X, y, feature_names=names,
-                              model_params={"n_trees": 10}, seed=2)
+    ranked = select_portfolio(fit_random_forest(X, y, n_trees=10, seed=2), X, names,
+                              seed=2, n_permutations=64)
     assert sorted(name for name, _ in ranked) == names
     assert len(ranked) == len(names)
 
@@ -415,10 +415,10 @@ def test_select_portfolio_deterministic_and_train_only():
     X = rng.normal(size=(30, 5))
     y = rng.normal(size=30)
     names = [f"f{j}" for j in range(5)]
-    a = select_portfolio(X, y, feature_names=names,
-                         model_params={"n_trees": 10}, seed=4)
-    b = select_portfolio(X, y, feature_names=names,
-                         model_params={"n_trees": 10}, seed=4)
+    a = select_portfolio(fit_random_forest(X, y, n_trees=10, seed=4), X, names,
+                         seed=4, n_permutations=64)
+    b = select_portfolio(fit_random_forest(X, y, n_trees=10, seed=4), X, names,
+                         seed=4, n_permutations=64)
     # recomputation from the training split alone reproduces the selection
     assert a == b
 
@@ -427,9 +427,7 @@ def test_select_portfolio_sampling_path():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(25, 4))
     y = 2.0 * X[:, 1] + rng.normal(scale=0.1, size=25)
-    ranked = select_portfolio(X, y, feature_names=["a", "b", "c", "d"],
-                              model_kind="knn",
-                              model_params={"k_neighbors": 3},
+    ranked = select_portfolio(fit_knn(X, y, k_neighbors=3), X, ["a", "b", "c", "d"],
                               seed=3, n_permutations=32)
     assert sorted(name for name, _ in ranked) == ["a", "b", "c", "d"]
     assert ranked[0][0] == "b"  # the informative feature leads
