@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .csvio import Key
 from .errors import ConfigurationError
@@ -279,11 +279,11 @@ def fit_kernel(
     y = np.asarray(y, dtype=float)
     mean, std = _standardize_params(X)
     Z = (X - mean) / std
-    dists = pdist(Z)
+    sq = cdist(Z, Z, "sqeuclidean")
+    dists = np.sqrt(sq[np.triu_indices(len(Z), 1)])  # bit for bit those of pdist(Z)
     bandwidth = float(np.median(dists)) if len(dists) else 1.0
     if bandwidth <= 0:
         bandwidth = 1.0
-    sq = cdist(Z, Z, "sqeuclidean")
     K = np.exp(-sq / (2.0 * bandwidth**2))
     y_mean = float(y.mean())
     coef = np.linalg.solve(K + penalty * np.eye(len(y)), y - y_mean)

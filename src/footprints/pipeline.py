@@ -3,9 +3,9 @@ explain -> footprint -> report.
 
 Every stage is a pure function of its input files and config, with all
 randomness drawn from documented seed chains, so reruns reproduce byte
-identical CSV/SVG artifacts. A manifest records the code version and the
-input/output digests per stage; a stage is skipped on rerun only when all
-of them still match, unless --force is given.
+identical CSV/SVG artifacts. Per stage, a manifest records the code version,
+the config fields read, with their values, and the digests of the files read
+and written; unless --force is given, a stage is skipped when all still match.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,35 +38,26 @@ from .suite import make_instance, make_suite, write_suite_csv
 
 logger = logging.getLogger(__name__)
 
-# The stage graph: each stage's input files, in run order. A template with
-# {fold} stands for one file per fold; {model} is the footprint model. A
-# stage's outputs are the files its _run_* method names through _output.
-# Footprint needs only train's predictions: their `true` column holds the
-# target of every key, so the other folds' rows are a fold's training targets.
-STAGE_INPUTS = {
-    "suite": (),
-    "solve": ("suite.csv",),
-    "features": ("suite.csv",),
-    "folds": ("features.csv",),
-    "train": ("features.csv", "performance.csv", "folds.csv"),
-    "explain": ("features.csv", "performance.csv", "folds.csv",
-                "portfolios/{model}_fold_{fold}.json"),
-    "footprint": ("predictions/fold_{fold}.csv",),
-    "report": ("assignments.csv", "features.csv", "explanations/fold_{fold}.csv"),
-}
-STAGES = tuple(STAGE_INPUTS)
+# In run order. What a stage depends on is not declared: its record holds
+# the files and config fields that its _run_* method read while it ran.
+STAGES = ("suite", "solve", "features", "folds", "train", "explain", "footprint", "report")
 
 # explanations/fold_N.csv: these columns, then one phi column per portfolio feature
 EXPLANATION_COLUMNS = (*KEY_COLUMNS, "base_value", "prediction")
 
+# each RunConfig field's dotted key
+_KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}
 
-def stage_inputs(stage: str, cfg: RunConfig) -> list[str]:
-    """The input files of `stage` under `cfg`: its STAGE_INPUTS entry expanded."""
-    return [
-        template.format(fold=fold, model=cfg.footprint_model)
-        for template in STAGE_INPUTS[stage]
-        for fold in (range(1, cfg.k_folds + 1) if "{fold}" in template else (None,))
-    ]
+
+class _RecordingConfig(RunConfig):
+    """A RunConfig that records each field read in `reads`, under the
+    field's dotted key, with its value."""
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if name in _KEYS:
+            super().__getattribute__("reads")[_KEYS[name]] = value
+        return value
 
 
 class StageFailure(RuntimeError):
@@ -126,18 +118,28 @@ class Pipeline:
         issues = validate(cfg)
         if issues:
             raise ConfigurationError("invalid config:\n" + "\n".join(f"- {s}" for s in issues))
-        self.cfg = cfg
+        self.cfg = _RecordingConfig(**{f.name: getattr(cfg, f.name) for f in fields(cfg)})
+        # the config by dotted key, as the manifest's JSON gives it back
+        self._settings = json.loads(json.dumps({k: getattr(cfg, n) for n, k in _KEYS.items()}))
+        self._header = {"tool_version": __version__, "config_digest": cfg.digest(),
+                        "master_seed": cfg.master_seed}
         self.out = Path(out_dir)
         self.force = force
         self.threads = max(1, threads)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
         self.manifest = self._load_manifest()
-        self._written: list[str] = []
+        # the running stage, the files it has read and written, and the config fields read
+        self._stage, self._read, self._written, self.cfg.reads = None, [], [], {}
 
     # -- artifact paths ------------------------------------------------
-    def path(self, name: str) -> Path:
-        return self.out / name
+    def _input(self, name: str) -> Path:
+        """Where the running stage reads `name`; its stage record hashes it."""
+        path = self.out / name
+        if not path.exists():
+            raise StageFailure(self._stage, f"missing input {name}; run earlier stages first")
+        self._read.append(name)
+        return path
 
     def _output(self, name: str) -> Path:
         """Where the running stage writes `name`; its stage record hashes it."""
@@ -170,21 +172,18 @@ class Pipeline:
 
     def _save_manifest(self) -> None:
         """Writes the manifest under this run's version, config and master seed."""
-        self.manifest["tool_version"] = __version__
-        self.manifest["config_digest"] = self.cfg.digest()
-        self.manifest["master_seed"] = self.cfg.master_seed
+        self.manifest.update(self._header)
         write_json(self.manifest_path, self.manifest)
 
     def _stage_done(self, stage: str) -> bool:
-        """Recorded by this code version under this config, with the recorded
-        input and output digests matching the files on disk."""
-        record = self.manifest.get("stages", {}).get(stage)
-        if (record is None or record.get("config_digest") != self.cfg.digest()
-                or record.get("version") != __version__):
-            return False
-        inputs, outputs = record.get("inputs", {}), record.get("outputs", {})
-        return (set(stage_inputs(stage, self.cfg)) <= set(inputs)
-                and self._digests_match(inputs) and self._digests_match(outputs))
+        """Recorded by this code version, with each config field it read still
+        holding its value and each file it read or wrote its digest."""
+        record = self.manifest["stages"].get(stage, {})
+        config = record.get("config")
+        return (record.get("version") == __version__ and isinstance(config, dict)
+                and config.items() <= self._settings.items()
+                and self._digests_match(record.get("inputs", {}))
+                and self._digests_match(record.get("outputs", {})))
 
     def _digests_match(self, digests: dict) -> bool:
         return all(
@@ -193,22 +192,21 @@ class Pipeline:
         )
 
     def _record_stage(self, stage: str, elapsed: float) -> None:
-        self.manifest.setdefault("stages", {})[stage] = {
+        """Records what the stage read and wrote, and removes its stale outputs."""
+        previous = self.manifest["stages"].get(stage, {}).get("outputs", {})
+        self.manifest["stages"][stage] = {
             "version": __version__,
-            "config_digest": self.cfg.digest(),
-            "inputs": {name: _sha256(self.out / name) for name in stage_inputs(stage, self.cfg)},
+            "config": dict(self.cfg.reads),
+            "inputs": {name: _sha256(self.out / name) for name in self._read},
             "outputs": {name: _sha256(self.out / name) for name in self._written},
             "elapsed_s": round(elapsed, 3),
         }
+        out = self.out.resolve()
+        for name in set(previous) - set(self._written):
+            path = (out / name).resolve()  # the manifest is input: only names inside --out
+            if path.is_relative_to(out) and path.is_file():
+                path.unlink()
         self._save_manifest()
-
-    def _require_inputs(self, stage: str) -> None:
-        missing = [
-            name for name in stage_inputs(stage, self.cfg)
-            if not (self.out / name).exists()
-        ]
-        if missing:
-            raise StageFailure(stage, f"missing inputs {missing}; run earlier stages first")
 
     # -- public entry ----------------------------------------------------
     def run(self, stages=None) -> None:
@@ -216,16 +214,13 @@ class Pipeline:
         for stage in wanted:
             if stage not in STAGES:
                 raise StageFailure(stage, "unknown stage")
-        for stage in STAGES:
-            if stage not in wanted:
-                continue
+        for stage in [s for s in STAGES if s in wanted]:
             if not self.force and self._stage_done(stage):
                 logger.info("stage %s: cached, skipping", stage)
                 continue
-            self._require_inputs(stage)
             start = time.perf_counter()
             logger.info("stage %s: running", stage)
-            self._written = []
+            self._stage, self._read, self._written, self.cfg.reads = stage, [], [], {}
             try:
                 getattr(self, f"_run_{stage}")()
             except (ConfigurationError, StageFailure):
@@ -234,6 +229,9 @@ class Pipeline:
                 raise StageFailure(stage, f"{type(exc).__name__}: {exc}") from exc
             self._record_stage(stage, time.perf_counter() - start)
             logger.info("stage %s: done", stage)
+        # every stage may be cached under a config that differs in fields none read
+        if not self._header.items() <= self.manifest.items():
+            self._save_manifest()
 
     # -- stages ----------------------------------------------------------
     def _run_suite(self):
@@ -243,7 +241,7 @@ class Pipeline:
 
     def _suite_keys(self) -> list[Key]:
         """The instance keys of suite.csv, in its row order."""
-        return [row_key(row) for row in read_csv(self.path("suite.csv"))[1]]
+        return [row_key(row) for row in read_csv(self._input("suite.csv"))[1]]
 
     def _run_solve(self):
         cfg = self.cfg
@@ -271,20 +269,20 @@ class Pipeline:
 
     def _run_folds(self):
         cfg = self.cfg
-        keys, _ = ela_mod.read_features_csv(self.path("features.csv"))
+        keys, _ = ela_mod.read_features_csv(self._input("features.csv"))
         fold_of = models_mod.make_folds(keys, cfg.k_folds, derive_seed(cfg.master_seed, FOLDS_SALT))
         write_csv(self._output("folds.csv"), [*KEY_COLUMNS, "test_fold"],
                   ([*key, fold_of[key]] for key in sorted(fold_of)))
 
     # -- fold models -----------------------------------------------------
-    def _fold_data(self, stage: str):
+    def _fold_data(self):
         """keys, the feature matrix, and each key's target and test fold, aligned."""
-        keys, X = ela_mod.read_features_csv(self.path("features.csv"))
+        keys, X = ela_mod.read_features_csv(self._input("features.csv"))
         wanted = self.cfg.footprint_config_id
-        y_map = de_mod.read_performance_csv(self.path("performance.csv"), wanted)
+        y_map = de_mod.read_performance_csv(self._input("performance.csv"), wanted)
         if set(keys) - set(y_map):
-            raise StageFailure(stage, f"performance data missing for config {wanted!r}")
-        _, rows = read_csv(self.path("folds.csv"))
+            raise StageFailure(self._stage, f"performance data missing for config {wanted!r}")
+        _, rows = read_csv(self._input("folds.csv"))
         fold_of = {row_key(row): int(row["test_fold"]) for row in rows}
         return keys, X, np.array([y_map[k] for k in keys]), np.array([fold_of[k] for k in keys])
 
@@ -302,7 +300,7 @@ class Pipeline:
 
     def _run_train(self):
         cfg = self.cfg
-        keys, X, y, test_fold = self._fold_data("train")
+        keys, X, y, test_fold = self._fold_data()
         metrics_rows = []
         predictions: dict[int, list] = {f: [] for f in self._fold_ids()}
         for kind in cfg.model_kinds:
@@ -338,14 +336,14 @@ class Pipeline:
                       ["model_kind", "portfolio_size", *KEY_COLUMNS, "true", "predicted"], rows)
 
     def _read_portfolio(self, kind: str, fold_id: int) -> list[str]:
-        payload = json.loads(self.path(f"portfolios/{kind}_fold_{fold_id}.json").read_text())
+        payload = json.loads(self._input(f"portfolios/{kind}_fold_{fold_id}.json").read_text())
         return [entry["name"] for entry in payload["ranking"]]
 
     def _run_explain(self):
         """Refits the footprint model of each fold with _fit, on the same
         matrix as train did, and attributes its test predictions."""
         cfg = self.cfg
-        keys, X, y, test_fold = self._fold_data("explain")
+        keys, X, y, test_fold = self._fold_data()
         kind, size = cfg.footprint_model, cfg.footprint_portfolio_size
         for fold_id in self._fold_ids():
             train, test = test_fold != fold_id, np.flatnonzero(test_fold == fold_id)
@@ -366,7 +364,7 @@ class Pipeline:
 
     def _read_explanations(self, fold_id: int):
         """The row keys, the phi column names and the (rows, names) phi matrix."""
-        header, rows = read_csv(self.path(f"explanations/fold_{fold_id}.csv"))
+        header, rows = read_csv(self._input(f"explanations/fold_{fold_id}.csv"))
         names = header[len(EXPLANATION_COLUMNS):]
         phi = np.array([[float(row[name]) for name in names] for row in rows])
         return [row_key(row) for row in rows], names, phi
@@ -375,7 +373,7 @@ class Pipeline:
         """The keys and the true and predicted values of the footprint
         model/portfolio size in one fold, as (keys, true, predicted)."""
         cfg = self.cfg
-        _, rows = read_csv(self.path(f"predictions/fold_{fold_id}.csv"))
+        _, rows = read_csv(self._input(f"predictions/fold_{fold_id}.csv"))
         rows = [row for row in rows if row["model_kind"] == cfg.footprint_model
                 and int(row["portfolio_size"]) == cfg.footprint_portfolio_size]
         if not rows:
@@ -394,7 +392,9 @@ class Pipeline:
 
     def _run_footprint(self):
         """Labels each fold once under footprint.p and once more under each
-        sensitivity tolerance, from the same relative errors."""
+        sensitivity tolerance, from the same relative errors. It reads only
+        train's predictions: their `true` column holds the target of every
+        key, so the other folds' rows are a fold's training targets."""
         cfg = self.cfg
         by_fold = {fold_id: self._fold_predictions(fold_id) for fold_id in self._fold_ids()}
         folds, reports = [], []
@@ -424,8 +424,8 @@ class Pipeline:
     def _run_report(self):
         cfg = self.cfg
         assigned_keys, assigned_folds, labels = fp_mod.read_assignments_csv(
-            self.path("assignments.csv"))
-        feature_keys, X = ela_mod.read_features_csv(self.path("features.csv"))
+            self._input("assignments.csv"))
+        feature_keys, X = ela_mod.read_features_csv(self._input("features.csv"))
         row_of = {key: i for i, key in enumerate(feature_keys)}
 
         dist_features: list[str] | None = None

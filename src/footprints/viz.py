@@ -9,8 +9,8 @@ identical bytes.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Callable, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def _svg_open(title: str) -> list[str]:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{_fmt(WIDTH / 2)}" y="22" font-size="14" text-anchor="middle" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -90,7 +90,7 @@ def _cross(x: float, y: float, color: str, r: float = 6.0) -> str:
 def _annotation(x: float, y: float, text: str) -> str:
     return (
         f'<text x="{_fmt(x + 7)}" y="{_fmt(y - 7)}" font-size="10" '
-        f'font-family="sans-serif" fill="#555555">{escape(text)}</text>'
+        f'font-family="sans-serif" fill="#555555">{escape(text, quote=False)}</text>'
     )
 
 
@@ -159,7 +159,7 @@ def emit_footprint_plot(
 def _legend_text(x: float, y: float, text: str) -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" font-size="11" '
-        f'font-family="sans-serif">{escape(text)}</text>'
+        f'font-family="sans-serif">{escape(text, quote=False)}</text>'
     )
 
 
@@ -209,7 +209,7 @@ def emit_beeswarm_data(
         yc = MARGIN + (rank + 0.5) * row_h
         parts.append(
             f'<text x="{_fmt(x0 - 8)}" y="{_fmt(yc + 3)}" font-size="10" '
-            f'text-anchor="end" font-family="sans-serif">{escape(fname)}</text>'
+            f'text-anchor="end" font-family="sans-serif">{escape(fname, quote=False)}</text>'
         )
     for i, (rank, fname, key, phi, norm) in enumerate(raw_rows):
         x = mid + phi / span * (x1 - mid - 8)

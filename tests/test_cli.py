@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,7 @@ import yaml
 from footprints.cli import main
 from footprints.config import load_config, parse_config, validate
 from footprints.errors import ConfigurationError
-from footprints.pipeline import Pipeline, stage_inputs
+from footprints.pipeline import STAGES, Pipeline
 
 TINY = {
     "master_seed": 7,
@@ -497,7 +498,7 @@ def test_sampling_portfolios_rank_a_model_fit_on_the_train_rows(tmp_path):
     cfg = parse_config(data)
     pipe = Pipeline(cfg, tmp_path / "run")
     pipe.run(["suite", "solve", "features", "folds", "train"])
-    _, X, y, test_fold = pipe._fold_data("train")
+    _, X, y, test_fold = pipe._fold_data()
     fits = {"knn": lambda X, y: models.fit_knn(X, y, k_neighbors=cfg.knn_neighbors),
             "kernel": lambda X, y: models.fit_kernel(X, y, penalty=cfg.kernel_penalty)}
     for ki, kind in enumerate(cfg.model_kinds):
@@ -578,17 +579,149 @@ def test_every_artifact_is_the_output_of_one_stage(tiny_run):
     assert set(owners.values()) == {1}
 
 
-def test_recorded_inputs_expand_the_stage_table(tiny_run):
-    config_path, out = tiny_run
-    cfg = load_config(config_path)
+def test_recorded_inputs_are_the_files_each_stage_reads(tiny_run):
+    _, out = tiny_run
     stages = json.loads((out / "manifest.json").read_text())["stages"]
-    for stage, record in stages.items():
-        assert sorted(record["inputs"]) == sorted(stage_inputs(stage, cfg)), stage
-    assert stage_inputs("explain", cfg) == (
-        ["features.csv", "performance.csv", "folds.csv"]
-        + [f"portfolios/random_forest_fold_{f}.json" for f in range(1, 6)])
-    assert stage_inputs("footprint", cfg) == [f"predictions/fold_{f}.csv" for f in range(1, 6)]
-    assert stage_inputs("suite", cfg) == []
+    folds = range(1, 6)
+    upstream = ["features.csv", "performance.csv", "folds.csv"]
+    assert {stage: sorted(record["inputs"]) for stage, record in stages.items()} == {
+        "suite": [],
+        "solve": ["suite.csv"],
+        "features": ["suite.csv"],
+        "folds": ["features.csv"],
+        "train": sorted(upstream),
+        "explain": sorted(upstream + [f"portfolios/random_forest_fold_{f}.json" for f in folds]),
+        "footprint": [f"predictions/fold_{f}.csv" for f in folds],
+        "report": sorted(["assignments.csv", "features.csv"]
+                         + [f"explanations/fold_{f}.csv" for f in folds]),
+    }
+
+
+def test_recorded_config_keys_are_the_fields_each_stage_reads(tiny_run):
+    _, out = tiny_run
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    seeded = ["master_seed", "model.k_folds", "model.kinds", "model.forest_trees",
+              "footprint.config_id"]
+    assert {stage: sorted(record["config"]) for stage, record in stages.items()} == {
+        "suite": ["suite.dimension", "suite.instances", "suite.problems"],
+        "solve": ["de.budget_multiplier", "de.configs", "de.n_runs", "master_seed",
+                  "suite.dimension"],
+        "features": ["ela.sample_multiplier", "master_seed", "suite.dimension"],
+        "folds": ["master_seed", "model.k_folds"],
+        "train": sorted(seeded + ["model.portfolio_sizes", "model.selection_permutations"]),
+        "explain": sorted(seeded + ["footprint.model", "footprint.portfolio_size"]),
+        "footprint": ["footprint.model", "footprint.p", "footprint.portfolio_size",
+                      "footprint.scale", "footprint.sensitivity_p", "footprint.t_mode",
+                      "model.k_folds"],
+        "report": ["footprint.model", "model.k_folds", "report.distribution_features",
+                   "report.top_k"],
+    }
+    assert stages["footprint"]["config"]["footprint.p"] == 0.15
+    assert stages["solve"]["config"]["de.configs"] == TINY["de"]["configs"]
+
+
+@pytest.mark.parametrize("section, key, value, expected", [
+    # at 0.25 two more keys are model-good; at 0.2 the labels, and so report, stay cached
+    ("footprint", "p", 0.25, ["footprint", "report"]),
+    ("report", "top_k", 5, ["report"]),
+    ("de", "n_runs", 3, ["solve", "train", "explain", "footprint", "report"]),
+])
+def test_config_change_reruns_the_stages_that_read_it(tiny_run, tmp_path, caplog,
+                                                       section, key, value, expected):
+    # a stage reruns when a field it read changed, or when one of its input files did
+    _, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    data = dict(TINY, **{section: dict(TINY.get(section, {}), **{key: value})})
+    changed = _write_config(tmp_path, data)
+    assert _stages_run(changed, copy, caplog) == expected
+    assert _stages_run(changed, copy, caplog) == []
+    assert json.loads((copy / "manifest.json").read_text())["config_digest"] == (
+        parse_config(data).digest())
+
+
+def test_records_holding_a_config_digest_rerun_once(tiny_run, tmp_path, caplog):
+    # the records of an older manifest name the whole config's digest, not the fields read
+    config_path, out = tiny_run
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    for record in manifest["stages"].values():
+        del record["config"]
+        record["config_digest"] = manifest["config_digest"]
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    assert _stages_run(config_path, old, caplog) == list(STAGES)
+    assert _digest_tree(old) == _digest_tree(out)
+    assert _stages_run(config_path, old, caplog) == []
+
+
+def test_rerun_with_fewer_folds_removes_the_stale_fold_outputs(tiny_run, tmp_path, caplog):
+    config_path, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    data = dict(TINY, suite=dict(TINY["suite"], instances=[1, 2, 3, 4]),
+                model=dict(TINY["model"], k_folds=4))
+    assert _stages_run(_write_config(tmp_path, data), copy, caplog) == list(STAGES)
+    files = {str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()}
+    assert not [name for name in files if "fold_5" in name]
+    stages = json.loads((copy / "manifest.json").read_text())["stages"]
+    assert files - {"manifest.json"} == {
+        name for record in stages.values() for name in record["outputs"]}
+
+
+def test_stale_output_removal_stays_inside_the_run_directory(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "outside.txt").write_text("keep")
+    (out / "stale.txt").write_text("stale")
+    (out / "manifest.json").write_text(json.dumps({"stages": {"suite": {
+        "outputs": {"suite.csv": "0", "stale.txt": "0", "../outside.txt": "0"}}}}))
+    assert main(["suite", "--config", str(_write_config(tmp_path, TINY)),
+                 "--out", str(out)]) == 0
+    assert (tmp_path / "outside.txt").read_text() == "keep"
+    assert not (out / "stale.txt").exists()
+
+
+def test_each_stage_records_the_files_it_opens_for_reading(tmp_path, monkeypatch):
+    # an oracle for the recorded inputs: every file under --out that a
+    # stage's _run_* method opens for reading, whether through _input or not
+    import builtins
+    import io
+
+    out = (tmp_path / "out").resolve()
+    opened: dict[str, set] = {}
+    running: list[set] = []
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if running and isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            path = Path(file).resolve()
+            if path.is_relative_to(out):
+                running[-1].add(str(path.relative_to(out)))
+        return real_open(file, mode, *args, **kwargs)
+
+    def watching(stage, run):
+        def wrapper(self):
+            running.append(opened.setdefault(stage, set()))
+            try:
+                run(self)
+            finally:
+                running.pop()
+        return wrapper
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    for stage in STAGES:
+        monkeypatch.setattr(Pipeline, f"_run_{stage}",
+                            watching(stage, getattr(Pipeline, f"_run_{stage}")))
+    data = dict(TINY, model=dict(TINY["model"], kinds=["random_forest", "knn", "kernel"]),
+                footprint=dict(TINY["footprint"], model="kernel", t_mode="explicit",
+                               t_value=-2.0))
+    assert main(["pipeline", "--config", str(_write_config(tmp_path, data)),
+                 "--out", str(out)]) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert {stage: sorted(opened[stage]) for stage in STAGES} == {
+        stage: sorted(record["inputs"]) for stage, record in stages.items()}
 
 
 def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_path,
