@@ -7,7 +7,7 @@ the previous stage's CSV artifacts:
     footprints solve     --config run.yaml --out results/
     footprints validate  --config run.yaml
 
-Exit codes: 0 success, 1 configuration error, 2 stage failure.
+Exit codes: 0 success, 1 configuration error or unusable --out, 2 stage failure.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ def main(argv=None) -> int:
         pipe = Pipeline(cfg, args.out, force=args.force, threads=args.threads)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot use --out {args.out}: {exc}", file=sys.stderr)
         return 1
     try:
         pipe.run(stages)

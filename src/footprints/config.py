@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -107,7 +105,7 @@ def _key(dotted: str, parse, default, minimum=None):
 
 @dataclass
 class RunConfig:
-    """The config schema: parsing, key checks and the digest all read these fields."""
+    """The config schema: parsing, key checks and the manifest's config all read these fields."""
 
     master_seed: int = _key("master_seed", _int, 0, minimum=0)
     problems: list[int] = _key("suite.problems", _expand_ids, list(range(1, N_PROBLEMS + 1)))
@@ -154,19 +152,6 @@ class RunConfig:
     @property
     def sample_size(self) -> int:
         return self.sample_multiplier * self.dimension
-
-    def canonical(self) -> dict:
-        """The config as nested YAML sections, every key present."""
-        out: dict = {}
-        for f in fields(self):
-            section, _, name = f.metadata["key"].rpartition(".")
-            node = out.setdefault(section, {}) if section else out
-            node[name] = getattr(self, f.name)
-        return out
-
-    def digest(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
@@ -257,10 +242,13 @@ def validate(cfg: RunConfig) -> list[str]:
     for kind in cfg.model_kinds:
         if kind not in models.MODEL_KINDS:
             issues.append(f"model.kinds contains unknown kind {kind!r}")
-    # a repeat would train the same models twice, or label each key twice, and write it twice
+    # a repeat would train the same models twice, label each key twice or
+    # plot a figure twice, and write it twice
     for key, values in (("model.kinds", cfg.model_kinds),
                         ("model.portfolio_sizes", cfg.portfolio_sizes),
-                        ("footprint.sensitivity_p", cfg.sensitivity_p)):
+                        ("footprint.sensitivity_p", cfg.sensitivity_p),
+                        ("report.distribution_features",
+                         cfg.distribution_features if cfg.distribution_features != "auto" else [])):
         if len(set(values)) != len(values):
             issues.append(f"{key} must not repeat an entry; got {values}")
     # k_folds equals the instance count, so each fold trains on all other instances

@@ -3,9 +3,9 @@ explain -> footprint -> report.
 
 Every stage is a pure function of its input files and config, with all
 randomness drawn from documented seed chains, so reruns reproduce byte
-identical CSV/SVG artifacts. Per stage, a manifest records the code version,
-the config fields read, with their values, and the digests of the files read
-and written; unless --force is given, a stage is skipped when all still match.
+identical CSV/SVG artifacts. The manifest holds the config and, per stage, the
+code version, the config fields read and the digests of the files read and
+written; unless --force is given, a stage is skipped when all still match.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ class Pipeline:
         self.cfg = _RecordingConfig(**{f.name: getattr(cfg, f.name) for f in fields(cfg)})
         # the config by dotted key, as the manifest's JSON gives it back
         self._settings = json.loads(json.dumps({k: getattr(cfg, n) for n, k in _KEYS.items()}))
-        self._header = {"tool_version": __version__, "config_digest": cfg.digest(),
-                        "master_seed": cfg.master_seed}
+        self._header = {"tool_version": __version__, "config": self._settings}
         self.out = Path(out_dir)
         self.force = force
         self.threads = max(1, threads)
@@ -159,20 +158,19 @@ class Pipeline:
             except (json.JSONDecodeError, UnicodeDecodeError):
                 manifest = None
             stages = manifest.get("stages") if isinstance(manifest, dict) else None
-            # the stage records, their inputs and outputs, and the sanitation
-            # counts are read and updated as mappings
-            if (isinstance(stages, dict) and isinstance(manifest.get("sanitation", {}), dict)
+            # the stage records, their inputs and outputs are read as mappings
+            if (isinstance(stages, dict)
                     and all(isinstance(record, dict)
                             and isinstance(record.get("inputs", {}), dict)
                             and isinstance(record.get("outputs", {}), dict)
                             for record in stages.values())):
                 return manifest
             logger.warning("unreadable manifest; starting fresh")
-        return {"stages": {}, "sanitation": {}}
+        return {"stages": {}}
 
     def _save_manifest(self) -> None:
-        """Writes the manifest under this run's version, config and master seed."""
-        self.manifest.update(self._header)
+        """Writes this run's version and config and the stage records, nothing else."""
+        self.manifest = {**self._header, "stages": self.manifest["stages"]}
         write_json(self.manifest_path, self.manifest)
 
     def _stage_done(self, stage: str) -> bool:
@@ -191,8 +189,8 @@ class Pipeline:
             for name, digest in digests.items()
         )
 
-    def _record_stage(self, stage: str, elapsed: float) -> None:
-        """Records what the stage read and wrote, and removes its stale outputs."""
+    def _record_stage(self, stage: str, elapsed: float, facts: dict) -> None:
+        """Records what the stage read, wrote and returned; removes its stale outputs."""
         previous = self.manifest["stages"].get(stage, {}).get("outputs", {})
         self.manifest["stages"][stage] = {
             "version": __version__,
@@ -200,6 +198,7 @@ class Pipeline:
             "inputs": {name: _sha256(self.out / name) for name in self._read},
             "outputs": {name: _sha256(self.out / name) for name in self._written},
             "elapsed_s": round(elapsed, 3),
+            **facts,
         }
         out = self.out.resolve()
         for name in set(previous) - set(self._written):
@@ -222,15 +221,15 @@ class Pipeline:
             logger.info("stage %s: running", stage)
             self._stage, self._read, self._written, self.cfg.reads = stage, [], [], {}
             try:
-                getattr(self, f"_run_{stage}")()
+                facts = getattr(self, f"_run_{stage}")() or {}
             except (ConfigurationError, StageFailure):
                 raise
             except Exception as exc:
                 raise StageFailure(stage, f"{type(exc).__name__}: {exc}") from exc
-            self._record_stage(stage, time.perf_counter() - start)
+            self._record_stage(stage, time.perf_counter() - start, facts)
             logger.info("stage %s: done", stage)
-        # every stage may be cached under a config that differs in fields none read
-        if not self._header.items() <= self.manifest.items():
+        # all stages may be cached under another config, or an older manifest's keys
+        if self.manifest != {**self._header, "stages": self.manifest["stages"]}:
             self._save_manifest()
 
     # -- stages ----------------------------------------------------------
@@ -263,9 +262,7 @@ class Pipeline:
         vectors = _pmap(_feature_item, items, self.threads, "features")
         ela_mod.write_features_csv(vectors, self._output("features.csv"))
         ela_mod.write_schema_json(self._output("feature_schema.json"))
-        self.manifest.setdefault("sanitation", {})["features"] = int(
-            sum(v.sanitized_count for v in vectors)
-        )
+        return {"sanitized": sum(v.sanitized_count for v in vectors)}
 
     def _run_folds(self):
         cfg = self.cfg

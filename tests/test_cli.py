@@ -5,6 +5,7 @@ import logging
 import os
 import shutil
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,11 @@ def _write_config(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
     return path
+
+
+def _settings(cfg) -> dict:
+    """The config by dotted key, as manifest.json records it."""
+    return json.loads(json.dumps({f.metadata["key"]: getattr(cfg, f.name) for f in fields(cfg)}))
 
 
 def _digest_tree(root: Path) -> dict:
@@ -164,33 +170,71 @@ def test_validate_repeated_sensitivity_tolerance_reported():
         "footprint.sensitivity_p must not repeat an entry; got [0.05, 0.1, 0.05]"]
 
 
-def test_config_digest_stable_and_sensitive(tmp_path):
-    a = parse_config(TINY)
-    b = parse_config(TINY)
-    assert a.digest() == b.digest()
-    changed = dict(TINY)
-    changed["master_seed"] = 8
-    assert parse_config(changed).digest() != a.digest()
+DEFAULTS = {
+    "master_seed": 0,
+    "suite.problems": list(range(1, 25)),
+    "suite.instances": [1, 2, 3, 4, 5],
+    "suite.dimension": 10,
+    "de.budget_multiplier": 500,
+    "de.n_runs": 30,
+    "de.configs": [],
+    "ela.sample_multiplier": 100,
+    "model.kinds": ["random_forest"],
+    "model.portfolio_sizes": [30],
+    "model.k_folds": 5,
+    "model.forest_trees": 100,
+    "model.knn_neighbors": 5,
+    "model.kernel_penalty": 0.001,
+    "model.selection_permutations": 64,
+    "footprint.config_id": "DE1",
+    "footprint.model": "random_forest",
+    "footprint.portfolio_size": 30,
+    "footprint.p": 0.15,
+    "footprint.t_mode": "train-median",
+    "footprint.t_value": None,
+    "footprint.scale": "log",
+    "footprint.sensitivity_p": [],
+    "report.top_k": 10,
+    "report.distribution_features": "auto",
+}
 
 
-def test_config_digests_pinned():
-    # the digest keys the stage cache, so a change here invalidates every results directory
+def _assert_settings(cfg, expected):
+    # a results directory records these values, so a change here changes what
+    # an old manifest.json means; 1 == 1.0, but their JSON differs
+    assert _settings(cfg) == expected
+    assert json.dumps(_settings(cfg), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_config_defaults_pinned():
+    _assert_settings(parse_config({}), DEFAULTS)
+
+
+DE1 = {"config_id": "DE1", "strategy": "rand/1/bin", "F": 0.5, "Cr": 0.9}
+
+
+@pytest.mark.parametrize("name, changed", [
+    ("desk.yaml", {"master_seed": 2024, "suite.dimension": 5, "de.n_runs": 5,
+                   "de.configs": [DE1], "footprint.sensitivity_p": [0.05]}),
+    ("smoke.yaml", {"master_seed": 7, "suite.problems": [1, 2, 24], "suite.dimension": 2,
+                    "de.budget_multiplier": 100, "de.n_runs": 2, "de.configs": [DE1],
+                    "ela.sample_multiplier": 30, "model.portfolio_sizes": [10],
+                    "model.forest_trees": 20, "footprint.portfolio_size": 10,
+                    "footprint.sensitivity_p": [0.05]}),
+    ("full.yaml", {"master_seed": 1, "model.kinds": ["random_forest", "knn", "kernel"],
+                   "model.portfolio_sizes": [10, 20, 30, 40, 50, 64],
+                   "footprint.sensitivity_p": [0.05]}),
+])
+def test_committed_configs_pinned(name, changed):
     root = Path(__file__).resolve().parents[1] / "configs"
-    assert load_config(root / "desk.yaml").digest() == (
-        "a851a45ea4db0b2027442845d8ca0bb96970275c7256245baa848d6ae79255be")
-    assert load_config(root / "smoke.yaml").digest() == (
-        "c8b82a35294b53f72f62f01f333c1a3f535660892c7bcf363d23b6141c9fd72f")
-    assert load_config(root / "full.yaml").digest() == (
-        "34218b33f251e5c601f50075c0fe403b721a058a3f758ee95eab2b6dbe4df8fe")
-    assert parse_config({}).digest() == (
-        "ca1f8f7e9bbc44bb3f57af2bb715dcb86f1b09bbb43a95f1cf209bb204ce0a4d")
+    _assert_settings(load_config(root / name), dict(DEFAULTS, **changed))
 
 
 def test_null_and_empty_keep_defaults():
     cfg = parse_config({"de": {"configs": None, "n_runs": None},
                         "footprint": {"t_value": None, "sensitivity_p": []}})
     assert cfg == parse_config({})
-    assert parse_config({"de": {"configs": []}}).digest() == parse_config({}).digest()
+    assert parse_config({"de": {"configs": []}}) == parse_config({})
 
 
 @pytest.mark.parametrize("data, message", [
@@ -296,6 +340,16 @@ def test_cli_missing_inputs_is_stage_failure(tmp_path, capsys):
     assert "train" in capsys.readouterr().err
 
 
+def test_cli_unusable_out_is_a_one_line_error(tmp_path, capsys):
+    path = _write_config(tmp_path, TINY)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    assert main(["suite", "--config", str(path), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot use --out {taken}: ") and err.count("\n") == 1
+    assert taken.read_text() == "a file"
+
+
 def test_cli_invalid_config_blocks_pipeline(tmp_path, capsys):
     bad = dict(TINY)
     bad["model"] = dict(TINY["model"], k_folds=4)
@@ -322,11 +376,13 @@ def test_cli_knn_neighbors_over_training_size_blocks_pipeline(tmp_path, capsys):
                    kernel_penalty=float("nan")), "model.kernel_penalty"),
     ("footprint", dict(TINY["footprint"], sensitivity_p=[0.05, 0.05]),
      "footprint.sensitivity_p"),
+    ("report", {"distribution_features": ["pca.expl_var.cov_x", "pca.expl_var.cov_x"]},
+     "report.distribution_features must not repeat an entry"),
 ])
 def test_cli_late_failing_config_blocks_pipeline(tmp_path, capsys, section, values, key):
     # each of these used to pass validate, then fail in the footprint or report stage,
-    # or, for a bare string, be read as auto, or, for a repeated tolerance, write
-    # every transition twice
+    # or, for a bare string, be read as auto, or, for a repeated tolerance or
+    # distribution feature, write every transition or figure twice
     path = _write_config(tmp_path, dict(TINY, **{section: values}))
     out = tmp_path / "o"
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
@@ -561,13 +617,14 @@ def test_pmap_starts_no_more_workers_than_items(monkeypatch, threads, n_items, w
 def test_pipeline_manifest_contents(tiny_run):
     _, out = tiny_run
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config_digest"]
+    assert sorted(manifest) == ["config", "stages", "tool_version"]
+    assert manifest["config"] == _settings(parse_config(TINY))
     assert set(manifest["stages"]) == {
         "suite", "solve", "features", "folds", "train", "explain", "footprint", "report"
     }
     for record in manifest["stages"].values():
         assert record["outputs"]
-    assert "features" in manifest["sanitation"]
+    assert manifest["stages"]["features"]["sanitized"] == 0
 
 
 def test_every_artifact_is_the_output_of_one_stage(tiny_run):
@@ -636,8 +693,8 @@ def test_config_change_reruns_the_stages_that_read_it(tiny_run, tmp_path, caplog
     changed = _write_config(tmp_path, data)
     assert _stages_run(changed, copy, caplog) == expected
     assert _stages_run(changed, copy, caplog) == []
-    assert json.loads((copy / "manifest.json").read_text())["config_digest"] == (
-        parse_config(data).digest())
+    assert json.loads((copy / "manifest.json").read_text())["config"] == (
+        _settings(parse_config(data)))
 
 
 def test_records_holding_a_config_digest_rerun_once(tiny_run, tmp_path, caplog):
@@ -648,7 +705,8 @@ def test_records_holding_a_config_digest_rerun_once(tiny_run, tmp_path, caplog):
     manifest = json.loads((old / "manifest.json").read_text())
     for record in manifest["stages"].values():
         del record["config"]
-        record["config_digest"] = manifest["config_digest"]
+        record["config_digest"] = (
+            "c8b82a35294b53f72f62f01f333c1a3f535660892c7bcf363d23b6141c9fd72f")
     (old / "manifest.json").write_text(json.dumps(manifest))
     assert _stages_run(config_path, old, caplog) == list(STAGES)
     assert _digest_tree(old) == _digest_tree(out)
@@ -846,9 +904,8 @@ def test_deleted_feature_distribution_figure_reruns_report_only(tiny_run, tmp_pa
     b'{"stages": {', b"[]", b'{"stages": []}', b"\xff", b'{"stages": {"suite": 3}}',
     b'{"stages": {"suite": {"inputs": [], "outputs": {}}}}',
     b'{"stages": {"suite": {"inputs": {}, "outputs": "suite.csv"}}}',
-    b'{"stages": {}, "sanitation": 3}',
 ], ids=["truncated", "list", "stages-list", "not-utf8", "record-int", "inputs-list",
-        "outputs-str", "sanitation-int"])
+        "outputs-str"])
 def test_malformed_manifest_starts_fresh(tmp_path, caplog, content, force):
     out = tmp_path / "out"
     out.mkdir()
@@ -865,7 +922,25 @@ def test_manifest_records_the_last_master_seed(tmp_path):
     for seed in (7, 99):
         config = _write_config(tmp_path, dict(TINY, master_seed=seed))
         assert main(["suite", "--config", str(config), "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["master_seed"] == seed
+        assert json.loads((out / "manifest.json").read_text())["config"]["master_seed"] == seed
+
+
+def test_cached_rerun_drops_an_older_manifests_header_keys(tiny_run, tmp_path, caplog):
+    # an older manifest also held the whole config's digest, the master seed
+    # and the features stage's sanitation count at its top level
+    config_path, out = tiny_run
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    header = {"config_digest": "0" * 64, "master_seed": 7, "sanitation": {"features": 0}}
+    (old / "manifest.json").write_text(json.dumps({**manifest, **header}))
+    assert _stages_run(config_path, old, caplog) == []
+    rewritten = (old / "manifest.json").read_bytes()
+    assert sorted(json.loads(rewritten)) == ["config", "stages", "tool_version"]
+    assert json.loads(rewritten) == manifest
+    # and a fully cached rerun writes nothing
+    assert _stages_run(config_path, old, caplog) == []
+    assert (old / "manifest.json").read_bytes() == rewritten
 
 
 def test_failed_manifest_write_keeps_previous_manifest(tiny_run, tmp_path, monkeypatch):

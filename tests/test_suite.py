@@ -105,6 +105,21 @@ def test_bit_identical_reconstruction():
 
 
 @pytest.mark.parametrize("dimension", [2, 5, 10])
+def test_evaluate_batch_rows_are_independent(dimension):
+    # runs advanced in lockstep stack their populations into one call; the
+    # values must be those of one call per population, bit for bit. A 1-row
+    # batch is not covered: its rotation takes another BLAS path
+    rng = np.random.default_rng(dimension)
+    for problem_id in range(1, N_PROBLEMS + 1):
+        inst = make_instance(problem_id, 1, dimension)
+        for rows in (4, 50, 100):
+            populations = [rng.uniform(-5.0, 5.0, (rows, dimension)) for _ in range(3)]
+            separate = np.concatenate([inst.evaluate_batch(X) for X in populations])
+            stacked = inst.evaluate_batch(np.concatenate(populations))
+            assert stacked.tobytes() == separate.tobytes(), (problem_id, rows)
+
+
+@pytest.mark.parametrize("dimension", [2, 5, 10])
 def test_setups_match_naive_setup(dimension):
     # each setup names its draws; they come in the named order, after the
     # shift and the offset, bit for bit as the one-function-per-combination setups
