@@ -88,11 +88,16 @@ def _reflect(X: np.ndarray, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND) ->
 def _draw_parents(rng: np.random.Generator, pop_size: int, m: int, k: int) -> np.ndarray:
     """Row i: k distinct indices of 0..pop_size-1, never i, uniform in order.
 
-    The target's own sort key is +inf, so it sorts last and is never drawn.
+    k successive first-occurrence argmins, each struck out with +inf, equal the first
+    k of a stable sort; the target's key is +inf and pop_size > k, so it is never drawn.
     """
     keys = rng.random((m, pop_size))
     np.fill_diagonal(keys, np.inf)
-    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    drawn = np.empty((m, k), dtype=np.intp)
+    for column in drawn.T:
+        column[:] = keys.argmin(axis=1)
+        keys[np.arange(m), column] = np.inf
+    return drawn
 
 
 def run_de(

@@ -104,6 +104,14 @@ def random_search_precision(instance, budget: int, seed: int) -> float:
     return max(best - instance.f_offset, 0.0)
 
 
+def naive_draw_parents(rng, pop_size: int, m: int, k: int) -> np.ndarray:
+    """Row i: the first k indices of a stable sort of pop_size uniform keys,
+    the target i's key set to +inf."""
+    keys = rng.random((m, pop_size))
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+
+
 # distinct parents besides the target, per DE strategy
 NAIVE_N_PARENTS = {
     "rand/1/bin": 3,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import permutations
 
@@ -23,7 +24,7 @@ from footprints.de import (
 from footprints.errors import ConfigurationError
 from footprints.suite import make_instance
 
-from _oracles import NAIVE_N_PARENTS, naive_mutant, random_search_precision
+from _oracles import NAIVE_N_PARENTS, naive_draw_parents, naive_mutant, random_search_precision
 
 RAND1 = DeConfig("DE1", "rand/1/bin", 0.5, 0.9, 20)
 
@@ -106,6 +107,31 @@ def test_draw_parents_uniform_per_column(m):
         others = np.delete(counts[i], i, axis=1)
         for j in range(k):
             assert chisquare(others[j]).pvalue > 1e-4, (i, j, others[j])
+
+
+class CoarseRng:
+    """Generator stub whose keys are multiples of 1/8, so most rows tie."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return np.floor(8 * self.rng.random(shape)) / 8
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, CoarseRng],
+                         ids=["uniform", "coarse"])
+def test_draw_parents_matches_stable_argsort(make_rng):
+    # bitwise the first k of a stable sort, ties across the k-th key included,
+    # also for a truncated (m < pop_size) or 1-row last generation
+    for pop_size in (4, 6, 20, 50, 100):
+        for k in sorted({2, 3, 5, pop_size - 1} & set(range(2, pop_size))):
+            for m in sorted({pop_size, pop_size // 3, 1}):
+                for seed in range(20):
+                    got = _draw_parents(make_rng(seed), pop_size, m, k)
+                    expected = naive_draw_parents(make_rng(seed), pop_size, m, k)
+                    assert got.shape == expected.shape == (m, k)
+                    assert np.array_equal(got, expected), (pop_size, m, k, seed)
 
 
 def test_trials_read_only_previous_generation():
@@ -207,6 +233,112 @@ def test_all_strategies_run():
     ]:
         value = run_de(inst, config, budget=3 * config.population_size, seed=5)
         assert value >= 0.0
+
+
+class SphereStub:
+    """f(x) = sum(x**2): no transcendental or BLAS call, so its bytes do not
+    depend on the host. Digests every evaluated point."""
+
+    f_offset = 0.0
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.digest = hashlib.sha256()
+
+    def evaluate_batch(self, X):
+        self.digest.update(X.tobytes())
+        return np.sum(X ** 2, axis=1)
+
+
+# (strategy, dimension, budget, float.hex of the result, sha256 of every evaluated
+# point and then the final population); per dimension the budgets leave a full,
+# a truncated and a 1-row last generation
+RUN_DE_PINS = [
+    ("rand/1/bin", 2, 60, "0x1.46e9b106cf1dep-3",
+     "6087469649da10b24376ce5158a6ec45c8f51e09b10c5875495f61795e4b8123"),
+    ("rand/1/bin", 2, 70, "0x1.46e9b106cf1dep-3",
+     "cb25715dfb330ceb17e8388ef0ffc927350750539a9f484c5c5f9126e3a90b9f"),
+    ("rand/1/bin", 2, 61, "0x1.46e9b106cf1dep-3",
+     "a55cf1b1b3514022b83bcc30237a2588f359655c492d87ea476d1bc724ccc151"),
+    ("rand/1/bin", 5, 150, "0x1.ee622d96b5c88p+2",
+     "01f1d3c355a56bf550f13b63a21cd66971bd65033ce847fff087dc15953c04d0"),
+    ("rand/1/bin", 5, 175, "0x1.ee622d96b5c88p+2",
+     "51b0329986189a9eab6124cd6577c684dfb75b85a6435156cc07795a2270dc11"),
+    ("rand/1/bin", 5, 151, "0x1.ee622d96b5c88p+2",
+     "4bf02e2bf4ee49ba02240a0f66e802bb1ff4dfd4b077e6be5e527bf7bbbfb13e"),
+    ("rand/1/bin", 10, 300, "0x1.a030d7674ccc2p+4",
+     "427800601b1e9415a8db749ae7e51bfff85a536975537535e90be1ec1df18b6f"),
+    ("rand/1/bin", 10, 350, "0x1.49992d4e811d9p+4",
+     "92d90b2c9532c0f8236ec8daa0c3cbad758dca93ef7cdfe09ad79dab3ba7f2e0"),
+    ("rand/1/bin", 10, 301, "0x1.a030d7674ccc2p+4",
+     "37a3915b43825120b9cc90a699fe62da4155f2ecf8cc02ed71783829f3946757"),
+    ("best/1/bin", 2, 60, "0x1.3e01d7b287685p-1",
+     "6895b0ea436057b01f4dfe642af64e00b734b18de588e18c8acaee7aadd7135f"),
+    ("best/1/bin", 2, 70, "0x1.3e01d7b287685p-1",
+     "8098e8e1c0e05107969e2c0e33dc062649a9a950d24d1d67c6f1cff21d308570"),
+    ("best/1/bin", 2, 61, "0x1.3e01d7b287685p-1",
+     "4a1bd946801d7daaa216446f309a1df9f7b828c221bfb6f805bdfd91698389fc"),
+    ("best/1/bin", 5, 150, "0x1.911e4a928650dp+2",
+     "9b132730a9214ae1f6bdcc1afa895234473ea1bbf0432438aee81b68af877e07"),
+    ("best/1/bin", 5, 175, "0x1.43663f40ee19dp+1",
+     "e5f2a241013142b8ed2dc0dafb8a9fe40ca365b7547f12ea2b054b27d103360a"),
+    ("best/1/bin", 5, 151, "0x1.911e4a928650dp+2",
+     "333ca907035e40787720080981f6e80a5988350f72bc7ea697adda82f2f15fd2"),
+    ("best/1/bin", 10, 300, "0x1.d59a6613f3b6cp+3",
+     "1c7a575a8cbfd4371d86e3d4418ed6c3a8a8c8d9ca61f792934ce4914c5429c6"),
+    ("best/1/bin", 10, 350, "0x1.6e845d231f2a2p+3",
+     "8105aefbb3bc2f2be8afd5cb2fa885331f6b0b2bb2f11d1a8cc1c1821a26a550"),
+    ("best/1/bin", 10, 301, "0x1.d59a6613f3b6cp+3",
+     "5c461337904792d0aa39f3e2350db1f0a8264536ccdd7cad93689c11b9386b81"),
+    ("rand/2/bin", 2, 60, "0x1.b816b95eeacf0p-6",
+     "7f3e2da2decfb3f4d5e26c3931801b8ba68a37719b74edce26f3c1726de256b4"),
+    ("rand/2/bin", 2, 70, "0x1.b816b95eeacf0p-6",
+     "4563ef8a3224d8a8abd15916fa2d0f71ed3a377562fef923d0bcaac3866fed91"),
+    ("rand/2/bin", 2, 61, "0x1.b816b95eeacf0p-6",
+     "5d73f7df8787ff668e7bd978d39dd1c6520bc8b632d39e02e24a2fa897e0128d"),
+    ("rand/2/bin", 5, 150, "0x1.922a238239935p+2",
+     "c95327f4347d4597c98e233e09bd3f85ef7adafef8b87f2889ea0d4c40802a2d"),
+    ("rand/2/bin", 5, 175, "0x1.922a238239935p+2",
+     "d7a0a7ec904c5aa265fa90a8d656af81c0bbcf7ed26a20f1c5d17a9eb15631cb"),
+    ("rand/2/bin", 5, 151, "0x1.922a238239935p+2",
+     "e57e2509e59a61db99dafca4f7af6a28dcca64367fdf5239bc3c7d6e5925615b"),
+    ("rand/2/bin", 10, 300, "0x1.821d37bcc3d66p+4",
+     "a1e1e3c0775134e22ee01058b0024dac6dddb4805b576e480947b0568e7558fa"),
+    ("rand/2/bin", 10, 350, "0x1.821d37bcc3d66p+4",
+     "ed8272cb131d1baf600fcb804e88773e05adb2ba1c921bdb25541da18f5b17e9"),
+    ("rand/2/bin", 10, 301, "0x1.821d37bcc3d66p+4",
+     "f22c25e2a8bd5b8c8f32764f837d5cce9a7e00afc76e643e3ea2fd7022fa8dd7"),
+    ("current-to-best/1/bin", 2, 60, "0x1.bd0379a6f8918p-4",
+     "ad4aca2ff45829daf1cb0d3f6718747825c7feba529c7f86eb3b7bbbac8174e3"),
+    ("current-to-best/1/bin", 2, 70, "0x1.bd0379a6f8918p-4",
+     "8082d7e0913a04f5c7b5dc1068dbd87a87fb907283116eca58794ef91c6f9bf7"),
+    ("current-to-best/1/bin", 2, 61, "0x1.bd0379a6f8918p-4",
+     "87a9f4adab4be63b16543206d85dc3baae561afa065c6bf362ae8d9b4aeb54f1"),
+    ("current-to-best/1/bin", 5, 150, "0x1.a6b1ba519d468p+2",
+     "c6feb23cb4ee800408705b474494c15ae3f8c3507dbd87d313377962e545c5a2"),
+    ("current-to-best/1/bin", 5, 175, "0x1.a6b1ba519d468p+2",
+     "722a0290e9d098015fe5bf35127ae5b4b1bb1aa2ba8b4b4d662c0575c1983c6a"),
+    ("current-to-best/1/bin", 5, 151, "0x1.a6b1ba519d468p+2",
+     "6e228d231ef1523f0f396dd2ca888d28e50a1c65912755534289a4533a2c2701"),
+    ("current-to-best/1/bin", 10, 300, "0x1.768d746094c53p+3",
+     "b9aeb3ce5b0601ba91ff6f59d0bd096cddb27031a0a1d1451f2adf3fea237d54"),
+    ("current-to-best/1/bin", 10, 350, "0x1.768d746094c53p+3",
+     "5abd59752853634e85a5011dbd1fcb3f3d507770dfe6919a8e73336bf50cd130"),
+    ("current-to-best/1/bin", 10, 301, "0x1.768d746094c53p+3",
+     "31644e20f924b23d9813dd2c833c788de92fe42eb902b812dfcb3847b93e3094"),
+]
+
+
+@pytest.mark.parametrize("strategy,dim,budget,result_hex,digest", RUN_DE_PINS)
+def test_run_de_results_pinned(strategy, dim, budget, result_hex, digest):
+    sphere = SphereStub(dim)
+    populations = []
+    config = DeConfig("P", strategy, 0.7, 0.5, default_population_size(dim))
+    result = run_de(sphere, config, budget, seed=dim,
+                    on_generation=lambda gen, pop, fvals: populations.append(pop))
+    sphere.digest.update(populations[-1].tobytes())
+    assert result.hex() == result_hex
+    assert sphere.digest.hexdigest() == digest
 
 
 def test_median_log_examples():
