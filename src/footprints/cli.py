@@ -89,9 +89,6 @@ def main(argv=None) -> int:
     except StageFailure as exc:
         print(f"{exc}", file=sys.stderr)
         return 2
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -119,8 +119,6 @@ def _pair_entropy(symbols: np.ndarray) -> float:
     """Base-2 entropy of consecutive unequal symbol pairs (6 admissible pairs)."""
     a, b = symbols[:-1], symbols[1:]
     total = len(a)
-    if total == 0:
-        return 0.0
     h = 0.0
     for sa in (-1, 0, 1):
         for sb in (-1, 0, 1):
@@ -150,7 +148,7 @@ def ic_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
         raise ConfigurationError("information content needs at least 3 points")
     order = _nearest_neighbor_tour(dmat)
     diffs = np.diff(y[order])
-    dmax = float(np.max(np.abs(diffs))) if len(diffs) else 0.0
+    dmax = float(np.max(np.abs(diffs)))
     if dmax == 0.0:
         return [0.0] * len(IC_FEATURES)
     lo = min(1e-5, dmax)
@@ -375,8 +373,7 @@ def _pca_pair(M: np.ndarray, correlation: bool) -> tuple[float, float]:
     n_vars = M.shape[1]
     if total <= 0:
         return 1.0, 0.0
-    props = ev[:n_vars] / total if len(ev) >= n_vars else np.concatenate(
-        [ev / total, np.zeros(n_vars - len(ev))])
+    props = ev / total  # at least n_vars rows (pca_features), so n_vars values
     k90 = int(np.searchsorted(np.cumsum(props), 0.9 - 1e-12) + 1)
     k90 = min(k90, n_vars)
     return k90 / n_vars, float(props[0])
@@ -405,7 +402,7 @@ FEATURE_SCHEMA = (*DISP_FEATURES, *IC_FEATURES, *NBC_FEATURES,
 
 
 def minimum_sample_size(dim: int) -> int:
-    return max(10 * dim, 50, n_meta_model_coefficients(dim) + 1, dim + 1)
+    return max(10 * dim, 50, n_meta_model_coefficients(dim) + 1)
 
 
 def extract_all(instance: ProblemInstance, n: int, seed: int) -> ElaFeatureVector:

@@ -222,7 +222,7 @@ class Pipeline:
             self._stage, self._read, self._written, self.cfg.reads = stage, [], [], {}
             try:
                 facts = getattr(self, f"_run_{stage}")() or {}
-            except (ConfigurationError, StageFailure):
+            except StageFailure:
                 raise
             except Exception as exc:
                 raise StageFailure(stage, f"{type(exc).__name__}: {exc}") from exc
@@ -375,14 +375,14 @@ class Pipeline:
                 and int(row["portfolio_size"]) == cfg.footprint_portfolio_size]
         if not rows:
             raise StageFailure(
-                "footprint",
+                self._stage,
                 f"no predictions for model {cfg.footprint_model!r} at portfolio "
                 f"size {cfg.footprint_portfolio_size} in fold {fold_id}",
             )
         keys = [row_key(row) for row in rows]
         if len(set(keys)) < len(keys):
             duplicated = sorted(key for key, n in Counter(keys).items() if n > 1)
-            raise StageFailure("footprint",
+            raise StageFailure(self._stage,
                                f"duplicate instance keys {duplicated} in fold {fold_id}")
         return (keys, np.array([float(row["true"]) for row in rows]),
                 np.array([float(row["predicted"]) for row in rows]))

@@ -9,10 +9,12 @@ finite background set; ``attribute`` picks the one that fits the model:
   Features that both or neither satisfy collapse, leaving a closed-form
   weight p!q!/(p+q+1)! where p counts x-only and q counts b-only features
   among U minus the attributed one. The forest's leaf paths are built
-  once per call, level by level over all trees, as arrays padded to the
-  longest path; chunks of whole paths then get their pass/fail masks,
-  their (p, q) counts for every (x, b) pair from one matmul, and one row
-  over the background per (path, feature, x) slot, summed on its own.
+  once per call by a pre-order walk of each tree, left child before
+  right, that carries each path feature's (lo, hi] bounds down to the
+  leaves; they are stored as arrays padded to the longest path. Chunks
+  of whole paths then get their pass/fail masks, their (p, q) counts for
+  every (x, b) pair from one matmul, and one row over the background per
+  (path, feature, x) slot, summed on its own.
   Each row holds the elements the leaf-by-leaf loop summed, in the same
   order, and the slots are added into phi in (tree, path, feature) order,
   so the result is bit-for-bit that loop's (``naive_tree_shap`` in the
@@ -66,16 +68,6 @@ class ShapMetaRepresentation:
 # ---------------------------------------------------------------------------
 # exact attribution for tree ensembles
 
-def _shapley_weight_table(max_features: int) -> np.ndarray:
-    """w[p, q] = p! q! / (p+q+1)! computed exactly via binomials."""
-    size = max_features + 1
-    table = np.zeros((size, size))
-    for p in range(size):
-        for q in range(size):
-            table[p, q] = 1.0 / ((p + q + 1) * math.comb(p + q, p))
-    return table
-
-
 def _leaf_paths(trees: Sequence[RegressionTree]):
     """The forest's non-empty root-to-leaf paths, tree by tree and left
     before right within a tree, as arrays padded to the longest path.
@@ -85,67 +77,43 @@ def _leaf_paths(trees: Sequence[RegressionTree]):
     path iff lo < v <= hi on each of them. Padded slots hold feature 0 and
     the bounds (-inf, inf].
     """
-    sizes = [len(tree.feature) for tree in trees]
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    split = np.flatnonzero(feature >= 0)
-    left = np.concatenate([tree.left for tree in trees])[split] + start[split]
-    right = np.concatenate([tree.right for tree in trees])[split] + start[split]
-    parent = np.full(len(feature), -1)
-    parent[left] = split
-    parent[right] = split
-    is_right = np.zeros(len(feature), dtype=bool)
-    is_right[right] = True
-    leaves = np.flatnonzero((feature < 0) & (parent >= 0))  # a root leaf has no path
-    # walk all leaves up to their roots at once; edge e joins child[e] to its
-    # parent on the path of leaf row[e], up[e] levels above the leaf
-    rows, child, up = [], [], []
-    row, node = np.arange(len(leaves)), leaves
-    while len(node):
-        rows.append(row)
-        child.append(node)
-        up.append(np.full(len(node), len(up)))
-        node = parent[node]
-        below_root = parent[node] >= 0
-        row, node = row[below_root], node[below_root]
-    row, child, up = (np.concatenate(e or [leaves]) for e in (rows, child, up))
-    node = parent[child]
-    # left before right is the lexicographic order of the root-to-leaf turns
-    depth = np.bincount(row, minlength=len(leaves))
-    turns = np.zeros((len(rows), len(leaves)), dtype=bool)
-    turns[depth[row] - 1 - up, row] = is_right[child]
-    order = np.lexsort((*turns[::-1], np.repeat(np.arange(len(trees)), sizes)[leaves]))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    # one slot per distinct (path, feature): lo is the largest threshold the
-    # path takes to the right, hi the smallest it takes to the left
-    width = int(feature.max(initial=0)) + 1
-    key = rank[row] * width + feature[node]
-    by_key = np.argsort(key, kind="stable")
-    key = key[by_key]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    thr, went_right = threshold[node][by_key], is_right[child][by_key]
-    slot_path, slot_feature = np.divmod(key[first], width)
-    counts = np.bincount(slot_path, minlength=len(leaves))
+    values, paths = [], []  # per leaf: its value and its [(feature, (lo, hi)), ...]
+    for tree in trees:
+        feature, threshold, left, right, value = (
+            a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value))
+        # pre-order walk; each node carries its path's {feature: (lo, hi)}
+        stack = [(0, {})]
+        while stack:
+            node, bounds = stack.pop()
+            f = feature[node]
+            if f < 0:
+                if bounds:  # a root leaf has no path
+                    values.append(value[node])
+                    paths.append(sorted(bounds.items()))
+                continue
+            lo, hi = bounds.get(f, (-math.inf, math.inf))
+            thr = threshold[node]
+            stack.append((right[node], {**bounds, f: (max(lo, thr), hi)}))
+            stack.append((left[node], {**bounds, f: (lo, min(hi, thr))}))
+    counts = np.array([len(path) for path in paths], dtype=np.intp)
     valid = np.arange(counts.max(initial=0))[None, :] < counts[:, None]
     feat = np.zeros(valid.shape, dtype=np.intp)
     lo = np.full(valid.shape, -np.inf)
     hi = np.full(valid.shape, np.inf)
-    feat[valid] = slot_feature
-    if len(first):
-        lo[valid] = np.maximum.reduceat(np.where(went_right, thr, -np.inf), first)
-        hi[valid] = np.minimum.reduceat(np.where(went_right, np.inf, thr), first)
-    value = np.concatenate([tree.value for tree in trees])[leaves[order]]
-    return value, feat, lo, hi, valid
+    feat[valid] = [f for path in paths for f, _ in path]
+    lo[valid] = [b[0] for path in paths for _, b in path]
+    hi[valid] = [b[1] for path in paths for _, b in path]
+    return np.array(values, dtype=float), feat, lo, hi, valid
 
 
 def _accumulate(phi: np.ndarray, paths, X: np.ndarray, B: np.ndarray) -> None:
     """Add every leaf path's attributions into phi (unnormalized), in
     (tree, path, feature) order, TREE_CHUNK_CELLS cells at a time."""
     value, feature, lo, hi, valid = paths
-    weights = _shapley_weight_table(max(valid.shape[1], 1))
-    size = weights.shape[0]
+    size = max(valid.shape[1], 1) + 1
+    # w[p, q] = p! q! / (p+q+1)!, exactly via binomials
+    weights = np.array([[1.0 / ((p + q + 1) * math.comb(p + q, p)) for q in range(size)]
+                        for p in range(size)])
     # w at index p*size + q for an attributed feature passed only by x (row
     # 1) or only by b (row 0); an index >= size*size (some path feature failed
     # by both x and b) reads 0
@@ -256,7 +224,7 @@ def sampling_shap(
     contribs = (np.take_along_axis(values, rank + 1, axis=1)
                 - np.take_along_axis(values, rank, axis=1))
     phi = contribs.mean(axis=0)
-    stderr = contribs.std(axis=0, ddof=1) / math.sqrt(total) if total > 1 else np.zeros(m)
+    stderr = contribs.std(axis=0, ddof=1) / math.sqrt(total)
     return ShapMetaRepresentation(
         base_value=float(values[:, 0].mean()),
         phi=phi,

@@ -497,6 +497,19 @@ def test_exception_inside_stage_is_stage_failure(tiny_run, tmp_path, capsys):
     assert "stage 'report' failed: ContractViolation: embedding needs at least 3 rows" in err
 
 
+def test_configuration_error_inside_stage_is_stage_failure(tiny_run, tmp_path, capsys):
+    # a problem left with four feature rows cannot be split into five folds
+    config_path, out = tiny_run
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    features = broken / "features.csv"
+    features.write_text("".join(features.read_text().splitlines(True)[:-1]))
+    code = main(["folds", "--config", str(config_path), "--out", str(broken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage 'folds' failed: ConfigurationError: every problem needs exactly k=5" in err
+
+
 @pytest.mark.parametrize("stage", ["train", "explain"])
 def test_missing_targets_fail_train_and_explain_alike(tiny_run, tmp_path, capsys, stage):
     config_path, out = tiny_run

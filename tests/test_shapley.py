@@ -170,7 +170,8 @@ def test_tree_shap_hand_built_trees_match_reference_bitwise(name):
 # (rows, features, x rows, background rows, trees, fit params): the desk
 # selection shape (x rows are the training rows); the unshrunk explain shape
 # (several chunks); x and background counts that differ; one x row and one
-# background row; m = 1; deep trees that split features again and again
+# background row; m = 1; deep trees that split features again and again;
+# the desk selection shape with each background row explained 4 times
 FITTED_CASES = [
     (24, 43, 24, 24, 100, {}),
     (96, 30, 24, 96, 20, {}),
@@ -178,6 +179,7 @@ FITTED_CASES = [
     (30, 5, 1, 1, 10, {}),
     (40, 1, 9, 17, 10, {}),
     (60, 3, 12, 20, 8, {"min_leaf": 1}),
+    (24, 43, 96, 24, 100, {}),
 ]
 
 
@@ -188,7 +190,12 @@ def test_tree_shap_fitted_forest_matches_reference_bitwise(n, m, n_x, n_backgrou
     X = rng.normal(size=(n, m))
     y = X[:, 0] + 0.5 * X[:, m - 1] ** 2 + rng.normal(scale=0.3, size=n)
     model = fit_random_forest(X, y, n_trees=n_trees, seed=m, **params)
-    explicands = X[:n_x] if n_x == n_background else rng.normal(size=(n_x, m))
+    if n_x == n_background:
+        explicands = X[:n_x]
+    elif n_x % n_background == 0:  # the background rows repeated, shuffled
+        explicands = X[rng.permutation(np.arange(n_x) % n_background)]
+    else:
+        explicands = rng.normal(size=(n_x, m))
     _assert_tree_shap_matches_reference(model, explicands, X[:n_background])
 
 
