@@ -202,6 +202,38 @@ def load_config(path) -> RunConfig:
     return parse_config(data or {})
 
 
+def _de_config_issues(cfg: RunConfig) -> list[str]:
+    """Each incomplete de.configs entry, in entry order; only when there is
+    none are the entries built and checked."""
+    incomplete = []
+    for i, entry in enumerate(cfg.de_configs):
+        # a left-out population_size takes the default
+        absent = [f.name for f in fields(de.DeConfig)
+                  if f.name not in entry and f.name != "population_size"]
+        if absent:
+            incomplete.append(f"de.configs[{i}] is missing {', '.join(absent)}")
+    if incomplete:
+        return incomplete
+    try:
+        configs = cfg.resolved_de_configs()
+    except ConfigurationError as exc:
+        return [f"de.configs invalid: {exc}"]
+    issues = []
+    ids = [c.config_id for c in configs]
+    if len(set(ids)) != len(ids):
+        issues.append(f"de.configs ids must be unique; got {ids}")
+    for c in configs:
+        if cfg.budget < c.population_size:
+            issues.append(
+                f"budget {cfg.budget} below population {c.population_size} of {c.config_id}"
+            )
+    if cfg.footprint_config_id not in ids:
+        issues.append(
+            f"footprint.config_id {cfg.footprint_config_id!r} not among de configs {ids}"
+        )
+    return issues
+
+
 def validate(cfg: RunConfig) -> list[str]:
     """All invariant violations, without running anything."""
     issues: list[str] = []
@@ -219,22 +251,7 @@ def validate(cfg: RunConfig) -> list[str]:
         issues.append("suite.instances must be non-empty")
     if any(i < 1 for i in cfg.instances):
         issues.append("suite.instances must all be >= 1")
-    try:
-        configs = cfg.resolved_de_configs()
-        ids = [c.config_id for c in configs]
-        if len(set(ids)) != len(ids):
-            issues.append(f"de.configs ids must be unique; got {ids}")
-        for c in configs:
-            if cfg.budget < c.population_size:
-                issues.append(
-                    f"budget {cfg.budget} below population {c.population_size} of {c.config_id}"
-                )
-        if cfg.footprint_config_id not in ids:
-            issues.append(
-                f"footprint.config_id {cfg.footprint_config_id!r} not among de configs {ids}"
-            )
-    except (ConfigurationError, TypeError) as exc:  # TypeError: a missing key
-        issues.append(f"de.configs invalid: {exc}")
+    issues += _de_config_issues(cfg)
     if cfg.dimension >= 2 and cfg.sample_size < (min_n := ela.minimum_sample_size(cfg.dimension)):
         issues.append(
             f"ela sample size {cfg.sample_size} below required {min_n} for D={cfg.dimension}"

@@ -92,79 +92,58 @@ class RegressionTree:
         return self.value[node]
 
 
-class _TreeBuilder:
-    def __init__(self, X, y, rng, min_leaf, max_depth, n_sub):
-        self.X, self.y = X, y
-        self.rng = rng
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
-        self.n_sub = n_sub
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+def _grow_tree(X, y, idx, rng, min_leaf, max_depth, n_sub) -> RegressionTree:
+    """The tree on the rows `idx`, grown depth-first and left child before
+    right: nodes are numbered, and split nodes draw from `rng`, in that order."""
+    nodes: list[list] = []  # RegressionTree's fields, in its order, per node
 
-    def build(self, idx: np.ndarray, depth: int) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        y = self.y[idx]
-        self.value.append(float(y.mean()))
-        if (
-            len(idx) < 2 * self.min_leaf
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or (y == y[0]).all()
-        ):
+    def grow(idx: np.ndarray, depth: int) -> int:
+        node = len(nodes)
+        y_node = y[idx]
+        nodes.append([-1, 0.0, -1, -1, float(y_node.mean())])
+        deep = max_depth is not None and depth >= max_depth
+        if len(idx) < 2 * min_leaf or deep or (y_node == y_node[0]).all():
             return node
-        split = self._best_split(idx, y)
+        split = _best_split(X, idx, y_node, rng, min_leaf, n_sub)
         if split is None:
             return node
         j, thr = split
-        mask = self.X[idx, j] <= thr
-        self.feature[node] = j
-        self.threshold[node] = thr
-        left_child = self.build(idx[mask], depth + 1)
-        right_child = self.build(idx[~mask], depth + 1)
-        self.left[node] = left_child
-        self.right[node] = right_child
+        mask = X[idx, j] <= thr
+        left = grow(idx[mask], depth + 1)
+        right = grow(idx[~mask], depth + 1)
+        nodes[node][:4] = j, thr, left, right
         return node
 
-    def _best_split(self, idx: np.ndarray, y: np.ndarray):
-        chosen = np.sort(self.rng.choice(self.X.shape[1], size=self.n_sub, replace=False))
-        n = len(idx)
-        parent_sse = float(np.sum((y - y.mean()) ** 2))
-        xs = self.X[idx[:, None], chosen]
-        order = np.argsort(xs, axis=0, kind="stable")
-        xs = xs[order, np.arange(self.n_sub)]
-        ys = y[order]
-        s1 = np.cumsum(ys, axis=0)
-        s2 = np.cumsum(ys**2, axis=0)
-        sizes = np.arange(1, n)[:, None]  # left sizes at split positions
-        sse_left = s2[:-1] - s1[:-1] ** 2 / sizes
-        sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
-        valid = (sizes >= self.min_leaf) & (sizes <= n - self.min_leaf) & (xs[:-1] < xs[1:])
-        total = np.where(valid, sse_left + sse_right, np.inf)
-        # first minimum: the lowest threshold wins within a column and the
-        # lowest feature index across columns; a split must beat the parent's SSE
-        pos = np.argmin(total, axis=0)
-        sse = total[pos, np.arange(self.n_sub)]
-        col = int(np.argmin(np.where(sse < parent_sse, sse, np.inf)))
-        if not sse[col] < parent_sse:
-            return None
-        row = pos[col]
-        return int(chosen[col]), float(0.5 * (xs[row, col] + xs[row + 1, col]))
+    grow(idx, 0)
+    # Python ints and floats give the int and float dtypes RegressionTree holds
+    return RegressionTree(*map(np.asarray, zip(*nodes)))
 
-    def finish(self) -> RegressionTree:
-        return RegressionTree(
-            feature=np.asarray(self.feature, dtype=int),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=int),
-            right=np.asarray(self.right, dtype=int),
-            value=np.asarray(self.value, dtype=float),
-        )
+
+def _best_split(X, idx, y, rng, min_leaf, n_sub):
+    """The node's best (feature, threshold) over `n_sub` columns, or None."""
+    chosen = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
+    n = len(idx)
+    parent_sse = float(np.sum((y - y.mean()) ** 2))
+    xs = X[idx[:, None], chosen]
+    order = np.argsort(xs, axis=0, kind="stable")
+    xs = xs[order, np.arange(n_sub)]
+    ys = y[order]
+    s1 = np.cumsum(ys, axis=0)
+    s2 = np.cumsum(ys**2, axis=0)
+    sizes = np.arange(1, n)[:, None]  # left sizes at split positions
+    sse_left = s2[:-1] - s1[:-1] ** 2 / sizes
+    sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
+    valid = (sizes >= min_leaf) & (sizes <= n - min_leaf) & (xs[:-1] < xs[1:])
+    total = np.where(valid, sse_left + sse_right, np.inf)
+    # first minimum: the lowest threshold wins within a column and the
+    # lowest feature index across columns; a split must beat the parent's SSE
+    pos = np.argmin(total, axis=0)
+    sse = total[pos, np.arange(n_sub)]
+    col = int(np.argmin(np.where(sse < parent_sse, sse, np.inf)))
+    if not sse[col] < parent_sse:
+        return None
+    row = pos[col]
+    return int(chosen[col]), float(0.5 * (xs[row, col] + xs[row + 1, col]))
 
 
 @dataclass(eq=False)
@@ -201,9 +180,7 @@ def fit_random_forest(
     for t in range(n_trees):
         rng = np.random.default_rng(derive_seed(seed, t))
         idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
-        builder = _TreeBuilder(X, y, rng, min_leaf, max_depth, n_sub)
-        builder.build(np.asarray(idx), 0)
-        trees.append(builder.finish())
+        trees.append(_grow_tree(X, y, idx, rng, min_leaf, max_depth, n_sub))
     return RandomForestModel(trees=trees, n_features=m)
 
 

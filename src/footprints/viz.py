@@ -67,9 +67,18 @@ def _svg_open(title: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{_fmt(WIDTH / 2)}" y="22" font-size="14" text-anchor="middle" '
-        f'font-family="sans-serif">{escape(title, quote=False)}</text>',
+        _text(WIDTH / 2, "22", 14, title, anchor="middle"),
     ]
+
+
+def _text(x: float, y: float | str, size: int, text: str, anchor: str = "",
+          fill: str = "") -> str:
+    """A sans-serif `<text>`; a str `y` is written as it is."""
+    y = y if isinstance(y, str) else _fmt(y)
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    fill = f' fill="{fill}"' if fill else ""
+    return (f'<text x="{_fmt(x)}" y="{y}" font-size="{size}"{anchor} '
+            f'font-family="sans-serif"{fill}>{escape(text, quote=False)}</text>')
 
 
 def _circle(x: float, y: float, color: str, r: float = 6.0) -> str:
@@ -84,13 +93,6 @@ def _cross(x: float, y: float, color: str, r: float = 6.0) -> str:
         f'<path d="M {_fmt(x - r)} {_fmt(y - r)} L {_fmt(x + r)} {_fmt(y + r)} '
         f'M {_fmt(x - r)} {_fmt(y + r)} L {_fmt(x + r)} {_fmt(y - r)}" '
         f'stroke="{color}" stroke-width="3.0" fill="none"/>'
-    )
-
-
-def _annotation(x: float, y: float, text: str) -> str:
-    return (
-        f'<text x="{_fmt(x + 7)}" y="{_fmt(y - 7)}" font-size="10" '
-        f'font-family="sans-serif" fill="#555555">{escape(text, quote=False)}</text>'
     )
 
 
@@ -122,7 +124,7 @@ def _scatter(
     parts = _svg_open(title)
     for key, (shape, color), x, y in zip(keys, markers, xs, ys):
         parts.append(shape(float(x), float(y), color))
-        parts.append(_annotation(float(x), float(y), str(key[0])))
+        parts.append(_text(float(x) + 7, float(y) - 7, 10, str(key[0]), fill="#555555"))
     parts.extend(legend)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -148,19 +150,12 @@ def emit_footprint_plot(
     ly = HEIGHT - 22.0
     return _scatter(keys, coords, markers, title or "footprint (pca embedding)", [
         _circle(MARGIN, ly, ALG_GOOD_COLOR, 5.0),
-        _legend_text(MARGIN + 10, ly, "algorithm good"),
+        _text(MARGIN + 10, ly + 4, 11, "algorithm good"),
         _circle(MARGIN + 140, ly, ALG_POOR_COLOR, 5.0),
-        _legend_text(MARGIN + 150, ly, "algorithm poor"),
+        _text(MARGIN + 150, ly + 4, 11, "algorithm poor"),
         _cross(MARGIN + 280, ly, "#333333", 5.0),
-        _legend_text(MARGIN + 290, ly, "model poor (O = model good)"),
+        _text(MARGIN + 290, ly + 4, 11, "model poor (O = model good)"),
     ])
-
-
-def _legend_text(x: float, y: float, text: str) -> str:
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" font-size="11" '
-        f'font-family="sans-serif">{escape(text, quote=False)}</text>'
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +202,14 @@ def emit_beeswarm_data(
     )
     for rank, (fname, _) in enumerate(ranking):
         yc = MARGIN + (rank + 0.5) * row_h
-        parts.append(
-            f'<text x="{_fmt(x0 - 8)}" y="{_fmt(yc + 3)}" font-size="10" '
-            f'text-anchor="end" font-family="sans-serif">{escape(fname, quote=False)}</text>'
-        )
+        parts.append(_text(x0 - 8, yc + 3, 10, fname, anchor="end"))
     for i, (rank, fname, key, phi, norm) in enumerate(raw_rows):
         x = mid + phi / span * (x1 - mid - 8)
         stagger = ((i * 37) % 7 - 3) * row_h / 10.0
         y = MARGIN + (rank + 0.5) * row_h + stagger
         parts.append(_circle(float(x), float(y), _value_color(norm), 3.0))
-    parts.append(_legend_text(MARGIN, HEIGHT - 22.0,
-                              "x: attribution; color: feature value low (blue) to high (red)"))
+    parts.append(_text(MARGIN, HEIGHT - 18.0, 11,
+                       "x: attribution; color: feature value low (blue) to high (red)"))
     parts.append("</svg>")
     return table, "\n".join(parts) + "\n"
 
@@ -239,8 +231,8 @@ def emit_feature_distribution(
             f"{np.shape(values)} values of {feature_name} for {len(keys)} keys")
     markers = [(_circle, _value_color(float(v))) for v in _scale(values, 0.0, 1.0)]
     return _scatter(keys, coords, markers, title or feature_name, [
-        _legend_text(MARGIN, HEIGHT - 22.0,
-                     f"{feature_name}: low (blue) to high (red), min-max over plotted set"),
+        _text(MARGIN, HEIGHT - 18.0, 11,
+              f"{feature_name}: low (blue) to high (red), min-max over plotted set"),
     ])
 
 

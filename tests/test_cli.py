@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+import footprints
 from footprints.cli import main
 from footprints.config import load_config, parse_config, validate
 from footprints.errors import ConfigurationError
@@ -124,6 +127,17 @@ def test_validate_population_size_zero_reported():
     # null keeps the default population
     cfg = parse_config({"de": {"configs": [dict(de_config, population_size=None)]}})
     assert validate(cfg) == []
+
+
+def test_validate_names_each_incomplete_de_config():
+    # a bad but complete entry is not built while another entry is incomplete
+    cfg = parse_config({"de": {"configs": [
+        {"config_id": "DE1", "strategy": "rand/1/bin", "Cr": 0.9},
+        {"config_id": "DE2", "strategy": "rand/1/bin", "F": 0.5, "Cr": 0.9, "population_size": 0},
+        {"config_id": "DE3"},
+    ]}})
+    assert validate(cfg) == ["de.configs[0] is missing F",
+                             "de.configs[2] is missing strategy, F, Cr"]
 
 
 def test_validate_knn_neighbors_against_fold_training_size():
@@ -311,6 +325,23 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
     path = _write_config(tmp_path, bad)
     assert main(["validate", "--config", str(path)]) == 1
     assert "footprint.p" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad, code, out", [
+    (False, 0, "config OK"),
+    (True, 1, "violation: footprint.p must be in (0, 1]; got 0.0"),
+])
+def test_python_dash_m_footprints_runs_the_cli(tmp_path, bad, code, out):
+    config = (_write_config(tmp_path, dict(TINY, footprint=dict(TINY["footprint"], p=0.0))) if bad
+              else Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml")
+    # the child imports the same package as this test, installed or not
+    src = str(Path(footprints.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    command = [sys.executable, "-m", "footprints", "validate", "--config", str(config)]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == code, done.stderr
+    assert out in done.stdout
 
 
 def test_cli_unknown_key_is_config_error(tmp_path, capsys):

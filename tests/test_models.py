@@ -17,7 +17,7 @@ from footprints.models import (
     fit_knn,
     fit_random_forest,
     make_folds,
-    _TreeBuilder,
+    _grow_tree,
 )
 from footprints.seeding import derive_seed
 
@@ -238,9 +238,7 @@ def test_tree_with_every_n_sub_matches_reference(n_sub):
     trees, reference = [], []
     for seed in range(4):
         idx = np.random.default_rng(seed).integers(0, 40, 40)
-        builder = _TreeBuilder(X, y, np.random.default_rng(seed), 2, None, n_sub)
-        builder.build(idx, 0)
-        trees.append(builder.finish())
+        trees.append(_grow_tree(X, y, idx, np.random.default_rng(seed), 2, None, n_sub))
         reference.append(naive_build_tree(X, y, idx, np.random.default_rng(seed), 2, None,
                                           n_sub))
     _assert_trees_bitwise_equal(trees, reference)
@@ -258,9 +256,7 @@ def test_equal_sse_across_columns_goes_to_the_lower_feature(seed):
     rank[~upper], rank[upper] = np.arange(n // 2), np.arange(n // 2, n)
     X = np.column_stack([rank, upper]).astype(float)
     y = 5.0 * upper + rng.normal(size=n)
-    builder = _TreeBuilder(X, y, np.random.default_rng(seed), 2, 1, 2)
-    builder.build(np.arange(n), 0)
-    tree = builder.finish()
+    tree = _grow_tree(X, y, np.arange(n), np.random.default_rng(seed), 2, 1, 2)
     assert (tree.feature[0], tree.threshold[0]) == (0, n // 2 - 0.5)
     reference = naive_build_tree(X, y, np.arange(n), np.random.default_rng(seed), 2, 1, 2)
     _assert_trees_bitwise_equal([tree], [reference])
