@@ -2,11 +2,17 @@
 
 The forest is built from scratch (CART regression trees on bootstrap
 samples, per-split random feature subsets) so that tree internals are
-available to the exact Shapley attribution. A node scores all of its
-candidate columns in one pass (one stable sort, column-wise cumulative
-sums, one SSE matrix). Its first minimum breaks ties to the lowest
-threshold within a column and the lowest feature index across columns,
-so the trees equal those of scoring one feature at a time. KNN and RBF
+available to the exact Shapley attribution. A forest's trees grow in
+lockstep: each step takes the next node, in depth-first pre-order, of
+every tree with work left, so each tree's nodes and generator draws are
+those of growing it alone. The step's split nodes are scored together,
+padded with rows that sort last and add nothing; a node scores all of its
+candidate columns in one pass (one sort of (value rank, position) keys,
+which is a stable sort of the values, cumulative sums, one SSE array).
+Its first minimum breaks ties to the lowest threshold within a column and
+the lowest feature index across columns, so the trees equal those of
+scoring one feature at a time. Prediction walks every (tree, row) pair
+down at once and adds the trees' leaf values in tree order. KNN and RBF
 kernel ridge (the svm surrogate) standardize features with train-only
 statistics.
 """
@@ -80,70 +86,209 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=int)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.nonzero(active)[0]
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] >= 0
-        return self.value[node]
+
+# Split nodes are scored in groups padded to their largest node. A group
+# ends where padding the nodes below it would cost more than GROUP_COST
+# (row, column) cells, about the cost of scoring one more group. On
+# 100-tree fits at 24x43 and 96x43 this rule, flat from 4000 to 16000,
+# beat groups of equal sizes, power-of-two buckets and one padded group a
+# step. A group's scratch arrays take about 65 bytes a cell, so
+# GROUP_CELLS holds them near 16 MiB however large the forest.
+GROUP_COST = 8000
+GROUP_CELLS = 1 << 18  # unless the group is one node
 
 
-def _grow_tree(X, y, idx, rng, min_leaf, max_depth, n_sub) -> RegressionTree:
-    """The tree on the rows `idx`, grown depth-first and left child before
-    right: nodes are numbered, and split nodes draw from `rng`, in that order."""
-    nodes: list[list] = []  # RegressionTree's fields, in its order, per node
+def _grow_forest(X, y, roots, rngs, min_leaf, max_depth, n_sub) -> list[RegressionTree]:
+    """One tree per row of `roots` (the tree's sample of row indices) and
+    generator in `rngs`, the trees grown in lockstep.
 
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = len(nodes)
-        y_node = y[idx]
-        nodes.append([-1, 0.0, -1, -1, float(y_node.mean())])
-        deep = max_depth is not None and depth >= max_depth
-        if len(idx) < 2 * min_leaf or deep or (y_node == y_node[0]).all():
-            return node
-        split = _best_split(X, idx, y_node, rng, min_leaf, n_sub)
-        if split is None:
-            return node
-        j, thr = split
-        mask = X[idx, j] <= thr
-        left = grow(idx[mask], depth + 1)
-        right = grow(idx[~mask], depth + 1)
-        nodes[node][:4] = j, thr, left, right
-        return node
+    Each tree pops its nodes from its own stack, left child before right, so
+    its nodes are numbered, and its split nodes draw from its generator, in
+    depth-first pre-order. A node is a segment of its tree's row of `rows`,
+    and a split partitions that segment stably in place. Each step pops the
+    next node of every tree with work left and scores all of the step's
+    split nodes together.
+    """
+    n_trees, n = roots.shape
+    m = X.shape[1]
+    pad = len(X)  # the index of one pad row: x NaN, y -0.0
+    XT = np.vstack([X, np.full(m, np.nan)]).T.copy()
+    yp = np.append(y, -0.0)  # -0.0 adds exactly
+    # each column's dense value ranks, NaN and the pad last at rank `pad`:
+    # sorting a node's (rank, position) keys is a stable sort of its values
+    order = np.argsort(XT, axis=1)
+    sorted_x = np.take_along_axis(XT, order, axis=1)
+    distinct = np.zeros(XT.shape, dtype=int)
+    distinct[:, 1:] = sorted_x[:, 1:] != sorted_x[:, :-1]
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.cumsum(distinct, axis=1), axis=1)
+    ranks[np.isnan(XT)] = pad
+    depth_limit = n if max_depth is None else max_depth
+    cap = 2 * n - 1  # a split leaves rows on both sides, so every leaf holds one
+    feature = np.full((n_trees, cap), -1)
+    threshold = np.zeros((n_trees, cap))
+    left = np.full((n_trees, cap), -1)
+    right = np.full((n_trees, cap), -1)
+    value = np.zeros((n_trees, cap))
+    rows = roots.copy()
+    # pending nodes as (start, size, depth, parent if a right child else -1)
+    stack = np.empty((n_trees, n + 1, 4), dtype=int)
+    stack[:, 0] = (0, n, 0, -1)
+    top = np.ones(n_trees, dtype=int)
+    count = np.zeros(n_trees, dtype=int)
+    while (t := np.flatnonzero(top)).size:
+        top[t] -= 1
+        start, size, depth, parent = stack[t, top[t]].T
+        node = count[t]
+        count[t] += 1
+        is_right = parent >= 0
+        right[t[is_right], parent[is_right]] = node[is_right]
 
-    grow(idx, 0)
-    # Python ints and floats give the int and float dtypes RegressionTree holds
-    return RegressionTree(*map(np.asarray, zip(*nodes)))
+        position = np.arange(size.max())
+        real = position < size[:, None]
+        R = np.where(real, rows[t[:, None], np.minimum(start[:, None] + position, n - 1)], pad)
+        Y = yp[R]
+        value[t, node], sse = _node_sums(Y, real, size)
+        split = np.flatnonzero((size >= 2 * min_leaf) & (depth < depth_limit)
+                               & ((Y != Y[:, :1]) & real).any(axis=1))
+        if not split.size:
+            continue
+        chosen = np.array([rngs[i].choice(m, size=n_sub, replace=False) for i in t[split]])
+        chosen.sort(axis=1)
+        j, thr, ok = _best_splits(XT, ranks, yp, R[split], size[split], sse[split], chosen,
+                                  min_leaf)
+        split, j, thr = split[ok], j[ok], thr[ok]
+        ts, at, start, size = t[split], node[split], start[split], size[split]
+        depth = depth[split] + 1
+        feature[ts, at] = j
+        threshold[ts, at] = thr
+        left[ts, at] = at + 1
+
+        R, real = R[split], real[split]
+        go_left = XT[j[:, None], R] <= thr[:, None]
+        n_left = go_left.sum(axis=1)
+        dest = start[:, None] - 1 + np.where(
+            go_left, np.cumsum(go_left, axis=1),
+            n_left[:, None] + np.cumsum(~go_left & real, axis=1))
+        rows[np.broadcast_to(ts[:, None], R.shape)[real], dest[real]] = R[real]
+        # the right child goes below the left one, which is popped next
+        push = top[ts]
+        stack[ts, push] = np.column_stack([start + n_left, size - n_left, depth, at])
+        stack[ts, push + 1] = np.column_stack([start, n_left, depth, np.full(len(ts), -1)])
+        top[ts] += 2
+    arrays = (feature, threshold, left, right, value)
+    return [RegressionTree(*(a[i, :count[i]].copy() for a in arrays)) for i in range(n_trees)]
 
 
-def _best_split(X, idx, y, rng, min_leaf, n_sub):
-    """The node's best (feature, threshold) over `n_sub` columns, or None."""
-    chosen = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
-    n = len(idx)
-    parent_sse = float(np.sum((y - y.mean()) ** 2))
-    xs = X[idx[:, None], chosen]
-    order = np.argsort(xs, axis=0, kind="stable")
-    xs = xs[order, np.arange(n_sub)]
-    ys = y[order]
-    s1 = np.cumsum(ys, axis=0)
-    s2 = np.cumsum(ys**2, axis=0)
-    sizes = np.arange(1, n)[:, None]  # left sizes at split positions
-    sse_left = s2[:-1] - s1[:-1] ** 2 / sizes
-    sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
-    valid = (sizes >= min_leaf) & (sizes <= n - min_leaf) & (xs[:-1] < xs[1:])
-    total = np.where(valid, sse_left + sse_right, np.inf)
-    # first minimum: the lowest threshold wins within a column and the
-    # lowest feature index across columns; a split must beat the parent's SSE
-    pos = np.argmin(total, axis=0)
-    sse = total[pos, np.arange(n_sub)]
-    col = int(np.argmin(np.where(sse < parent_sse, sse, np.inf)))
-    if not sse[col] < parent_sse:
-        return None
-    row = pos[col]
-    return int(chosen[col]), float(0.5 * (xs[row, col] + xs[row + 1, col]))
+def _node_sums(Y, real, size):
+    """Each node's mean and sum of squared deviations, from the node's first
+    `size` values in its row of Y: bitwise those of the node's own 1-D array.
+
+    numpy sums pairwise, so padding would change the bits. Nodes of one size
+    are summed together instead, as the rows of a C-contiguous 2-D array
+    reduced over its last axis: each row's sum is its 1-D sum.
+    """
+    order = np.argsort(size, kind="stable")
+    flat = Y[order][real[order]]
+    sizes = size[order]
+    bounds = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1))
+    mean = np.empty(len(size))
+    sse = np.empty(len(size))
+    at = 0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        block = flat[at:at + (b - a) * sizes[a]].reshape(b - a, sizes[a])
+        at += block.size
+        mu = np.add.reduce(block, axis=1) / sizes[a]
+        mean[order[a:b]] = mu
+        sse[order[a:b]] = np.add.reduce((block - mu[:, None]) ** 2, axis=1)
+    return mean, sse
+
+
+def _best_splits(XT, ranks, yp, R, size, parent_sse, chosen, min_leaf):
+    """Each node's best (feature, threshold) over its `chosen` columns, and
+    whether it beats the node's `parent_sse`. A node's rows are the first
+    `size` entries of its row of R, as indices into the columns of XT and
+    `ranks` and into yp; the entries past them are pad.
+
+    A node scores all of its candidate columns in one pass, and nodes are
+    scored in groups padded to their largest node. The arrays run (sorted
+    position, node, column), so that a cumulative sum over positions is one
+    vector add per position.
+    """
+    stride = XT.shape[1]
+    last_rank = stride - 1  # NaN and the pad
+    j = np.empty(len(size), dtype=int)
+    thr = np.empty(len(size))
+    ok = np.empty(len(size), dtype=bool)
+    for g in _size_groups(size, chosen.shape[1]):
+        width = size[g].max()
+        k = np.arange(len(g))
+        rows = R[g, :width]
+        # keys (rank, position) are distinct, so any sort orders them alike
+        shift = int(width - 1).bit_length()
+        key = ranks.ravel()[chosen[g][:, :, None] * stride + rows[:, None, :]]
+        key <<= shift
+        key |= np.arange(width)
+        key.sort(axis=2)
+        key = key.transpose(2, 0, 1)  # (sorted position, node, column)
+        rank = key >> shift
+        rows = rows.ravel()[(key & ((1 << shift) - 1)) + (k * width)[:, None]]
+        # pads sort last and add -0.0, so the last sums are the node's totals
+        sums = np.empty((width, 2) + rows.shape[1:])
+        np.take(yp, rows, out=sums[:, 0])
+        np.square(sums[:, 0], out=sums[:, 1])
+        for i in range(1, width):  # cumulative sums, one vector add per position
+            sums[i] += sums[i - 1]
+        s1, s2 = sums.transpose(1, 0, 2, 3)
+        n_left = np.arange(1.0, width)[:, None, None]  # left sizes at split positions
+        # positions in the pad are masked below; keep their divisors positive
+        n_right = np.maximum(size[g, None] - n_left, 1.0)
+        total = s1[:-1] ** 2
+        total /= n_left
+        np.subtract(s2[:-1], total, out=total)  # the left side's SSE
+        right = s1[-1] - s1[:-1]
+        right **= 2
+        right /= n_right
+        np.subtract(s2[-1] - s2[:-1], right, out=right)  # the right side's SSE
+        total += right
+        # a split lies between two distinct values, neither of them NaN, and
+        # leaves min_leaf rows on each side: elsewhere no rank is below `bound`
+        bound = np.where((n_left >= min_leaf) & (size[g, None] - n_left >= min_leaf),
+                         last_rank, 0)
+        valid = rank[:-1] < rank[1:]
+        valid &= rank[1:] < bound
+        total[~valid] = np.inf
+        # a column's minimum, then the first column below the parent's SSE:
+        # the lowest feature index wins a tie, then the column's first minimum
+        # position, so the lowest threshold
+        sse = total.min(axis=0)
+        col = np.argmin(np.where(sse < parent_sse[g, None], sse, np.inf), axis=1)
+        row = np.argmin(total[:, k, col], axis=0)
+        j[g] = chosen[g, col]
+        lo, hi = XT[j[g], rows[row, k, col]], XT[j[g], rows[row + 1, k, col]]
+        # the midpoint rounds up to hi between adjacent floats or next to
+        # +inf, and is NaN between -inf and +inf; lo then keeps the scored
+        # partition, where either would leave a child empty
+        mid = 0.5 * (lo + hi)
+        thr[g] = np.where(mid < hi, mid, lo)
+        ok[g] = sse[k, col] < parent_sse[g]
+    return j, thr, ok
+
+
+def _size_groups(size, n_sub):
+    """The nodes, as index arrays, in groups to pad to their largest size.
+    Going down the sizes, a group ends where padding the nodes below it to
+    its width would cost more than scoring one more group."""
+    order = np.argsort(-size, kind="stable")
+    groups = []
+    while order.size:
+        sizes = size[order]
+        waste = (sizes[0] - sizes) * np.arange(len(sizes), 0, -1) * n_sub
+        cut = np.argmax(waste > GROUP_COST) or len(sizes)
+        cut = min(cut, max(1, GROUP_CELLS // (sizes[0] * n_sub)))
+        groups.append(order[:cut])
+        order = order[cut:]
+    return groups
 
 
 @dataclass(eq=False)
@@ -152,10 +297,29 @@ class RandomForestModel:
     n_features: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """The mean of the trees' predictions. Every (tree, row) pair
+        descends at once through the trees' concatenated arrays; the leaf
+        values are then added in tree order, as one tree at a time would."""
         X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            out += tree.predict(X)
+        n = X.shape[0]
+        sizes = [len(tree.feature) for tree in self.trees]
+        offset = np.cumsum([0] + sizes[:-1])
+        feature, threshold, value = (np.concatenate([getattr(tree, name) for tree in self.trees])
+                                     for name in ("feature", "threshold", "value"))
+        left, right = (np.concatenate([getattr(tree, name) + o
+                                       for tree, o in zip(self.trees, offset)])
+                       for name in ("left", "right"))
+        node = np.repeat(offset, n)
+        row = np.tile(np.arange(n), len(self.trees))
+        active = np.flatnonzero(feature[node] >= 0)
+        while active.size:
+            nd = node[active]
+            go_left = X[row[active], feature[nd]] <= threshold[nd]
+            node[active] = np.where(go_left, left[nd], right[nd])
+            active = active[feature[node[active]] >= 0]
+        out = np.zeros(n)
+        for leaf_values in value[node].reshape(len(self.trees), n):
+            out += leaf_values
         return out / len(self.trees)
 
 
@@ -175,12 +339,12 @@ def fit_random_forest(
     n, m = X.shape
     if n != len(y) or n < 2:
         raise ConfigurationError("need matching X/y with at least 2 rows")
-    n_sub = math.ceil(m / 3)
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(X, y, idx, rng, min_leaf, max_depth, n_sub))
+    if n_trees < 1 or min_leaf < 1:
+        raise ConfigurationError(f"need n_trees >= 1 and min_leaf >= 1; got {n_trees} and "
+                                 f"{min_leaf}")
+    rngs = [np.random.default_rng(derive_seed(seed, t)) for t in range(n_trees)]
+    roots = np.array([rng.integers(0, n, n) if bootstrap else np.arange(n) for rng in rngs])
+    trees = _grow_forest(X, y, roots, rngs, min_leaf, max_depth, math.ceil(m / 3))
     return RandomForestModel(trees=trees, n_features=m)
 
 

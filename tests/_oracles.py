@@ -272,7 +272,10 @@ def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
             pos = int(np.argmin(total))
             if total[pos] < best_sse:
                 best_sse = float(total[pos])
-                best = (int(j), float(0.5 * (xs_sorted[pos] + xs_sorted[pos + 1])))
+                lo, hi = xs_sorted[pos], xs_sorted[pos + 1]
+                mid = 0.5 * (lo + hi)
+                # a midpoint that is not below hi would send hi to the left too
+                best = (int(j), float(mid if mid < hi else lo))
         return best
 
     def build(rows, depth):
@@ -298,6 +301,24 @@ def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
     build(idx, 0)
     return {name: np.asarray(values, dtype=float if name in ("threshold", "value") else int)
             for name, values in arrays.items()}
+
+
+def naive_forest_predict(model, X: np.ndarray) -> np.ndarray:
+    """The forest's mean prediction, one tree at a time and one row at a time:
+    each row walks its own path (left on x <= threshold), and the trees'
+    leaf values are added in tree order."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[0])
+    for tree in model.trees:
+        leaf_values = np.empty(X.shape[0])
+        for i, x in enumerate(X):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = x[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            leaf_values[i] = tree.value[node]
+        out += leaf_values
+    return out / len(model.trees)
 
 
 def naive_cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool, n_folds: int) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from footprints import models
 from footprints.config import RunConfig
 from footprints.errors import ConfigurationError
 from footprints.models import (
@@ -12,16 +13,18 @@ from footprints.models import (
     KernelRidgeModel,
     KnnModel,
     RandomForestModel,
+    RegressionTree,
     evaluate_model,
     fit_kernel,
     fit_knn,
     fit_random_forest,
     make_folds,
-    _grow_tree,
+    _grow_forest,
 )
 from footprints.seeding import derive_seed
 
-from _oracles import naive_build_tree, naive_fit_random_forest, naive_knn_predict
+from _oracles import (naive_build_tree, naive_fit_random_forest, naive_forest_predict,
+                      naive_knn_predict)
 
 
 def _grid_keys(n_problems=24, n_instances=5, dim=10):
@@ -238,7 +241,7 @@ def test_tree_with_every_n_sub_matches_reference(n_sub):
     trees, reference = [], []
     for seed in range(4):
         idx = np.random.default_rng(seed).integers(0, 40, 40)
-        trees.append(_grow_tree(X, y, idx, np.random.default_rng(seed), 2, None, n_sub))
+        trees += _grow_forest(X, y, idx[None], [np.random.default_rng(seed)], 2, None, n_sub)
         reference.append(naive_build_tree(X, y, idx, np.random.default_rng(seed), 2, None,
                                           n_sub))
     _assert_trees_bitwise_equal(trees, reference)
@@ -256,7 +259,7 @@ def test_equal_sse_across_columns_goes_to_the_lower_feature(seed):
     rank[~upper], rank[upper] = np.arange(n // 2), np.arange(n // 2, n)
     X = np.column_stack([rank, upper]).astype(float)
     y = 5.0 * upper + rng.normal(size=n)
-    tree = _grow_tree(X, y, np.arange(n), np.random.default_rng(seed), 2, 1, 2)
+    tree, = _grow_forest(X, y, np.arange(n)[None], [np.random.default_rng(seed)], 2, 1, 2)
     assert (tree.feature[0], tree.threshold[0]) == (0, n // 2 - 0.5)
     reference = naive_build_tree(X, y, np.arange(n), np.random.default_rng(seed), 2, 1, 2)
     _assert_trees_bitwise_equal([tree], [reference])
@@ -273,6 +276,179 @@ def test_forest_matches_per_feature_reference_random(case):
     kwargs = {"n_trees": 2, "seed": case, "min_leaf": 1 + case % 3}
     model = fit_random_forest(X, y, **kwargs)
     _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, **kwargs))
+
+
+def _lockstep_case(name):
+    """(X, y, fit kwargs) of a forest of many trees that end at different
+    steps of the lockstep growth."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    kind, _, arg = name.partition("-")
+    if kind == "max_depth":
+        # 6 of 9 columns constant: a node whose draw holds only those stays a leaf
+        X = np.zeros((50, 9))
+        X[:, 6:] = np.round(rng.normal(size=(50, 3)), 1)
+        return X, rng.normal(size=50), {"n_trees": 40, "max_depth": int(arg)}
+    if kind == "no_bootstrap":
+        # coarse columns: whether a node can split depends on its draw
+        X = rng.integers(0, 3, (45, 7)).astype(float)
+        return X, rng.normal(size=45), {"n_trees": 30, "bootstrap": False, "min_leaf": int(arg)}
+    if kind == "tied_x_and_y":
+        X = rng.integers(0, 4, (60, 8)).astype(float)
+        return X, rng.integers(0, 3, 60).astype(float), {"n_trees": 50, "min_leaf": 1}
+    if kind == "constant_y_subtrees":
+        X = rng.integers(0, 6, (70, 6)).astype(float)
+        y = np.where(X[:, 0] > 2, 1.5, rng.normal(size=70))
+        return X, y, {"n_trees": 40, "min_leaf": 1 + int(arg)}
+    if kind == "random":
+        n, m = int(rng.integers(4, 131)), int(rng.integers(1, 45))
+        X = rng.normal(size=(n, m))
+        if int(arg) % 2:
+            X = np.round(X, 1)
+        y = rng.integers(0, 4, n).astype(float) if int(arg) % 3 == 0 else rng.normal(size=n)
+        return X, y, {"n_trees": 30, "min_leaf": 1 + int(arg) % 3,
+                      "max_depth": [None, 2, 5][int(arg) % 3]}
+    if kind == "largest_n":
+        X = np.round(rng.normal(size=(130, 12)), 1)
+        return X, rng.normal(size=130), {"n_trees": 30, "min_leaf": 1}
+    if kind == "desk":
+        m = int(arg)  # desk's forests: 24 rows and 43 or 30 features, 100 trees
+        return rng.normal(size=(24, m)), rng.normal(size=24), {"n_trees": 100}
+    if kind == "nan_and_signed_zero_x":
+        # NaN sorts last and takes no split; -0.0 ties with 0.0
+        X = np.round(rng.normal(size=(40, 6)), 1)
+        X[rng.random(X.shape) < 0.1] = np.nan
+        X[:, 5] = rng.choice([0.0, -0.0, 1.0], 40)
+        return X, rng.normal(size=40), {"n_trees": 30, "min_leaf": 1}
+    if kind == "adjacent_floats_and_inf":
+        # rows 20.. hold the next float up from rows ..20, where a midpoint
+        # often rounds up; column 0 also holds +inf
+        X = rng.normal(size=(20, 5)) * 100
+        X = np.vstack([X, np.nextafter(X, np.inf)])
+        X[rng.random(40) < 0.2, 0] = np.inf
+        return X, rng.normal(size=40), {"n_trees": 30, "min_leaf": 1}
+    raise KeyError(name)
+
+
+LOCKSTEP_CASES = (
+    ["max_depth-1", "max_depth-2", "max_depth-3", "no_bootstrap-1", "no_bootstrap-2",
+     "no_bootstrap-3", "tied_x_and_y", "constant_y_subtrees-0", "constant_y_subtrees-1",
+     "largest_n", "desk-43", "desk-30", "nan_and_signed_zero_x", "adjacent_floats_and_inf"]
+    + [f"random-{case}" for case in range(6)]
+)
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_lockstep_forest_matches_per_feature_reference(name):
+    X, y, kwargs = _lockstep_case(name)
+    kwargs = {"seed": 5, **kwargs}
+    model = fit_random_forest(X, y, **kwargs)
+    reference = naive_fit_random_forest(X, y, **kwargs)
+    _assert_trees_bitwise_equal(model.trees, reference)
+    # the trees end at different steps: their node counts differ
+    sizes = [len(tree.feature) for tree in model.trees]
+    assert len(set(sizes)) > 1
+    # and each case exercises what its name says
+    if name.startswith("max_depth"):
+        assert min(sizes) == 1 and max(sizes) == 2 ** (kwargs["max_depth"] + 1) - 1
+    if name == "constant_y_subtrees-0":
+        assert any(np.any(tree.value[tree.feature < 0] == 1.5) for tree in model.trees)
+    if name == "nan_and_signed_zero_x":
+        assert np.isnan(X).any() and np.signbit(X[:, 5][X[:, 5] == 0]).any()
+    if name == "adjacent_floats_and_inf":
+        mids = 0.5 * (X[:20] + X[20:])
+        assert np.any(mids == X[20:]) and np.isinf(X).any()
+        assert not any(np.isnan(tree.value).any() for tree in model.trees)
+
+
+@pytest.mark.parametrize("group_cost, group_cells", [(0, 1 << 30), (1 << 30, 1 << 30),
+                                                     (1 << 30, 1)])
+def test_lockstep_grouping_never_changes_the_trees(monkeypatch, group_cost, group_cells):
+    # equal sizes only, one padded group a step, one node a group
+    monkeypatch.setattr(models, "GROUP_COST", group_cost)
+    monkeypatch.setattr(models, "GROUP_CELLS", group_cells)
+    for name in ("random-1", "tied_x_and_y", "desk-30"):
+        X, y, kwargs = _lockstep_case(name)
+        model = fit_random_forest(X, y, seed=5, **kwargs)
+        _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, seed=5, **kwargs))
+
+
+@pytest.mark.parametrize("max_depth", [2, 4, None])
+def test_split_between_adjacent_floats_keeps_both_children(max_depth):
+    # 0.5 * (a + b) rounds up to b: a threshold there would send every row
+    # left and repeat the node, with an empty right child, down to max_depth
+    a = -130.41436035341954
+    b = np.nextafter(a, np.inf)
+    assert 0.5 * (a + b) == b
+    X = np.array([[a], [a], [b], [b]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    kwargs = {"n_trees": 3, "min_leaf": 1, "max_depth": max_depth, "bootstrap": False}
+    model = fit_random_forest(X, y, **kwargs)
+    for tree in model.trees:
+        assert tree.feature.tolist() == [0, -1, -1] and tree.threshold[0] == a
+        assert tree.value.tolist() == [0.5, 0.0, 1.0]
+    assert model.predict(X).tolist() == y.tolist()
+    _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, **kwargs))
+
+
+def _predict_forest(n, m, n_trees, seed):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, m)), 1)
+    return fit_random_forest(X, rng.normal(size=n), n_trees=n_trees, seed=seed), rng
+
+
+@pytest.mark.parametrize("n, m, n_trees", [(24, 43, 100), (24, 30, 100), (96, 12, 20),
+                                           (7, 3, 5), (130, 5, 1)])
+def test_forest_predict_matches_tree_at_a_time_reference(n, m, n_trees):
+    model, rng = _predict_forest(n, m, n_trees, seed=n + m)
+    Q = np.vstack([np.round(rng.normal(size=(40, m)), 1), rng.normal(size=(40, m)) * 3])
+    got = model.predict(Q)
+    assert got.dtype == np.float64 and got.tobytes() == naive_forest_predict(model, Q).tobytes()
+
+
+def test_forest_predict_one_row_matches_reference():
+    model, rng = _predict_forest(30, 6, 25, seed=2)
+    for q in np.round(rng.normal(size=(10, 6)), 1):
+        got = model.predict(q[None, :])
+        assert got.shape == (1,)
+        assert got.tobytes() == naive_forest_predict(model, q[None, :]).tobytes()
+
+
+def test_forest_predict_value_equal_to_threshold_goes_left():
+    tree = RegressionTree(feature=np.array([0, -1, 1, -1, -1]),
+                          threshold=np.array([1.5, 0.0, -2.0, 0.0, 0.0]),
+                          left=np.array([1, -1, 3, -1, -1]), right=np.array([2, -1, 4, -1, -1]),
+                          value=np.array([0.0, 10.0, 0.0, 20.0, 30.0]))
+    model = RandomForestModel(trees=[tree], n_features=2)
+    Q = np.array([[1.5, 0.0], [1.6, -2.0], [1.6, -1.9], [-1.0, 9.0]])
+    assert model.predict(Q).tolist() == [10.0, 20.0, 30.0, 10.0]
+    # and so does every row of a fitted forest queried at its split thresholds
+    fitted, _ = _predict_forest(40, 4, 30, seed=3)
+    Q = np.array([[tree.threshold[0]] * 4 for tree in fitted.trees if tree.feature[0] >= 0])
+    assert fitted.predict(Q).tobytes() == naive_forest_predict(fitted, Q).tobytes()
+
+
+def test_forest_predict_root_leaf_tree():
+    leaf = RegressionTree(feature=np.array([-1]), threshold=np.array([0.0]),
+                          left=np.array([-1]), right=np.array([-1]), value=np.array([2.5]))
+    stump = RegressionTree(feature=np.array([0, -1, -1]), threshold=np.array([0.0, 0.0, 0.0]),
+                           left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                           value=np.array([0.0, -1.0, 1.0]))
+    Q = np.array([[-1.0], [1.0], [0.0]])
+    assert RandomForestModel(trees=[leaf], n_features=1).predict(Q).tolist() == [2.5] * 3
+    model = RandomForestModel(trees=[leaf, stump, leaf], n_features=1)
+    assert model.predict(Q).tobytes() == naive_forest_predict(model, Q).tobytes()
+    X, y, _ = _forest_case("no_valid_split")
+    fitted = fit_random_forest(X, y, n_trees=3, bootstrap=False, seed=0)
+    assert all(len(tree.feature) == 1 for tree in fitted.trees)
+    assert fitted.predict(X).tobytes() == naive_forest_predict(fitted, X).tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -1}, {"min_leaf": 0},
+                                    {"min_leaf": -2}])
+def test_forest_rejects_no_trees_and_empty_leaves(kwargs):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigurationError):
+        fit_random_forest(rng.normal(size=(10, 3)), rng.normal(size=10), **kwargs)
 
 
 # ---------------------------------------------------------------------------
