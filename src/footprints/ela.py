@@ -11,6 +11,12 @@ FEATURE_SCHEMA is the concatenation of the six tuples, and a name's group
 is its prefix before the first dot (flacco's `<group>.<feature>`). All
 outputs are finite: non-finite intermediate results are replaced by 0 and
 counted per vector.
+
+The hot loops batch their work without moving a bit: `cdist(X, X)` builds
+the distance matrix, the nearest-neighbour tour adds a +inf mask of the
+visited points to a row, one bincount counts the symbol pairs of every
+information-content threshold, and one stacked inv and slogdet serve all
+folds of a level-set cross-validation.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv, write_json
 from .errors import ConfigurationError
@@ -96,38 +102,50 @@ def disp_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
 
 def _nearest_neighbor_tour(dmat: np.ndarray) -> np.ndarray:
     """Greedy tour over the points of the distance matrix `dmat`, starting
-    at index 0; distance ties go to the lowest index."""
+    at index 0; distance ties go to the lowest index. `visited` is +inf at
+    the visited points and 0 elsewhere, so adding it to a row of distances
+    leaves every unvisited distance exact."""
     n = dmat.shape[0]
     order = np.empty(n, dtype=int)
     order[0] = 0
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
+    visited = np.zeros(n)
+    visited[0] = np.inf
+    row = np.empty(n)
     cur = 0
     for step in range(1, n):
-        row = np.where(visited, np.inf, dmat[cur])
-        cur = int(np.argmin(row))
+        np.add(dmat[cur], visited, out=row)
+        cur = int(row.argmin())
         order[step] = cur
-        visited[cur] = True
+        visited[cur] = np.inf
     return order
 
 
-def _symbol_sequence(diffs: np.ndarray, eps: float) -> np.ndarray:
+def _symbol_sequence(diffs: np.ndarray, eps) -> np.ndarray:
+    """The -1/0/1 symbols of `diffs` under threshold `eps`; a column of
+    thresholds gives one row of symbols per threshold."""
     return np.where(diffs > eps, 1, np.where(diffs < -eps, -1, 0))
 
 
-def _pair_entropy(symbols: np.ndarray) -> float:
-    """Base-2 entropy of consecutive unequal symbol pairs (6 admissible pairs)."""
-    a, b = symbols[:-1], symbols[1:]
-    total = len(a)
-    h = 0.0
-    for sa in (-1, 0, 1):
-        for sb in (-1, 0, 1):
-            if sa == sb:
-                continue
-            p = float(np.sum((a == sa) & (b == sb))) / total
+# the 6 admissible (unequal) symbol pairs (a, b), as codes 3 * a + b + 4
+_PAIR_CODES = tuple(3 * a + b + 4 for a in (-1, 0, 1) for b in (-1, 0, 1) if a != b)
+
+
+def _pair_entropies(symbols: np.ndarray) -> list[float]:
+    """Base-2 entropy of the consecutive unequal symbol pairs in each row of
+    `symbols`; one bincount counts the pairs of every row."""
+    rows, length = symbols.shape
+    codes = 3 * symbols[:, :-1] + symbols[:, 1:] + (4 + 9 * np.arange(rows))[:, None]
+    counts = np.bincount(codes.ravel(), minlength=9 * rows).reshape(rows, 9).tolist()
+    total = length - 1
+    entropies = []
+    for row in counts:
+        h = 0.0
+        for code in _PAIR_CODES:
+            p = row[code] / total
             if p > 0:
                 h -= p * math.log2(p)
-    return h
+        entropies.append(h)
+    return entropies
 
 
 def _partial_information(diffs: np.ndarray) -> float:
@@ -156,7 +174,7 @@ def ic_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
         grid = np.array([0.0, dmax])
     else:
         grid = np.concatenate(([0.0], np.logspace(math.log10(lo), math.log10(dmax), IC_GRID_SIZE)))
-    entropies = np.array([_pair_entropy(_symbol_sequence(diffs, e)) for e in grid])
+    entropies = np.array(_pair_entropies(_symbol_sequence(diffs, grid[:, None])))
     h_max = float(np.max(entropies))
     eps_max = float(grid[int(np.argmax(entropies))])  # smallest maximizer
     below = np.nonzero(entropies < IC_SETTLING_THRESHOLD)[0]
@@ -288,52 +306,48 @@ def _class_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _discriminant_predict(X, means, covs, priors):
-    """The (lda, qda) predictions of the rows of X: lda scores both classes
-    under their pooled covariance, qda under each class's own."""
-    reg = 1e-6 * np.eye(X.shape[1])
-    pooled_inv = np.linalg.inv((covs[0] + covs[1]) / 2.0 + reg)
-    lda = np.empty((X.shape[0], 2))
-    qda = np.empty((X.shape[0], 2))
-    for c in (0, 1):
-        diff = X - means[c]
-        lda[:, c] = -0.5 * np.sum((diff @ pooled_inv) * diff, axis=1) + math.log(priors[c])
-        cov = covs[c] + reg
-        inv = np.linalg.inv(cov)
-        _, logdet = np.linalg.slogdet(cov)
-        qda[:, c] = (
-            -0.5 * logdet
-            - 0.5 * np.sum((diff @ inv) * diff, axis=1)
-            + math.log(priors[c])
-        )
-    return lda[:, 1] > lda[:, 0], qda[:, 1] > qda[:, 0]
-
-
 def _cv_mmce(X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """The (lda, qda) misclassification rates under stratified
-    cross-validation; each fold's class statistics serve both."""
-    n = len(labels)
+    cross-validation; each fold's class statistics serve both. lda scores
+    both classes under their pooled covariance, qda under each class's own;
+    one stacked inv and slogdet serve all folds, and one stacked matmul a
+    fold scores its test rows under all four."""
+    n, dim = X.shape
     folds = np.empty(n, dtype=int)
     for cls in (0, 1):
         idx = np.nonzero(labels == cls)[0]
         folds[idx] = np.arange(len(idx)) % LEVEL_CV_FOLDS
-    errors_lda = errors_qda = 0
+    tests, means, covs, log_priors = [], [], [], []
     for f in range(LEVEL_CV_FOLDS):
         test = folds == f
-        train = ~test
-        if not test.any():
+        n_test = np.count_nonzero(test)
+        if not n_test:
             continue
-        Xtr, ltr = X[train], labels[train]
-        means, covs, priors = [], [], []
         for c in (0, 1):
-            member = ltr == c
-            mean, cov = _class_stats(Xtr[member])
+            Xc = X[~test & (labels == c)]
+            mean, cov = _class_stats(Xc)
             means.append(mean)
             covs.append(cov)
-            priors.append(member.mean())
-        lda, qda = _discriminant_predict(X[test], means, covs, priors)
-        errors_lda += int(np.sum(lda != labels[test]))
-        errors_qda += int(np.sum(qda != labels[test]))
+            log_priors.append(math.log(len(Xc) / (n - n_test)))
+        tests.append(test)
+    covs = np.reshape(covs, (-1, 2, dim, dim))
+    reg = 1e-6 * np.eye(dim)
+    pooled_inv = np.linalg.inv((covs[:, 0] + covs[:, 1]) / 2.0 + reg)
+    class_inv = np.linalg.inv(covs + reg)
+    _, logdets = np.linalg.slogdet(covs + reg)
+    # a fold's four scorings: lda's classes 0 and 1, then qda's
+    invs = np.stack([pooled_inv, pooled_inv, class_inv[:, 0], class_inv[:, 1]], axis=1)
+    means = np.reshape(means, (-1, 2, dim))
+    means = np.concatenate([means, means], axis=1)
+    log_priors = np.reshape(log_priors, (-1, 2, 1))
+    errors_lda = errors_qda = 0
+    for k, test in enumerate(tests):
+        diff = X[test] - means[k][:, None]
+        quad = np.sum((diff @ invs[k]) * diff, axis=2)
+        lda = -0.5 * quad[:2] + log_priors[k]
+        qda = -0.5 * logdets[k][:, None] - 0.5 * quad[2:] + log_priors[k]
+        errors_lda += int(np.sum((lda[1] > lda[0]) != labels[test]))
+        errors_qda += int(np.sum((qda[1] > qda[0]) != labels[test]))
     return errors_lda / n, errors_qda / n
 
 
@@ -413,8 +427,9 @@ def extract_all(instance: ProblemInstance, n: int, seed: int) -> ElaFeatureVecto
     X, y = sample_design(instance, n, seed)
     # the one n x n distance matrix: disp reads its zero diagonal, ic and nbc
     # the infinite one set in place; none copies it, and it goes before the
-    # meta-models
-    dmat = squareform(pdist(X))
+    # meta-models. cdist(X, X) has squareform(pdist(X))'s bytes and needs
+    # no condensed copy
+    dmat = cdist(X, X)
     raw = disp_features(y, dmat)
     np.fill_diagonal(dmat, np.inf)
     raw += ic_features(y, dmat)

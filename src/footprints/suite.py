@@ -360,14 +360,24 @@ def _f20_schwefel(Y, aux):
     return body + 4.189828872724339 + 100.0 * _fpen(z / 100.0)
 
 
+# The most (peak, row, coordinate) cells of one chunk of Gallagher peaks
+# (keeps the temporaries in cache).
+GALLAGHER_CHUNK_CELLS = 1 << 15
+
+
 def _gallagher(Y, aux):
-    dim = Y.shape[1]
+    """Gallagher's peaks (f21, f22). The quadratic forms are taken a chunk
+    of peaks at a time, so each peak keeps its own (rows, D) @ (D, D)
+    matmul and row sums; the rest is elementwise, and the values are
+    bitwise those of one peak at a time."""
+    n, dim = Y.shape
     B, peaks, weights = aux["B"], aux["peaks"], aux["weights"]
-    vals = np.empty((Y.shape[0], peaks.shape[0]))
-    for p in range(peaks.shape[0]):
-        U = Y - peaks[p][None, :]
-        vals[:, p] = weights[p] * np.exp(-np.sum((U @ B[p]) * U, axis=1) / (2.0 * dim))
-    best = np.max(vals, axis=1)
+    step = max(1, GALLAGHER_CHUNK_CELLS // max(n * dim, 1))
+    quad = np.empty((peaks.shape[0], n))
+    for p in range(0, peaks.shape[0], step):
+        U = Y[None] - peaks[p:p + step, None]
+        quad[p:p + step] = np.sum((U @ B[p:p + step]) * U, axis=2)
+    best = np.max(weights[:, None] * np.exp(-quad / (2.0 * dim)), axis=0)
     return _t_osz((10.0 - best)[:, None])[:, 0] ** 2
 
 

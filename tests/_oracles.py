@@ -184,6 +184,61 @@ def naive_setup(problem_id: int, dim: int, rng) -> dict:
     return _NAIVE_SETUPS[problem_id](dim, rng)
 
 
+def naive_gallagher(Y: np.ndarray, aux: dict) -> np.ndarray:
+    """Gallagher's peaks (f21, f22) in optimum-at-origin coordinates, one
+    peak at a time: weight * exp(-quadratic form / 2D), the best peak, then
+    T_osz and the square."""
+    dim = Y.shape[1]
+    B, peaks, weights = aux["B"], aux["peaks"], aux["weights"]
+    vals = np.empty((Y.shape[0], peaks.shape[0]))
+    for p in range(peaks.shape[0]):
+        U = Y - peaks[p][None, :]
+        vals[:, p] = weights[p] * np.exp(-np.sum((U @ B[p]) * U, axis=1) / (2.0 * dim))
+    z = 10.0 - np.max(vals, axis=1)
+    absz = np.abs(z)
+    xhat = np.zeros_like(z)
+    nz = absz > 0
+    xhat[nz] = np.log(absz[nz])
+    c1 = np.where(z > 0, 10.0, 5.5)
+    c2 = np.where(z > 0, 7.9, 3.1)
+    osz = np.sign(z) * np.exp(xhat + 0.049 * (np.sin(c1 * xhat) + np.sin(c2 * xhat)))
+    osz[~nz] = 0.0
+    return osz ** 2
+
+
+def naive_nearest_neighbor_tour(dmat: np.ndarray) -> np.ndarray:
+    """Greedy tour from index 0: each step masks the visited points of the
+    current row with +inf and takes the first minimum."""
+    n = dmat.shape[0]
+    order = np.empty(n, dtype=int)
+    order[0] = 0
+    visited = np.zeros(n, dtype=bool)
+    visited[0] = True
+    cur = 0
+    for step in range(1, n):
+        row = np.where(visited, np.inf, dmat[cur])
+        cur = int(np.argmin(row))
+        order[step] = cur
+        visited[cur] = True
+    return order
+
+
+def naive_pair_entropy(symbols: np.ndarray) -> float:
+    """Base-2 entropy of the consecutive unequal pairs of one symbol
+    sequence, each pair's count a sum of its own mask."""
+    a, b = symbols[:-1], symbols[1:]
+    total = len(a)
+    h = 0.0
+    for sa in (-1, 0, 1):
+        for sb in (-1, 0, 1):
+            if sa == sb:
+                continue
+            p = float(np.sum((a == sa) & (b == sb))) / total
+            if p > 0:
+                h -= p * math.log2(p)
+    return h
+
+
 def naive_knn_predict(model, X: np.ndarray) -> np.ndarray:
     """KNN prediction one row at a time: a stable sort of the row's
     distances, so the lowest training index wins a distance tie."""

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import footprints.ela as ela_mod
 from footprints.ela import (
@@ -18,7 +18,8 @@ from footprints.ela import (
     NBC_FEATURES,
     PCA_FEATURES,
     _cv_mmce,
-    _pair_entropy,
+    _nearest_neighbor_tour,
+    _pair_entropies,
     _safe_ratio,
     _symbol_sequence,
     disp_features,
@@ -36,7 +37,7 @@ from footprints.ela import (
 from footprints.errors import ConfigurationError
 from footprints.suite import make_instance
 
-from _oracles import naive_cv_mmce
+from _oracles import naive_cv_mmce, naive_nearest_neighbor_tour, naive_pair_entropy
 
 
 def _named(names, values):
@@ -151,7 +152,7 @@ def test_ic_symbols_threshold_dominates():
     diffs = np.array([1.0, 2.0, 3.0, 4.0])
     symbols = _symbol_sequence(diffs, eps=10.0)
     assert np.all(symbols == 0)
-    assert _pair_entropy(symbols) == 0.0
+    assert _pair_entropies(symbols[None])[0] == 0.0
 
 
 def test_ic_alternating_entropy_exactly_one():
@@ -175,6 +176,68 @@ def test_ic_entropy_range_invariant():
         out = _ic(*_design(rng.normal(size=(80, 3)), rng.normal(size=80)))
         assert 0.0 <= out["ic.h_max"] <= math.log2(6.0) + 1e-12
         assert out["ic.eps_s"] >= 0.0
+
+
+def _tour_designs():
+    """Designs whose tours meet distance ties: a lattice, duplicated points,
+    three points, three equal points and a sampled design."""
+    rng = np.random.default_rng(5)
+    lattice = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+    duplicated = np.repeat(rng.normal(size=(12, 3)), 3, axis=0)[rng.permutation(36)]
+    return {
+        "lattice": lattice,
+        "lattice_shuffled": lattice[rng.permutation(len(lattice))],
+        "duplicated": duplicated,
+        "three": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        "three_equal": np.ones((3, 2)),
+        "sampled": sample_design(make_instance(7, 1, 3), 120, seed=2)[0],
+    }
+
+
+@pytest.mark.parametrize("design", list(_tour_designs()))
+@pytest.mark.parametrize("diagonal", [0.0, np.inf])
+def test_tour_matches_masked_argmin_reference(design, diagonal):
+    dmat = _distances(_tour_designs()[design], diagonal)
+    tour = _nearest_neighbor_tour(dmat)
+    assert tour.tobytes() == naive_nearest_neighbor_tour(dmat).tobytes()
+    assert sorted(tour) == list(range(len(dmat)))
+
+
+def _entropy_cases():
+    rng = np.random.default_rng(6)
+    diffs = rng.normal(size=200)
+    dmax = float(np.max(np.abs(diffs)))
+    grid = np.concatenate(([0.0], np.logspace(-5, math.log10(dmax), 30)))
+    tiny = rng.normal(scale=1e-7, size=50)
+    return {
+        "random": (diffs, grid),
+        "thresholds_hit": (np.concatenate([grid, -grid, grid[::-1]]), grid),
+        "constant_y": (np.zeros(40), np.array([0.0, 1e-5, 1.0])),
+        "below_1e-5": (tiny, np.array([0.0, float(np.max(np.abs(tiny)))])),
+        "two_diffs": (np.array([1.0, -1.0]), np.array([0.0, 0.5, 1.0])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_entropy_cases()))
+def test_pair_entropies_match_per_threshold_reference(case):
+    diffs, grid = _entropy_cases()[case]
+    entropies = _pair_entropies(_symbol_sequence(diffs, grid[:, None]))
+    expected = [naive_pair_entropy(_symbol_sequence(diffs, e)) for e in grid]
+    assert np.array(entropies).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("problem_id", [1, 5, 16, 21])
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 0.0])
+def test_ic_features_match_naive_tour_and_per_threshold_entropies(monkeypatch, problem_id, scale):
+    # scale 1e-9 takes the [0, dmax] grid below 1e-5, and 0 a constant y
+    X, y = sample_design(make_instance(problem_id, 1, 3), 90, seed=problem_id)
+    y = y * scale
+    dmat = _distances(X, np.inf)
+    fast = ic_features(y, dmat)
+    monkeypatch.setattr(ela_mod, "_nearest_neighbor_tour", naive_nearest_neighbor_tour)
+    monkeypatch.setattr(ela_mod, "_pair_entropies",
+                        lambda symbols: [naive_pair_entropy(row) for row in symbols])
+    assert np.array(fast).tobytes() == np.array(ic_features(y, dmat)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +517,25 @@ def test_extract_all_shares_one_distance_matrix(monkeypatch):
     X, y = sample_design(inst, 60, seed=4)
     assert _ic(X, y) == _ic(X, y, np.inf)
     calls = []
-    real = ela_mod.pdist
-    monkeypatch.setattr(ela_mod, "pdist", lambda X: calls.append(X.shape) or real(X))
+    real = ela_mod.cdist
+    monkeypatch.setattr(ela_mod, "cdist", lambda XA, XB: calls.append(XA.shape) or real(XA, XB))
     vec = extract_all(inst, 60, seed=4)
     assert calls == [(60, 2)]
     expected = {**_disp(X, y), **_ic(X, y, np.inf), **_nbc(X, y)}
     assert [vec.values[FEATURE_SCHEMA.index(name)] for name in expected] == list(
         expected.values())
+
+
+@pytest.mark.parametrize("dim", [2, 5, 10])
+def test_cdist_gives_squareform_pdist_bytes(dim):
+    # extract_all builds its matrix with cdist(X, X); a SciPy whose cdist
+    # differs from squareform(pdist(X)) in any bit would move features.csv
+    rng = np.random.default_rng(dim)
+    X, _ = sample_design(make_instance(21, 1, dim), 100 * dim, seed=dim)
+    designs = [X, np.repeat(rng.normal(size=(20, dim)), 2, axis=0)[rng.permutation(40)],
+               rng.integers(-2, 3, size=(50, dim)).astype(float)]
+    for D in designs:
+        assert cdist(D, D).tobytes() == squareform(pdist(D)).tobytes()
 
 
 def test_extract_all_minimum_size_guard():

@@ -3,6 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+import footprints.suite as suite_mod
+from footprints.de import default_population_size
+from footprints.ela import sample_design
 from footprints.errors import ConfigurationError, ContractViolation
 from footprints.seeding import SUITE_SALT, derive_seed
 from footprints.suite import (
@@ -15,7 +18,7 @@ from footprints.suite import (
     write_suite_csv,
 )
 
-from _oracles import NAIVE_SETUP_PROBLEMS, naive_setup
+from _oracles import NAIVE_SETUP_PROBLEMS, naive_gallagher, naive_setup
 
 
 def test_full_suite_has_120_instances():
@@ -135,6 +138,47 @@ def test_setups_match_naive_setup(dimension):
             for name, value in expected.items():
                 assert aux[name].dtype == value.dtype and aux[name].shape == value.shape
                 assert aux[name].tobytes() == value.tobytes(), (problem_id, name)
+
+
+def _gallagher_points(inst, rows, rng):
+    """`rows` points: uniform in the domain, the optimum first where there
+    is room, and far points (every peak's exp underflows) last."""
+    X = rng.uniform(-5.0, 5.0, (rows, inst.dimension))
+    if rows >= 3:
+        X[0] = inst.shift
+        X[-1] = 40.0
+        X[-2] = -40.0
+    return X
+
+
+def _assert_gallagher_matches_per_peak_loop(inst, X):
+    expected = naive_gallagher(X - inst.shift, inst.aux) - inst.core_at_opt + inst.f_offset
+    assert inst.evaluate_batch(X).tobytes() == expected.tobytes(), X.shape
+
+
+@pytest.mark.parametrize("problem_id", [21, 22])
+@pytest.mark.parametrize("dimension", [2, 5, 10])
+def test_gallagher_matches_per_peak_loop(problem_id, dimension):
+    # peak chunks keep each peak's (rows, D) @ (D, D) matmul and its sum,
+    # so every value is the per-peak loop's, for 1-row batches too
+    rng = np.random.default_rng(problem_id * dimension)
+    inst = make_instance(problem_id, 2, dimension)
+    # a row count whose peak chunk (7 peaks) divides neither 101 nor 21
+    odd_chunk = suite_mod.GALLAGHER_CHUNK_CELLS // (7 * dimension)
+    for rows in (1, 2, 3, default_population_size(dimension), odd_chunk):
+        _assert_gallagher_matches_per_peak_loop(inst, _gallagher_points(inst, rows, rng))
+    X, _ = sample_design(inst, 100 * dimension, seed=dimension)  # the ELA sample
+    _assert_gallagher_matches_per_peak_loop(inst, X)
+
+
+@pytest.mark.parametrize("peaks_per_chunk", [1, 2, 20, 21, 100, 101, 102])
+def test_gallagher_chunk_edges_match_per_peak_loop(monkeypatch, peaks_per_chunk):
+    rng = np.random.default_rng(peaks_per_chunk)
+    rows, dimension = 9, 5
+    monkeypatch.setattr(suite_mod, "GALLAGHER_CHUNK_CELLS", peaks_per_chunk * rows * dimension)
+    for problem_id in (21, 22):
+        inst = make_instance(problem_id, 1, dimension)
+        _assert_gallagher_matches_per_peak_loop(inst, _gallagher_points(inst, rows, rng))
 
 
 def test_shifts_pairwise_distinct_across_instances():
