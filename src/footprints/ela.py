@@ -14,7 +14,8 @@ counted per vector.
 
 The hot loops batch their work without moving a bit: `cdist(X, X)` builds
 the distance matrix, the nearest-neighbour tour adds a +inf mask of the
-visited points to a row, one bincount counts the symbol pairs of every
+visited points to a row, nearest-better clustering masks the matrix a block
+of rows at a time, one bincount counts the symbol pairs of every
 information-content threshold, and one stacked inv and slogdet serve all
 folds of a level-set cross-validation.
 """
@@ -31,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv, write_json
 from .errors import ConfigurationError
-from .suite import LOWER_BOUND, UPPER_BOUND, ProblemInstance
+from .suite import CHUNK_CELLS, LOWER_BOUND, UPPER_BOUND, ProblemInstance
 
 logger = logging.getLogger(__name__)
 
@@ -190,14 +191,26 @@ NBC_FEATURES = ("nbc.nn_nb.mean_ratio", "nbc.nn_nb.sd_ratio",
                 "nbc.dist_ratio.coeff_var", "nbc.nb_fitness.cor")
 
 
+def _nearest_better_distances(y: np.ndarray, dmat: np.ndarray) -> np.ndarray:
+    """Each point's distance to its nearest point of strictly lower y, +inf
+    where there is none. `dmat` is masked a block of rows at a time, at most
+    CHUNK_CELLS cells, so that no temporary grows to n x n; a minimum is
+    exact, so the blocks give the whole matrix's values."""
+    n = len(y)
+    nb_dist = np.empty(n)
+    step = max(1, CHUNK_CELLS // n)
+    for lo in range(0, n, step):
+        better = y < y[lo:lo + step, None]
+        nb_dist[lo:lo + step] = np.where(better, dmat[lo:lo + step], np.inf).min(axis=1)
+    return nb_dist
+
+
 def nbc_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
     """`dmat`: the pairwise distances of the sample points, with an infinite diagonal."""
     if len(y) < 3:
         raise ConfigurationError("nearest-better clustering needs at least 3 points")
     nn_dist = dmat.min(axis=1)
-    better = y[None, :] < y[:, None]  # strictly lower objective
-    masked = np.where(better, dmat, np.inf)
-    nb_dist = masked.min(axis=1)
+    nb_dist = _nearest_better_distances(y, dmat)
     has_better = np.isfinite(nb_dist)
     if has_better.any():
         # points without a better neighbour take the largest observed

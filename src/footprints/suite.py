@@ -360,9 +360,12 @@ def _f20_schwefel(Y, aux):
     return body + 4.189828872724339 + 100.0 * _fpen(z / 100.0)
 
 
-# The most (peak, row, coordinate) cells of one chunk of Gallagher peaks
-# (keeps the temporaries in cache).
-GALLAGHER_CHUNK_CELLS = 1 << 15
+# The most cells of one chunk's temporaries in Gallagher's peaks and
+# Katsuura's digits: 2^14 float64 cells are 128 KiB, glibc's default mmap
+# threshold. A larger temporary goes back to the kernel when it is freed
+# (unmapped, or trimmed off the top of the heap), so every call faults its
+# pages in afresh; a smaller one is reused from the heap.
+CHUNK_CELLS = 1 << 14
 
 
 def _gallagher(Y, aux):
@@ -372,7 +375,7 @@ def _gallagher(Y, aux):
     bitwise those of one peak at a time."""
     n, dim = Y.shape
     B, peaks, weights = aux["B"], aux["peaks"], aux["weights"]
-    step = max(1, GALLAGHER_CHUNK_CELLS // max(n * dim, 1))
+    step = max(1, CHUNK_CELLS // max(n * dim, 1))
     quad = np.empty((peaks.shape[0], n))
     for p in range(0, peaks.shape[0], step):
         U = Y[None] - peaks[p:p + step, None]
@@ -385,10 +388,16 @@ _KATSUURA_J = 2.0 ** np.arange(1, 33)
 
 
 def _f23_katsuura(Y, aux):
-    dim = Y.shape[1]
+    """Katsuura's function (f23). The (rows, D, 32) digit terms are taken a
+    chunk of rows at a time, after the rotations of all rows; each row's
+    sums and product are those of one unchunked pass, bit for bit."""
+    n, dim = Y.shape
     z = _rot(_rot(Y, aux["R"]) * _lam(100.0, dim)[None, :], aux["Q"])
-    zj = z[:, :, None] * _KATSUURA_J[None, None, :]
-    s = np.sum(np.abs(zj - np.round(zj)) / _KATSUURA_J[None, None, :], axis=2)
+    s = np.empty_like(z)
+    step = max(1, CHUNK_CELLS // (dim * _KATSUURA_J.size))
+    for r in range(0, n, step):
+        zj = z[r:r + step, :, None] * _KATSUURA_J
+        s[r:r + step] = np.sum(np.abs(zj - np.round(zj)) / _KATSUURA_J, axis=2)
     prod = np.prod(1.0 + np.arange(1, dim + 1)[None, :] * s, axis=1)
     return (10.0 / dim**2) * (prod ** (10.0 / dim**1.2) - 1.0)
 

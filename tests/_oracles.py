@@ -206,6 +206,19 @@ def naive_gallagher(Y: np.ndarray, aux: dict) -> np.ndarray:
     return osz ** 2
 
 
+def naive_katsuura(Y: np.ndarray, aux: dict) -> np.ndarray:
+    """Katsuura's function (f23) in optimum-at-origin coordinates, the
+    (rows, D, 32) digit terms of all rows in one pass."""
+    dim = Y.shape[1]
+    lam = 100.0 ** (0.5 * np.arange(dim) / (dim - 1))
+    z = ((Y @ aux["R"].T) * lam[None, :]) @ aux["Q"].T
+    two_j = 2.0 ** np.arange(1, 33)
+    zj = z[:, :, None] * two_j[None, None, :]
+    s = np.sum(np.abs(zj - np.round(zj)) / two_j[None, None, :], axis=2)
+    prod = np.prod(1.0 + np.arange(1, dim + 1)[None, :] * s, axis=1)
+    return (10.0 / dim**2) * (prod ** (10.0 / dim**1.2) - 1.0)
+
+
 def naive_nearest_neighbor_tour(dmat: np.ndarray) -> np.ndarray:
     """Greedy tour from index 0: each step masks the visited points of the
     current row with +inf and takes the first minimum."""
@@ -221,6 +234,12 @@ def naive_nearest_neighbor_tour(dmat: np.ndarray) -> np.ndarray:
         order[step] = cur
         visited[cur] = True
     return order
+
+
+def naive_nearest_better_distances(y: np.ndarray, dmat: np.ndarray) -> np.ndarray:
+    """Each point's distance to its nearest point of strictly lower y, +inf
+    where there is none, from one mask of the whole matrix."""
+    return np.where(y[None, :] < y[:, None], dmat, np.inf).min(axis=1)
 
 
 def naive_pair_entropy(symbols: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from footprints.ela import (
     NBC_FEATURES,
     PCA_FEATURES,
     _cv_mmce,
+    _nearest_better_distances,
     _nearest_neighbor_tour,
     _pair_entropies,
     _safe_ratio,
@@ -37,7 +39,12 @@ from footprints.ela import (
 from footprints.errors import ConfigurationError
 from footprints.suite import make_instance
 
-from _oracles import naive_cv_mmce, naive_nearest_neighbor_tour, naive_pair_entropy
+from _oracles import (
+    naive_cv_mmce,
+    naive_nearest_better_distances,
+    naive_nearest_neighbor_tour,
+    naive_pair_entropy,
+)
 
 
 def _named(names, values):
@@ -272,6 +279,40 @@ def test_nbc_correlation_sign_forced():
     xs = [0.0, 1.0, 3.0, 7.0, 15.0]
     out = _nbc(*_design([[x, 0.0] for x in xs], [5.0, 4.0, 3.0, 2.0, 1.0]))
     assert -1.0 <= out["nbc.nb_fitness.cor"] < 0.0
+
+
+def _nbc_design(n, dim, seed):
+    """A sampled design with tied y values (rounded to a few levels) and
+    duplicated points (the second half repeats the first quarter)."""
+    X, y = sample_design(make_instance(21, 1, dim), n, seed=seed)
+    y = np.round(y, 1 - int(np.floor(np.log10(np.ptp(y)))))
+    X[n // 2:n // 2 + n // 4] = X[:n // 4]
+    y[n // 2:n // 2 + n // 4] = y[:n // 4]
+    return X, y
+
+
+def _assert_nbc_matches_whole_matrix_mask(monkeypatch, X, y):
+    dmat = _distances(X, np.inf)
+    nb_dist = _nearest_better_distances(y, dmat)
+    assert nb_dist.tobytes() == naive_nearest_better_distances(y, dmat).tobytes()
+    fast = nbc_features(y, dmat)
+    with monkeypatch.context() as m:
+        m.setattr(ela_mod, "_nearest_better_distances", naive_nearest_better_distances)
+        assert np.array(fast).tobytes() == np.array(nbc_features(y, dmat)).tobytes()
+
+
+@pytest.mark.parametrize("n", [23, 24, 25])  # one row below, at and above 3 blocks of 8
+@pytest.mark.parametrize("rows_per_block", [1, 8, 30])
+def test_nbc_blocks_match_whole_matrix_mask(monkeypatch, n, rows_per_block):
+    monkeypatch.setattr(ela_mod, "CHUNK_CELLS", rows_per_block * n)
+    X, y = _nbc_design(max(n, 20), 2, seed=n)
+    _assert_nbc_matches_whole_matrix_mask(monkeypatch, X[:n], y[:n])
+
+
+def test_nbc_blocks_match_whole_matrix_mask_at_d10_n1000(monkeypatch):
+    X, y = _nbc_design(1000, 10, seed=3)
+    assert len(np.unique(y)) < len(y) and len(np.unique(X, axis=0)) < len(X)
+    _assert_nbc_matches_whole_matrix_mask(monkeypatch, X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +565,22 @@ def test_extract_all_shares_one_distance_matrix(monkeypatch):
     expected = {**_disp(X, y), **_ic(X, y, np.inf), **_nbc(X, y)}
     assert [vec.values[FEATURE_SCHEMA.index(name)] for name in expected] == list(
         expected.values())
+
+
+@pytest.mark.parametrize("problem_id", [21, 23])
+def test_extract_all_peak_memory_is_about_one_distance_matrix(problem_id):
+    # nbc masks the matrix a block of rows at a time, so no second n x n
+    # array lives beside it
+    n = 1000
+    inst = make_instance(problem_id, 1, 10)
+    extract_all(inst, n, seed=1)
+    tracemalloc.start()
+    try:
+        extract_all(inst, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
 
 
 @pytest.mark.parametrize("dim", [2, 5, 10])

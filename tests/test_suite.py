@@ -18,7 +18,7 @@ from footprints.suite import (
     write_suite_csv,
 )
 
-from _oracles import NAIVE_SETUP_PROBLEMS, naive_gallagher, naive_setup
+from _oracles import NAIVE_SETUP_PROBLEMS, naive_gallagher, naive_katsuura, naive_setup
 
 
 def test_full_suite_has_120_instances():
@@ -140,9 +140,9 @@ def test_setups_match_naive_setup(dimension):
                 assert aux[name].tobytes() == value.tobytes(), (problem_id, name)
 
 
-def _gallagher_points(inst, rows, rng):
+def _points(inst, rows, rng):
     """`rows` points: uniform in the domain, the optimum first where there
-    is room, and far points (every peak's exp underflows) last."""
+    is room, and far points (every Gallagher peak's exp underflows) last."""
     X = rng.uniform(-5.0, 5.0, (rows, inst.dimension))
     if rows >= 3:
         X[0] = inst.shift
@@ -164,9 +164,9 @@ def test_gallagher_matches_per_peak_loop(problem_id, dimension):
     rng = np.random.default_rng(problem_id * dimension)
     inst = make_instance(problem_id, 2, dimension)
     # a row count whose peak chunk (7 peaks) divides neither 101 nor 21
-    odd_chunk = suite_mod.GALLAGHER_CHUNK_CELLS // (7 * dimension)
+    odd_chunk = suite_mod.CHUNK_CELLS // (7 * dimension)
     for rows in (1, 2, 3, default_population_size(dimension), odd_chunk):
-        _assert_gallagher_matches_per_peak_loop(inst, _gallagher_points(inst, rows, rng))
+        _assert_gallagher_matches_per_peak_loop(inst, _points(inst, rows, rng))
     X, _ = sample_design(inst, 100 * dimension, seed=dimension)  # the ELA sample
     _assert_gallagher_matches_per_peak_loop(inst, X)
 
@@ -175,10 +175,39 @@ def test_gallagher_matches_per_peak_loop(problem_id, dimension):
 def test_gallagher_chunk_edges_match_per_peak_loop(monkeypatch, peaks_per_chunk):
     rng = np.random.default_rng(peaks_per_chunk)
     rows, dimension = 9, 5
-    monkeypatch.setattr(suite_mod, "GALLAGHER_CHUNK_CELLS", peaks_per_chunk * rows * dimension)
+    monkeypatch.setattr(suite_mod, "CHUNK_CELLS", peaks_per_chunk * rows * dimension)
     for problem_id in (21, 22):
         inst = make_instance(problem_id, 1, dimension)
-        _assert_gallagher_matches_per_peak_loop(inst, _gallagher_points(inst, rows, rng))
+        _assert_gallagher_matches_per_peak_loop(inst, _points(inst, rows, rng))
+
+
+def _assert_katsuura_matches_unchunked_pass(inst, X):
+    expected = naive_katsuura(X - inst.shift, inst.aux) - inst.core_at_opt + inst.f_offset
+    assert inst.evaluate_batch(X).tobytes() == expected.tobytes(), X.shape
+
+
+@pytest.mark.parametrize("dimension", [2, 5, 10])
+def test_katsuura_matches_unchunked_pass(dimension):
+    # row chunks come after the rotations of all rows and keep each row's
+    # sums and product, so every value is the unchunked pass's
+    rng = np.random.default_rng(23 * dimension)
+    inst = make_instance(23, 2, dimension)
+    per_chunk = suite_mod.CHUNK_CELLS // (32 * dimension)
+    for rows in (1, 2, 3, default_population_size(dimension), per_chunk, 3 * per_chunk + 1):
+        _assert_katsuura_matches_unchunked_pass(inst, _points(inst, rows, rng))
+    X, _ = sample_design(inst, 100 * dimension, seed=dimension)  # the ELA sample
+    _assert_katsuura_matches_unchunked_pass(inst, X)
+
+
+@pytest.mark.parametrize("dimension", [2, 5, 10])
+@pytest.mark.parametrize("rows_per_chunk", [1, 8, 9, 10])
+def test_katsuura_chunk_edges_match_unchunked_pass(monkeypatch, dimension, rows_per_chunk):
+    rng = np.random.default_rng(rows_per_chunk * dimension)
+    rows = 9
+    monkeypatch.setattr(suite_mod, "CHUNK_CELLS", rows_per_chunk * dimension * 32)
+    inst = make_instance(23, 1, dimension)
+    for n in (1, rows):
+        _assert_katsuura_matches_unchunked_pass(inst, _points(inst, n, rng))
 
 
 def test_shifts_pairwise_distinct_across_instances():
