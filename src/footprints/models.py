@@ -369,9 +369,20 @@ class KnnModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         Z = (np.asarray(X, dtype=float) - self.mean) / self.std
         dists = cdist(Z, self.X_train)
-        # stable sort keeps the lowest training index on distance ties
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, : self.k_neighbors]
-        return self.y_train[nearest].mean(axis=1)
+        n, k = dists.shape[1], self.k_neighbors
+        order = np.argsort(dists, axis=1)
+        # where a row's first k + 1 sorted distances strictly increase, its k
+        # nearest and their order are those of a stable sort; the other rows
+        # (a tie, two infinities, a NaN, or k == n_train) are sorted again
+        # stably, which keeps the lowest training index on distance ties
+        redo = np.ones(len(order), dtype=bool)
+        if k < n:
+            # head[j, i]: row i's (j+1)-th smallest distance
+            head = np.take(dists, order[:, : k + 1].T + np.arange(0, dists.size, n))
+            redo = ~(head[1:] > head[:-1]).all(axis=0)
+        if redo.any():
+            order[redo] = np.argsort(dists[redo], axis=1, kind="stable")
+        return self.y_train[order[:, :k]].mean(axis=1)
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k_neighbors: int = 5) -> KnnModel:

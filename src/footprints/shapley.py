@@ -12,16 +12,21 @@ finite background set; ``attribute`` picks the one that fits the model:
   once per call by a pre-order walk of each tree, left child before
   right, that carries each path feature's (lo, hi] bounds down to the
   leaves; they are stored as arrays padded to the longest path. Chunks
-  of whole paths then get their pass/fail masks, their (p, q) counts for
-  every (x, b) pair from one matmul, and one row over the background per
-  (path, feature, x) slot, summed on its own.
-  Each row holds the elements the leaf-by-leaf loop summed, in the same
-  order, and the slots are added into phi in (tree, path, feature) order,
-  so the result is bit-for-bit that loop's (``naive_tree_shap`` in the
-  tests). TREE_CHUNK_CELLS bounds the temporaries.
+  of whole paths then get their pass/fail masks. An x row's rows over
+  the background on a path depend only on its pass/fail pattern over the
+  path's features, so each path's x rows are grouped by pattern (a sort
+  of the packed patterns, of any length). The (p, q) counts of every
+  (pattern, b) pair come from one matmul of pass masks, and one row
+  over the background per (path, feature, pattern) slot is summed on
+  its own and scattered back to the pattern's x rows. Each row holds the
+  elements the leaf-by-leaf loop summed for each of those x rows, in the
+  same order, and the slots are added into phi in (tree, path, feature)
+  order, so the result is bit-for-bit that loop's (``naive_tree_shap``
+  in the tests). TREE_CHUNK_CELLS bounds the temporaries.
 * ``sampling_shap``: model-agnostic permutation sampling with antithetic
   permutation pairs and cycled background rows (Mitchell et al., JMLR
-  2022). The permutations are drawn one by one, in a fixed RNG order, and
+  2022). All permutations are drawn in one ``Generator.permuted`` call,
+  whose rows are the stream of one ``permutation`` call per pair, and
   inverted into ranks; the m + 1 states of every permutation then come
   from one rank mask, ``where(rank < t, x, b)``, and are predicted in
   chunks of whole permutations, at most PREDICT_CHUNK_ROWS rows per call.
@@ -48,7 +53,8 @@ from .models import RandomForestModel, RegressionTree
 
 # The most sampling-Shapley states per model.predict call (peak memory).
 PREDICT_CHUNK_ROWS = 1024
-# The most (slot, x row, background row) cells per tree-Shapley chunk (peak
+# The most (path, x row, background row) cells per tree-Shapley chunk of
+# paths, and (row, background row) cells per block of summed rows (peak
 # memory; also keeps the temporaries in cache).
 TREE_CHUNK_CELLS = 1 << 16
 
@@ -108,9 +114,15 @@ def _leaf_paths(trees: Sequence[RegressionTree]):
 
 def _accumulate(phi: np.ndarray, paths, X: np.ndarray, B: np.ndarray) -> None:
     """Add every leaf path's attributions into phi (unnormalized), in
-    (tree, path, feature) order, TREE_CHUNK_CELLS cells at a time."""
+    (tree, path, feature) order, TREE_CHUNK_CELLS cells at a time.
+
+    x rows with one pass/fail pattern over a path's features have the same
+    row over the background in each of the path's slots, so a chunk of paths
+    builds and sums one row per (slot, distinct pattern) and scatters the sums
+    back to the x rows."""
     value, feature, lo, hi, valid = paths
-    size = max(valid.shape[1], 1) + 1
+    u = valid.shape[1]
+    size = max(u, 1) + 1
     # w[p, q] = p! q! / (p+q+1)!, exactly via binomials
     weights = np.array([[1.0 / ((p + q + 1) * math.comb(p + q, p)) for q in range(size)]
                         for p in range(size)])
@@ -123,37 +135,64 @@ def _accumulate(phi: np.ndarray, paths, X: np.ndarray, B: np.ndarray) -> None:
     table[1, :-1] = weights[np.maximum(p - 1, 0), q]
     XT, BT = np.ascontiguousarray(X.T), np.ascontiguousarray(B.T)
     nx, nb = len(X), len(B)
-    counts = valid.sum(axis=1)
-    slot_end = np.cumsum(counts)
-    slot_start = slot_end - counts
-    per_chunk = max(1, TREE_CHUNK_CELLS // max(nx * nb, 1))
-    p0 = 0
-    while p0 < len(value):
-        # whole paths, at least one, with at most per_chunk slots in all
-        p1 = max(p0 + 1, int(np.searchsorted(slot_end, slot_start[p0] + per_chunk, "right")))
-        n_paths = p1 - p0
+    per_chunk = max(1, TREE_CHUNK_CELLS // max(nx * nb, 1))  # paths
+    per_block = max(1, TREE_CHUNK_CELLS // max(nb, 1))  # rows over the background
+    for p0 in range(0, len(value), per_chunk):
+        p1 = min(p0 + per_chunk, len(value))
+        k = p1 - p0
         f, pad = feature[p0:p1], ~valid[p0:p1, :, None]
         low, high = lo[p0:p1, :, None], hi[p0:p1, :, None]
         xs, bs = XT[f], BT[f]                                  # (k, u, nx), (k, u, nb)
         A = ((xs > low) & (xs <= high)) | pad
         C = ((bs > low) & (bs <= high)) | pad
-        a, c = A.astype(float), C.astype(float)
-        # index P*size + Q + N*size*size per (x, b): P path features passed
-        # only by x, Q only by b, N by neither; the counts are at most u, so
-        # the float products are exact
-        lhs = np.concatenate([a * size, 1.0 - a, (1.0 - a) * (size * size)], axis=1)
-        rhs = np.concatenate([1.0 - c, c, 1.0 - c], axis=1)
-        K = (lhs.transpose(0, 2, 1) @ rhs).astype(np.intp)     # (k, nx, nb)
+        del xs, bs  # peak memory
+        # each path's distinct x patterns, numbered in path order: sort the
+        # packed patterns and start a group wherever one differs from the last
+        packed = np.packbits(A, axis=1)                        # (k, bytes, nx)
+        order = np.lexsort(packed.transpose(1, 0, 2), axis=-1)
+        packed = np.take_along_axis(packed, order[:, None, :], axis=2)
+        first = np.ones((k, nx), dtype=bool)
+        first[:, 1:] = (packed[:, :, 1:] != packed[:, :, :-1]).any(axis=1)
+        group = np.empty((k, nx), dtype=np.intp)
+        np.put_along_axis(group, order, np.cumsum(first).reshape(k, nx) - 1, axis=1)
+        gp, at = np.nonzero(first)                             # each group's path
+        a = A[gp, :, order[gp, at]]                            # (groups, u)
+        n_groups = len(gp)
+        count = first.sum(axis=1)
+        gstart = np.cumsum(count) - count
+        rank = np.arange(n_groups) - gstart[gp]                # within its path
+        # index P*size + Q + N*size*size per (group, b): P path features
+        # passed only by x, Q only by b, N by neither. A feature passed by x
+        # and b as (1, 0), (0, 1), (0, 0) or (1, 1) (padded slots) adds size,
+        # 1, s2 or 0, which is s2 + (size - s2) x + (1 - s2) b
+        # + (s2 - size - 1) x b with s2 = size*size: one matmul counts the
+        # features both pass, and every term is a small integer, so exact
+        s2 = size * size
+        lhs = np.zeros((k, count.max(), u))
+        lhs[gp, rank] = a
+        both = (lhs @ C.astype(float))[gp, rank]               # (groups, nb)
+        K = (both * (s2 - size - 1) + (a.sum(axis=1) * (size - s2))[:, None]
+             + (C.sum(axis=1) * (1 - s2))[gp] + u * s2).astype(np.intp)
         W = np.take(table, K, axis=1, mode="clip").reshape(-1, nb)
+        # one row per (slot, group of the slot's path), slot-major; pair
+        # offset[s] + j is slot s with group j
         sp, st = np.nonzero(valid[p0:p1])
-        As, Cs = A[sp, st], C[sp, st]                          # (slots, nx), (slots, nb)
-        # x passes the attributed feature: wx where b fails it; otherwise wb
-        # where b passes it, subtracted
-        rows = W[(As * n_paths + sp[:, None]) * nx + np.arange(nx)]  # (slots, nx, nb)
-        rows *= Cs[:, None, :] != As[:, :, None]
-        r = rows.sum(axis=2)
-        np.add.at(phi.T, f[sp, st], value[p0:p1][sp, None] * np.where(As, r, -r))
-        p0 = p1
+        n_pairs = count[sp]
+        offset = np.cumsum(n_pairs) - n_pairs - gstart[sp]
+        slot = np.repeat(np.arange(len(sp)), n_pairs)
+        g = np.arange(len(slot)) - offset[slot]
+        bit = a[g, st[slot]]
+        Cs = C[sp, st]                                         # (slots, nb)
+        sums = np.empty(len(slot))
+        for q0 in range(0, len(slot), per_block):
+            q = slice(q0, q0 + per_block)
+            # x passes the attributed feature: wx where b fails it; otherwise
+            # wb where b passes it, subtracted
+            rows = W[bit[q] * n_groups + g[q]]                 # (block, nb)
+            rows *= Cs[slot[q]] != bit[q, None]
+            sums[q] = rows.sum(axis=1)
+        r = sums[offset[:, None] + group[sp]]                  # (slots, nx)
+        np.add.at(phi.T, f[sp, st], value[p0:p1][sp, None] * np.where(A[sp, st], r, -r))
 
 
 def tree_shap_batch(
@@ -201,6 +240,8 @@ def sampling_shap(
         raise ConfigurationError("n_permutations must be >= 1")
     x = np.asarray(x, dtype=float)
     B = np.atleast_2d(np.asarray(background, dtype=float))
+    if B.shape[0] == 0:
+        raise ContractViolation("background set must be non-empty")
     if B.shape[1] != x.shape[0]:
         raise ContractViolation("background width does not match x")
     m = x.shape[0]
@@ -208,7 +249,7 @@ def sampling_shap(
     n_pairs = (n_permutations + 1) // 2
     total = 2 * n_pairs
     # row 2p is the p-th drawn permutation, row 2p+1 its reverse
-    perms = np.stack([rng.permutation(m) for _ in range(n_pairs)])
+    perms = rng.permuted(np.tile(np.arange(m), (n_pairs, 1)), axis=1)
     orders = np.stack([perms, perms[:, ::-1]], axis=1).reshape(total, m)
     rank = np.empty_like(orders)
     np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)

@@ -501,6 +501,50 @@ def test_knn_predict_exact_ties_match_reference():
     assert fit_knn(grid, y, k_neighbors=1).predict(np.array([[0.0, 0.5]]))[0] == y[6]
 
 
+@pytest.mark.parametrize("k", [1, 4, 5, 6, 9])
+def test_knn_predict_tie_across_the_kth_neighbour_matches_reference(k):
+    # 30 training rows at one point, equidistant from every query: ties
+    # straddle the k-th and (k+1)-th neighbour, and an unstable sort would
+    # take some other tied rows, or the same rows in another order
+    rng = np.random.default_rng(k)
+    X = np.vstack([rng.normal(size=(10, 3)), np.tile([2.0, -1.0, 0.5], (30, 1))])
+    rng.shuffle(X)
+    model = fit_knn(X, rng.normal(size=40) * 1e3, k_neighbors=k)
+    queries = np.vstack([X[:2], model.mean + model.std * np.array([2.0, -1.0, 0.5]),
+                         rng.normal(size=(5, 3))])
+    got = model.predict(queries)
+    assert got.tobytes() == naive_knn_predict(model, queries).tobytes()
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+def test_knn_predict_k_equal_to_training_size_matches_reference(coarse):
+    # every row is a neighbour: the sum runs in stable distance order
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(40, 3))
+    if coarse:
+        X = np.round(X)  # many distance ties
+    model = fit_knn(X, rng.normal(size=40) * 1e3, k_neighbors=40)
+    queries = np.vstack([rng.normal(size=(6, 3)), X[:3]])
+    got = model.predict(queries)
+    assert got.tobytes() == naive_knn_predict(model, queries).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 12, 40])
+def test_knn_predict_non_finite_queries_match_reference(k):
+    # NaN distances and all-infinite rows tie every training row
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(40, 3))
+    model = fit_knn(X, rng.normal(size=40) * 1e3, k_neighbors=k)
+    queries = rng.normal(size=(8, 3))
+    queries[0, 0], queries[1, 2], queries[2, 1] = np.nan, np.inf, -np.inf
+    queries[3] = [np.inf, -np.inf, np.nan]
+    queries[4] = np.nan
+    queries[5, :2] = -np.inf
+    got = model.predict(queries)
+    assert got.tobytes() == naive_knn_predict(model, queries).tobytes()
+    assert np.isfinite(got).all()
+
+
 def test_knn_k_exceeding_rows_rejected():
     X = np.zeros((5, 2))
     with pytest.raises(ConfigurationError):

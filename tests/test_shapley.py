@@ -212,6 +212,57 @@ def test_tree_shap_chunk_edges_match_reference_bitwise(monkeypatch, cells):
     _assert_tree_shap_matches_reference(model, X[:5], X[5:18])
 
 
+@pytest.mark.parametrize("cells", [shapley.TREE_CHUNK_CELLS, 1])
+def test_tree_shap_repeated_explicand_matches_its_one_row_call(monkeypatch, cells):
+    # explicands with one pass/fail pattern share their rows over the
+    # background; every copy must still get the phi of explaining it alone
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(40, 6))
+    model = fit_random_forest(X, X[:, 0] - X[:, 3] + rng.normal(scale=0.2, size=40),
+                              n_trees=12, min_leaf=1, seed=4)
+    monkeypatch.setattr(shapley, "TREE_CHUNK_CELLS", cells)
+    row = X[3]
+    batch = np.vstack([X[:5], row, X[10:14], row, row, rng.normal(size=(3, 6))])
+    background = X[5:30]
+    reps = tree_shap_batch(model, batch, background)
+    (alone,) = tree_shap_batch(model, row[None, :], background)
+    for i in (3, 5, 10, 11):
+        assert reps[i].phi.tobytes() == alone.phi.tobytes()
+        assert reps[i].prediction == alone.prediction
+        assert reps[i].base_value == alone.base_value
+
+
+def _chain(depth):
+    """One tree that splits feature i at 0 on level i: a leaf on the left,
+    the next level on the right, so its deepest paths have `depth` features."""
+    split = np.arange(depth)
+    feature = np.full(2 * depth + 1, -1)
+    feature[2 * split] = split
+    left = np.full(2 * depth + 1, -1)
+    right = np.full(2 * depth + 1, -1)
+    left[2 * split], right[2 * split] = 2 * split + 1, 2 * split + 2
+    value = np.sin(np.arange(2 * depth + 1.0))
+    return _tree(feature, np.zeros(2 * depth + 1), left, right, value)
+
+
+def test_tree_shap_paths_longer_than_64_features_match_reference_bitwise():
+    # explicands that differ only past a path's 64th feature have different
+    # pass/fail patterns on the deepest paths
+    m = 70
+    model = RandomForestModel(trees=[_chain(m), _chain(40)], n_features=m)
+    rng = np.random.default_rng(16)
+    X = np.abs(rng.normal(size=(9, m))) + 0.1
+    X[1], X[2], X[3] = X[0], X[0], X[0]
+    X[2, 66] = X[3, 68] = -1.0
+    X[4, 5] = -1.0
+    background = np.abs(rng.normal(size=(12, m))) + 0.1
+    background[::3, 67] = -1.0
+    background[1::4, 10] = -1.0
+    phi = _assert_tree_shap_matches_reference(model, X, background)
+    assert phi[2, 66] != 0.0 and phi[3, 68] != 0.0
+    assert phi[0].tobytes() == phi[1].tobytes()
+
+
 def test_tree_shap_non_finite_explicand_values_match_reference_bitwise():
     # padded path slots pass for every value, -inf and NaN included
     rng = np.random.default_rng(10)
@@ -279,6 +330,23 @@ def test_sampling_rejects_bad_permutation_count():
     with pytest.raises(ConfigurationError):
         sampling_shap(_AdditiveModel([1.0]), np.zeros(1), np.zeros((2, 1)),
                       n_permutations=0)
+
+
+def test_sampling_rejects_empty_background():
+    with pytest.raises(ContractViolation, match="background set must be non-empty"):
+        sampling_shap(_AdditiveModel([1.0, 2.0]), np.zeros(2), np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 30, 43])
+@pytest.mark.parametrize("n_pairs", [1, 32, 128])
+def test_permuted_rows_are_the_per_row_permutation_stream(m, n_pairs):
+    # sampling_shap draws all its permutations with one `permuted` call; the
+    # one-permutation-at-a-time reference draws them with `permutation`
+    one, many = np.random.default_rng(m * 1000 + n_pairs), np.random.default_rng(m * 1000 + n_pairs)
+    expected = np.stack([one.permutation(m) for _ in range(n_pairs)])
+    got = many.permuted(np.tile(np.arange(m), (n_pairs, 1)), axis=1)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert one.random() == many.random()
 
 
 class _RowByRowKnn:
