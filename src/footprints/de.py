@@ -79,10 +79,19 @@ def median_log_precision(raw_precisions: Sequence[float]) -> float:
 
 
 def _reflect(X: np.ndarray, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND) -> np.ndarray:
-    """Fold arbitrary reals back into [lo, hi] by reflection at the bounds."""
+    """Fold arbitrary reals back into [lo, hi] by reflection at the bounds.
+
+    Bitwise ``lo + where(Y > span, 2*span - Y, Y)`` with ``Y = mod(X - lo, 2*span)``.
+    Only entries of X - lo outside [0, 2*span) (NaN included) go through np.mod:
+    inside, fmod is exact and np.mod differs only by turning -0.0 into +0.0, which
+    adding lo erases. Returns a new array; X is left unchanged.
+    """
     span = hi - lo
-    Y = np.mod(X - lo, 2.0 * span)
-    return lo + np.where(Y > span, 2.0 * span - Y, Y)
+    V = X - lo
+    np.mod(V, 2.0 * span, out=V, where=~((V >= 0.0) & (V < 2.0 * span)))
+    np.subtract(2.0 * span, V, out=V, where=V > span)
+    V += lo
+    return V
 
 
 def _draw_parents(rng: np.random.Generator, pop_size: int, m: int, k: int) -> np.ndarray:
@@ -90,14 +99,18 @@ def _draw_parents(rng: np.random.Generator, pop_size: int, m: int, k: int) -> np
 
     k successive first-occurrence argmins, each struck out with +inf, equal the first
     k of a stable sort; the target's key is +inf and pop_size > k, so it is never drawn.
+    The strikes go by flat index into the keys, and parent j of every target is
+    argmin'd into row j of a (k, m) array, so the result is that array's transpose.
     """
     keys = rng.random((m, pop_size))
-    np.fill_diagonal(keys, np.inf)
-    drawn = np.empty((m, k), dtype=np.intp)
-    for column in drawn.T:
-        column[:] = keys.argmin(axis=1)
-        keys[np.arange(m), column] = np.inf
-    return drawn
+    flat = keys.reshape(-1)
+    flat[::pop_size + 1] = np.inf
+    row_starts = np.arange(0, m * pop_size, pop_size)
+    drawn = np.empty((k, m), dtype=np.intp)
+    for parent in drawn:
+        keys.argmin(axis=1, out=parent)
+        flat[row_starts + parent] = np.inf
+    return drawn.T
 
 
 def run_de(
@@ -112,6 +125,10 @@ def run_de(
     `on_generation(gen, population, fvalues)` is invoked after the initial
     sampling (gen 0) and after every selection step; intended for tests and
     progress monitoring.
+
+    Each generation passes `evaluate_batch` a new trials array, which no later
+    step writes to, so an objective may keep a reference to it. Selection copies
+    the accepted trials and their values into the population in place.
     """
     pop_size = config.population_size
     if budget < pop_size:
@@ -123,26 +140,26 @@ def run_de(
     pop = rng.uniform(LOWER_BOUND, UPPER_BOUND, (pop_size, dim))
     fvals = instance.evaluate_batch(pop)
     evals = pop_size
-    best_f = float(np.min(fvals))
+    best_f = float(fvals.min())
     gen = 0
     if on_generation is not None:
         on_generation(gen, pop.copy(), fvals.copy())
 
     while evals < budget:
         m = min(pop_size, budget - evals)
-        best = pop[np.argmin(fvals)]
+        best = pop[fvals.argmin()]
         r = _draw_parents(rng, pop_size, m, n_parents)
         current = pop[:m]
         v = mutant(pop[r.T], best, current, config.F)
         cross = rng.random((m, dim)) < config.Cr
-        cross[np.arange(m), rng.integers(dim, size=m)] = True
+        cross.reshape(-1)[np.arange(0, m * dim, dim) + rng.integers(dim, size=m)] = True
         trials = _reflect(np.where(cross, v, current))
         tvals = instance.evaluate_batch(trials)
         evals += m
-        best_f = min(best_f, float(np.min(tvals)))
+        best_f = min(best_f, float(tvals.min()))
         accept = tvals <= fvals[:m]
-        pop[:m][accept] = trials[accept]
-        fvals[:m][accept] = tvals[accept]
+        np.copyto(current, trials, where=accept[:, None])
+        np.copyto(fvals[:m], tvals, where=accept)
         gen += 1
         if on_generation is not None:
             on_generation(gen, pop.copy(), fvals.copy())

@@ -118,13 +118,15 @@ class Pipeline:
         issues = validate(cfg)
         if issues:
             raise ConfigurationError("invalid config:\n" + "\n".join(f"- {s}" for s in issues))
+        if threads < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {threads}")
         self.cfg = _RecordingConfig(**{f.name: getattr(cfg, f.name) for f in fields(cfg)})
         # the config by dotted key, as the manifest's JSON gives it back
         self._settings = json.loads(json.dumps({k: getattr(cfg, n) for n, k in _KEYS.items()}))
         self._header = {"tool_version": __version__, "config": self._settings}
         self.out = Path(out_dir)
         self.force = force
-        self.threads = max(1, threads)
+        self.threads = threads
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
         self.manifest = self._load_manifest()

@@ -134,6 +134,43 @@ def naive_mutant(strategy: str, x, best, current, F: float) -> np.ndarray:
     return current + F * (best - current) + F * (x[0] - x[1])
 
 
+def naive_run_de(instance, strategy: str, F: float, Cr: float, pop_size: int,
+                 budget: int, seed: int, on_generation=None) -> float:
+    """One DE run as first written, generation by generation: parents by a
+    stable sort, reflection by one np.mod over every coordinate, selection by
+    boolean gathers and scatters. Returns the best precision reached."""
+    lo, hi = -5.0, 5.0
+    dim = instance.dimension
+    rng = np.random.default_rng(seed)
+    pop = rng.uniform(lo, hi, (pop_size, dim))
+    fvals = instance.evaluate_batch(pop)
+    evals = pop_size
+    best_f = float(np.min(fvals))
+    gen = 0
+    if on_generation is not None:
+        on_generation(gen, pop.copy(), fvals.copy())
+    while evals < budget:
+        m = min(pop_size, budget - evals)
+        best = pop[np.argmin(fvals)]
+        r = naive_draw_parents(rng, pop_size, m, NAIVE_N_PARENTS[strategy])
+        current = pop[:m]
+        v = naive_mutant(strategy, pop[r.T], best, current, F)
+        cross = rng.random((m, dim)) < Cr
+        cross[np.arange(m), rng.integers(dim, size=m)] = True
+        Y = np.mod(np.where(cross, v, current) - lo, 2.0 * (hi - lo))
+        trials = lo + np.where(Y > hi - lo, 2.0 * (hi - lo) - Y, Y)
+        tvals = instance.evaluate_batch(trials)
+        evals += m
+        best_f = min(best_f, float(np.min(tvals)))
+        accept = tvals <= fvals[:m]
+        pop[:m][accept] = trials[accept]
+        fvals[:m][accept] = tvals[accept]
+        gen += 1
+        if on_generation is not None:
+            on_generation(gen, pop.copy(), fvals.copy())
+    return max(best_f - instance.f_offset, 0.0)
+
+
 def _naive_orthogonal(rng, dim):
     g = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

@@ -381,6 +381,16 @@ def test_cli_unusable_out_is_a_one_line_error(tmp_path, capsys):
     assert taken.read_text() == "a file"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_is_config_error(tmp_path, capsys, threads):
+    path = _write_config(tmp_path, TINY)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(path), "--out", str(out),
+                 "--threads", threads]) == 1
+    assert capsys.readouterr().err == f"config error: threads must be >= 1, got {threads}\n"
+    assert not out.exists()
+
+
 def test_cli_invalid_config_blocks_pipeline(tmp_path, capsys):
     bad = dict(TINY)
     bad["model"] = dict(TINY["model"], k_folds=4)

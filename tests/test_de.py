@@ -24,7 +24,13 @@ from footprints.de import (
 from footprints.errors import ConfigurationError
 from footprints.suite import make_instance
 
-from _oracles import NAIVE_N_PARENTS, naive_draw_parents, naive_mutant, random_search_precision
+from _oracles import (
+    NAIVE_N_PARENTS,
+    naive_draw_parents,
+    naive_mutant,
+    naive_run_de,
+    random_search_precision,
+)
 
 RAND1 = DeConfig("DE1", "rand/1/bin", 0.5, 0.9, 20)
 
@@ -419,3 +425,53 @@ def test_mutants_match_naive_mutant(strategy, m):
     expected = naive_mutant(strategy, x, best, pop[:m], F)
     assert got.shape == expected.shape == (m, 4)
     assert got.tobytes() == expected.tobytes()
+
+
+def _recorded_run(inner, run):
+    """run(instance, on_generation)'s result, every generation's population and
+    values, and every evaluated batch, all as bytes."""
+    counting = CountingInstance(inner)
+    history = []
+    result = run(counting, lambda gen, pop, fvals: history.append(
+        (gen, pop.tobytes(), fvals.tobytes())))
+    return result.hex(), history, [points.tobytes() for points in counting.points]
+
+
+@pytest.mark.parametrize("dim", [2, 5, 10])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_de_matches_naive_run_de_bitwise(strategy, dim):
+    # f5 (linear slope) pushes the population onto the bounds, and F = 2 sends
+    # many trials out of them; per (F, Cr) the budgets leave a full, a truncated
+    # and a 1-row last generation
+    pop_size = default_population_size(dim)
+    for problem in (1, 5, 16, 21, 23):
+        inner = make_instance(problem, 1, dim)
+        for F, Cr in ((0.7, 0.5), (2.0, 0.0), (2.0, 0.5), (2.0, 1.0)):
+            config = DeConfig("N", strategy, F, Cr, pop_size)
+            for budget in (4 * pop_size, 4 * pop_size + pop_size // 3, 4 * pop_size + 1):
+                got = _recorded_run(inner, lambda inst, hook: run_de(
+                    inst, config, budget, seed=problem, on_generation=hook))
+                expected = _recorded_run(inner, lambda inst, hook: naive_run_de(
+                    inst, strategy, F, Cr, pop_size, budget, seed=problem, on_generation=hook))
+                assert got == expected, (problem, F, Cr, budget)
+
+
+def test_reflect_edge_cases_match_one_mod_over_every_coordinate():
+    # the bounds, one ulp either side of each, offsets that np.mod rounds up to
+    # exactly 2*span, huge and non-finite values, and both signed zeros
+    for lo, hi in ((-5.0, 5.0), (0.0, 1.0)):
+        span = hi - lo
+        edges = [lo, hi, lo + 2.0 * span, lo - 2.0 * span, hi + 2.0 * span]
+        values = [-5.0, 5.0, 15.0, -5.0 - 1e-15, 15.0 - 1e-15, -25.0 - 1e-14, lo - 1e-17,
+                  1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 2.5, -7.25]
+        for edge in edges:
+            values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        X = np.array([values, values[::-1]]).T
+        before = X.tobytes()
+        with np.errstate(invalid="ignore"):
+            Y = np.mod(X - lo, 2.0 * span)
+            expected = lo + np.where(Y > span, 2.0 * span - Y, Y)
+            got = _reflect(X, lo, hi)
+        assert got.tobytes() == expected.tobytes(), (lo, hi)
+        assert X.tobytes() == before
+        assert got is not X
