@@ -34,7 +34,8 @@ finite background set; ``attribute`` picks the one that fits the model:
   (states x training rows) distance and index matrices at once. KNN and
   kernel ridge predict each row independently of the others in the call,
   so the result is bit-for-bit that of predicting one permutation at a
-  time (``naive_sampling_shap`` in the tests).
+  time (``naive_sampling_shap`` in the tests), and x's prediction is read
+  from the last state of the first permutation, which is x itself.
 
 Both satisfy efficiency (base + sum(phi) = prediction) exactly up to FP
 accumulation.
@@ -254,7 +255,8 @@ def sampling_shap(
     rank = np.empty_like(orders)
     np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)
     b_rows = B[np.arange(total) // 2 % B.shape[0]]
-    # values[r, t]: prediction with the first t features of orders[r] taken from x
+    # values[r, t]: prediction with the first t features of orders[r] taken
+    # from x; values[r, m] is the prediction of x itself
     values = np.empty((total, m + 1))
     steps = np.arange(m + 1)[None, :, None]
     per_chunk = max(1, PREDICT_CHUNK_ROWS // (m + 1))
@@ -269,7 +271,7 @@ def sampling_shap(
     return ShapMetaRepresentation(
         base_value=float(values[:, 0].mean()),
         phi=phi,
-        prediction=float(model.predict(x[None, :])[0]),
+        prediction=float(values[0, m]),
         stderr=stderr,
     )
 

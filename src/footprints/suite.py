@@ -271,16 +271,11 @@ def _f08_rosenbrock(Y, aux):
 
 
 def _f09_rosenbrock_rot(Y, aux):
-    dim = Y.shape[1]
-    z = max(1.0, np.sqrt(dim) / 8.0) * _rot(Y, aux["R"]) + 1.0
-    return _rosenbrock_sum(z)
+    return _f08_rosenbrock(_rot(Y, aux["R"]), aux)
 
 
 def _f10_ellipsoid_rot(Y, aux):
-    dim = Y.shape[1]
-    z = _t_osz(_rot(Y, aux["R"]))
-    scale = 10.0 ** (6.0 * np.arange(dim) / (dim - 1))
-    return np.sum(scale[None, :] * z**2, axis=1)
+    return _f02_ellipsoid(_rot(Y, aux["R"]), aux)
 
 
 def _f11_discus(Y, aux):

@@ -244,6 +244,12 @@ def test_committed_configs_pinned(name, changed):
     _assert_settings(load_config(root / name), dict(DEFAULTS, **changed))
 
 
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                        .glob("*.yaml")), ids=lambda p: p.name)
+def test_committed_configs_validate(path):
+    assert validate(load_config(path)) == []
+
+
 def test_null_and_empty_keep_defaults():
     cfg = parse_config({"de": {"configs": None, "n_runs": None},
                         "footprint": {"t_value": None, "sensitivity_p": []}})

@@ -416,10 +416,11 @@ def test_sampling_predicts_in_bounded_chunks(m):
     sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
     per_call = max(1, PREDICT_CHUNK_ROWS // (m + 1)) * (m + 1)
     states = 256 * (m + 1)
-    assert rows[-1] == 1  # the prediction of x itself
-    assert sum(rows[:-1]) == states
-    assert max(rows[:-1]) == min(per_call, states)
-    assert len(rows) - 1 == -(-states // per_call)
+    # every call holds whole permutations' states; x's own prediction is
+    # the last state of a permutation, not a call of its own
+    assert sum(rows) == states
+    assert max(rows) == min(per_call, states)
+    assert len(rows) == -(-states // per_call)
 
 
 def test_attribute_picks_the_estimator_by_model():
