@@ -364,6 +364,18 @@ def _cv_mmce(X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     return errors_lda / n, errors_qda / n
 
 
+def _lda_qda(mmce_lda: float, mmce_qda: float, n: int) -> float:
+    """The ratio of the two error rates of n points as one correctly rounded
+    division of the error counts, so that equal ratios such as 8/5 and 16/10
+    give equal floats (a ratio of the two rounded rates need not);
+    _safe_ratio's eps rule when a count is 0. n * (e / n) lies within
+    e * 2**-52 of e, so rounding it gives the count e exactly."""
+    errors_lda, errors_qda = round(mmce_lda * n), round(mmce_qda * n)
+    if errors_lda and errors_qda:
+        return errors_lda / errors_qda
+    return _safe_ratio(mmce_lda, mmce_qda)
+
+
 LEVEL_FEATURES = tuple(f"ela_level.{stat}_{_q_tag(q)}" for q in LEVEL_QUANTILES
                        for stat in ("mmce_lda", "mmce_qda", "lda_qda"))
 
@@ -378,7 +390,7 @@ def level_features(X: np.ndarray, y: np.ndarray) -> list[float]:
         labels = np.zeros(n, dtype=int)
         labels[order[:math.ceil(q * n)]] = 1  # lowest q share of objective values
         mmce_lda, mmce_qda = _cv_mmce(X, labels)
-        out += [mmce_lda, mmce_qda, _safe_ratio(mmce_lda, mmce_qda)]
+        out += [mmce_lda, mmce_qda, _lda_qda(mmce_lda, mmce_qda, n)]
     return out
 
 

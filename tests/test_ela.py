@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from footprints.ela import (
     NBC_FEATURES,
     PCA_FEATURES,
     _cv_mmce,
+    _lda_qda,
     _nearest_better_distances,
     _nearest_neighbor_tour,
     _pair_entropies,
@@ -404,6 +406,34 @@ def test_level_needs_50_points():
     rng = np.random.default_rng(14)
     with pytest.raises(ConfigurationError):
         level_features(rng.normal(size=(49, 2)), rng.normal(size=49))
+
+
+@pytest.mark.parametrize("n", [50, 51, 120])
+def test_lda_qda_is_the_correctly_rounded_count_ratio(n):
+    for a in range(n + 1):
+        for b in range(n + 1):
+            want = float(Fraction(a, b)) if a and b else _safe_ratio(a / n, b / n)
+            assert _lda_qda(a / n, b / n, n) == want, (a, b)
+
+
+def test_lda_qda_gives_equal_ratios_equal_floats():
+    # a ratio of the rounded rates puts these one ulp apart
+    assert (8 / 50) / (5 / 50) != (16 / 51) / (10 / 51)
+    assert _lda_qda(8 / 50, 5 / 50, 50) == _lda_qda(16 / 51, 10 / 51, 51) == 8 / 5
+
+
+@pytest.mark.parametrize("problem_id", [1, 8, 15, 21])
+def test_level_lda_qda_divides_the_error_counts(problem_id):
+    X, y = sample_design(make_instance(problem_id, 1, 5), 100, seed=problem_id)
+    out = _named(LEVEL_FEATURES, level_features(X, y))
+    for q in LEVEL_QUANTILES:
+        labels = _level_labels(y, q)
+        rates = [naive_cv_mmce(X, labels, pooled=pooled, n_folds=LEVEL_CV_FOLDS)
+                 for pooled in (True, False)]
+        errors = [round(rate * len(y)) for rate in rates]
+        assert [errors[0] / len(y), errors[1] / len(y)] == rates
+        want = (float(Fraction(*errors)) if all(errors) else _safe_ratio(*rates))
+        assert out[f"ela_level.lda_qda_{round(100 * q):02d}"] == want
 
 
 def _level_labels(y, q):
