@@ -225,6 +225,7 @@ def test_config_defaults_pinned():
 
 
 DE1 = {"config_id": "DE1", "strategy": "rand/1/bin", "F": 0.5, "Cr": 0.9}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("name, changed", [
@@ -240,12 +241,10 @@ DE1 = {"config_id": "DE1", "strategy": "rand/1/bin", "F": 0.5, "Cr": 0.9}
                    "footprint.sensitivity_p": [0.05]}),
 ])
 def test_committed_configs_pinned(name, changed):
-    root = Path(__file__).resolve().parents[1] / "configs"
-    _assert_settings(load_config(root / name), dict(DEFAULTS, **changed))
+    _assert_settings(load_config(CONFIGS / name), dict(DEFAULTS, **changed))
 
 
-@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
-                                        .glob("*.yaml")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
 def test_committed_configs_validate(path):
     assert validate(load_config(path)) == []
 
@@ -339,7 +338,7 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
 ])
 def test_python_dash_m_footprints_runs_the_cli(tmp_path, bad, code, out):
     config = (_write_config(tmp_path, dict(TINY, footprint=dict(TINY["footprint"], p=0.0))) if bad
-              else Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml")
+              else CONFIGS / "smoke.yaml")
     # the child imports the same package as this test, installed or not
     src = str(Path(footprints.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
