@@ -97,19 +97,27 @@ def _reflect(X: np.ndarray, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND) ->
 def _draw_parents(rng: np.random.Generator, pop_size: int, m: int, k: int) -> np.ndarray:
     """Row i: k distinct indices of 0..pop_size-1, never i, uniform in order.
 
-    k successive first-occurrence argmins, each struck out with +inf, equal the first
-    k of a stable sort; the target's key is +inf and pop_size > k, so it is never drawn.
-    The strikes go by flat index into the keys, and parent j of every target is
-    argmin'd into row j of a (k, m) array, so the result is that array's transpose.
+    Sequential sampling without replacement from k*m uniforms u (Bentley & Floyd
+    1987): parent t of target i is floor(u[t, i] * (pop_size - 1 - t)), mapped past
+    the indices already taken (i and parents 0..t-1) by `j += j >= e` over them in
+    ascending order; a min/max insertion keeps them sorted per target. The floor of
+    a 53-bit uniform biases each choice by less than pop_size * 2**-53. Parent t of
+    every target fills row t of a (k, m) array, so the result is its transpose.
     """
-    keys = rng.random((m, pop_size))
-    flat = keys.reshape(-1)
-    flat[::pop_size + 1] = np.inf
-    row_starts = np.arange(0, m * pop_size, pop_size)
-    drawn = np.empty((k, m), dtype=np.intp)
-    for parent in drawn:
-        keys.argmin(axis=1, out=parent)
-        flat[row_starts + parent] = np.inf
+    u = rng.random((k, m))
+    drawn = (u * np.arange(pop_size - 1, pop_size - 1 - k, -1)[:, None]).astype(np.intp)
+    taken = np.empty((k, m), dtype=np.intp)
+    taken[0] = np.arange(m)
+    for t, j in enumerate(drawn):
+        for e in taken[:t + 1]:
+            j += j >= e
+        if t + 1 < k:
+            c = j.copy()
+            for e in taken[:t + 1]:
+                hi = np.maximum(e, c)
+                np.minimum(e, c, out=e)
+                c = hi
+            taken[t + 1] = c
     return drawn.T
 
 

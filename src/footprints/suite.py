@@ -11,7 +11,9 @@ Where the classic definition pins its optimum elsewhere (linear slope,
 Rosenbrock family, Schwefel, Gallagher peaks, bi-Rastrigin) the core is
 composed so that the optimum lands on the shift, and the residual core
 value at the optimum (FP noise, e.g. ~1e-13 for Schwefel) is subtracted at
-construction time.
+construction time. Gallagher's peaks are taken in rotated coordinates, each
+quadratic form expanded into two matmuls over all peaks; the optimum peak
+sits at the origin of those coordinates, so that core is exactly 0 there.
 
 Evaluation is allowed outside [-5, 5]^D and adds no out-of-bounds penalty;
 the only penalty term kept is Schwefel's, which is part of that function
@@ -178,21 +180,23 @@ def _setup(*names):
 
 
 def _setup_gallagher(n_peaks: int, alpha_first: float, peak_range: float):
+    """Draws R, each peak's permuted diagonal, then the peaks. The core works in
+    rotated coordinates Z = Y @ R.T, where peak p sits at C[p] = peaks[p] @ R.T and
+    its quadratic form expands to Z*Z @ D[p] + Z @ (-2*D[p]*C[p]) + sum(D[p]*C[p]**2)
+    (Hansen et al. 2009, RR-6829)."""
     def setup(dim, rng):
         R = _orthogonal(rng, dim)
         alpha_set = 1000.0 ** (2.0 * np.arange(n_peaks - 1) / (n_peaks - 2))
         alphas = np.concatenate(([alpha_first], rng.permutation(alpha_set)))
-        B = np.empty((n_peaks, dim, dim))
-        for p in range(n_peaks):
-            diag = _lam(alphas[p], dim) / alphas[p] ** 0.25
-            diag = rng.permutation(diag)
-            B[p] = R.T @ (diag[:, None] * R)
+        D = np.array([rng.permutation(_lam(a, dim) / a ** 0.25) for a in alphas])
         peaks = rng.uniform(-peak_range, peak_range, (n_peaks, dim))
         peaks[0] = 0.0  # optimum peak sits on the shift
+        C = _rot(peaks, R)
         weights = np.concatenate(
             ([10.0], 1.1 + 8.0 * np.arange(n_peaks - 1) / (n_peaks - 2))
         )
-        return {"B": B, "peaks": peaks, "weights": weights}
+        return {"R": R, "D": D, "M": -2.0 * D * C, "k": np.sum(D * C * C, axis=1),
+                "weights": weights}
 
     return setup
 
@@ -359,23 +363,30 @@ def _f20_schwefel(Y, aux):
 # Katsuura's digits: 2^14 float64 cells are 128 KiB, glibc's default mmap
 # threshold. A larger temporary goes back to the kernel when it is freed
 # (unmapped, or trimmed off the top of the heap), so every call faults its
-# pages in afresh; a smaller one is reused from the heap.
+# pages in afresh; a smaller one is reused from the heap. Both cores chunk
+# rows: Gallagher's (rows, peaks) quadratic forms, Katsuura's (rows, D, 32)
+# digit terms.
 CHUNK_CELLS = 1 << 14
 
 
 def _gallagher(Y, aux):
-    """Gallagher's peaks (f21, f22). The quadratic forms are taken a chunk
-    of peaks at a time, so each peak keeps its own (rows, D) @ (D, D)
-    matmul and row sums; the rest is elementwise, and the values are
-    bitwise those of one peak at a time."""
+    """Gallagher's peaks (f21, f22). All rows are rotated once; then each
+    peak's quadratic form is two (rows, D) @ (D, peaks) matmuls plus a
+    constant, a chunk of rows at a time. The chunks differ by at most one row
+    and hold at least two rows unless the batch has one, since a 1-row matmul
+    takes another BLAS path; so each value is the unchunked pass's, and does
+    not depend on the other rows of the batch. Peak 0 has C = 0, so the
+    value at the optimum is exactly 0."""
     n, dim = Y.shape
-    B, peaks, weights = aux["B"], aux["peaks"], aux["weights"]
-    step = max(1, CHUNK_CELLS // max(n * dim, 1))
-    quad = np.empty((peaks.shape[0], n))
-    for p in range(0, peaks.shape[0], step):
-        U = Y[None] - peaks[p:p + step, None]
-        quad[p:p + step] = np.sum((U @ B[p:p + step]) * U, axis=2)
-    best = np.max(weights[:, None] * np.exp(-quad / (2.0 * dim)), axis=0)
+    D, M, k, weights = aux["D"], aux["M"], aux["k"], aux["weights"]
+    Z = _rot(Y, aux["R"])
+    best = np.empty(n)
+    n_chunks = max(1, -(-n // max(3, CHUNK_CELLS // weights.size)))
+    bounds = np.arange(n_chunks + 1) * n // n_chunks
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        z = Z[lo:hi]
+        quad = (z * z) @ D.T + z @ M.T + k
+        best[lo:hi] = np.max(weights * np.exp(-quad / (2.0 * dim)), axis=1)
     return _t_osz((10.0 - best)[:, None])[:, 0] ** 2
 
 

@@ -105,11 +105,15 @@ def random_search_precision(instance, budget: int, seed: int) -> float:
 
 
 def naive_draw_parents(rng, pop_size: int, m: int, k: int) -> np.ndarray:
-    """Row i: the first k indices of a stable sort of pop_size uniform keys,
-    the target i's key set to +inf."""
-    keys = rng.random((m, pop_size))
-    np.fill_diagonal(keys, np.inf)
-    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    """Row i: k pops from the list of every index but i, pop t at position
+    int(u[t, i] * len(list)) for u = rng.random((k, m))."""
+    u = rng.random((k, m))
+    drawn = np.empty((m, k), dtype=np.intp)
+    for i in range(m):
+        pool = [c for c in range(pop_size) if c != i]
+        for t in range(k):
+            drawn[i, t] = pool.pop(int(u[t, i] * len(pool)))
+    return drawn
 
 
 # distinct parents besides the target, per DE strategy
@@ -136,8 +140,8 @@ def naive_mutant(strategy: str, x, best, current, F: float) -> np.ndarray:
 
 def naive_run_de(instance, strategy: str, F: float, Cr: float, pop_size: int,
                  budget: int, seed: int, on_generation=None) -> float:
-    """One DE run as first written, generation by generation: parents by a
-    stable sort, reflection by one np.mod over every coordinate, selection by
+    """One DE run as first written, generation by generation: parents by list
+    pops, reflection by one np.mod over every coordinate, selection by
     boolean gathers and scatters. Returns the best precision reached."""
     lo, hi = -5.0, 5.0
     dim = instance.dimension
@@ -204,7 +208,7 @@ def _naive_setup_rq_signs(dim, rng):
 
 
 # problem id -> its per-instance setup; the Gallagher problems (21, 22) draw
-# their peaks with a setup of their own and are not listed
+# their peaks with naive_gallagher_setup and are not listed
 _NAIVE_SETUPS = {
     **dict.fromkeys((1, 2, 3, 4, 8), _naive_setup_none),
     **dict.fromkeys((5, 20), _naive_setup_signs),
@@ -221,16 +225,33 @@ def naive_setup(problem_id: int, dim: int, rng) -> dict:
     return _NAIVE_SETUPS[problem_id](dim, rng)
 
 
-def naive_gallagher(Y: np.ndarray, aux: dict) -> np.ndarray:
-    """Gallagher's peaks (f21, f22) in optimum-at-origin coordinates, one
-    peak at a time: weight * exp(-quadratic form / 2D), the best peak, then
-    T_osz and the square."""
-    dim = Y.shape[1]
-    B, peaks, weights = aux["B"], aux["peaks"], aux["weights"]
-    vals = np.empty((Y.shape[0], peaks.shape[0]))
-    for p in range(peaks.shape[0]):
-        U = Y - peaks[p][None, :]
-        vals[:, p] = weights[p] * np.exp(-np.sum((U @ B[p]) * U, axis=1) / (2.0 * dim))
+# Gallagher's peaks as (peak count, alpha of peak 0, range of the other peaks)
+_NAIVE_GALLAGHER = {21: (101, 1000.0, 5.0), 22: (21, 1000.0**2, 4.9)}
+
+
+def naive_gallagher_setup(problem_id: int, dim: int, rng) -> dict:
+    """Gallagher's constants drawn from `rng` after the instance's shift and
+    offset: R, then the alphas' permutation, then each peak's permuted
+    diagonal, then the peaks (peak 0 set to the origin). Also builds each
+    peak's matrix B_p = R.T diag_p R."""
+    n_peaks, alpha_first, peak_range = _NAIVE_GALLAGHER[problem_id]
+    R = _naive_orthogonal(rng, dim)
+    alpha_set = 1000.0 ** (2.0 * np.arange(n_peaks - 1) / (n_peaks - 2))
+    alphas = np.concatenate(([alpha_first], rng.permutation(alpha_set)))
+    diags = np.empty((n_peaks, dim))
+    B = np.empty((n_peaks, dim, dim))
+    for p in range(n_peaks):
+        diags[p] = rng.permutation(
+            alphas[p] ** (0.5 * np.arange(dim) / (dim - 1)) / alphas[p] ** 0.25)
+        B[p] = R.T @ (diags[p][:, None] * R)
+    peaks = rng.uniform(-peak_range, peak_range, (n_peaks, dim))
+    peaks[0] = 0.0
+    weights = np.concatenate(([10.0], 1.1 + 8.0 * np.arange(n_peaks - 1) / (n_peaks - 2)))
+    return {"R": R, "diags": diags, "B": B, "peaks": peaks, "weights": weights}
+
+
+def _naive_gallagher_value(vals: np.ndarray) -> np.ndarray:
+    """T_osz(10 - the best peak) squared, from the (rows, peaks) peak values."""
     z = 10.0 - np.max(vals, axis=1)
     absz = np.abs(z)
     xhat = np.zeros_like(z)
@@ -241,6 +262,30 @@ def naive_gallagher(Y: np.ndarray, aux: dict) -> np.ndarray:
     osz = np.sign(z) * np.exp(xhat + 0.049 * (np.sin(c1 * xhat) + np.sin(c2 * xhat)))
     osz[~nz] = 0.0
     return osz ** 2
+
+
+def naive_gallagher_per_peak(Y: np.ndarray, setup: dict) -> np.ndarray:
+    """Gallagher's peaks (f21, f22) in optimum-at-origin coordinates, one
+    peak at a time with naive_gallagher_setup's matrices: weight *
+    exp(-(y - y_p)' B_p (y - y_p) / 2D), the best peak, then T_osz and the
+    square."""
+    dim = Y.shape[1]
+    B, peaks, weights = setup["B"], setup["peaks"], setup["weights"]
+    vals = np.empty((Y.shape[0], peaks.shape[0]))
+    for p in range(peaks.shape[0]):
+        U = Y - peaks[p][None, :]
+        vals[:, p] = weights[p] * np.exp(-np.sum((U @ B[p]) * U, axis=1) / (2.0 * dim))
+    return _naive_gallagher_value(vals)
+
+
+def naive_gallagher(Y: np.ndarray, aux: dict) -> np.ndarray:
+    """Gallagher's peaks (f21, f22) from an instance's constants, all rows in
+    one pass: rotate, expand every peak's quadratic form into two matmuls
+    plus a constant, the best peak, then T_osz and the square."""
+    dim = Y.shape[1]
+    Z = Y @ aux["R"].T
+    quad = (Z * Z) @ aux["D"].T + Z @ aux["M"].T + aux["k"]
+    return _naive_gallagher_value(aux["weights"] * np.exp(-quad / (2.0 * dim)))
 
 
 def naive_katsuura(Y: np.ndarray, aux: dict) -> np.ndarray:

@@ -18,7 +18,14 @@ from footprints.suite import (
     write_suite_csv,
 )
 
-from _oracles import NAIVE_SETUP_PROBLEMS, naive_gallagher, naive_katsuura, naive_setup
+from _oracles import (
+    NAIVE_SETUP_PROBLEMS,
+    naive_gallagher,
+    naive_gallagher_per_peak,
+    naive_gallagher_setup,
+    naive_katsuura,
+    naive_setup,
+)
 
 
 def test_full_suite_has_120_instances():
@@ -151,34 +158,91 @@ def _points(inst, rows, rng):
     return X
 
 
-def _assert_gallagher_matches_per_peak_loop(inst, X):
+def _naive_gallagher_setup(problem_id, instance_id, dimension):
+    rng = np.random.default_rng(derive_seed(SUITE_SALT, problem_id, instance_id, dimension))
+    rng.uniform(-SHIFT_RANGE, SHIFT_RANGE, dimension)
+    rng.uniform(-100.0, 100.0)
+    return naive_gallagher_setup(problem_id, dimension, rng)
+
+
+@pytest.mark.parametrize("problem_id", [21, 22])
+@pytest.mark.parametrize("dimension", [2, 5, 10])
+def test_gallagher_setup_keeps_its_draw_order(problem_id, dimension):
+    # R, the diagonals and the weights are the per-peak setup's draws, bit for
+    # bit, and the expanded constants are built from its peaks
+    for instance_id in (1, 4):
+        setup = _naive_gallagher_setup(problem_id, instance_id, dimension)
+        aux = make_instance(problem_id, instance_id, dimension).aux
+        C = setup["peaks"] @ setup["R"].T
+        expected = {"R": setup["R"], "D": setup["diags"], "M": -2.0 * setup["diags"] * C,
+                    "k": np.sum(setup["diags"] * C * C, axis=1), "weights": setup["weights"]}
+        assert list(aux) == list(expected)
+        for name, value in expected.items():
+            assert aux[name].shape == value.shape
+            assert aux[name].tobytes() == value.tobytes(), (problem_id, instance_id, name)
+
+
+def _assert_gallagher_matches_unchunked_pass(inst, X):
     expected = naive_gallagher(X - inst.shift, inst.aux) - inst.core_at_opt + inst.f_offset
     assert inst.evaluate_batch(X).tobytes() == expected.tobytes(), X.shape
 
 
 @pytest.mark.parametrize("problem_id", [21, 22])
 @pytest.mark.parametrize("dimension", [2, 5, 10])
-def test_gallagher_matches_per_peak_loop(problem_id, dimension):
-    # peak chunks keep each peak's (rows, D) @ (D, D) matmul and its sum,
-    # so every value is the per-peak loop's, for 1-row batches too
+def test_gallagher_matches_unchunked_pass(problem_id, dimension):
+    # row chunks come after the rotation of all rows, and none holds a single
+    # row of a larger batch, so every value is the unchunked pass's
     rng = np.random.default_rng(problem_id * dimension)
     inst = make_instance(problem_id, 2, dimension)
-    # a row count whose peak chunk (7 peaks) divides neither 101 nor 21
-    odd_chunk = suite_mod.CHUNK_CELLS // (7 * dimension)
-    for rows in (1, 2, 3, default_population_size(dimension), odd_chunk):
-        _assert_gallagher_matches_per_peak_loop(inst, _points(inst, rows, rng))
+    per_chunk = suite_mod.CHUNK_CELLS // inst.aux["weights"].size
+    for rows in (1, 2, 3, default_population_size(dimension), per_chunk + 1,
+                 3 * per_chunk + 1):
+        _assert_gallagher_matches_unchunked_pass(inst, _points(inst, rows, rng))
     X, _ = sample_design(inst, 100 * dimension, seed=dimension)  # the ELA sample
-    _assert_gallagher_matches_per_peak_loop(inst, X)
+    _assert_gallagher_matches_unchunked_pass(inst, X)
 
 
-@pytest.mark.parametrize("peaks_per_chunk", [1, 2, 20, 21, 100, 101, 102])
-def test_gallagher_chunk_edges_match_per_peak_loop(monkeypatch, peaks_per_chunk):
-    rng = np.random.default_rng(peaks_per_chunk)
-    rows, dimension = 9, 5
-    monkeypatch.setattr(suite_mod, "CHUNK_CELLS", peaks_per_chunk * rows * dimension)
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 4, 8, 9, 10])
+def test_gallagher_row_chunk_edges_match_unchunked_pass(monkeypatch, rows_per_chunk):
+    rng = np.random.default_rng(rows_per_chunk)
+    dimension = 5
     for problem_id in (21, 22):
         inst = make_instance(problem_id, 1, dimension)
-        _assert_gallagher_matches_per_peak_loop(inst, _points(inst, rows, rng))
+        monkeypatch.setattr(suite_mod, "CHUNK_CELLS",
+                            rows_per_chunk * inst.aux["weights"].size)
+        for rows in (1, 2, 7, 9, 10, 19):
+            _assert_gallagher_matches_unchunked_pass(inst, _points(inst, rows, rng))
+
+
+@pytest.mark.parametrize("problem_id", [21, 22])
+@pytest.mark.parametrize("dimension", [2, 5, 10, 20])
+def test_gallagher_matches_per_peak_loop(problem_id, dimension):
+    # the expanded form in rotated coordinates is the per-peak quadratic form
+    # (y - y_p)' B_p (y - y_p) with B_p = R' diag_p R, up to rounding: over
+    # uniform points and points near every peak, for five instances
+    for instance_id in range(1, 6):
+        inst = make_instance(problem_id, instance_id, dimension)
+        setup = _naive_gallagher_setup(problem_id, instance_id, dimension)
+        rng = np.random.default_rng(instance_id * dimension)
+        near = setup["peaks"][:, None, :] + rng.normal(0.0, 1e-3, (len(setup["peaks"]), 4,
+                                                                  dimension))
+        Y = np.concatenate([rng.uniform(-5.0, 5.0, (300, dimension)) - inst.shift,
+                            setup["peaks"], near.reshape(-1, dimension)])
+        np.testing.assert_allclose(suite_mod._gallagher(Y, inst.aux),
+                                   naive_gallagher_per_peak(Y, setup), rtol=1e-11, atol=0.0,
+                                   err_msg=f"instance {instance_id}")
+
+
+@pytest.mark.parametrize("problem_id", [21, 22])
+@pytest.mark.parametrize("dimension", [2, 5, 10, 20])
+def test_gallagher_optimum_is_offset_exactly(problem_id, dimension):
+    # peak 0 sits on the shift with C = 0, so its expanded form is exactly 0 there
+    for instance_id in (1, 2, 3):
+        inst = make_instance(problem_id, instance_id, dimension)
+        assert inst.core_at_opt == 0.0
+        assert inst.evaluate_batch(inst.shift[None, :])[0] == inst.f_offset
+        X = np.stack([inst.shift, inst.shift + 1.0, inst.shift])
+        assert inst.evaluate_batch(X)[[0, 2]].tolist() == [inst.f_offset] * 2
 
 
 def _assert_katsuura_matches_unchunked_pass(inst, X):
