@@ -116,6 +116,14 @@ def naive_draw_parents(rng, pop_size: int, m: int, k: int) -> np.ndarray:
     return drawn
 
 
+
+def stable_sort_draw_parents(rng, pop_size: int, m: int, k: int) -> np.ndarray:
+    """The parent draw before version 0.2.6. Row i: the first k indices of a
+    stable sort of pop_size uniform keys, the target i's key set to +inf."""
+    keys = rng.random((m, pop_size))
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+
 # distinct parents besides the target, per DE strategy
 NAIVE_N_PARENTS = {
     "rand/1/bin": 3,

@@ -233,6 +233,29 @@ def test_gallagher_matches_per_peak_loop(problem_id, dimension):
                                    err_msg=f"instance {instance_id}")
 
 
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 20, 21, 100, 101, 102])
+def test_gallagher_chunk_edges_match_per_peak_loop(monkeypatch, rows_per_chunk):
+    # batches of one chunk, one row past it, one row short of two chunks and
+    # one past three stay within rounding of the per-peak loop, near every peak too
+    rng = np.random.default_rng(rows_per_chunk)
+    dimension = 5
+    for problem_id in (21, 22):
+        inst = make_instance(problem_id, 1, dimension)
+        setup = _naive_gallagher_setup(problem_id, 1, dimension)
+        monkeypatch.setattr(suite_mod, "CHUNK_CELLS",
+                            rows_per_chunk * inst.aux["weights"].size)
+        peaks = setup["peaks"]
+        for rows in (1, rows_per_chunk, rows_per_chunk + 1, 2 * rows_per_chunk - 1,
+                     3 * rows_per_chunk + 1):
+            # uniform points, every other one moved next to a peak, in turn
+            Y = rng.uniform(-5.0, 5.0, (rows, dimension)) - inst.shift
+            near = peaks[np.arange(0, rows, 2) // 2 % len(peaks)]
+            Y[::2] = near + rng.normal(0.0, 1e-3, near.shape)
+            np.testing.assert_allclose(suite_mod._gallagher(Y, inst.aux),
+                                       naive_gallagher_per_peak(Y, setup), rtol=1e-11,
+                                       atol=0.0, err_msg=f"{problem_id}, {rows} rows")
+
+
 @pytest.mark.parametrize("problem_id", [21, 22])
 @pytest.mark.parametrize("dimension", [2, 5, 10, 20])
 def test_gallagher_optimum_is_offset_exactly(problem_id, dimension):
