@@ -194,7 +194,8 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    text = Path(path).read_text()
+    # bytes, so that PyYAML's reader rejects a file that is not UTF-8 as a YAMLError
+    text = Path(path).read_bytes()
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -78,15 +78,17 @@ def median_log_precision(raw_precisions: Sequence[float]) -> float:
     return math.log10(max(med, PRECISION_FLOOR))
 
 
-def _reflect(X: np.ndarray, lo: float = LOWER_BOUND, hi: float = UPPER_BOUND) -> np.ndarray:
-    """Fold arbitrary reals back into [lo, hi] by reflection at the bounds.
+def _reflect(X: np.ndarray) -> np.ndarray:
+    """Fold arbitrary reals back into [lo, hi] = [LOWER_BOUND, UPPER_BOUND] by
+    reflection at the bounds.
 
     Bitwise ``lo + where(Y > span, 2*span - Y, Y)`` with ``Y = mod(X - lo, 2*span)``.
     Only entries of X - lo outside [0, 2*span) (NaN included) go through np.mod:
     inside, fmod is exact and np.mod differs only by turning -0.0 into +0.0, which
     adding lo erases. Returns a new array; X is left unchanged.
     """
-    span = hi - lo
+    lo = LOWER_BOUND
+    span = UPPER_BOUND - lo
     V = X - lo
     np.mod(V, 2.0 * span, out=V, where=~((V >= 0.0) & (V < 2.0 * span)))
     np.subtract(2.0 * span, V, out=V, where=V > span)

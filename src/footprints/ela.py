@@ -73,8 +73,8 @@ def sample_design(instance: ProblemInstance, n: int, seed: int) -> tuple[np.ndar
     return X, instance.evaluate_batch(X)
 
 
-def _safe_ratio(a: float, b: float, eps: float = _EPS) -> float:
-    return max(float(a), eps) / max(float(b), eps)
+def _safe_ratio(a: float, b: float) -> float:
+    return max(float(a), _EPS) / max(float(b), _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +319,8 @@ def _class_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _cv_mmce(X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """The (lda, qda) misclassification rates under stratified
+def _cv_mmce(X: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
+    """The (lda, qda) misclassification counts under stratified
     cross-validation; each fold's class statistics serve both. lda scores
     both classes under their pooled covariance, qda under each class's own;
     one stacked inv and slogdet serve all folds, and one stacked matmul a
@@ -361,19 +361,16 @@ def _cv_mmce(X: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
         qda = -0.5 * logdets[k][:, None] - 0.5 * quad[2:] + log_priors[k]
         errors_lda += int(np.sum((lda[1] > lda[0]) != labels[test]))
         errors_qda += int(np.sum((qda[1] > qda[0]) != labels[test]))
-    return errors_lda / n, errors_qda / n
+    return errors_lda, errors_qda
 
 
-def _lda_qda(mmce_lda: float, mmce_qda: float, n: int) -> float:
-    """The ratio of the two error rates of n points as one correctly rounded
-    division of the error counts, so that equal ratios such as 8/5 and 16/10
-    give equal floats (a ratio of the two rounded rates need not);
-    _safe_ratio's eps rule when a count is 0. n * (e / n) lies within
-    e * 2**-52 of e, so rounding it gives the count e exactly."""
-    errors_lda, errors_qda = round(mmce_lda * n), round(mmce_qda * n)
+def _lda_qda(errors_lda: int, errors_qda: int, n: int) -> float:
+    """The ratio of the error rates of n points as one division of the
+    error counts, so that equal ratios give equal floats; _safe_ratio's eps
+    rule on the rates when a count is 0."""
     if errors_lda and errors_qda:
         return errors_lda / errors_qda
-    return _safe_ratio(mmce_lda, mmce_qda)
+    return _safe_ratio(errors_lda / n, errors_qda / n)
 
 
 LEVEL_FEATURES = tuple(f"ela_level.{stat}_{_q_tag(q)}" for q in LEVEL_QUANTILES
@@ -389,8 +386,8 @@ def level_features(X: np.ndarray, y: np.ndarray) -> list[float]:
     for q in LEVEL_QUANTILES:
         labels = np.zeros(n, dtype=int)
         labels[order[:math.ceil(q * n)]] = 1  # lowest q share of objective values
-        mmce_lda, mmce_qda = _cv_mmce(X, labels)
-        out += [mmce_lda, mmce_qda, _lda_qda(mmce_lda, mmce_qda, n)]
+        errors_lda, errors_qda = _cv_mmce(X, labels)
+        out += [errors_lda / n, errors_qda / n, _lda_qda(errors_lda, errors_qda, n)]
     return out
 
 

@@ -96,9 +96,10 @@ class RegressionTree:
 # GROUP_CELLS holds them near 16 MiB however large the forest.
 GROUP_COST = 8000
 GROUP_CELLS = 1 << 18  # unless the group is one node
+MIN_LEAF = 2  # the fewest rows a split leaves on either side
 
 
-def _grow_forest(X, y, roots, rngs, min_leaf, max_depth, n_sub) -> list[RegressionTree]:
+def _grow_forest(X, y, roots, rngs, n_sub) -> list[RegressionTree]:
     """One tree per row of `roots` (the tree's sample of row indices) and
     generator in `rngs`, the trees grown in lockstep.
 
@@ -123,7 +124,6 @@ def _grow_forest(X, y, roots, rngs, min_leaf, max_depth, n_sub) -> list[Regressi
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.cumsum(distinct, axis=1), axis=1)
     ranks[np.isnan(XT)] = pad
-    depth_limit = n if max_depth is None else max_depth
     cap = 2 * n - 1  # a split leaves rows on both sides, so every leaf holds one
     feature = np.full((n_trees, cap), -1)
     threshold = np.zeros((n_trees, cap))
@@ -131,14 +131,14 @@ def _grow_forest(X, y, roots, rngs, min_leaf, max_depth, n_sub) -> list[Regressi
     right = np.full((n_trees, cap), -1)
     value = np.zeros((n_trees, cap))
     rows = roots.copy()
-    # pending nodes as (start, size, depth, parent if a right child else -1)
-    stack = np.empty((n_trees, n + 1, 4), dtype=int)
-    stack[:, 0] = (0, n, 0, -1)
+    # pending nodes as (start, size, parent if a right child else -1)
+    stack = np.empty((n_trees, n + 1, 3), dtype=int)
+    stack[:, 0] = (0, n, -1)
     top = np.ones(n_trees, dtype=int)
     count = np.zeros(n_trees, dtype=int)
     while (t := np.flatnonzero(top)).size:
         top[t] -= 1
-        start, size, depth, parent = stack[t, top[t]].T
+        start, size, parent = stack[t, top[t]].T
         node = count[t]
         count[t] += 1
         is_right = parent >= 0
@@ -149,17 +149,14 @@ def _grow_forest(X, y, roots, rngs, min_leaf, max_depth, n_sub) -> list[Regressi
         R = np.where(real, rows[t[:, None], np.minimum(start[:, None] + position, n - 1)], pad)
         Y = yp[R]
         value[t, node], sse = _node_sums(Y, real, size)
-        split = np.flatnonzero((size >= 2 * min_leaf) & (depth < depth_limit)
-                               & ((Y != Y[:, :1]) & real).any(axis=1))
+        split = np.flatnonzero((size >= 2 * MIN_LEAF) & ((Y != Y[:, :1]) & real).any(axis=1))
         if not split.size:
             continue
         chosen = np.array([rngs[i].choice(m, size=n_sub, replace=False) for i in t[split]])
         chosen.sort(axis=1)
-        j, thr, ok = _best_splits(XT, ranks, yp, R[split], size[split], sse[split], chosen,
-                                  min_leaf)
+        j, thr, ok = _best_splits(XT, ranks, yp, R[split], size[split], sse[split], chosen)
         split, j, thr = split[ok], j[ok], thr[ok]
         ts, at, start, size = t[split], node[split], start[split], size[split]
-        depth = depth[split] + 1
         feature[ts, at] = j
         threshold[ts, at] = thr
         left[ts, at] = at + 1
@@ -173,8 +170,8 @@ def _grow_forest(X, y, roots, rngs, min_leaf, max_depth, n_sub) -> list[Regressi
         rows[np.broadcast_to(ts[:, None], R.shape)[real], dest[real]] = R[real]
         # the right child goes below the left one, which is popped next
         push = top[ts]
-        stack[ts, push] = np.column_stack([start + n_left, size - n_left, depth, at])
-        stack[ts, push + 1] = np.column_stack([start, n_left, depth, np.full(len(ts), -1)])
+        stack[ts, push] = np.column_stack([start + n_left, size - n_left, at])
+        stack[ts, push + 1] = np.column_stack([start, n_left, np.full(len(ts), -1)])
         top[ts] += 2
     arrays = (feature, threshold, left, right, value)
     return [RegressionTree(*(a[i, :count[i]].copy() for a in arrays)) for i in range(n_trees)]
@@ -204,7 +201,7 @@ def _node_sums(Y, real, size):
     return mean, sse
 
 
-def _best_splits(XT, ranks, yp, R, size, parent_sse, chosen, min_leaf):
+def _best_splits(XT, ranks, yp, R, size, parent_sse, chosen):
     """Each node's best (feature, threshold) over its `chosen` columns, and
     whether it beats the node's `parent_sse`. A node's rows are the first
     `size` entries of its row of R, as indices into the columns of XT and
@@ -252,8 +249,8 @@ def _best_splits(XT, ranks, yp, R, size, parent_sse, chosen, min_leaf):
         np.subtract(s2[-1] - s2[:-1], right, out=right)  # the right side's SSE
         total += right
         # a split lies between two distinct values, neither of them NaN, and
-        # leaves min_leaf rows on each side: elsewhere no rank is below `bound`
-        bound = np.where((n_left >= min_leaf) & (size[g, None] - n_left >= min_leaf),
+        # leaves MIN_LEAF rows on each side: elsewhere no rank is below `bound`
+        bound = np.where((n_left >= MIN_LEAF) & (size[g, None] - n_left >= MIN_LEAF),
                          last_rank, 0)
         valid = rank[:-1] < rank[1:]
         valid &= rank[1:] < bound
@@ -323,28 +320,20 @@ class RandomForestModel:
         return out / len(self.trees)
 
 
-def fit_random_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    n_trees: int = 100,
-    min_leaf: int = 2,
-    max_depth: int | None = None,
-    bootstrap: bool = True,
-    seed: int = 0,
-) -> RandomForestModel:
-    """CART ensemble; per-split feature subsets of size ceil(m/3)."""
+def fit_random_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int,
+                      seed: int) -> RandomForestModel:
+    """CART ensemble on bootstrap samples, grown without a depth limit down
+    to MIN_LEAF rows a side; per-split feature subsets of size ceil(m/3)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = X.shape
     if n != len(y) or n < 2:
         raise ConfigurationError("need matching X/y with at least 2 rows")
-    if n_trees < 1 or min_leaf < 1:
-        raise ConfigurationError(f"need n_trees >= 1 and min_leaf >= 1; got {n_trees} and "
-                                 f"{min_leaf}")
+    if n_trees < 1:
+        raise ConfigurationError(f"need n_trees >= 1; got {n_trees}")
     rngs = [np.random.default_rng(derive_seed(seed, t)) for t in range(n_trees)]
-    roots = np.array([rng.integers(0, n, n) if bootstrap else np.arange(n) for rng in rngs])
-    trees = _grow_forest(X, y, roots, rngs, min_leaf, max_depth, math.ceil(m / 3))
+    roots = np.array([rng.integers(0, n, n) for rng in rngs])
+    trees = _grow_forest(X, y, roots, rngs, math.ceil(m / 3))
     return RandomForestModel(trees=trees, n_features=m)
 
 
@@ -385,7 +374,7 @@ class KnnModel:
         return self.y_train[order[:, :k]].mean(axis=1)
 
 
-def fit_knn(X: np.ndarray, y: np.ndarray, k_neighbors: int = 5) -> KnnModel:
+def fit_knn(X: np.ndarray, y: np.ndarray, k_neighbors: int) -> KnnModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if k_neighbors > X.shape[0]:
@@ -419,12 +408,7 @@ class KernelRidgeModel:
         return np.einsum("ij,j->i", K, self.coef) + self.y_mean
 
 
-def fit_kernel(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    penalty: float = 1e-3,
-) -> KernelRidgeModel:
+def fit_kernel(X: np.ndarray, y: np.ndarray, *, penalty: float) -> KernelRidgeModel:
     if penalty <= 0:
         raise ConfigurationError("ridge penalty must be positive")
     X = np.asarray(X, dtype=float)

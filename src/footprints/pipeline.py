@@ -44,6 +44,8 @@ STAGES = ("suite", "solve", "features", "folds", "train", "explain", "footprint"
 
 # explanations/fold_N.csv: these columns, then one phi column per portfolio feature
 EXPLANATION_COLUMNS = (*KEY_COLUMNS, "base_value", "prediction")
+# sampled permutations a row when the footprint model is not a forest
+EXPLAIN_PERMUTATIONS = 256
 
 # each RunConfig field's dotted key
 _KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}
@@ -185,11 +187,17 @@ class Pipeline:
                 and self._digests_match(record.get("inputs", {}))
                 and self._digests_match(record.get("outputs", {})))
 
+    def _artifact(self, name: str) -> Path | None:
+        """`name`'s path if it is a regular file inside --out, else None: the
+        manifest is input, so the stage cache hashes and removes nothing else."""
+        path = self.out / name
+        if path.is_file() and path.resolve().is_relative_to(self.out.resolve()):
+            return path
+        return None
+
     def _digests_match(self, digests: dict) -> bool:
-        return all(
-            (self.out / name).exists() and _sha256(self.out / name) == digest
-            for name, digest in digests.items()
-        )
+        return all((path := self._artifact(name)) and _sha256(path) == digest
+                   for name, digest in digests.items())
 
     def _record_stage(self, stage: str, elapsed: float, facts: dict) -> None:
         """Records what the stage read, wrote and returned; removes its stale outputs."""
@@ -202,10 +210,8 @@ class Pipeline:
             "elapsed_s": round(elapsed, 3),
             **facts,
         }
-        out = self.out.resolve()
         for name in set(previous) - set(self._written):
-            path = (out / name).resolve()  # the manifest is input: only names inside --out
-            if path.is_relative_to(out) and path.is_file():
+            if path := self._artifact(name):
                 path.unlink()
         self._save_manifest()
 
@@ -355,6 +361,7 @@ class Pipeline:
                 model, X[np.ix_(test, cols)], train_X,
                 seeds=[derive_seed(cfg.master_seed, EXPLAIN_SALT, fold_id, p, i)
                        for p, i, _ in test_keys],
+                n_permutations=EXPLAIN_PERMUTATIONS,
             )
             write_csv(self._output(f"explanations/fold_{fold_id}.csv"),
                       [*EXPLANATION_COLUMNS, *names],

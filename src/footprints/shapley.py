@@ -225,13 +225,8 @@ def tree_shap_batch(
 # ---------------------------------------------------------------------------
 # model-agnostic permutation sampling
 
-def sampling_shap(
-    model,
-    x: np.ndarray,
-    background: np.ndarray,
-    n_permutations: int = 256,
-    seed: int = 0,
-) -> ShapMetaRepresentation:
+def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: int,
+                  seed: int) -> ShapMetaRepresentation:
     """Permutation-sampling estimate with antithetic pairs.
 
     Each sampled permutation is paired with its reverse and one cycled
@@ -276,13 +271,8 @@ def sampling_shap(
     )
 
 
-def attribute(
-    model,
-    X: np.ndarray,
-    background: np.ndarray,
-    seeds: Sequence[int],
-    n_permutations: int = 256,
-) -> list[ShapMetaRepresentation]:
+def attribute(model, X: np.ndarray, background: np.ndarray, seeds: Sequence[int],
+              n_permutations: int) -> list[ShapMetaRepresentation]:
     """Attributions of the rows of X: exact for a forest, otherwise
     permutation sampling of row i seeded with seeds[i]."""
     if isinstance(model, RandomForestModel):

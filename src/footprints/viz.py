@@ -134,7 +134,7 @@ def emit_footprint_plot(
     keys: Sequence[Key],
     coords: np.ndarray,
     label_of: Mapping[Key, int],
-    title: str = "",
+    title: str,
 ) -> str:
     """An SVG of the embedding `coords`, marked by the LABELS index
     label_of[keys[i]] of row i: a cross when the model is poor, yellow when
@@ -148,7 +148,7 @@ def emit_footprint_plot(
         for key in keys
     ]
     ly = HEIGHT - 22.0
-    return _scatter(keys, coords, markers, title or "footprint (pca embedding)", [
+    return _scatter(keys, coords, markers, title, [
         _circle(MARGIN, ly, ALG_GOOD_COLOR, 5.0),
         _text(MARGIN + 10, ly + 4, 11, "algorithm good"),
         _circle(MARGIN + 140, ly, ALG_POOR_COLOR, 5.0),
@@ -166,8 +166,8 @@ def emit_beeswarm_data(
     phi: np.ndarray,
     feature_names: Sequence[str],
     values: np.ndarray,
-    top_k: int = 10,
-    title: str = "",
+    top_k: int,
+    title: str,
 ) -> tuple[str, str]:
     """CSV rows and a beeswarm SVG for the top-k most important features;
     row i of the (n, m) `phi` attributes keys[i] over `feature_names`, and
@@ -195,7 +195,7 @@ def emit_beeswarm_data(
     row_h = (HEIGHT - 2 * MARGIN - 20) / max(top_k, 1)
     x0, x1 = MARGIN + 150, WIDTH - MARGIN
     mid = 0.5 * (x0 + x1)
-    parts = _svg_open(title or "top feature attributions")
+    parts = _svg_open(title)
     parts.append(
         f'<line x1="{_fmt(mid)}" y1="{_fmt(MARGIN)}" x2="{_fmt(mid)}" '
         f'y2="{_fmt(HEIGHT - MARGIN - 20)}" stroke="#999999" stroke-width="1.0"/>'
@@ -222,7 +222,7 @@ def emit_feature_distribution(
     coords: np.ndarray,
     feature_name: str,
     values: np.ndarray,
-    title: str = "",
+    title: str,
 ) -> str:
     """An SVG of the embedding `coords`, colored by `values[i]`, the value of
     `feature_name` on keys[i]."""
@@ -230,7 +230,7 @@ def emit_feature_distribution(
         raise ContractViolation(
             f"{np.shape(values)} values of {feature_name} for {len(keys)} keys")
     markers = [(_circle, _value_color(float(v))) for v in _scale(values, 0.0, 1.0)]
-    return _scatter(keys, coords, markers, title or feature_name, [
+    return _scatter(keys, coords, markers, title, [
         _text(MARGIN, HEIGHT - 18.0, 11,
               f"{feature_name}: low (blue) to high (red), min-max over plotted set"),
     ])

@@ -389,12 +389,12 @@ def naive_sampling_shap(model, x: np.ndarray, background: np.ndarray,
     return float(base_samples.mean()), contribs.mean(axis=0), prediction, stderr
 
 
-def naive_fit_random_forest(X, y, *, n_trees=100, min_leaf=2, max_depth=None,
-                            bootstrap=True, seed=0):
-    """The CART forest with one argsort and one cumsum per candidate feature:
-    each feature is scored on its own, and a later feature replaces the best
-    split only if its SSE is strictly lower. Returns each tree's flat arrays
-    as a dict (feature, threshold, left, right, value)."""
+def naive_fit_random_forest(X, y, *, n_trees, seed):
+    """The CART forest on bootstrap samples with one argsort and one cumsum
+    per candidate feature: each feature is scored on its own, and a later
+    feature replaces the best split only if its SSE is strictly lower.
+    Returns each tree's flat arrays as a dict (feature, threshold, left,
+    right, value)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = X.shape
@@ -403,15 +403,15 @@ def naive_fit_random_forest(X, y, *, n_trees=100, min_leaf=2, max_depth=None,
     for t in range(n_trees):
         seed_seq = np.random.SeedSequence([int(seed), int(t)])
         rng = np.random.default_rng(int(seed_seq.generate_state(1, np.uint64)[0]))
-        idx = rng.integers(0, n, n) if bootstrap else np.arange(n)
-        trees.append(naive_build_tree(X, y, np.asarray(idx), rng, min_leaf, max_depth,
-                                      n_sub))
+        trees.append(naive_build_tree(X, y, rng.integers(0, n, n), rng, n_sub))
     return trees
 
 
-def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
-    """One tree grown from the rows `idx`; each node draws its `n_sub`
+def naive_build_tree(X, y, idx, rng, n_sub):
+    """One tree grown from the rows `idx`, without a depth limit, leaving at
+    least 2 rows on each side of a split; each node draws its `n_sub`
     candidate columns from `rng` before scoring them."""
+    min_leaf = 2
     arrays = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
     def best_split(rows):
@@ -442,15 +442,14 @@ def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
                 best = (int(j), float(mid if mid < hi else lo))
         return best
 
-    def build(rows, depth):
+    def build(rows):
         node = len(arrays["feature"])
         for name, default in (("feature", -1), ("threshold", 0.0), ("left", -1),
                               ("right", -1)):
             arrays[name].append(default)
         yr = y[rows]
         arrays["value"].append(float(yr.mean()))
-        if (len(rows) < 2 * min_leaf or (max_depth is not None and depth >= max_depth)
-                or np.all(yr == yr[0])):
+        if len(rows) < 2 * min_leaf or np.all(yr == yr[0]):
             return node
         split = best_split(rows)
         if split is None:
@@ -458,11 +457,11 @@ def naive_build_tree(X, y, idx, rng, min_leaf, max_depth, n_sub):
         j, thr = split
         goes_left = X[rows, j] <= thr
         arrays["feature"][node], arrays["threshold"][node] = j, thr
-        arrays["left"][node] = build(rows[goes_left], depth + 1)
-        arrays["right"][node] = build(rows[~goes_left], depth + 1)
+        arrays["left"][node] = build(rows[goes_left])
+        arrays["right"][node] = build(rows[~goes_left])
         return node
 
-    build(idx, 0)
+    build(np.asarray(idx))
     return {name: np.asarray(values, dtype=float if name in ("threshold", "value") else int)
             for name, values in arrays.items()}
 
@@ -485,8 +484,8 @@ def naive_forest_predict(model, X: np.ndarray) -> np.ndarray:
     return out / len(model.trees)
 
 
-def naive_cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool, n_folds: int) -> float:
-    """Cross-validated lda (pooled) or qda misclassification rate, one
+def naive_cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool, n_folds: int) -> int:
+    """Cross-validated lda (pooled) or qda misclassification count, one
     discriminant per call: the folds and each fold's class means and
     covariances are built again for each of the two."""
     n = len(labels)
@@ -532,7 +531,7 @@ def naive_cv_mmce(X: np.ndarray, labels: np.ndarray, pooled: bool, n_folds: int)
                 )
         pred = (scores[:, 1] > scores[:, 0]).astype(int)
         errors += int(np.sum(pred != labels[test]))
-    return errors / n
+    return errors
 
 
 def naive_relative_error(true_value: float, predicted_value: float) -> float:

@@ -146,8 +146,6 @@ def test_criterion_2_shapley_exactness():
         model = fit_random_forest(
             X, y,
             n_trees=int(rng.integers(1, 6)),
-            max_depth=3,
-            min_leaf=1,
             seed=int(rng.integers(0, 10_000)),
         )
         x = rng.normal(size=n_features)

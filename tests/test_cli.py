@@ -362,6 +362,14 @@ def test_cli_malformed_value_is_config_error(tmp_path, capsys):
     assert "config error: config key suite.dimension: " in capsys.readouterr().err
 
 
+def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(yaml.safe_dump(TINY).encode() + b"# caf\x80\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config file: ")
+
+
 def test_cli_two_problems_rejected_by_validate(tmp_path, capsys):
     bad = dict(TINY, suite=dict(TINY["suite"], problems=[1, 2]))
     path = _write_config(tmp_path, bad)
@@ -628,6 +636,43 @@ def test_sampling_portfolios_rank_a_model_fit_on_the_train_rows(tmp_path):
             assert [(e["name"], e["importance"]) for e in payload["ranking"]] == expected
 
 
+@pytest.mark.parametrize("kind", ["knn", "kernel"])
+def test_sampling_explanations_attribute_the_fold_model_with_the_explain_seeds(tmp_path, kind):
+    # a footprint model that is not a forest: each test row gets
+    # EXPLAIN_PERMUTATIONS permutations, seeded from EXPLAIN_SALT and its key
+    from footprints import ela, models
+    from footprints.csvio import read_csv, row_key
+    from footprints.pipeline import EXPLAIN_PERMUTATIONS, EXPLANATION_COLUMNS
+    from footprints.seeding import EXPLAIN_SALT, derive_seed
+    from footprints.shapley import attribute
+
+    assert EXPLAIN_PERMUTATIONS == 256
+    data = dict(TINY, model=dict(TINY["model"], kinds=[kind]),
+                footprint=dict(TINY["footprint"], model=kind))
+    cfg = parse_config(data)
+    run = tmp_path / "run"
+    pipe = Pipeline(cfg, run)
+    pipe.run(["suite", "solve", "features", "folds", "train", "explain"])
+    keys, X, y, test_fold = pipe._fold_data()
+    fits = {"knn": lambda X, y: models.fit_knn(X, y, k_neighbors=cfg.knn_neighbors),
+            "kernel": lambda X, y: models.fit_kernel(X, y, penalty=cfg.kernel_penalty)}
+    for fold_id in range(1, cfg.k_folds + 1):
+        train, test = test_fold != fold_id, np.flatnonzero(test_fold == fold_id)
+        ranking = json.loads((run / f"portfolios/{kind}_fold_{fold_id}.json").read_text())
+        names = [entry["name"] for entry in ranking["ranking"]][:cfg.footprint_portfolio_size]
+        cols = [ela.FEATURE_SCHEMA.index(name) for name in names]
+        train_X = X[train][:, cols]
+        seeds = [derive_seed(cfg.master_seed, EXPLAIN_SALT, fold_id, *keys[i][:2]) for i in test]
+        reps = attribute(fits[kind](train_X, y[train]), X[np.ix_(test, cols)], train_X, seeds,
+                         EXPLAIN_PERMUTATIONS)
+        header, rows = read_csv(run / f"explanations/fold_{fold_id}.csv")
+        assert header == [*EXPLANATION_COLUMNS, *names]
+        assert [row_key(row) for row in rows] == [keys[i] for i in test]
+        for row, rep in zip(rows, reps, strict=True):
+            assert [float(row[name]) for name in header[3:]] == [
+                rep.base_value, rep.prediction, *rep.phi.tolist()]
+
+
 def _fail_on_problem_2(item):
     if item[0] == 2:
         raise ValueError("boom")
@@ -797,6 +842,41 @@ def test_stale_output_removal_stays_inside_the_run_directory(tmp_path):
                  "--out", str(out)]) == 0
     assert (tmp_path / "outside.txt").read_text() == "keep"
     assert not (out / "stale.txt").exists()
+
+
+@pytest.mark.parametrize("where", ["relative", "absolute"])
+def test_cache_check_ignores_a_record_naming_a_file_outside_the_run_directory(
+        tmp_path, caplog, where):
+    # the file and its digest match, but only files inside --out are artifacts
+    out = tmp_path / "out"
+    config = ["--config", str(_write_config(tmp_path, TINY)), "--out", str(out)]
+    assert main(["suite", *config]) == 0
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not an artifact")
+    name = "../outside.txt" if where == "relative" else str(outside)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["stages"]["suite"]["outputs"][name] = hashlib.sha256(outside.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with caplog.at_level(logging.INFO, logger="footprints.pipeline"):
+        assert main(["suite", *config]) == 0
+    assert "stage suite: running" in caplog.text
+    assert outside.read_text() == "not an artifact"
+    record = json.loads((out / "manifest.json").read_text())["stages"]["suite"]
+    assert list(record["outputs"]) == ["suite.csv"]
+
+
+def test_cache_check_reruns_a_stage_whose_record_names_a_directory(tmp_path, caplog):
+    out = tmp_path / "out"
+    config = ["--config", str(_write_config(tmp_path, TINY)), "--out", str(out)]
+    assert main(["suite", *config]) == 0
+    (out / "sub").mkdir()
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["stages"]["suite"]["outputs"]["sub"] = "0" * 64
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with caplog.at_level(logging.INFO, logger="footprints.pipeline"):
+        assert main(["suite", *config]) == 0
+    assert "stage suite: running" in caplog.text
+    assert (out / "sub").is_dir()
 
 
 def test_each_stage_records_the_files_it_opens_for_reading(tmp_path, monkeypatch):

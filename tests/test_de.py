@@ -563,19 +563,19 @@ def test_run_de_matches_naive_run_de_bitwise(strategy, dim):
 def test_reflect_edge_cases_match_one_mod_over_every_coordinate():
     # the bounds, one ulp either side of each, offsets that np.mod rounds up to
     # exactly 2*span, huge and non-finite values, and both signed zeros
-    for lo, hi in ((-5.0, 5.0), (0.0, 1.0)):
-        span = hi - lo
-        edges = [lo, hi, lo + 2.0 * span, lo - 2.0 * span, hi + 2.0 * span]
-        values = [-5.0, 5.0, 15.0, -5.0 - 1e-15, 15.0 - 1e-15, -25.0 - 1e-14, lo - 1e-17,
-                  1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 2.5, -7.25]
-        for edge in edges:
-            values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
-        X = np.array([values, values[::-1]]).T
-        before = X.tobytes()
-        with np.errstate(invalid="ignore"):
-            Y = np.mod(X - lo, 2.0 * span)
-            expected = lo + np.where(Y > span, 2.0 * span - Y, Y)
-            got = _reflect(X, lo, hi)
-        assert got.tobytes() == expected.tobytes(), (lo, hi)
-        assert X.tobytes() == before
-        assert got is not X
+    lo, hi = -5.0, 5.0
+    span = hi - lo
+    edges = [lo, hi, lo + 2.0 * span, lo - 2.0 * span, hi + 2.0 * span]
+    values = [-5.0, 5.0, 15.0, -5.0 - 1e-15, 15.0 - 1e-15, -25.0 - 1e-14, lo - 1e-17,
+              1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 2.5, -7.25]
+    for edge in edges:
+        values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    X = np.array([values, values[::-1]]).T
+    before = X.tobytes()
+    with np.errstate(invalid="ignore"):
+        Y = np.mod(X - lo, 2.0 * span)
+        expected = lo + np.where(Y > span, 2.0 * span - Y, Y)
+        got = _reflect(X)
+    assert got.tobytes() == expected.tobytes()
+    assert X.tobytes() == before
+    assert got is not X

@@ -413,13 +413,13 @@ def test_lda_qda_is_the_correctly_rounded_count_ratio(n):
     for a in range(n + 1):
         for b in range(n + 1):
             want = float(Fraction(a, b)) if a and b else _safe_ratio(a / n, b / n)
-            assert _lda_qda(a / n, b / n, n) == want, (a, b)
+            assert _lda_qda(a, b, n) == want, (a, b)
 
 
 def test_lda_qda_gives_equal_ratios_equal_floats():
     # a ratio of the rounded rates puts these one ulp apart
     assert (8 / 50) / (5 / 50) != (16 / 51) / (10 / 51)
-    assert _lda_qda(8 / 50, 5 / 50, 50) == _lda_qda(16 / 51, 10 / 51, 51) == 8 / 5
+    assert _lda_qda(8, 5, 50) == _lda_qda(16, 10, 51) == 8 / 5
 
 
 @pytest.mark.parametrize("problem_id", [1, 8, 15, 21])
@@ -428,12 +428,13 @@ def test_level_lda_qda_divides_the_error_counts(problem_id):
     out = _named(LEVEL_FEATURES, level_features(X, y))
     for q in LEVEL_QUANTILES:
         labels = _level_labels(y, q)
-        rates = [naive_cv_mmce(X, labels, pooled=pooled, n_folds=LEVEL_CV_FOLDS)
-                 for pooled in (True, False)]
-        errors = [round(rate * len(y)) for rate in rates]
-        assert [errors[0] / len(y), errors[1] / len(y)] == rates
+        errors = [naive_cv_mmce(X, labels, pooled=pooled, n_folds=LEVEL_CV_FOLDS)
+                  for pooled in (True, False)]
+        rates = [count / len(y) for count in errors]
+        tag = f"{round(100 * q):02d}"
+        assert [out[f"ela_level.mmce_lda_{tag}"], out[f"ela_level.mmce_qda_{tag}"]] == rates
         want = (float(Fraction(*errors)) if all(errors) else _safe_ratio(*rates))
-        assert out[f"ela_level.lda_qda_{round(100 * q):02d}"] == want
+        assert out[f"ela_level.lda_qda_{tag}"] == want
 
 
 def _level_labels(y, q):

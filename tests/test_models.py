@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -99,11 +100,12 @@ def test_forest_constant_target():
 
 def test_single_stump_matches_hand_computation():
     # 4 points, one feature: best split at 1.5 separates {0,0} from {1,1};
-    # a depth-1 tree without bootstrap predicts each side's mean
+    # a tree on all 4 rows is that stump and predicts each side's mean
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    model = fit_random_forest(X, y, n_trees=1, max_depth=1, min_leaf=1,
-                              bootstrap=False, seed=0)
+    trees = _grow_forest(X, y, np.arange(4)[None], [np.random.default_rng(0)], 1)
+    model = RandomForestModel(trees=trees, n_features=1)
+    assert len(model.trees[0].feature) == 3
     pred = model.predict(np.array([[0.5], [2.5]]))
     assert pred[0] == pytest.approx(0.0)
     assert pred[1] == pytest.approx(1.0)
@@ -115,10 +117,11 @@ def test_single_stump_matches_hand_computation():
 def test_forest_default_parameters():
     import inspect
 
-    sig = inspect.signature(fit_random_forest)
-    assert sig.parameters["n_trees"].default == 100
-    assert sig.parameters["min_leaf"].default == 2
-    assert sig.parameters["max_depth"].default is None
+    assert models.MIN_LEAF == 2
+    # the tree count and the seed come from the run config, so neither has a default
+    params = inspect.signature(fit_random_forest).parameters
+    assert list(params) == ["X", "y", "n_trees", "seed"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def test_forest_predictions_within_training_range():
@@ -161,8 +164,25 @@ def _assert_trees_bitwise_equal(trees, reference):
             assert got.tobytes() == want.tobytes(), (t, name)
 
 
+def _fit_both(X, y, *, n_trees, seed, fixed_rows=False):
+    """A forest's trees and the reference's: each tree on a bootstrap sample
+    of the rows, as fit_random_forest grows them, or on every row in order
+    if `fixed_rows`, through _grow_forest."""
+    if not fixed_rows:
+        return (fit_random_forest(X, y, n_trees=n_trees, seed=seed).trees,
+                naive_fit_random_forest(X, y, n_trees=n_trees, seed=seed))
+    n, m = X.shape
+    n_sub = math.ceil(m / 3)
+
+    def rngs():
+        return [np.random.default_rng(derive_seed(seed, t)) for t in range(n_trees)]
+
+    trees = _grow_forest(X, y, np.tile(np.arange(n), (n_trees, 1)), rngs(), n_sub)
+    return trees, [naive_build_tree(X, y, np.arange(n), rng, n_sub) for rng in rngs()]
+
+
 def _forest_case(name):
-    """(X, y, fit kwargs) of one named split-search edge case."""
+    """(X, y, _fit_both kwargs) of one named split-search edge case."""
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "ties_and_boundary_duplicates":
         return rng.integers(0, 4, (40, 6)).astype(float), rng.normal(size=40), {}
@@ -171,27 +191,23 @@ def _forest_case(name):
         X[:, [0, 3, 4, 5]] = 2.0
         return X, rng.normal(size=30), {}
     if name == "no_valid_split":
-        # the only distinct boundary leaves 1 row on the right, under min_leaf
+        # the only distinct boundary leaves 1 row on the right, under MIN_LEAF
         X = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [1.0]])
-        return X, np.arange(6.0), {"bootstrap": False}
+        return X, np.arange(6.0), {"fixed_rows": True}
     if name == "split_equal_to_parent_sse_refused":
         # the one allowed split leaves both sides' means at the parent's
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        return X, np.array([0.0, 1.0, 0.0, 1.0]), {"bootstrap": False}
-    if name == "min_leaf_1":
-        X = np.round(rng.normal(size=(35, 5)), 1)
-        return X, rng.normal(size=35), {"min_leaf": 1}
-    if name == "max_depth_1":
-        return rng.normal(size=(25, 8)), rng.normal(size=25), {"max_depth": 1}
+        return X, np.array([0.0, 1.0, 0.0, 1.0]), {"fixed_rows": True}
     if name == "two_rows_one_feature":
-        return np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), {"min_leaf": 1}
+        # the fewest rows a fit takes: under 2 * MIN_LEAF, so every root is a leaf
+        return np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), {}
     if name == "one_feature_n_sub_equals_m":
         return np.round(rng.normal(size=(20, 1)), 1), rng.normal(size=20), {}
     if name == "bootstrap_duplicates":
         return rng.normal(size=(12, 4)), rng.normal(size=12), {"n_trees": 30}
     if name == "y_constant_inside_nodes":
         X = rng.integers(0, 5, (45, 6)).astype(float)
-        return X, 3.0 * (X[:, 1] > 2) + (X[:, 4] > 3), {"min_leaf": 1}
+        return X, 3.0 * (X[:, 1] > 2) + (X[:, 4] > 3), {}
     if name == "identical_columns_tie_across_features":
         X = np.repeat(rng.normal(size=(30, 1)), 6, axis=1)
         return X, rng.normal(size=30), {}
@@ -200,30 +216,25 @@ def _forest_case(name):
 
 FOREST_CASES = [
     "ties_and_boundary_duplicates", "constant_columns", "no_valid_split",
-    "split_equal_to_parent_sse_refused", "min_leaf_1", "max_depth_1",
-    "two_rows_one_feature", "one_feature_n_sub_equals_m", "bootstrap_duplicates",
-    "y_constant_inside_nodes", "identical_columns_tie_across_features",
+    "split_equal_to_parent_sse_refused", "two_rows_one_feature", "one_feature_n_sub_equals_m",
+    "bootstrap_duplicates", "y_constant_inside_nodes", "identical_columns_tie_across_features",
 ]
 
 
 @pytest.mark.parametrize("name", FOREST_CASES)
 def test_forest_matches_per_feature_reference(name):
     X, y, kwargs = _forest_case(name)
-    kwargs = {"n_trees": 8, "seed": 3, **kwargs}
-    model = fit_random_forest(X, y, **kwargs)
-    _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, **kwargs))
+    _assert_trees_bitwise_equal(*_fit_both(X, y, **{"n_trees": 8, "seed": 3, **kwargs}))
 
 
 def test_forest_reference_cases_reach_their_paths():
     """The named cases above exercise what their names say."""
     def fit(name):
         X, y, kwargs = _forest_case(name)
-        return fit_random_forest(X, y, **{"n_trees": 8, "seed": 3, **kwargs}).trees
+        return _fit_both(X, y, **{"n_trees": 8, "seed": 3, **kwargs})[0]
 
-    for name in ("no_valid_split", "split_equal_to_parent_sse_refused"):
+    for name in ("no_valid_split", "split_equal_to_parent_sse_refused", "two_rows_one_feature"):
         assert [len(tree.feature) for tree in fit(name)] == [1] * 8, name
-    assert all(len(tree.feature) == 3 for tree in fit("max_depth_1"))
-    assert any(tree.feature[0] == 0 for tree in fit("two_rows_one_feature"))
     for tree in fit("identical_columns_tie_across_features"):
         splits = tree.feature[tree.feature >= 0]
         assert len(splits) and np.all(splits <= 4)
@@ -241,9 +252,8 @@ def test_tree_with_every_n_sub_matches_reference(n_sub):
     trees, reference = [], []
     for seed in range(4):
         idx = np.random.default_rng(seed).integers(0, 40, 40)
-        trees += _grow_forest(X, y, idx[None], [np.random.default_rng(seed)], 2, None, n_sub)
-        reference.append(naive_build_tree(X, y, idx, np.random.default_rng(seed), 2, None,
-                                          n_sub))
+        trees += _grow_forest(X, y, idx[None], [np.random.default_rng(seed)], n_sub)
+        reference.append(naive_build_tree(X, y, idx, np.random.default_rng(seed), n_sub))
     _assert_trees_bitwise_equal(trees, reference)
 
 
@@ -259,9 +269,9 @@ def test_equal_sse_across_columns_goes_to_the_lower_feature(seed):
     rank[~upper], rank[upper] = np.arange(n // 2), np.arange(n // 2, n)
     X = np.column_stack([rank, upper]).astype(float)
     y = 5.0 * upper + rng.normal(size=n)
-    tree, = _grow_forest(X, y, np.arange(n)[None], [np.random.default_rng(seed)], 2, 1, 2)
+    tree, = _grow_forest(X, y, np.arange(n)[None], [np.random.default_rng(seed)], 2)
     assert (tree.feature[0], tree.threshold[0]) == (0, n // 2 - 0.5)
-    reference = naive_build_tree(X, y, np.arange(n), np.random.default_rng(seed), 2, 1, 2)
+    reference = naive_build_tree(X, y, np.arange(n), np.random.default_rng(seed), 2)
     _assert_trees_bitwise_equal([tree], [reference])
 
 
@@ -273,43 +283,36 @@ def test_forest_matches_per_feature_reference_random(case):
     if case % 2:
         X = np.round(X, 1)
     y = rng.integers(0, 4, n).astype(float) if case % 3 == 0 else rng.normal(size=n)
-    kwargs = {"n_trees": 2, "seed": case, "min_leaf": 1 + case % 3}
-    model = fit_random_forest(X, y, **kwargs)
-    _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, **kwargs))
+    _assert_trees_bitwise_equal(*_fit_both(X, y, n_trees=2, seed=case))
 
 
 def _lockstep_case(name):
-    """(X, y, fit kwargs) of a forest of many trees that end at different
-    steps of the lockstep growth."""
+    """(X, y, _fit_both kwargs) of a forest of many trees that end at
+    different steps of the lockstep growth."""
     rng = np.random.default_rng(sum(map(ord, name)))
     kind, _, arg = name.partition("-")
-    if kind == "max_depth":
-        # 6 of 9 columns constant: a node whose draw holds only those stays a leaf
-        X = np.zeros((50, 9))
-        X[:, 6:] = np.round(rng.normal(size=(50, 3)), 1)
-        return X, rng.normal(size=50), {"n_trees": 40, "max_depth": int(arg)}
     if kind == "no_bootstrap":
-        # coarse columns: whether a node can split depends on its draw
+        # every tree on all rows; coarse columns: whether a node can split
+        # depends on its draw
         X = rng.integers(0, 3, (45, 7)).astype(float)
-        return X, rng.normal(size=45), {"n_trees": 30, "bootstrap": False, "min_leaf": int(arg)}
+        return X, rng.normal(size=45), {"n_trees": 30, "fixed_rows": True}
     if kind == "tied_x_and_y":
         X = rng.integers(0, 4, (60, 8)).astype(float)
-        return X, rng.integers(0, 3, 60).astype(float), {"n_trees": 50, "min_leaf": 1}
+        return X, rng.integers(0, 3, 60).astype(float), {"n_trees": 50}
     if kind == "constant_y_subtrees":
         X = rng.integers(0, 6, (70, 6)).astype(float)
         y = np.where(X[:, 0] > 2, 1.5, rng.normal(size=70))
-        return X, y, {"n_trees": 40, "min_leaf": 1 + int(arg)}
+        return X, y, {"n_trees": 40}
     if kind == "random":
         n, m = int(rng.integers(4, 131)), int(rng.integers(1, 45))
         X = rng.normal(size=(n, m))
         if int(arg) % 2:
             X = np.round(X, 1)
         y = rng.integers(0, 4, n).astype(float) if int(arg) % 3 == 0 else rng.normal(size=n)
-        return X, y, {"n_trees": 30, "min_leaf": 1 + int(arg) % 3,
-                      "max_depth": [None, 2, 5][int(arg) % 3]}
+        return X, y, {"n_trees": 30}
     if kind == "largest_n":
         X = np.round(rng.normal(size=(130, 12)), 1)
-        return X, rng.normal(size=130), {"n_trees": 30, "min_leaf": 1}
+        return X, rng.normal(size=130), {"n_trees": 30}
     if kind == "desk":
         m = int(arg)  # desk's forests: 24 rows and 43 or 30 features, 100 trees
         return rng.normal(size=(24, m)), rng.normal(size=24), {"n_trees": 100}
@@ -318,20 +321,20 @@ def _lockstep_case(name):
         X = np.round(rng.normal(size=(40, 6)), 1)
         X[rng.random(X.shape) < 0.1] = np.nan
         X[:, 5] = rng.choice([0.0, -0.0, 1.0], 40)
-        return X, rng.normal(size=40), {"n_trees": 30, "min_leaf": 1}
+        return X, rng.normal(size=40), {"n_trees": 30}
     if kind == "adjacent_floats_and_inf":
         # rows 20.. hold the next float up from rows ..20, where a midpoint
         # often rounds up; column 0 also holds +inf
         X = rng.normal(size=(20, 5)) * 100
         X = np.vstack([X, np.nextafter(X, np.inf)])
         X[rng.random(40) < 0.2, 0] = np.inf
-        return X, rng.normal(size=40), {"n_trees": 30, "min_leaf": 1}
+        return X, rng.normal(size=40), {"n_trees": 30}
     raise KeyError(name)
 
 
 LOCKSTEP_CASES = (
-    ["max_depth-1", "max_depth-2", "max_depth-3", "no_bootstrap-1", "no_bootstrap-2",
-     "no_bootstrap-3", "tied_x_and_y", "constant_y_subtrees-0", "constant_y_subtrees-1",
+    ["no_bootstrap-1", "no_bootstrap-2", "no_bootstrap-3", "tied_x_and_y",
+     "constant_y_subtrees-0", "constant_y_subtrees-1",
      "largest_n", "desk-43", "desk-30", "nan_and_signed_zero_x", "adjacent_floats_and_inf"]
     + [f"random-{case}" for case in range(6)]
 )
@@ -340,24 +343,20 @@ LOCKSTEP_CASES = (
 @pytest.mark.parametrize("name", LOCKSTEP_CASES)
 def test_lockstep_forest_matches_per_feature_reference(name):
     X, y, kwargs = _lockstep_case(name)
-    kwargs = {"seed": 5, **kwargs}
-    model = fit_random_forest(X, y, **kwargs)
-    reference = naive_fit_random_forest(X, y, **kwargs)
-    _assert_trees_bitwise_equal(model.trees, reference)
+    trees, reference = _fit_both(X, y, seed=5, **kwargs)
+    _assert_trees_bitwise_equal(trees, reference)
     # the trees end at different steps: their node counts differ
-    sizes = [len(tree.feature) for tree in model.trees]
+    sizes = [len(tree.feature) for tree in trees]
     assert len(set(sizes)) > 1
     # and each case exercises what its name says
-    if name.startswith("max_depth"):
-        assert min(sizes) == 1 and max(sizes) == 2 ** (kwargs["max_depth"] + 1) - 1
     if name == "constant_y_subtrees-0":
-        assert any(np.any(tree.value[tree.feature < 0] == 1.5) for tree in model.trees)
+        assert any(np.any(tree.value[tree.feature < 0] == 1.5) for tree in trees)
     if name == "nan_and_signed_zero_x":
         assert np.isnan(X).any() and np.signbit(X[:, 5][X[:, 5] == 0]).any()
     if name == "adjacent_floats_and_inf":
         mids = 0.5 * (X[:20] + X[20:])
         assert np.any(mids == X[20:]) and np.isinf(X).any()
-        assert not any(np.isnan(tree.value).any() for tree in model.trees)
+        assert not any(np.isnan(tree.value).any() for tree in trees)
 
 
 @pytest.mark.parametrize("group_cost, group_cells", [(0, 1 << 30), (1 << 30, 1 << 30),
@@ -368,26 +367,23 @@ def test_lockstep_grouping_never_changes_the_trees(monkeypatch, group_cost, grou
     monkeypatch.setattr(models, "GROUP_CELLS", group_cells)
     for name in ("random-1", "tied_x_and_y", "desk-30"):
         X, y, kwargs = _lockstep_case(name)
-        model = fit_random_forest(X, y, seed=5, **kwargs)
-        _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, seed=5, **kwargs))
+        _assert_trees_bitwise_equal(*_fit_both(X, y, seed=5, **kwargs))
 
 
-@pytest.mark.parametrize("max_depth", [2, 4, None])
-def test_split_between_adjacent_floats_keeps_both_children(max_depth):
+def test_split_between_adjacent_floats_keeps_both_children():
     # 0.5 * (a + b) rounds up to b: a threshold there would send every row
-    # left and repeat the node, with an empty right child, down to max_depth
+    # left and repeat the node, with an empty right child, without end
     a = -130.41436035341954
     b = np.nextafter(a, np.inf)
     assert 0.5 * (a + b) == b
     X = np.array([[a], [a], [b], [b]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    kwargs = {"n_trees": 3, "min_leaf": 1, "max_depth": max_depth, "bootstrap": False}
-    model = fit_random_forest(X, y, **kwargs)
-    for tree in model.trees:
+    trees, reference = _fit_both(X, y, n_trees=3, seed=0, fixed_rows=True)
+    for tree in trees:
         assert tree.feature.tolist() == [0, -1, -1] and tree.threshold[0] == a
         assert tree.value.tolist() == [0.5, 0.0, 1.0]
-    assert model.predict(X).tolist() == y.tolist()
-    _assert_trees_bitwise_equal(model.trees, naive_fit_random_forest(X, y, **kwargs))
+    assert RandomForestModel(trees=trees, n_features=1).predict(X).tolist() == y.tolist()
+    _assert_trees_bitwise_equal(trees, reference)
 
 
 def _predict_forest(n, m, n_trees, seed):
@@ -437,18 +433,18 @@ def test_forest_predict_root_leaf_tree():
     assert RandomForestModel(trees=[leaf], n_features=1).predict(Q).tolist() == [2.5] * 3
     model = RandomForestModel(trees=[leaf, stump, leaf], n_features=1)
     assert model.predict(Q).tobytes() == naive_forest_predict(model, Q).tobytes()
-    X, y, _ = _forest_case("no_valid_split")
-    fitted = fit_random_forest(X, y, n_trees=3, bootstrap=False, seed=0)
+    X, y, kwargs = _forest_case("no_valid_split")
+    fitted = RandomForestModel(trees=_fit_both(X, y, n_trees=3, seed=0, **kwargs)[0],
+                               n_features=1)
     assert all(len(tree.feature) == 1 for tree in fitted.trees)
     assert fitted.predict(X).tobytes() == naive_forest_predict(fitted, X).tobytes()
 
 
-@pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -1}, {"min_leaf": 0},
-                                    {"min_leaf": -2}])
+@pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"n_trees": -1}])
 def test_forest_rejects_no_trees_and_empty_leaves(kwargs):
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        fit_random_forest(rng.normal(size=(10, 3)), rng.normal(size=10), **kwargs)
+        fit_random_forest(rng.normal(size=(10, 3)), rng.normal(size=10), seed=0, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +591,7 @@ def test_kernel_default_bandwidth_is_median_distance():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(12, 4))
     y = rng.normal(size=12)
-    model = fit_kernel(X, y)
+    model = fit_kernel(X, y, penalty=1e-3)
     Z = (X - X.mean(axis=0)) / np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
     from scipy.spatial.distance import pdist
 
@@ -606,7 +602,7 @@ def test_kernel_predict_row_does_not_depend_on_the_batch():
     # a row's prediction is bitwise the same in a batch and on its own
     rng = np.random.default_rng(21)
     X = rng.normal(size=(96, 30))
-    model = fit_kernel(X, rng.normal(size=96))
+    model = fit_kernel(X, rng.normal(size=96), penalty=1e-3)
     Q = rng.normal(size=(300, 30))
     batch = model.predict(Q)
     single = np.array([model.predict(Q[i:i + 1])[0] for i in range(len(Q))])

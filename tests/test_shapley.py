@@ -74,8 +74,7 @@ def test_matches_brute_force_on_random_ensembles():
         X = rng.normal(size=(30, n_features))
         y = rng.normal(size=30)
         model = fit_random_forest(
-            X, y, n_trees=int(rng.integers(1, 6)), max_depth=3, min_leaf=1,
-            seed=trial,
+            X, y, n_trees=int(rng.integers(1, 6)), seed=trial,
         )
         x = rng.normal(size=n_features)
         background = rng.normal(size=(int(rng.integers(1, 8)), n_features))
@@ -178,7 +177,7 @@ FITTED_CASES = [
     (30, 5, 7, 13, 10, {}),
     (30, 5, 1, 1, 10, {}),
     (40, 1, 9, 17, 10, {}),
-    (60, 3, 12, 20, 8, {"min_leaf": 1}),
+    (60, 3, 12, 20, 8, {}),
     (24, 43, 96, 24, 100, {}),
 ]
 
@@ -207,7 +206,7 @@ def test_tree_shap_chunk_edges_match_reference_bitwise(monkeypatch, cells):
     rng = np.random.default_rng(9)
     X = rng.normal(size=(40, 6))
     model = fit_random_forest(X, X[:, 0] - X[:, 3] + rng.normal(scale=0.2, size=40),
-                              n_trees=12, min_leaf=1, seed=4)
+                              n_trees=12, seed=4)
     monkeypatch.setattr(shapley, "TREE_CHUNK_CELLS", cells)
     _assert_tree_shap_matches_reference(model, X[:5], X[5:18])
 
@@ -219,7 +218,7 @@ def test_tree_shap_repeated_explicand_matches_its_one_row_call(monkeypatch, cell
     rng = np.random.default_rng(13)
     X = rng.normal(size=(40, 6))
     model = fit_random_forest(X, X[:, 0] - X[:, 3] + rng.normal(scale=0.2, size=40),
-                              n_trees=12, min_leaf=1, seed=4)
+                              n_trees=12, seed=4)
     monkeypatch.setattr(shapley, "TREE_CHUNK_CELLS", cells)
     row = X[3]
     batch = np.vstack([X[:5], row, X[10:14], row, row, rng.normal(size=(3, 6))])
@@ -329,12 +328,13 @@ def test_sampling_efficiency_exact_for_model_agnostic_path():
 def test_sampling_rejects_bad_permutation_count():
     with pytest.raises(ConfigurationError):
         sampling_shap(_AdditiveModel([1.0]), np.zeros(1), np.zeros((2, 1)),
-                      n_permutations=0)
+                      n_permutations=0, seed=0)
 
 
 def test_sampling_rejects_empty_background():
     with pytest.raises(ContractViolation, match="background set must be non-empty"):
-        sampling_shap(_AdditiveModel([1.0, 2.0]), np.zeros(2), np.zeros((0, 2)))
+        sampling_shap(_AdditiveModel([1.0, 2.0]), np.zeros(2), np.zeros((0, 2)),
+                      n_permutations=8, seed=0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 30, 43])
@@ -394,7 +394,7 @@ def test_sampling_kernel_matches_reference(m, n_background, n_permutations):
     # kernel ridge predicts each row on its own, so chunking changes no bit
     rng = np.random.default_rng(m * 1000 + n_permutations)
     X = rng.normal(size=(30, m))
-    model = fit_kernel(X, rng.normal(size=30))
+    model = fit_kernel(X, rng.normal(size=30), penalty=1e-3)
     x, background = rng.normal(size=m), X[:n_background]
     rep = sampling_shap(model, x, background, n_permutations=n_permutations, seed=11)
     base, phi, prediction, stderr = naive_sampling_shap(
@@ -429,7 +429,7 @@ def test_attribute_picks_the_estimator_by_model():
     y = X[:, 0] + rng.normal(scale=0.1, size=20)
     forest = fit_random_forest(X, y, n_trees=3, seed=1)
     exact = tree_shap_batch(forest, X[:4], X)
-    got = attribute(forest, X[:4], X, seeds=range(4))
+    got = attribute(forest, X[:4], X, seeds=range(4), n_permutations=8)
     assert len(got) == len(exact) == 4
     for rep, want in zip(got, exact):
         assert np.array_equal(rep.phi, want.phi)
@@ -440,7 +440,7 @@ def test_attribute_picks_the_estimator_by_model():
         want = sampling_shap(knn, X[i], X, n_permutations=8, seed=5 + i)
         assert np.array_equal(rep.phi, want.phi)
     with pytest.raises(ValueError):
-        attribute(knn, X[:4], X, seeds=[5, 6, 7])
+        attribute(knn, X[:4], X, seeds=[5, 6, 7], n_permutations=8)
 
 
 # ---------------------------------------------------------------------------

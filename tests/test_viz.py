@@ -71,16 +71,16 @@ def test_embedding_contracts():
         embed_2d(MAT4[:2])
     # both scatter plots need one key per embedded row
     with pytest.raises(ContractViolation, match="one key per row"):
-        emit_footprint_plot(KEYS4[:3], embed_2d(MAT4), _assignments4())
+        emit_footprint_plot(KEYS4[:3], embed_2d(MAT4), _assignments4(), title="t")
     with pytest.raises(ContractViolation, match="one key per row"):
-        emit_feature_distribution(KEYS4[:3], embed_2d(MAT4), "f", np.zeros(3))
+        emit_feature_distribution(KEYS4[:3], embed_2d(MAT4), "f", np.zeros(3), title="t")
 
 
 # ---------------------------------------------------------------------------
 # footprint plot
 
 def test_footprint_plot_marker_and_color_counts():
-    svg = emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4())
+    svg = emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4(), title="t")
     assert svg.count('stroke-width="3.0"') == 2 + 1  # 2 cross points + legend cross
     assert svg.count("#1f77b4") == 2 + 1             # 2 good points + legend circle
     assert svg.count("#ffcc00") == 2 + 1
@@ -88,8 +88,8 @@ def test_footprint_plot_marker_and_color_counts():
 
 def test_footprint_plot_labels_independent_of_embedding():
     assignments = _assignments4()
-    svg_a = emit_footprint_plot(KEYS4, embed_2d(MAT4), assignments)
-    svg_b = emit_footprint_plot(KEYS4, embed_2d(MAT4 * -3.0 + 1.0), assignments)
+    svg_a = emit_footprint_plot(KEYS4, embed_2d(MAT4), assignments, title="t")
+    svg_b = emit_footprint_plot(KEYS4, embed_2d(MAT4 * -3.0 + 1.0), assignments, title="t")
 
     def markers(svg):
         return [line.split()[0] for line in svg.splitlines() if "circle" in line or "path" in line]
@@ -101,7 +101,7 @@ def test_footprint_plot_missing_assignment_rejected():
     label_of = _assignments4()
     del label_of[KEYS4[3]]
     with pytest.raises(ContractViolation, match="no assignment for embedded keys"):
-        emit_footprint_plot(KEYS4, embed_2d(MAT4), label_of)
+        emit_footprint_plot(KEYS4, embed_2d(MAT4), label_of, title="t")
 
 
 def test_footprint_plot_golden():
@@ -110,7 +110,7 @@ def test_footprint_plot_golden():
 
 
 def test_footprint_plot_is_valid_xml():
-    svg = emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4())
+    svg = emit_footprint_plot(KEYS4, embed_2d(MAT4), _assignments4(), title="t")
     ET.fromstring(svg)
 
 
@@ -128,7 +128,7 @@ def _reps24():
 
 def test_beeswarm_row_count_k_times_n():
     keys, phi, names, values = _reps24()
-    csv_text, svg = emit_beeswarm_data(keys, phi, names, values, top_k=10)
+    csv_text, svg = emit_beeswarm_data(keys, phi, names, values, top_k=10, title="t")
     rows = csv_text.strip().splitlines()
     assert len(rows) == 1 + 10 * 24
     ET.fromstring(svg)
@@ -139,7 +139,7 @@ def test_beeswarm_first_block_is_most_important_feature():
     from footprints.shapley import global_importance
 
     top = global_importance(phi, names)[0][0]
-    csv_text, _ = emit_beeswarm_data(keys, phi, names, values, top_k=5)
+    csv_text, _ = emit_beeswarm_data(keys, phi, names, values, top_k=5, title="t")
     first_row = csv_text.splitlines()[1]
     assert first_row.startswith(top + ",")
 
@@ -147,7 +147,7 @@ def test_beeswarm_first_block_is_most_important_feature():
 def test_beeswarm_constant_feature_normalizes_to_half():
     keys, phi, names, values = _reps24()
     values[:, 0] = 2.0
-    csv_text, _ = emit_beeswarm_data(keys, phi, names, values, top_k=len(names))
+    csv_text, _ = emit_beeswarm_data(keys, phi, names, values, top_k=len(names), title="t")
     for line in csv_text.splitlines()[1:]:
         cells = line.split(",")
         if cells[0] == names[0]:
@@ -157,14 +157,14 @@ def test_beeswarm_constant_feature_normalizes_to_half():
 def test_beeswarm_top_k_validated():
     keys, phi, names, values = _reps24()
     with pytest.raises(ConfigurationError):
-        emit_beeswarm_data(keys, phi, names, values, top_k=len(names) + 1)
+        emit_beeswarm_data(keys, phi, names, values, top_k=len(names) + 1, title="t")
 
 
 @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1], np.s_[:, :, None]])
 def test_beeswarm_value_shape_mismatch_rejected(cut):
     keys, phi, names, values = _reps24()
     with pytest.raises(ContractViolation, match="do not match phi"):
-        emit_beeswarm_data(keys, phi, names, values[cut], top_k=5)
+        emit_beeswarm_data(keys, phi, names, values[cut], top_k=5, title="t")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_beeswarm_value_shape_mismatch_rejected(cut):
 
 def test_feature_distribution_color_endpoints():
     coords = embed_2d(MAT4)
-    svg = emit_feature_distribution(KEYS4, coords, "f", np.arange(4.0))
+    svg = emit_feature_distribution(KEYS4, coords, "f", np.arange(4.0), title="t")
     # min instance gets the low color, max gets the high color
     assert "#1f77b4" in svg
     assert "#d62728" in svg
@@ -185,15 +185,15 @@ def test_feature_distribution_positions_shared_across_features():
     def centers(svg):
         return [part.split('"')[1] for part in svg.split("cx=")[1:]]
 
-    assert centers(emit_feature_distribution(KEYS4, coords, "f", np.arange(4.0))) == centers(
-        emit_feature_distribution(KEYS4, coords, "g", -np.arange(4.0))
+    assert centers(emit_feature_distribution(KEYS4, coords, "f", np.arange(4.0), "f")) == centers(
+        emit_feature_distribution(KEYS4, coords, "g", -np.arange(4.0), "g")
     )
 
 
 @pytest.mark.parametrize("values", [np.arange(3.0), np.arange(5.0), np.zeros((4, 1))])
 def test_feature_distribution_value_shape_mismatch_rejected(values):
     with pytest.raises(ContractViolation, match="values of f for 4 keys"):
-        emit_feature_distribution(KEYS4, embed_2d(MAT4), "f", values)
+        emit_feature_distribution(KEYS4, embed_2d(MAT4), "f", values, title="t")
 
 
 def test_feature_distribution_golden():
