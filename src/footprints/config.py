@@ -121,7 +121,6 @@ class RunConfig:
     forest_trees: int = _key("model.forest_trees", _int, 100, minimum=1)
     knn_neighbors: int = _key("model.knn_neighbors", _int, 5, minimum=1)
     kernel_penalty: float = _key("model.kernel_penalty", _float, 1e-3)
-    selection_permutations: int = _key("model.selection_permutations", _int, 64, minimum=1)
     footprint_config_id: str = _key("footprint.config_id", _str, "DE1")
     footprint_model: str = _key("footprint.model", _str, "random_forest")
     footprint_portfolio_size: int = _key("footprint.portfolio_size", _int, 30)
@@ -130,7 +129,6 @@ class RunConfig:
     t_value: float | None = _key("footprint.t_value", _float, None)
     scale: str = _key("footprint.scale", _str, "log")
     sensitivity_p: list[float] = _key("footprint.sensitivity_p", _list_of(_float), [])
-    report_top_k: int = _key("report.top_k", _int, 10, minimum=1)
     distribution_features: list[str] | str = _key(
         "report.distribution_features", _names_or_auto, "auto")
 

@@ -249,11 +249,7 @@ def n_meta_model_coefficients(dim: int) -> int:
 
 
 def _fit_least_squares(Z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    beta, _, rank, _ = np.linalg.lstsq(Z, y, rcond=None)
-    if rank < Z.shape[1]:
-        logger.warning("rank-deficient meta-model design; ridge fallback (1e-10)")
-        gram = Z.T @ Z + 1e-10 * np.eye(Z.shape[1])
-        beta = np.linalg.solve(gram, Z.T @ y)
+    beta = np.linalg.lstsq(Z, y, rcond=None)[0]
     sse = float(np.sum((y - Z @ beta) ** 2))
     return beta, sse
 

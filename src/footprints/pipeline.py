@@ -44,8 +44,12 @@ STAGES = ("suite", "solve", "features", "folds", "train", "explain", "footprint"
 
 # explanations/fold_N.csv: these columns, then one phi column per portfolio feature
 EXPLANATION_COLUMNS = (*KEY_COLUMNS, "base_value", "prediction")
-# sampled permutations a row when the footprint model is not a forest
+# sampled permutations a row when the model is not a forest: each training
+# row of selection's model, each test row of the footprint model
+SELECTION_PERMUTATIONS = 64
 EXPLAIN_PERMUTATIONS = 256
+# beeswarm rows a fold, at most the portfolio size
+REPORT_TOP_K = 10
 
 # each RunConfig field's dotted key
 _KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}
@@ -116,7 +120,7 @@ def _pmap(fn, items, threads: int, stage: str):
 # ---------------------------------------------------------------------------
 
 class Pipeline:
-    def __init__(self, cfg: RunConfig, out_dir, force: bool = False, threads: int = 1):
+    def __init__(self, cfg: RunConfig, out_dir, *, threads: int, force: bool = False):
         issues = validate(cfg)
         if issues:
             raise ConfigurationError("invalid config:\n" + "\n".join(f"- {s}" for s in issues))
@@ -317,7 +321,7 @@ class Pipeline:
                 ranked = shap_mod.select_portfolio(
                     self._fit(kind, fold_id, 0, train_X, train_y), train_X,
                     ela_mod.FEATURE_SCHEMA, self._train_seed(kind, fold_id, 0),
-                    cfg.selection_permutations,
+                    SELECTION_PERMUTATIONS,
                 )
                 write_json(self._output(f"portfolios/{kind}_fold_{fold_id}.json"), {
                     "model_kind": kind,
@@ -450,7 +454,7 @@ class Pipeline:
                       " (pca embedding)",
             )
             write_text(self._output(f"figures/footprint_fold_{fold_id}.svg"), svg)
-            top_k = min(cfg.report_top_k, len(names))
+            top_k = min(REPORT_TOP_K, len(names))
             bee_csv, bee_svg = viz_mod.emit_beeswarm_data(
                 keys, phi, names,
                 X[np.ix_(rows, [ela_mod.FEATURE_SCHEMA.index(name) for name in names])],
@@ -460,8 +464,7 @@ class Pipeline:
             write_text(self._output(f"figures/beeswarm_fold_{fold_id}.csv"), bee_csv)
             write_text(self._output(f"figures/beeswarm_fold_{fold_id}.svg"), bee_svg)
             if dist_features is None:
-                ranking = shap_mod.global_importance(phi, names)[:top_k]
-                dist_features = [name for name, _ in ranking[:2]]
+                dist_features = [name for name, _ in shap_mod.global_importance(phi, names)[:2]]
             for fname in dist_features:
                 safe = fname.replace(".", "_")
                 svg = viz_mod.emit_feature_distribution(

@@ -54,10 +54,6 @@ class ProblemInstance:
     def key(self) -> Key:
         return (self.problem_id, self.instance_id, self.dimension)
 
-    @property
-    def name(self) -> str:
-        return _PROBLEMS[self.problem_id][0]
-
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
@@ -65,7 +61,7 @@ class ProblemInstance:
                 f"expected points of dimension {self.dimension}, got shape {X.shape}"
             )
         Y = X - self.shift[None, :]
-        core = _PROBLEMS[self.problem_id][2](Y, self.aux)
+        core = _PROBLEMS[self.problem_id][1](Y, self.aux)
         return core - self.core_at_opt + self.f_offset
 
 
@@ -82,7 +78,7 @@ def make_instance(problem_id: int, instance_id: int, dimension: int) -> ProblemI
     # Fixed draw order: shift, offset, then per-function setup.
     shift = rng.uniform(-SHIFT_RANGE, SHIFT_RANGE, dimension)
     f_offset = round(float(rng.uniform(-100.0, 100.0)), 2)
-    _, setup, core = _PROBLEMS[problem_id]
+    setup, core = _PROBLEMS[problem_id]
     aux = setup(dimension, rng)
     shift.setflags(write=False)
     core_at_opt = float(core(np.zeros((1, dimension)), aux)[0])
@@ -423,30 +419,31 @@ def _f24_lunacek(Y, aux):
     return np.minimum(s1, s2) + 10.0 * (dim - np.sum(np.cos(2.0 * np.pi * z), axis=1))
 
 
-# problem id -> (name, per-instance setup drawn after shift and offset, core)
+# problem id -> (per-instance setup drawn after shift and offset, core),
+# with the function's name in the comment
 _PROBLEMS = {
-    1: ("sphere", _setup(), _f01_sphere),
-    2: ("ellipsoid_separable", _setup(), _f02_ellipsoid),
-    3: ("rastrigin_separable", _setup(), _f03_rastrigin),
-    4: ("bueche_rastrigin", _setup(), _f04_bueche),
-    5: ("linear_slope", _setup("signs"), _f05_linear_slope),
-    6: ("attractive_sector", _setup("R", "Q", "signs"), _f06_attractive_sector),
-    7: ("step_ellipsoid", _setup("R", "Q"), _f07_step_ellipsoid),
-    8: ("rosenbrock", _setup(), _f08_rosenbrock),
-    9: ("rosenbrock_rotated", _setup("R"), _f09_rosenbrock_rot),
-    10: ("ellipsoid_rotated", _setup("R"), _f10_ellipsoid_rot),
-    11: ("discus", _setup("R"), _f11_discus),
-    12: ("bent_cigar", _setup("R"), _f12_bent_cigar),
-    13: ("sharp_ridge", _setup("R", "Q"), _f13_sharp_ridge),
-    14: ("different_powers", _setup("R"), _f14_different_powers),
-    15: ("rastrigin_rotated", _setup("R", "Q"), _f15_rastrigin_rot),
-    16: ("weierstrass", _setup("R", "Q"), _f16_weierstrass),
-    17: ("schaffers_f7", _setup("R", "Q"), partial(_schaffers, condition=10.0)),
-    18: ("schaffers_f7_ill", _setup("R", "Q"), partial(_schaffers, condition=1000.0)),
-    19: ("griewank_rosenbrock", _setup("R"), _f19_griewank_rosenbrock),
-    20: ("schwefel", _setup("signs"), _f20_schwefel),
-    21: ("gallagher_101", _setup_gallagher(101, 1000.0, 5.0), _gallagher),
-    22: ("gallagher_21", _setup_gallagher(21, 1000.0**2, 4.9), _gallagher),
-    23: ("katsuura", _setup("R", "Q"), _f23_katsuura),
-    24: ("lunacek_bi_rastrigin", _setup("R", "Q", "signs"), _f24_lunacek),
+    1: (_setup(), _f01_sphere),  # sphere
+    2: (_setup(), _f02_ellipsoid),  # ellipsoid_separable
+    3: (_setup(), _f03_rastrigin),  # rastrigin_separable
+    4: (_setup(), _f04_bueche),  # bueche_rastrigin
+    5: (_setup("signs"), _f05_linear_slope),  # linear_slope
+    6: (_setup("R", "Q", "signs"), _f06_attractive_sector),  # attractive_sector
+    7: (_setup("R", "Q"), _f07_step_ellipsoid),  # step_ellipsoid
+    8: (_setup(), _f08_rosenbrock),  # rosenbrock
+    9: (_setup("R"), _f09_rosenbrock_rot),  # rosenbrock_rotated
+    10: (_setup("R"), _f10_ellipsoid_rot),  # ellipsoid_rotated
+    11: (_setup("R"), _f11_discus),  # discus
+    12: (_setup("R"), _f12_bent_cigar),  # bent_cigar
+    13: (_setup("R", "Q"), _f13_sharp_ridge),  # sharp_ridge
+    14: (_setup("R"), _f14_different_powers),  # different_powers
+    15: (_setup("R", "Q"), _f15_rastrigin_rot),  # rastrigin_rotated
+    16: (_setup("R", "Q"), _f16_weierstrass),  # weierstrass
+    17: (_setup("R", "Q"), partial(_schaffers, condition=10.0)),  # schaffers_f7
+    18: (_setup("R", "Q"), partial(_schaffers, condition=1000.0)),  # schaffers_f7_ill
+    19: (_setup("R"), _f19_griewank_rosenbrock),  # griewank_rosenbrock
+    20: (_setup("signs"), _f20_schwefel),  # schwefel
+    21: (_setup_gallagher(101, 1000.0, 5.0), _gallagher),  # gallagher_101
+    22: (_setup_gallagher(21, 1000.0**2, 4.9), _gallagher),  # gallagher_21
+    23: (_setup("R", "Q"), _f23_katsuura),  # katsuura
+    24: (_setup("R", "Q", "signs"), _f24_lunacek),  # lunacek_bi_rastrigin
 }

@@ -104,8 +104,7 @@ def test_validate_footprint_references():
 @pytest.mark.parametrize("data, message", [
     ({"master_seed": -1}, "master_seed must be >= 0"),
     ({"model": {"forest_trees": 0}}, "model.forest_trees must be >= 1"),
-    # the sampling-Shapley selection of knn and kernel needs one permutation
-    ({"model": {"selection_permutations": 0}}, "model.selection_permutations must be >= 1"),
+    ({"de": {"n_runs": 0}}, "de.n_runs must be >= 1"),
     # a target under train-median would be ignored without a word
     ({"footprint": {"t_value": 0.5}}, "footprint.t_value is only read when t_mode is 'explicit'"),
     ({"model": {"kinds": ["random_forest", "boosting"]}},
@@ -199,7 +198,6 @@ DEFAULTS = {
     "model.forest_trees": 100,
     "model.knn_neighbors": 5,
     "model.kernel_penalty": 0.001,
-    "model.selection_permutations": 64,
     "footprint.config_id": "DE1",
     "footprint.model": "random_forest",
     "footprint.portfolio_size": 30,
@@ -208,7 +206,6 @@ DEFAULTS = {
     "footprint.t_value": None,
     "footprint.scale": "log",
     "footprint.sensitivity_p": [],
-    "report.top_k": 10,
     "report.distribution_features": "auto",
 }
 
@@ -268,6 +265,10 @@ def test_null_and_empty_keep_defaults():
      "config key de.configs[0].population_size: expected an integer, got 20.7"),
     ({"de": {"configs": [{"config_id": "DE1"}, {"config_id": "DE2", "F": True}]}},
      "config key de.configs[1].F: expected a finite number, got True"),
+    # constants of the pipeline, not settings: SELECTION_PERMUTATIONS, REPORT_TOP_K
+    ({"model": {"selection_permutations": 64}},
+     "unknown config key: model.selection_permutations"),
+    ({"report": {"top_k": 10}}, "unknown config key: report.top_k"),
 ])
 def test_key_error_messages_exact(data, message):
     with pytest.raises(ConfigurationError) as info:
@@ -584,7 +585,7 @@ def test_explain_refits_the_kernel_model_train_scored(tmp_path, monkeypatch):
 
     data = dict(TINY, model=dict(TINY["model"], kinds=["kernel"]),
                 footprint=dict(TINY["footprint"], model="kernel"))
-    pipe = Pipeline(parse_config(data), tmp_path / "run")
+    pipe = Pipeline(parse_config(data), tmp_path / "run", threads=1)
     pipe.run(["suite", "solve", "features", "folds"])
     fit_kernel = models.fit_kernel
 
@@ -613,13 +614,15 @@ def test_sampling_portfolios_rank_a_model_fit_on_the_train_rows(tmp_path):
     # selection's model is fit on X[train] itself: a column-gathered copy is
     # F-ordered, and its standardization differs in the last bit
     from footprints import ela, models
+    from footprints.pipeline import SELECTION_PERMUTATIONS
     from footprints.seeding import TRAIN_SALT, derive_seed
     from footprints.shapley import select_portfolio
 
+    assert SELECTION_PERMUTATIONS == 64
     data = dict(TINY, model=dict(TINY["model"], kinds=["knn", "kernel"]),
                 footprint=dict(TINY["footprint"], model="knn"))
     cfg = parse_config(data)
-    pipe = Pipeline(cfg, tmp_path / "run")
+    pipe = Pipeline(cfg, tmp_path / "run", threads=1)
     pipe.run(["suite", "solve", "features", "folds", "train"])
     _, X, y, test_fold = pipe._fold_data()
     fits = {"knn": lambda X, y: models.fit_knn(X, y, k_neighbors=cfg.knn_neighbors),
@@ -630,7 +633,7 @@ def test_sampling_portfolios_rank_a_model_fit_on_the_train_rows(tmp_path):
             expected = select_portfolio(
                 fits[kind](X[train], y[train]), X[train], ela.FEATURE_SCHEMA,
                 derive_seed(cfg.master_seed, TRAIN_SALT, ki, fold_id, 0),
-                cfg.selection_permutations)
+                SELECTION_PERMUTATIONS)
             payload = json.loads((tmp_path / f"run/portfolios/{kind}_fold_{fold_id}.json")
                                  .read_text())
             assert [(e["name"], e["importance"]) for e in payload["ranking"]] == expected
@@ -651,7 +654,7 @@ def test_sampling_explanations_attribute_the_fold_model_with_the_explain_seeds(t
                 footprint=dict(TINY["footprint"], model=kind))
     cfg = parse_config(data)
     run = tmp_path / "run"
-    pipe = Pipeline(cfg, run)
+    pipe = Pipeline(cfg, run, threads=1)
     pipe.run(["suite", "solve", "features", "folds", "train", "explain"])
     keys, X, y, test_fold = pipe._fold_data()
     fits = {"knn": lambda X, y: models.fit_knn(X, y, k_neighbors=cfg.knn_neighbors),
@@ -769,13 +772,12 @@ def test_recorded_config_keys_are_the_fields_each_stage_reads(tiny_run):
                   "suite.dimension"],
         "features": ["ela.sample_multiplier", "master_seed", "suite.dimension"],
         "folds": ["master_seed", "model.k_folds"],
-        "train": sorted(seeded + ["model.portfolio_sizes", "model.selection_permutations"]),
+        "train": sorted(seeded + ["model.portfolio_sizes"]),
         "explain": sorted(seeded + ["footprint.model", "footprint.portfolio_size"]),
         "footprint": ["footprint.model", "footprint.p", "footprint.portfolio_size",
                       "footprint.scale", "footprint.sensitivity_p", "footprint.t_mode",
                       "model.k_folds"],
-        "report": ["footprint.model", "model.k_folds", "report.distribution_features",
-                   "report.top_k"],
+        "report": ["footprint.model", "model.k_folds", "report.distribution_features"],
     }
     assert stages["footprint"]["config"]["footprint.p"] == 0.15
     assert stages["solve"]["config"]["de.configs"] == TINY["de"]["configs"]
@@ -784,7 +786,7 @@ def test_recorded_config_keys_are_the_fields_each_stage_reads(tiny_run):
 @pytest.mark.parametrize("section, key, value, expected", [
     # at 0.25 two more keys are model-good; at 0.2 the labels, and so report, stay cached
     ("footprint", "p", 0.25, ["footprint", "report"]),
-    ("report", "top_k", 5, ["report"]),
+    ("report", "distribution_features", ["disp.ratio_mean_02"], ["report"]),
     ("de", "n_runs", 3, ["solve", "train", "explain", "footprint", "report"]),
 ])
 def test_config_change_reruns_the_stages_that_read_it(tiny_run, tmp_path, caplog,
@@ -954,7 +956,7 @@ def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_
     compute = footprint.compute_target_t
     monkeypatch.setattr(footprint, "compute_target_t",
                         lambda values: seen.append(sorted(values)) or compute(values))
-    Pipeline(load_config(config_path), copy, force=True).run(["footprint"])
+    Pipeline(load_config(config_path), copy, threads=1, force=True).run(["footprint"])
     assert seen == list(training.values())
     assert _digest_tree(copy) == _digest_tree(out)
 
@@ -1038,6 +1040,41 @@ def test_deleted_feature_distribution_figure_reruns_report_only(tiny_run, tmp_pa
     assert _digest_tree(copy) == _digest_tree(out)
 
 
+@pytest.mark.parametrize("size", [12, 3])
+def test_report_plots_the_top_features(tiny_run, tmp_path, size):
+    # each fold's beeswarm holds its min(REPORT_TOP_K, portfolio size) most
+    # important features; under auto, every fold's distribution figures
+    # show the first two of fold 1
+    from footprints.csvio import read_csv
+    from footprints.pipeline import EXPLANATION_COLUMNS, REPORT_TOP_K
+    from footprints.shapley import global_importance
+
+    assert REPORT_TOP_K == 10
+    _, out = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    data = dict(TINY, model=dict(TINY["model"], portfolio_sizes=[size]),
+                footprint=dict(TINY["footprint"], portfolio_size=size))
+    assert main(["pipeline", "--config", str(_write_config(tmp_path, data)),
+                 "--out", str(run)]) == 0
+    top_k = min(REPORT_TOP_K, size)
+    shown = None
+    for fold_id in range(1, 6):
+        header, rows = read_csv(run / f"explanations/fold_{fold_id}.csv")
+        names = header[len(EXPLANATION_COLUMNS):]
+        assert len(names) == size
+        phi = np.array([[float(row[name]) for name in names] for row in rows])
+        ranked = [name for name, _ in global_importance(phi, names)]
+        _, bee = read_csv(run / f"figures/beeswarm_fold_{fold_id}.csv")
+        assert list(dict.fromkeys(row["feature_name"] for row in bee)) == ranked[:top_k]
+        assert f"top {top_k} features, fold {fold_id}" in (
+            run / f"figures/beeswarm_fold_{fold_id}.svg").read_text()
+        shown = shown or ranked[:2]
+        assert sorted(p.name for p in run.glob(f"figures/feature_dist_fold_{fold_id}_*")) == (
+            sorted(f"feature_dist_fold_{fold_id}_{name.replace('.', '_')}.svg"
+                   for name in shown))
+
+
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("content", [
     b'{"stages": {', b"[]", b'{"stages": []}', b"\xff", b'{"stages": {"suite": 3}}',
@@ -1094,7 +1131,7 @@ def test_failed_manifest_write_keeps_previous_manifest(tiny_run, tmp_path, monke
 
     monkeypatch.setattr(json, "dump", dump_part_then_fail)
     with pytest.raises(OSError, match="disk full"):
-        Pipeline(load_config(config_path), copy, force=True).run(["suite"])
+        Pipeline(load_config(config_path), copy, threads=1, force=True).run(["suite"])
     monkeypatch.undo()
     assert (copy / "manifest.json").read_bytes() == before
     assert json.loads(before)["stages"]["suite"]

@@ -363,6 +363,21 @@ def test_meta_needs_enough_points():
         meta_model_features(X, np.zeros(10))
 
 
+def test_meta_rank_deficient_design_gets_the_minimum_norm_fit(caplog):
+    # a duplicated column: lstsq's own minimum-norm fit, with no warning
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-5, 5, size=(40, 3))
+    Z = np.hstack([np.ones((40, 1)), X, X[:, :1]])
+    y = 1.0 + X[:, 0] - 2.0 * X[:, 2] + rng.normal(scale=0.1, size=40)
+    with caplog.at_level(logging.DEBUG, logger="footprints.ela"):
+        beta, sse = ela_mod._fit_least_squares(Z, y)
+    expected = np.linalg.lstsq(Z, y, rcond=None)[0]
+    assert beta.tobytes() == expected.tobytes()
+    assert sse == float(np.sum((y - Z @ expected) ** 2))
+    assert beta[1] == pytest.approx(beta[4])  # the two copies share the weight
+    assert caplog.records == []
+
+
 # ---------------------------------------------------------------------------
 # level sets
 

@@ -166,29 +166,28 @@ def test_tree_shap_hand_built_trees_match_reference_bitwise(name):
         assert not phi.any()
 
 
-# (rows, features, x rows, background rows, trees, fit params): the desk
-# selection shape (x rows are the training rows); the unshrunk explain shape
-# (several chunks); x and background counts that differ; one x row and one
-# background row; m = 1; deep trees that split features again and again;
-# the desk selection shape with each background row explained 4 times
+# (rows, features, x rows, background rows, trees): the desk selection
+# shape (x rows are the training rows); the unshrunk explain shape (several
+# chunks); x and background counts that differ; one x row and one background
+# row; m = 1; deep trees that split features again and again; the desk
+# selection shape with each background row explained 4 times
 FITTED_CASES = [
-    (24, 43, 24, 24, 100, {}),
-    (96, 30, 24, 96, 20, {}),
-    (30, 5, 7, 13, 10, {}),
-    (30, 5, 1, 1, 10, {}),
-    (40, 1, 9, 17, 10, {}),
-    (60, 3, 12, 20, 8, {}),
-    (24, 43, 96, 24, 100, {}),
+    (24, 43, 24, 24, 100),
+    (96, 30, 24, 96, 20),
+    (30, 5, 7, 13, 10),
+    (30, 5, 1, 1, 10),
+    (40, 1, 9, 17, 10),
+    (60, 3, 12, 20, 8),
+    (24, 43, 96, 24, 100),
 ]
 
 
-@pytest.mark.parametrize("n, m, n_x, n_background, n_trees, params", FITTED_CASES)
-def test_tree_shap_fitted_forest_matches_reference_bitwise(n, m, n_x, n_background,
-                                                          n_trees, params):
+@pytest.mark.parametrize("n, m, n_x, n_background, n_trees", FITTED_CASES)
+def test_tree_shap_fitted_forest_matches_reference_bitwise(n, m, n_x, n_background, n_trees):
     rng = np.random.default_rng(n * 100 + m)
     X = rng.normal(size=(n, m))
     y = X[:, 0] + 0.5 * X[:, m - 1] ** 2 + rng.normal(scale=0.3, size=n)
-    model = fit_random_forest(X, y, n_trees=n_trees, seed=m, **params)
+    model = fit_random_forest(X, y, n_trees=n_trees, seed=m)
     if n_x == n_background:
         explicands = X[:n_x]
     elif n_x % n_background == 0:  # the background rows repeated, shuffled

@@ -340,8 +340,7 @@ def test_suite_csv_export(tmp_path):
     assert float(rows[0]["shift_1"]) == first.shift[1]
 
 
-def test_instance_key_and_name():
+def test_instance_key():
     inst = make_instance(20, 3, 5)
     assert inst.key == (20, 3, 5)
-    assert inst.name == "schwefel"
     assert isinstance(inst, ProblemInstance)
