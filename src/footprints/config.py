@@ -12,7 +12,6 @@ from . import de, ela, models
 from .errors import ConfigurationError
 from .suite import N_PROBLEMS
 
-T_MODES = ("train-median", "explicit")
 SCALES = ("log", "raw")
 
 
@@ -49,15 +48,13 @@ def _list_of(item):
 
 
 def _expand_ids(raw) -> list[int]:
-    """Accept [1,2,3], "1-24", or a single int."""
+    """Accept [1,2,3] or "1-24"."""
     if isinstance(raw, str):
         lo, _, hi = raw.partition("-")
         if not hi:
             raise ValueError(f"cannot parse id range {raw!r}")
         return list(range(_int(lo), _int(hi) + 1))
-    if isinstance(raw, (list, tuple)):
-        return _list_of(_int)(raw)
-    return [_int(raw)]
+    return _list_of(_int)(raw)
 
 
 # each DeConfig field's parser, by its annotation
@@ -125,8 +122,7 @@ class RunConfig:
     footprint_model: str = _key("footprint.model", _str, "random_forest")
     footprint_portfolio_size: int = _key("footprint.portfolio_size", _int, 30)
     p: float = _key("footprint.p", _float, 0.15)
-    t_mode: str = _key("footprint.t_mode", _str, "train-median")
-    t_value: float | None = _key("footprint.t_value", _float, None)
+    t_value: float | None = _key("footprint.t_value", _float, None)  # None: the training median
     scale: str = _key("footprint.scale", _str, "log")
     sensitivity_p: list[float] = _key("footprint.sensitivity_p", _list_of(_float), [])
     distribution_features: list[str] | str = _key(
@@ -294,12 +290,6 @@ def validate(cfg: RunConfig) -> list[str]:
         )
     if not 0.0 < cfg.p <= 1.0:
         issues.append(f"footprint.p must be in (0, 1]; got {cfg.p}")
-    if cfg.t_mode not in T_MODES:
-        issues.append(f"footprint.t_mode must be one of {T_MODES}")
-    if cfg.t_mode == "explicit" and cfg.t_value is None:
-        issues.append("footprint.t_value required when t_mode is 'explicit'")
-    if cfg.t_mode == "train-median" and cfg.t_value is not None:
-        issues.append("footprint.t_value is only read when t_mode is 'explicit'")
     if cfg.scale not in SCALES:
         issues.append(f"footprint.scale must be one of {SCALES}")
     if isinstance(cfg.distribution_features, list):

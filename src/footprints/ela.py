@@ -62,8 +62,6 @@ def sample_design(instance: ProblemInstance, n: int, seed: int) -> tuple[np.ndar
     """Latin hypercube sample `(X, y)` of the instance domain: rows of X
     within bounds, y[i] = f(X[i])."""
     dim = instance.dimension
-    if n < 10 * dim:
-        raise ConfigurationError(f"sample size {n} below 10*D = {10 * dim}")
     rng = np.random.default_rng(seed)
     span = UPPER_BOUND - LOWER_BOUND
     X = np.empty((n, dim))
@@ -163,8 +161,6 @@ IC_FEATURES = ("ic.h_max", "ic.eps_max", "ic.eps_s", "ic.eps_ratio", "ic.m0")
 
 def ic_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
     """`dmat`: the pairwise distances of the sample points; its diagonal is not read."""
-    if len(y) < 3:
-        raise ConfigurationError("information content needs at least 3 points")
     order = _nearest_neighbor_tour(dmat)
     diffs = np.diff(y[order])
     dmax = float(np.max(np.abs(diffs)))
@@ -207,8 +203,6 @@ def _nearest_better_distances(y: np.ndarray, dmat: np.ndarray) -> np.ndarray:
 
 def nbc_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
     """`dmat`: the pairwise distances of the sample points, with an infinite diagonal."""
-    if len(y) < 3:
-        raise ConfigurationError("nearest-better clustering needs at least 3 points")
     nn_dist = dmat.min(axis=1)
     nb_dist = _nearest_better_distances(y, dmat)
     has_better = np.isfinite(nb_dist)
@@ -272,10 +266,6 @@ META_MODEL_FEATURES = (
 
 def meta_model_features(X: np.ndarray, y: np.ndarray) -> list[float]:
     n, dim = X.shape
-    if n <= n_meta_model_coefficients(dim):
-        raise ConfigurationError(
-            f"need more than {n_meta_model_coefficients(dim)} points for meta-models"
-        )
     ones = np.ones((n, 1))
     inter = _interactions(X)
     sst = float(np.sum((y - y.mean()) ** 2))
@@ -375,8 +365,6 @@ LEVEL_FEATURES = tuple(f"ela_level.{stat}_{_q_tag(q)}" for q in LEVEL_QUANTILES
 
 def level_features(X: np.ndarray, y: np.ndarray) -> list[float]:
     n = len(y)
-    if n < 50:
-        raise ConfigurationError("level-set features need at least 50 points")
     order = np.argsort(y, kind="stable")
     out: list[float] = []
     for q in LEVEL_QUANTILES:
@@ -405,7 +393,7 @@ def _pca_pair(M: np.ndarray, correlation: bool) -> tuple[float, float]:
     n_vars = M.shape[1]
     if total <= 0:
         return 1.0, 0.0
-    props = ev / total  # at least n_vars rows (pca_features), so n_vars values
+    props = ev / total  # more rows than n_vars (minimum_sample_size), so n_vars values
     k90 = int(np.searchsorted(np.cumsum(props), 0.9 - 1e-12) + 1)
     k90 = min(k90, n_vars)
     return k90 / n_vars, float(props[0])
@@ -418,9 +406,6 @@ PCA_FEATURES = tuple(f"pca.expl_var{stat}.{space}" for stat in ("", "_PC1")
 def pca_features(X: np.ndarray, y: np.ndarray) -> list[float]:
     """The fractions of PCs for 90% variance, then the PC1 proportions, of
     X and of X with y appended, each under covariance and correlation."""
-    n, dim = X.shape
-    if n <= dim:
-        raise ConfigurationError("pca features need more points than dimensions")
     init = np.hstack([X, y[:, None]])
     pairs = [_pca_pair(M, correlation) for M in (X, init) for correlation in (False, True)]
     return [frac for frac, _ in pairs] + [pc1 for _, pc1 in pairs]

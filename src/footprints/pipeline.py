@@ -409,15 +409,15 @@ class Pipeline:
         by_fold = {fold_id: self._fold_predictions(fold_id) for fold_id in self._fold_ids()}
         folds, reports = [], []
         for fold_id, (keys, true, predicted) in by_fold.items():
-            if cfg.t_mode == "explicit":
-                t = float(cfg.t_value)
-            else:
+            # an explicit target is already on the labelling scale
+            t = cfg.t_value
+            if t is None:
                 t = fp_mod.compute_target_t(np.concatenate(
                     [other_true for other, (_, other_true, _) in by_fold.items()
                      if other != fold_id]))
+                t = 10.0**t if cfg.scale == "raw" else t
             if cfg.scale == "raw":
                 # Python's 10.0**v per element: numpy's power can differ in the last bit
-                t = 10.0**t if cfg.t_mode != "explicit" else t
                 true = np.array([10.0**v for v in true.tolist()])
                 predicted = np.array([10.0**v for v in predicted.tolist()])
             rel_err = fp_mod.relative_error(true, predicted)

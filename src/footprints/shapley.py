@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .models import RandomForestModel, RegressionTree
 
 # The most sampling-Shapley states per model.predict call (peak memory).
@@ -232,8 +232,6 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     Each sampled permutation is paired with its reverse and one cycled
     background row; n_permutations is rounded up to an even total.
     """
-    if n_permutations < 1:
-        raise ConfigurationError("n_permutations must be >= 1")
     x = np.asarray(x, dtype=float)
     B = np.atleast_2d(np.asarray(background, dtype=float))
     if B.shape[0] == 0:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .csvio import KEY_COLUMNS, Key, format_csv
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .footprint import ALGORITHM_POOR, LABELS, MODEL_POOR
 from .models import MODELS
 from .shapley import global_importance
@@ -173,7 +173,7 @@ def emit_beeswarm_data(
     row i of the (n, m) `phi` attributes keys[i] over `feature_names`, and
     row i of the (n, m) `values` holds that key's values of those features."""
     if top_k > len(feature_names):
-        raise ConfigurationError("top_k exceeds portfolio size")
+        raise ContractViolation("top_k exceeds portfolio size")
     if np.shape(values) != np.shape(phi):
         raise ContractViolation(
             f"feature values of shape {np.shape(values)} do not match phi {np.shape(phi)}")
@@ -192,7 +192,7 @@ def emit_beeswarm_data(
 
     all_phi = np.array([r[3] for r in raw_rows])
     span = max(float(np.max(np.abs(all_phi))), 1e-12)
-    row_h = (HEIGHT - 2 * MARGIN - 20) / max(top_k, 1)
+    row_h = (HEIGHT - 2 * MARGIN - 20) / top_k
     x0, x1 = MARGIN + 150, WIDTH - MARGIN
     mid = 0.5 * (x0 + x1)
     parts = _svg_open(title)

@@ -105,8 +105,7 @@ def test_validate_footprint_references():
     ({"master_seed": -1}, "master_seed must be >= 0"),
     ({"model": {"forest_trees": 0}}, "model.forest_trees must be >= 1"),
     ({"de": {"n_runs": 0}}, "de.n_runs must be >= 1"),
-    # a target under train-median would be ignored without a word
-    ({"footprint": {"t_value": 0.5}}, "footprint.t_value is only read when t_mode is 'explicit'"),
+    ({"suite": {"dimension": 1}}, "suite.dimension must be >= 2"),
     ({"model": {"kinds": ["random_forest", "boosting"]}},
      "model.kinds contains unknown kind 'boosting'"),
 ])
@@ -202,7 +201,6 @@ DEFAULTS = {
     "footprint.model": "random_forest",
     "footprint.portfolio_size": 30,
     "footprint.p": 0.15,
-    "footprint.t_mode": "train-median",
     "footprint.t_value": None,
     "footprint.scale": "log",
     "footprint.sensitivity_p": [],
@@ -269,6 +267,8 @@ def test_null_and_empty_keep_defaults():
     ({"model": {"selection_permutations": 64}},
      "unknown config key: model.selection_permutations"),
     ({"report": {"top_k": 10}}, "unknown config key: report.top_k"),
+    # a null footprint.t_value is the training median, a number the target itself
+    ({"footprint": {"t_mode": "explicit"}}, "unknown config key: footprint.t_mode"),
 ])
 def test_key_error_messages_exact(data, message):
     with pytest.raises(ConfigurationError) as info:
@@ -291,6 +291,8 @@ def test_key_error_messages_exact(data, message):
     ({"model": {"kernel_penalty": float("inf")}}, "model.kernel_penalty"),
     ({"footprint": {"sensitivity_p": [0.05, -float("inf")]}}, "footprint.sensitivity_p"),
     ({"footprint": {"t_value": "1e400"}}, "footprint.t_value"),
+    # a single id never passes validate: fewer than 3 problems, or k_folds = 1
+    ({"suite": {"problems": 5}}, "suite.problems"),
 ])
 def test_malformed_value_names_key(data, key):
     with pytest.raises(ConfigurationError, match=f"^config key {key}: "):
@@ -775,7 +777,7 @@ def test_recorded_config_keys_are_the_fields_each_stage_reads(tiny_run):
         "train": sorted(seeded + ["model.portfolio_sizes"]),
         "explain": sorted(seeded + ["footprint.model", "footprint.portfolio_size"]),
         "footprint": ["footprint.model", "footprint.p", "footprint.portfolio_size",
-                      "footprint.scale", "footprint.sensitivity_p", "footprint.t_mode",
+                      "footprint.scale", "footprint.sensitivity_p", "footprint.t_value",
                       "model.k_folds"],
         "report": ["footprint.model", "model.k_folds", "report.distribution_features"],
     }
@@ -788,6 +790,8 @@ def test_recorded_config_keys_are_the_fields_each_stage_reads(tiny_run):
     ("footprint", "p", 0.25, ["footprint", "report"]),
     ("report", "distribution_features", ["disp.ratio_mean_02"], ["report"]),
     ("de", "n_runs", 3, ["solve", "train", "explain", "footprint", "report"]),
+    # t = 0 moves problem 24's keys below the training median to algorithm-poor
+    ("footprint", "t_value", 0.0, ["footprint", "report"]),
 ])
 def test_config_change_reruns_the_stages_that_read_it(tiny_run, tmp_path, caplog,
                                                        section, key, value, expected):
@@ -914,8 +918,7 @@ def test_each_stage_records_the_files_it_opens_for_reading(tmp_path, monkeypatch
         monkeypatch.setattr(Pipeline, f"_run_{stage}",
                             watching(stage, getattr(Pipeline, f"_run_{stage}")))
     data = dict(TINY, model=dict(TINY["model"], kinds=["random_forest", "knn", "kernel"]),
-                footprint=dict(TINY["footprint"], model="kernel", t_mode="explicit",
-                               t_value=-2.0))
+                footprint=dict(TINY["footprint"], model="kernel", t_value=-2.0))
     assert main(["pipeline", "--config", str(_write_config(tmp_path, data)),
                  "--out", str(out)]) == 0
     stages = json.loads((out / "manifest.json").read_text())["stages"]
@@ -959,6 +962,28 @@ def test_algorithm_axis_compares_true_with_median_training_target(tiny_run, tmp_
     Pipeline(load_config(config_path), copy, threads=1, force=True).run(["footprint"])
     assert seen == list(training.values())
     assert _digest_tree(copy) == _digest_tree(out)
+
+
+@pytest.mark.parametrize("scale, t_value", [("log", 0.0), ("raw", 1.0)])
+def test_explicit_target_is_compared_with_true_on_the_labelling_scale(tiny_run, tmp_path,
+                                                                      scale, t_value):
+    # under raw, true is 10**v and t_value is not exponentiated: t = 1 splits
+    # the keys as t = 0 does under log, where 10**1 would call every
+    # problem-24 key algorithm-good
+    from footprints import footprint
+
+    _, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    data = dict(TINY, footprint=dict(TINY["footprint"], scale=scale, t_value=t_value))
+    Pipeline(parse_config(data), copy, threads=1, force=True).run(["footprint"])
+    _, _, labels = footprint.read_assignments_csv(copy / "assignments.csv")
+    with open(copy / "assignments.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    true = np.array([float(row["true"]) for row in rows])
+    poor = (labels & footprint.ALGORITHM_POOR) != 0
+    assert np.array_equal(poor, true > t_value)
+    assert poor.tolist() == [row["problem_id"] != "1" for row in rows]
 
 
 def test_transitions_relabel_the_assignments_under_each_tolerance(tiny_run):

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -107,12 +108,6 @@ def test_lhs_y_matches_evaluate():
     inst = make_instance(7, 2, 3)
     X, y = sample_design(inst, 40, seed=1)
     assert np.array_equal(y, inst.evaluate_batch(X))
-
-
-def test_lhs_size_guard():
-    inst = make_instance(1, 1, 5)
-    with pytest.raises(ConfigurationError):
-        sample_design(inst, 49, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +351,6 @@ def test_meta_constant_y_convention():
         assert out[f"ela_meta.{name}.adj_r2"] == 0.0
 
 
-def test_meta_needs_enough_points():
-    rng = np.random.default_rng(11)
-    X = rng.uniform(-5, 5, size=(10, 4))
-    with pytest.raises(ConfigurationError):
-        meta_model_features(X, np.zeros(10))
-
-
 def test_meta_rank_deficient_design_gets_the_minimum_norm_fit(caplog):
     # a duplicated column: lstsq's own minimum-norm fit, with no warning
     rng = np.random.default_rng(12)
@@ -415,12 +403,6 @@ def test_level_mmce_in_unit_interval():
     for name, value in out.items():
         if "mmce" in name:
             assert 0.0 <= value <= 1.0
-
-
-def test_level_needs_50_points():
-    rng = np.random.default_rng(14)
-    with pytest.raises(ConfigurationError):
-        level_features(rng.normal(size=(49, 2)), rng.normal(size=49))
 
 
 @pytest.mark.parametrize("n", [50, 51, 120])
@@ -646,6 +628,18 @@ def test_extract_all_minimum_size_guard():
     assert minimum_sample_size(2) == 50
     with pytest.raises(ConfigurationError):
         extract_all(inst, 49, seed=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 10, 20])
+def test_extract_all_runs_at_the_minimum_sample_size(dim, caplog):
+    # extract_all is the one check of the sample size: at its minimum every
+    # group computes finite values on every problem, and nothing warns
+    n = minimum_sample_size(dim)
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="footprints.ela"):
+        warnings.simplefilter("error")
+        vectors = [extract_all(make_instance(p, 1, dim), n, seed=p) for p in range(1, 25)]
+    assert all(vec.sanitized_count == 0 for vec in vectors)
+    assert not caplog.records
 
 
 def test_extract_all_values_finite():

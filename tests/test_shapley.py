@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from footprints.errors import ConfigurationError, ContractViolation
+from footprints.errors import ContractViolation
 from footprints import shapley
 from footprints.models import (RandomForestModel, RegressionTree, fit_kernel, fit_knn,
                                fit_random_forest)
@@ -322,12 +322,6 @@ def test_sampling_efficiency_exact_for_model_agnostic_path():
     model = fit_knn(X, y, k_neighbors=4)
     rep = sampling_shap(model, X[3], X, n_permutations=20, seed=2)
     assert rep.efficiency_gap <= 1e-9
-
-
-def test_sampling_rejects_bad_permutation_count():
-    with pytest.raises(ConfigurationError):
-        sampling_shap(_AdditiveModel([1.0]), np.zeros(1), np.zeros((2, 1)),
-                      n_permutations=0, seed=0)
 
 
 def test_sampling_rejects_empty_background():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from footprints.errors import ConfigurationError, ContractViolation
+from footprints.errors import ContractViolation
 from footprints.footprint import ALGORITHM_POOR, LABELS, MODEL_POOR, footprint_fold, relative_error
 from footprints.viz import (
     EMPTY_CELL,
@@ -156,7 +156,7 @@ def test_beeswarm_constant_feature_normalizes_to_half():
 
 def test_beeswarm_top_k_validated():
     keys, phi, names, values = _reps24()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ContractViolation, match="top_k exceeds portfolio size"):
         emit_beeswarm_data(keys, phi, names, values, top_k=len(names) + 1, title="t")
 
 
