@@ -15,6 +15,16 @@ scoring one feature at a time. Prediction walks every (tree, row) pair
 down at once and adds the trees' leaf values in tree order. KNN and RBF
 kernel ridge (the svm surrogate) standardize features with train-only
 statistics.
+
+KNN ranks a row's training rows by keys |t_j|^2 - 2 z.t_j from one BLAS
+product. Where the first k + 1 sorted keys are more than 2E apart, E a
+per-row rounding bound (Higham 2002, eq. 3.5; derived at `_rank_keys`)
+that covers the keys, cdist's own rounding and the sqrt, the k nearest
+and their order are exactly those of a stable sort of the row's cdist
+distances, so the prediction keeps its bits. Other rows (ties, near-ties,
+non-finite or huge queries, k == n_train) go to `_exact_order`, which
+sorts cdist's distances. Kernel ridge keeps cdist: its distances reach
+the output bits.
 """
 
 from __future__ import annotations
@@ -356,22 +366,88 @@ class KnnModel:
     k_neighbors: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """The mean target of each row's k nearest training rows, summed
+        nearest first, as a stable sort of the row's `cdist` distances
+        orders them. Rows whose order `_rank_keys` certifies take it from
+        one BLAS product; the others go to `_exact_order`."""
         Z = (np.asarray(X, dtype=float) - self.mean) / self.std
-        dists = cdist(Z, self.X_train)
-        n, k = dists.shape[1], self.k_neighbors
-        order = np.argsort(dists, axis=1)
-        # where a row's first k + 1 sorted distances strictly increase, its k
-        # nearest and their order are those of a stable sort; the other rows
-        # (a tie, two infinities, a NaN, or k == n_train) are sorted again
-        # stably, which keeps the lowest training index on distance ties
-        redo = np.ones(len(order), dtype=bool)
-        if k < n:
-            # head[j, i]: row i's (j+1)-th smallest distance
-            head = np.take(dists, order[:, : k + 1].T + np.arange(0, dists.size, n))
-            redo = ~(head[1:] > head[:-1]).all(axis=0)
-        if redo.any():
-            order[redo] = np.argsort(dists[redo], axis=1, kind="stable")
-        return self.y_train[order[:, :k]].mean(axis=1)
+        T, k = self.X_train, self.k_neighbors
+        if k == len(T):
+            order = _exact_order(Z, T, k)
+        else:
+            # a non-finite or huge row may warn here; it is never certified
+            with np.errstate(invalid="ignore", over="ignore"):
+                s, bound = _rank_keys(Z, T)
+                order = np.argsort(s, axis=1)[:, : k + 1]
+                # certified: the row's first k + 1 keys are more than 2E apart
+                head = np.take_along_axis(s, order, axis=1)
+                redo = ~(np.diff(head, axis=1) > 2.0 * bound[:, None]).all(axis=1)
+            order = order[:, :k]
+            if redo.any():
+                order[redo] = _exact_order(Z[redo], T, k)
+        return self.y_train[order].mean(axis=1)
+
+
+def _exact_order(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest rows of T, nearest first, by a stable sort of
+    its `cdist` distances: the lowest index wins a distance tie."""
+    dists = cdist(Z, T)
+    n = dists.shape[1]
+    order = np.argsort(dists, axis=1)
+    # where a row's first k + 1 sorted distances strictly increase, its k
+    # nearest and their order are those of a stable sort; the other rows
+    # (a tie, two infinities, a NaN, or k == n_train) are sorted again
+    # stably, which keeps the lowest training index on distance ties
+    redo = np.ones(len(order), dtype=bool)
+    if k < n:
+        # head[j, i]: row i's (j+1)-th smallest distance
+        head = np.take(dists, order[:, : k + 1].T + np.arange(0, dists.size, n))
+        redo = ~(head[1:] > head[:-1]).all(axis=0)
+    if redo.any():
+        order[redo] = np.argsort(dists[redo], axis=1, kind="stable")
+    return order[:, :k]
+
+
+def _rank_keys(Z: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys s[i, j] = |t_j|^2 - 2 z_i.t_j from one BLAS product, and each
+    row's bound E[i] = 8 (m + 2) u S_i + 2^-1022, S_i = |z_i|^2 + max_j |t_j|^2,
+    u = 2^-53: where a row's consecutive sorted keys differ by more than 2E,
+    its cdist distances rank its rows in the same strict order.
+
+    The exact key is D_j - |z|^2, for D_j = |z - t_j|^2 the exact squared
+    distance between the stored floats: |z|^2 is the same along a row. With
+    gamma_n = n u / (1 - n u), Higham (Accuracy and Stability of Numerical
+    Algorithms, 2002, eq. 3.5) bounds a computed n-term dot product's error
+    by gamma_n sum_k |x_k y_k|, in any summation order, fused or not. So:
+
+    * keys: |t_j|^2 is off by at most gamma_m |t_j|^2, 2 z.t_j by
+      2 gamma_m |z| |t_j|, and the subtraction adds u (1 + gamma_m) times
+      |t_j|^2 + 2 |z| |t_j|; since 2 |z| |t_j| <= |z|^2 + |t_j|^2, a key is
+      off by at most E_s = (2 gamma_m + 2 u (1 + gamma_m)) S;
+    * cdist: its sum of m rounded squares of rounded differences, in any
+      order, is q_j = D_j (1 + theta), |theta| <= gamma_(m+2), and
+      D_j <= 2 S, so q_j is off by at most E_q = 2 gamma_(m+2) S;
+    * sqrt: correctly rounded, it keeps q_i < q_j strictly apart once
+      q_j - q_i > 4 u q_i / (1 - u)^2, for which
+      E_r = 8 u (1 + gamma_(m+2)) S / (1 - u)^2 suffices.
+
+    If key s_j exceeds key s_i by more than 2E, then q_j - q_i >
+    2E - 2 E_s - 2 E_q, which is at least E_r when E >= E_s + E_q + E_r / 2.
+    For (m + 2) u <= 0.01 that sum is at most (4.05 m + 10.11) u S <=
+    4.72 (m + 2) u S for every m >= 1, so c = 8 does; its slack covers the
+    rounding of E and of the gaps themselves. The 2^-1022 covers gradual
+    underflow, at most 4.05 m 2^-1075 over the products and squares. Where
+    S is not below 2^1021 (so that no intermediate can overflow) or is NaN,
+    E is infinite and the row is never certified.
+    """
+    m = T.shape[1]
+    t2 = np.einsum("ij,ij->i", T, T)
+    s = Z @ (-2.0 * T).T
+    s += t2
+    scale = np.einsum("ij,ij->i", Z, Z) + t2.max()
+    bound = (m + 2) * 2.0**-50 * scale + np.finfo(float).tiny
+    bound[~(scale < 2.0**1021)] = np.inf
+    return s, bound
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k_neighbors: int) -> KnnModel:

@@ -1,9 +1,11 @@
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from footprints import models
 from footprints.config import RunConfig
@@ -557,6 +559,137 @@ def test_knn_standardization_uses_train_only():
     # predicting far-shifted test data must not change the stored statistics
     model.predict(X_train + 100.0)
     assert np.allclose(model.mean, X_train.mean(axis=0))
+
+
+def _near_tie_queries(model, rng, tries=50):
+    """Up to four queries whose k-th and (k+1)-th cdist distances differ by
+    1, 2, 3 and 4 ulps: a line of adjacent floats is scanned through a point
+    equidistant from the k-th and (k+1)-th nearest training rows of a random
+    point."""
+    T, k = model.X_train, model.k_neighbors
+    found = {}
+    for _ in range(tries):
+        z = rng.normal(size=T.shape[1])
+        d = cdist(z[None], T)[0]
+        a, b = np.argsort(d, kind="stable")[k - 1: k + 1]
+        w = T[b] - T[a]
+        if not w.any():
+            continue
+        x = model.mean + model.std * (z + (d[b] ** 2 - d[a] ** 2) / (2 * w @ w) * w)
+        line = x + np.arange(-200, 201)[:, None] * np.sign(w) * np.spacing(np.abs(x))
+        D = np.sort(cdist((line - model.mean) / model.std, T), axis=1)
+        ulps = (D[:, k] - D[:, k - 1]) / np.spacing(D[:, k - 1])
+        for gap in range(1, 5):
+            hit = np.flatnonzero(ulps == gap)
+            if hit.size:
+                found.setdefault(gap, line[hit[0]])
+        if len(found) == 4:
+            break
+    assert found, "no near tie found"
+    return np.array([found[gap] for gap in sorted(found)])
+
+
+@pytest.mark.parametrize("n, m, k", [(2, 1, 1), (2, 4, 2), (3, 1, 2), (5, 3, 4), (7, 50, 3),
+                                     (24, 10, 5), (24, 30, 5), (60, 2, 59), (120, 7, 60),
+                                     (120, 50, 1), (120, 20, 120)])
+def test_knn_predict_is_bitwise_the_reference_across_sizes(n, m, k):
+    # duplicated training rows, queries equal to training rows, and queries
+    # whose k-th and (k+1)-th distances differ by 1-4 ulps
+    rng = np.random.default_rng(1000 * n + m)
+    X = rng.normal(size=(n, m)) * rng.uniform(0.1, 10.0, size=m) + rng.normal(size=m)
+    dup = n // 4
+    X[n - dup:] = X[:dup]
+    model = fit_knn(X, rng.normal(size=n) * 1e3, k_neighbors=k)
+    queries = [X.mean(axis=0) + X.std(axis=0) * rng.normal(size=(40, m)), X[: n - dup + 1]]
+    if k < n:
+        queries.append(_near_tie_queries(model, rng))
+    queries = np.vstack(queries)
+    assert model.predict(queries).tobytes() == naive_knn_predict(model, queries).tobytes()
+
+
+def test_knn_predict_sends_only_uncertified_rows_to_cdist(monkeypatch):
+    calls = []
+
+    def counting_cdist(XA, XB, *args, **kwargs):
+        calls.append(np.array(XA))
+        return cdist(XA, XB, *args, **kwargs)
+
+    monkeypatch.setattr(models, "cdist", counting_cdist)
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(24, 5))
+    model = fit_knn(X, rng.normal(size=24) * 1e3, k_neighbors=5)
+    separated = rng.normal(size=(30, 5))
+    model.predict(separated)
+    assert calls == []
+
+    # near ties, NaN, +-inf, and a row whose squared norm overflows
+    planted = np.vstack([_near_tie_queries(model, rng), np.full((1, 5), np.nan),
+                         np.full((1, 5), np.inf), np.full((1, 5), -np.inf),
+                         np.full((1, 5), 1e300)])
+    planted[-3, 1:] = 0.0
+    planted[-2, :4] = 0.0
+    queries = np.vstack([separated, planted])
+    shuffle = rng.permutation(len(queries))
+    queries = queries[shuffle]
+    got = model.predict(queries)
+    assert len(calls) == 1
+    reached = np.sort(np.argsort(shuffle)[len(separated):])
+    assert np.array_equal(calls[0], ((queries - model.mean) / model.std)[reached], equal_nan=True)
+    assert got.tobytes() == naive_knn_predict(model, queries).tobytes()
+
+    calls.clear()
+    fit_knn(X, rng.normal(size=24), k_neighbors=24).predict(separated)
+    assert len(calls) == 1 and len(calls[0]) == len(separated)
+
+
+def _fraction_keys(z, t):
+    """The exact key |t|^2 - 2 z.t and the exact squared distance |z - t|^2."""
+    z, t = [Fraction(v) for v in z], [Fraction(v) for v in t]
+    key = sum(b * b for b in t) - 2 * sum(a * b for a, b in zip(z, t))
+    return key, sum((a - b) ** 2 for a, b in zip(z, t))
+
+
+@pytest.mark.parametrize("case", ["random", "large norms, tiny distances", "near underflow",
+                                  "near overflow"])
+def test_rank_keys_bound_covers_the_keys_and_cdist(case):
+    rng = np.random.default_rng(17)
+    for _ in range(15):
+        m, n = int(rng.integers(1, 13)), int(rng.integers(2, 9))
+        centre = rng.normal(size=m)
+        spread = 1.0
+        if case == "large norms, tiny distances":
+            centre, spread = centre * 1e8, 1e-6
+        elif case == "near underflow":
+            centre, spread = centre * 1e-155, 1e-160
+        elif case == "near overflow":
+            centre, spread = centre * 1e150, 1e149
+        T = centre + spread * rng.normal(size=(n, m))
+        Z = centre + spread * rng.normal(size=(3, m))
+        s, bound = models._rank_keys(Z, T)
+        q = cdist(Z, T, "sqeuclidean")
+        assert np.isfinite(bound).all()
+        for i in range(len(Z)):
+            for j in range(n):
+                key, dist = _fraction_keys(Z[i], T[j])
+                assert abs(Fraction(s[i, j]) - key) <= Fraction(bound[i])
+                assert abs(Fraction(q[i, j]) - dist) <= Fraction(bound[i])
+        model = KnnModel(mean=np.zeros(m), std=np.ones(m), X_train=T, y_train=rng.normal(size=n),
+                         k_neighbors=int(rng.integers(1, n)))
+        assert model.predict(Z).tobytes() == naive_knn_predict(model, Z).tobytes()
+
+
+def test_knn_predict_does_not_depend_on_the_key_summation_order(monkeypatch):
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(40, 30))
+    model = fit_knn(X, rng.normal(size=40) * 1e3, k_neighbors=5)
+    queries = np.vstack([rng.normal(size=(200, 30)), X[:5]])
+    expected = model.predict(queries)
+    rank_keys = models._rank_keys
+    Z = (queries - model.mean) / model.std
+    reversed_keys = rank_keys(Z[:, ::-1], model.X_train[:, ::-1])[0]
+    assert (reversed_keys != rank_keys(Z, model.X_train)[0]).any()  # other bits, same ranking
+    monkeypatch.setattr(models, "_rank_keys", lambda Z, T: rank_keys(Z[:, ::-1], T[:, ::-1]))
+    assert model.predict(queries).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
