@@ -35,7 +35,13 @@ finite background set; ``attribute`` picks the one that fits the model:
   kernel ridge predict each row independently of the others in the call,
   so the result is bit-for-bit that of predicting one permutation at a
   time (``naive_sampling_shap`` in the tests), and x's prediction is read
-  from the last state of the first permutation, which is x itself.
+  from the last state of the first permutation, which is x itself. A model
+  with ``predict_standardized`` (KNN, kernel ridge) gets its states built
+  from x and the background standardized once, not standardized state by
+  state in ``predict``: standardization is elementwise, the same two IEEE
+  operations on the same inputs, so ``where(rank < t, z_x, z_b)`` holds
+  the bits of standardizing ``where(rank < t, x, b)``. Other models
+  predict the raw states.
 
 Both satisfy efficiency (base + sum(phi) = prediction) exactly up to FP
 accumulation.
@@ -52,7 +58,7 @@ import numpy as np
 from .errors import ContractViolation
 from .models import RandomForestModel, RegressionTree
 
-# The most sampling-Shapley states per model.predict call (peak memory).
+# The most sampling-Shapley states per prediction call (peak memory).
 PREDICT_CHUNK_ROWS = 1024
 # The most (path, x row, background row) cells per tree-Shapley chunk of
 # paths, and (row, background row) cells per block of summed rows (peak
@@ -248,6 +254,11 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     rank = np.empty_like(orders)
     np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)
     b_rows = B[np.arange(total) // 2 % B.shape[0]]
+    predict = model.predict
+    if hasattr(model, "predict_standardized"):
+        # states mixed from standardized x and b are the standardized states
+        x, b_rows = model.standardize(x), model.standardize(b_rows)
+        predict = model.predict_standardized
     # values[r, t]: prediction with the first t features of orders[r] taken
     # from x; values[r, m] is the prediction of x itself
     values = np.empty((total, m + 1))
@@ -256,7 +267,7 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     for lo in range(0, total, per_chunk):
         hi = min(lo + per_chunk, total)
         states = np.where(rank[lo:hi, None, :] < steps, x, b_rows[lo:hi, None, :])
-        values[lo:hi] = model.predict(states.reshape(-1, m)).reshape(hi - lo, m + 1)
+        values[lo:hi] = predict(states.reshape(-1, m)).reshape(hi - lo, m + 1)
     contribs = (np.take_along_axis(values, rank + 1, axis=1)
                 - np.take_along_axis(values, rank, axis=1))
     phi = contribs.mean(axis=0)

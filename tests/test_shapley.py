@@ -416,6 +416,80 @@ def test_sampling_predicts_in_bounded_chunks(m):
     assert len(rows) == -(-states // per_call)
 
 
+def _awkward_inputs(kind):
+    """A model fit on rows with two zero-variance columns (std replaced by
+    1.0), and an explicand and background holding -0.0, subnormals and
+    values far outside the training range."""
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(30, 6))
+    X[:, 0], X[:, 1] = 0.0, 3.0  # mean 0.0 keeps -0.0 and subnormals as they are
+    y = rng.normal(size=30)
+    model = fit_knn(X, y, k_neighbors=3) if kind == "knn" else fit_kernel(X, y, penalty=1e-3)
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.array([-0.0, 5 * tiny, 1e150, -2.5e-310, -1e200, 0.25])
+    background = np.vstack([
+        X[:4],
+        [5 * tiny, -0.0, -1e150, 1e-320, 0.0, -0.0],
+        [-tiny, 3.0, 0.5, -0.0, 1e300, -1e10],
+    ])
+    background[1, 0], background[2, 5] = -0.0, tiny
+    return model, x, background
+
+
+@pytest.mark.parametrize("kind", ["knn", "kernel"])
+def test_standardized_states_are_the_states_standardized_bitwise(kind):
+    # sampling_shap mixes standardized x and background rows; each state must
+    # hold the bytes of standardizing the raw mixed state
+    model, x, background = _awkward_inputs(kind)
+    m = len(x)
+    rng = np.random.default_rng(4)
+    rank = np.argsort(rng.permuted(np.tile(np.arange(m), (16, 1)), axis=1), axis=1)
+    b_rows = background[np.arange(16) % len(background)]
+    steps = np.arange(m + 1)[None, :, None]
+    raw = np.where(rank[:, None, :] < steps, x, b_rows[:, None, :]).reshape(-1, m)
+    mixed = np.where(rank[:, None, :] < steps, model.standardize(x),
+                     model.standardize(b_rows)[:, None, :]).reshape(-1, m)
+    assert model.standardize(raw).tobytes() == mixed.tobytes()
+    assert (np.signbit(mixed) & (mixed == 0)).any()  # -0.0 survived
+    assert np.array_equal(model.predict(raw), model.predict_standardized(mixed))
+
+
+@pytest.mark.parametrize("kind", ["knn", "kernel"])
+@pytest.mark.parametrize("n_permutations", [2, 31, 256])
+def test_sampling_awkward_inputs_match_reference_bitwise(kind, n_permutations):
+    # the reference predicts raw states through predict, standardizing each
+    model, x, background = _awkward_inputs(kind)
+    reference = _RowByRowKnn(model) if kind == "knn" else model
+    rep = sampling_shap(model, x, background, n_permutations=n_permutations, seed=7)
+    base, phi, prediction, stderr = naive_sampling_shap(
+        reference, x, background, n_permutations, seed=7)
+    assert np.array([rep.base_value, rep.prediction]).tobytes() == np.array(
+        [base, prediction]).tobytes()
+    assert rep.phi.tobytes() == phi.tobytes() and rep.stderr.tobytes() == stderr.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 9, 43, 1100])
+def test_sampling_predicts_standardized_states_in_bounded_chunks(m):
+    rng = np.random.default_rng(m)
+    model = fit_knn(rng.normal(size=(4, m)), rng.normal(size=4), k_neighbors=1)
+    rows, raw_calls = [], []
+    predict_standardized = model.predict_standardized
+
+    def recording(Z):
+        rows.append(len(Z))
+        return predict_standardized(Z)
+
+    model.predict_standardized = recording
+    model.predict = lambda X: raw_calls.append(len(X))
+    sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
+    per_call = max(1, PREDICT_CHUNK_ROWS // (m + 1)) * (m + 1)
+    states = 256 * (m + 1)
+    assert raw_calls == []
+    assert sum(rows) == states
+    assert max(rows) == min(per_call, states)
+    assert len(rows) == -(-states // per_call)
+
+
 def test_attribute_picks_the_estimator_by_model():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(20, 3))
