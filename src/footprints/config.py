@@ -255,14 +255,18 @@ def validate(cfg: RunConfig) -> list[str]:
         if kind not in models.MODEL_KINDS:
             issues.append(f"model.kinds contains unknown kind {kind!r}")
     # a repeat would train the same models twice, label each key twice or
-    # plot a figure twice, and write it twice
-    for key, values in (("model.kinds", cfg.model_kinds),
-                        ("model.portfolio_sizes", cfg.portfolio_sizes),
-                        ("footprint.sensitivity_p", cfg.sensitivity_p),
-                        ("report.distribution_features",
-                         cfg.distribution_features if cfg.distribution_features != "auto" else [])):
-        if len(set(values)) != len(values):
-            issues.append(f"{key} must not repeat an entry; got {values}")
+    # plot a figure twice, and write it twice; a portfolio is the first `size`
+    # ranked features, so every size past the catalog is the same portfolio
+    sizes = [min(s, len(ela.FEATURE_SCHEMA)) for s in cfg.portfolio_sizes]
+    listed = cfg.distribution_features if cfg.distribution_features != "auto" else []
+    for key, values, counted in (
+            ("model.kinds", cfg.model_kinds, cfg.model_kinds),
+            ("model.portfolio_sizes", cfg.portfolio_sizes, sizes),
+            ("footprint.sensitivity_p", cfg.sensitivity_p, cfg.sensitivity_p),
+            ("report.distribution_features", listed, listed)):
+        if len(set(counted)) != len(counted):
+            issues.append(f"{key} must not repeat an entry; got {values}"
+                          + (f", which count as {counted}" if counted != values else ""))
     # k_folds equals the instance count, so each fold trains on all other instances
     train_size = len(set(cfg.problems)) * (len(set(cfg.instances)) - 1)
     if "knn" in cfg.model_kinds and cfg.knn_neighbors > train_size:

@@ -26,9 +26,8 @@ per-row rounding bound (Higham 2002, eq. 3.5; derived at `_rank_keys`)
 that covers the keys, cdist's own rounding and the sqrt, the k nearest
 and their order are exactly those of a stable sort of the row's cdist
 distances, so the prediction keeps its bits. Other rows (ties, near-ties,
-non-finite or huge queries, k == n_train) go to `_exact_order`, which
-sorts cdist's distances. Kernel ridge keeps cdist: its distances reach
-the output bits.
+non-finite or huge queries) take that stable sort of their cdist
+distances. Kernel ridge keeps cdist: its distances reach the output bits.
 """
 
 from __future__ import annotations
@@ -386,42 +385,20 @@ class KnnModel:
         """The mean target of each standardized row's k nearest training
         rows, summed nearest first, as a stable sort of the row's `cdist`
         distances orders them. Rows whose order `_rank_keys` certifies take
-        it from one BLAS product; the others go to `_exact_order`."""
+        it from one BLAS product; the others from that stable sort."""
         T, k = self.X_train, self.k_neighbors
-        if k == len(T):
-            order = _exact_order(Z, T, k)
-        else:
-            # a non-finite or huge row may warn here; it is never certified
-            with np.errstate(invalid="ignore", over="ignore"):
-                s, bound = _rank_keys(Z, T)
-                order = np.argsort(s, axis=1)[:, : k + 1]
-                # certified: the row's first k + 1 keys are more than 2E apart
-                head = np.take_along_axis(s, order, axis=1)
-                redo = ~(np.diff(head, axis=1) > 2.0 * bound[:, None]).all(axis=1)
-            order = order[:, :k]
-            if redo.any():
-                order[redo] = _exact_order(Z[redo], T, k)
+        # a non-finite or huge row may warn here; it is never certified
+        with np.errstate(invalid="ignore", over="ignore"):
+            s, bound = _rank_keys(Z, T)
+            order = np.argsort(s, axis=1)[:, : k + 1]
+            # certified: the row's first k + 1 keys (all of them when k ==
+            # n_train) are more than 2E apart
+            head = np.take_along_axis(s, order, axis=1)
+            redo = ~(np.diff(head, axis=1) > 2.0 * bound[:, None]).all(axis=1)
+        order = order[:, :k]
+        if redo.any():
+            order[redo] = np.argsort(cdist(Z[redo], T), axis=1, kind="stable")[:, :k]
         return self.y_train[order].mean(axis=1)
-
-
-def _exact_order(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest rows of T, nearest first, by a stable sort of
-    its `cdist` distances: the lowest index wins a distance tie."""
-    dists = cdist(Z, T)
-    n = dists.shape[1]
-    order = np.argsort(dists, axis=1)
-    # where a row's first k + 1 sorted distances strictly increase, its k
-    # nearest and their order are those of a stable sort; the other rows
-    # (a tie, two infinities, a NaN, or k == n_train) are sorted again
-    # stably, which keeps the lowest training index on distance ties
-    redo = np.ones(len(order), dtype=bool)
-    if k < n:
-        # head[j, i]: row i's (j+1)-th smallest distance
-        head = np.take(dists, order[:, : k + 1].T + np.arange(0, dists.size, n))
-        redo = ~(head[1:] > head[:-1]).all(axis=0)
-    if redo.any():
-        order[redo] = np.argsort(dists[redo], axis=1, kind="stable")
-    return order[:, :k]
 
 
 def _rank_keys(Z: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

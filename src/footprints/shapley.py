@@ -35,13 +35,12 @@ finite background set; ``attribute`` picks the one that fits the model:
   kernel ridge predict each row independently of the others in the call,
   so the result is bit-for-bit that of predicting one permutation at a
   time (``naive_sampling_shap`` in the tests), and x's prediction is read
-  from the last state of the first permutation, which is x itself. A model
-  with ``predict_standardized`` (KNN, kernel ridge) gets its states built
-  from x and the background standardized once, not standardized state by
-  state in ``predict``: standardization is elementwise, the same two IEEE
-  operations on the same inputs, so ``where(rank < t, z_x, z_b)`` holds
-  the bits of standardizing ``where(rank < t, x, b)``. Other models
-  predict the raw states.
+  from the last state of the first permutation, which is x itself. The
+  model (KNN, kernel ridge) gets its states built from x and the
+  background standardized once, by its ``standardize``, and predicts them
+  by its ``predict_standardized``: standardization is elementwise, the
+  same two IEEE operations on the same inputs, so ``where(rank < t, z_x,
+  z_b)`` holds the bits of standardizing ``where(rank < t, x, b)``.
 
 Both satisfy efficiency (base + sum(phi) = prediction) exactly up to FP
 accumulation.
@@ -236,7 +235,9 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     """Permutation-sampling estimate with antithetic pairs.
 
     Each sampled permutation is paired with its reverse and one cycled
-    background row; n_permutations is rounded up to an even total.
+    background row; n_permutations is rounded up to an even total. The
+    model predicts in its own feature space: it has ``standardize`` and
+    ``predict_standardized``.
     """
     x = np.asarray(x, dtype=float)
     B = np.atleast_2d(np.asarray(background, dtype=float))
@@ -253,12 +254,9 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     orders = np.stack([perms, perms[:, ::-1]], axis=1).reshape(total, m)
     rank = np.empty_like(orders)
     np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)
-    b_rows = B[np.arange(total) // 2 % B.shape[0]]
-    predict = model.predict
-    if hasattr(model, "predict_standardized"):
-        # states mixed from standardized x and b are the standardized states
-        x, b_rows = model.standardize(x), model.standardize(b_rows)
-        predict = model.predict_standardized
+    # states mixed from standardized x and b are the standardized states
+    z_x = model.standardize(x)
+    z_b = model.standardize(B[np.arange(total) // 2 % B.shape[0]])
     # values[r, t]: prediction with the first t features of orders[r] taken
     # from x; values[r, m] is the prediction of x itself
     values = np.empty((total, m + 1))
@@ -266,8 +264,8 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     per_chunk = max(1, PREDICT_CHUNK_ROWS // (m + 1))
     for lo in range(0, total, per_chunk):
         hi = min(lo + per_chunk, total)
-        states = np.where(rank[lo:hi, None, :] < steps, x, b_rows[lo:hi, None, :])
-        values[lo:hi] = predict(states.reshape(-1, m)).reshape(hi - lo, m + 1)
+        states = np.where(rank[lo:hi, None, :] < steps, z_x, z_b[lo:hi, None, :])
+        values[lo:hi] = model.predict_standardized(states.reshape(-1, m)).reshape(hi - lo, m + 1)
     contribs = (np.take_along_axis(values, rank + 1, axis=1)
                 - np.take_along_axis(values, rank, axis=1))
     phi = contribs.mean(axis=0)

@@ -170,6 +170,11 @@ def test_distribution_features_accepts_only_auto_or_a_list():
      "model.portfolio_sizes must not repeat an entry; got [30, 30]"),
     ({"portfolio_sizes": [30], "kinds": ["random_forest", "random_forest"]},
      "model.kinds must not repeat an entry; got ['random_forest', 'random_forest']"),
+    # a portfolio is the first `size` ranked features: past the catalog's 43,
+    # 50 and 64 both take all of them (30 is footprint.portfolio_size)
+    ({"portfolio_sizes": [30, 50, 64], "kinds": ["random_forest"]},
+     "model.portfolio_sizes must not repeat an entry; got [30, 50, 64], "
+     "which count as [30, 43, 43]"),
 ])
 def test_validate_repeated_model_entries_reported(model, message):
     assert validate(parse_config({"model": model})) == [message]
@@ -232,7 +237,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
                     "model.forest_trees": 20, "footprint.portfolio_size": 10,
                     "footprint.sensitivity_p": [0.05]}),
     ("full.yaml", {"master_seed": 1, "model.kinds": ["random_forest", "knn", "kernel"],
-                   "model.portfolio_sizes": [10, 20, 30, 40, 50, 64],
+                   "model.portfolio_sizes": [10, 20, 30, 40, 50],
                    "footprint.sensitivity_p": [0.05]}),
 ])
 def test_committed_configs_pinned(name, changed):

@@ -561,12 +561,12 @@ def test_knn_standardization_uses_train_only():
     assert np.allclose(model.mean, X_train.mean(axis=0))
 
 
-def _near_tie_queries(model, rng, tries=50):
-    """Up to four queries whose k-th and (k+1)-th cdist distances differ by
-    1, 2, 3 and 4 ulps: a line of adjacent floats is scanned through a point
-    equidistant from the k-th and (k+1)-th nearest training rows of a random
-    point."""
-    T, k = model.X_train, model.k_neighbors
+def _near_tie_queries(model, rng, tries=50, rank=None):
+    """Up to four queries whose k-th and (k+1)-th cdist distances (the
+    rank-th and (rank+1)-th, if given) differ by 1, 2, 3 and 4 ulps: a line
+    of adjacent floats is scanned through a point equidistant from those two
+    nearest training rows of a random point."""
+    T, k = model.X_train, rank or model.k_neighbors
     found = {}
     for _ in range(tries):
         z = rng.normal(size=T.shape[1])
@@ -607,14 +607,20 @@ def test_knn_predict_is_bitwise_the_reference_across_sizes(n, m, k):
     assert model.predict(queries).tobytes() == naive_knn_predict(model, queries).tobytes()
 
 
-def test_knn_predict_sends_only_uncertified_rows_to_cdist(monkeypatch):
+def _record_cdist(monkeypatch):
+    """The query rows of each `cdist` call that `models` makes from now on."""
     calls = []
 
-    def counting_cdist(XA, XB, *args, **kwargs):
+    def recording_cdist(XA, XB, *args, **kwargs):
         calls.append(np.array(XA))
         return cdist(XA, XB, *args, **kwargs)
 
-    monkeypatch.setattr(models, "cdist", counting_cdist)
+    monkeypatch.setattr(models, "cdist", recording_cdist)
+    return calls
+
+
+def test_knn_predict_sends_only_uncertified_rows_to_cdist(monkeypatch):
+    calls = _record_cdist(monkeypatch)
     rng = np.random.default_rng(16)
     X = rng.normal(size=(24, 5))
     model = fit_knn(X, rng.normal(size=24) * 1e3, k_neighbors=5)
@@ -637,9 +643,31 @@ def test_knn_predict_sends_only_uncertified_rows_to_cdist(monkeypatch):
     assert np.array_equal(calls[0], ((queries - model.mean) / model.std)[reached], equal_nan=True)
     assert got.tobytes() == naive_knn_predict(model, queries).tobytes()
 
+    # k == n_train: every gap of a separated row is certified
     calls.clear()
-    fit_knn(X, rng.normal(size=24), k_neighbors=24).predict(separated)
-    assert len(calls) == 1 and len(calls[0]) == len(separated)
+    full = fit_knn(X, rng.normal(size=24), k_neighbors=24)
+    assert full.predict(separated).tobytes() == naive_knn_predict(full, separated).tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("rank", [1, 6, 11])
+def test_knn_predict_k_equal_to_training_size_sends_interior_near_ties_to_cdist(
+        monkeypatch, rank):
+    # with every training row a neighbour there is no (k+1)-th one; a near tie
+    # between ranks `rank` and `rank + 1` must still fail the certificate
+    calls = _record_cdist(monkeypatch)
+    rng = np.random.default_rng(19 + rank)
+    X = rng.normal(size=(12, 4))
+    model = fit_knn(X, rng.normal(size=12) * 1e3, k_neighbors=12)
+    planted = _near_tie_queries(model, rng, rank=rank)
+    queries = np.vstack([rng.normal(size=(30, 4)), planted])
+    shuffle = rng.permutation(len(queries))
+    queries = queries[shuffle]
+    got = model.predict(queries)
+    assert len(calls) == 1
+    reached = np.sort(np.argsort(shuffle)[30:])
+    assert calls[0].tobytes() == ((queries - model.mean) / model.std)[reached].tobytes()
+    assert got.tobytes() == naive_knn_predict(model, queries).tobytes()
 
 
 def _fraction_keys(z, t):

@@ -278,8 +278,11 @@ class _AdditiveModel:
     def __init__(self, coefs):
         self.coefs = np.asarray(coefs, dtype=float)
 
-    def predict(self, X):
-        return X @ self.coefs
+    def standardize(self, X):
+        return X
+
+    def predict_standardized(self, Z):
+        return Z @ self.coefs
 
 
 def test_sampling_additive_closed_form():
@@ -295,8 +298,11 @@ def test_sampling_additive_closed_form():
 
 def test_sampling_constant_model_zero_phi():
     class Constant:
-        def predict(self, X):
-            return np.full(X.shape[0], 7.0)
+        def standardize(self, X):
+            return X
+
+        def predict_standardized(self, Z):
+            return np.full(Z.shape[0], 7.0)
 
     rep = sampling_shap(Constant(), np.zeros(4), np.zeros((3, 4)),
                         n_permutations=16, seed=1)
@@ -401,9 +407,9 @@ def test_sampling_predicts_in_bounded_chunks(m):
     rows = []
 
     class Recording(_AdditiveModel):
-        def predict(self, X):
-            rows.append(len(X))
-            return super().predict(X)
+        def predict_standardized(self, Z):
+            rows.append(len(Z))
+            return super().predict_standardized(Z)
 
     model = Recording(np.ones(m))
     sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
