@@ -12,8 +12,10 @@ is its prefix before the first dot (flacco's `<group>.<feature>`). All
 outputs are finite: non-finite intermediate results are replaced by 0 and
 counted per vector.
 
-The hot loops batch their work without moving a bit: `cdist(X, X)` builds
-the distance matrix, the nearest-neighbour tour adds a +inf mask of the
+The distance matrix comes from BLAS products a block of rows at a time
+(`_distance_matrix`): it is exactly symmetric with a zero diagonal, and its
+last bits may depend on the BLAS. The other hot loops batch their work
+without moving a bit: the nearest-neighbour tour adds a +inf mask of the
 visited points to a row, nearest-better clustering masks the matrix a block
 of rows at a time, one bincount counts the symbol pairs of every
 information-content threshold, and one stacked inv and slogdet serve all
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv, write_json
 from .errors import ConfigurationError
@@ -42,6 +43,7 @@ LEVEL_CV_FOLDS = 5
 IC_SETTLING_THRESHOLD = 0.05
 IC_GRID_SIZE = 30
 _EPS = 1e-12
+_DIST_BLOCK = 128
 
 
 def _q_tag(q: float) -> str:
@@ -69,6 +71,35 @@ def sample_design(instance: ProblemInstance, n: int, seed: int) -> tuple[np.ndar
         strata = rng.permutation(n)
         X[:, j] = LOWER_BOUND + (strata + rng.random(n)) * span / n
     return X, instance.evaluate_batch(X)
+
+
+def _distance_matrix(X: np.ndarray) -> np.ndarray:
+    """The Euclidean distances between the rows of X, exactly symmetric with
+    a zero diagonal; their last bits may depend on the BLAS. Each block of
+    _DIST_BLOCK rows of the upper triangle takes d^2 = |x_i|^2 + |x_j|^2 -
+    2 x_i.x_j as one BLAS product of the rows [-2 x_i, 1, |x_i|^2] and
+    [x_j, |x_j|^2, 1], written into the matrix; d^2 is clamped at 0 and its
+    sqrt taken in place, and the block is mirrored into the lower triangle.
+    Beside the matrix live only a block's copies (at most _DIST_BLOCK x n
+    cells) and the augmented rows."""
+    n = len(X)
+    sq = np.einsum("ij,ij->i", X, X)[:, None]
+    one = np.ones_like(sq)
+    left = np.hstack([-2.0 * X, one, sq])
+    right = np.hstack([X, sq, one])
+    lower = np.tri(_DIST_BLOCK, k=-1, dtype=bool)
+    dmat = np.empty((n, n))
+    for lo in range(0, n, _DIST_BLOCK):
+        hi = min(lo + _DIST_BLOCK, n)
+        block = dmat[lo:hi, lo:]
+        np.matmul(left[lo:hi], right[lo:].T, out=block)
+        np.maximum(block, 0.0, out=block)
+        np.sqrt(block, out=block)
+        square = block[:, :hi - lo]
+        np.copyto(square, square.T, where=lower[:hi - lo, :hi - lo])
+        dmat[hi:, lo:hi] = block[:, hi - lo:].T
+    np.fill_diagonal(dmat, 0.0)
+    return dmat
 
 
 def _safe_ratio(a: float, b: float) -> float:
@@ -430,9 +461,8 @@ def extract_all(instance: ProblemInstance, n: int, seed: int) -> ElaFeatureVecto
     X, y = sample_design(instance, n, seed)
     # the one n x n distance matrix: disp reads its zero diagonal, ic and nbc
     # the infinite one set in place; none copies it, and it goes before the
-    # meta-models. cdist(X, X) has squareform(pdist(X))'s bytes and needs
-    # no condensed copy
-    dmat = cdist(X, X)
+    # meta-models
+    dmat = _distance_matrix(X)
     raw = disp_features(y, dmat)
     np.fill_diagonal(dmat, np.inf)
     raw += ic_features(y, dmat)

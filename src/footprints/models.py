@@ -23,11 +23,14 @@ benchmark's tracer wraps a method found in the class's own `__dict__`.
 KNN ranks a row's training rows by keys |t_j|^2 - 2 z.t_j from one BLAS
 product. Where the first k + 1 sorted keys are more than 2E apart, E a
 per-row rounding bound (Higham 2002, eq. 3.5; derived at `_rank_keys`)
-that covers the keys, cdist's own rounding and the sqrt, the k nearest
-and their order are exactly those of a stable sort of the row's cdist
-distances, so the prediction keeps its bits. Other rows (ties, near-ties,
-non-finite or huge queries) take that stable sort of their cdist
-distances. Kernel ridge keeps cdist: its distances reach the output bits.
+that covers the keys, the rounding of the exact distances and the sqrt,
+the k nearest and their order are exactly those of a stable sort of the
+row's distances summed column by column (`_column_sq_distances`, the
+rounding of scipy's cdist), so the prediction keeps its bits. Other rows
+(ties, near-ties, non-finite or huge queries) take that stable sort.
+Kernel ridge's distances reach the output bits, so they come from einsum
+(`_gram_sq_distances`), whose sums do not depend on the other rows of a
+call as a BLAS product's do.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .csvio import Key
 from .errors import ConfigurationError
@@ -383,9 +385,10 @@ class KnnModel:
 
     def predict_standardized(self, Z: np.ndarray) -> np.ndarray:
         """The mean target of each standardized row's k nearest training
-        rows, summed nearest first, as a stable sort of the row's `cdist`
-        distances orders them. Rows whose order `_rank_keys` certifies take
-        it from one BLAS product; the others from that stable sort."""
+        rows, summed nearest first, as a stable sort of the row's
+        column-by-column distances orders them. Rows whose order
+        `_rank_keys` certifies take it from one BLAS product; the others
+        from that stable sort."""
         T, k = self.X_train, self.k_neighbors
         # a non-finite or huge row may warn here; it is never certified
         with np.errstate(invalid="ignore", over="ignore"):
@@ -397,15 +400,30 @@ class KnnModel:
             redo = ~(np.diff(head, axis=1) > 2.0 * bound[:, None]).all(axis=1)
         order = order[:, :k]
         if redo.any():
-            order[redo] = np.argsort(cdist(Z[redo], T), axis=1, kind="stable")[:, :k]
+            dist = np.sqrt(_column_sq_distances(Z[redo], T))
+            order[redo] = np.argsort(dist, axis=1, kind="stable")[:, :k]
         return self.y_train[order].mean(axis=1)
+
+
+def _column_sq_distances(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """|z_i - t_j|^2 as a sum of rounded squares of rounded differences,
+    (z_0 - t_0)^2 first and then one column at a time: cdist's rounding, so
+    the sqrt gives its distances bit for bit. Non-finite and huge rows give
+    inf or NaN without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = Z[:, None, 0] - T[:, 0]
+        acc = diff * diff
+        for col in range(1, T.shape[1]):
+            np.subtract(Z[:, None, col], T[:, col], out=diff)
+            acc += diff * diff
+    return acc
 
 
 def _rank_keys(Z: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keys s[i, j] = |t_j|^2 - 2 z_i.t_j from one BLAS product, and each
     row's bound E[i] = 8 (m + 2) u S_i + 2^-1022, S_i = |z_i|^2 + max_j |t_j|^2,
     u = 2^-53: where a row's consecutive sorted keys differ by more than 2E,
-    its cdist distances rank its rows in the same strict order.
+    its column-by-column distances rank its rows in the same strict order.
 
     The exact key is D_j - |z|^2, for D_j = |z - t_j|^2 the exact squared
     distance between the stored floats: |z|^2 is the same along a row. With
@@ -417,8 +435,9 @@ def _rank_keys(Z: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       2 gamma_m |z| |t_j|, and the subtraction adds u (1 + gamma_m) times
       |t_j|^2 + 2 |z| |t_j|; since 2 |z| |t_j| <= |z|^2 + |t_j|^2, a key is
       off by at most E_s = (2 gamma_m + 2 u (1 + gamma_m)) S;
-    * cdist: its sum of m rounded squares of rounded differences, in any
-      order, is q_j = D_j (1 + theta), |theta| <= gamma_(m+2), and
+    * distances: `_column_sq_distances`' sum of m rounded squares of
+      rounded differences (any order would do) is q_j = D_j (1 + theta),
+      |theta| <= gamma_(m+2), and
       D_j <= 2 S, so q_j is off by at most E_q = 2 gamma_(m+2) S;
     * sqrt: correctly rounded, it keeps q_i < q_j strictly apart once
       q_j - q_i > 4 u q_i / (1 - u)^2, for which
@@ -475,11 +494,22 @@ class KernelRidgeModel:
         return self.predict_standardized(self.standardize(X))
 
     def predict_standardized(self, Z: np.ndarray) -> np.ndarray:
-        sq = cdist(Z, self.X_train, "sqeuclidean")
+        sq = _gram_sq_distances(Z, self.X_train)
         K = np.exp(-sq / (2.0 * self.bandwidth**2))
         # one reduction per row: BLAS `K @ coef` sums a row in an order that
         # depends on the other rows of the call, and so its last bits too
         return np.einsum("ij,j->i", K, self.coef) + self.y_mean
+
+
+def _gram_sq_distances(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(|z_i|^2 + |t_j|^2) - 2 z_i.t_j, clamped at 0; exactly symmetric
+    when Z is T. Every product sum is an einsum over one row pair, in an
+    order set by the column count alone, so a row's bits do not depend on
+    the other rows of the call (a BLAS product's may)."""
+    sq = np.einsum("ij,kj->ik", Z, T)
+    sq *= -2.0
+    sq += np.add.outer(np.einsum("ij,ij->i", Z, Z), np.einsum("ij,ij->i", T, T))
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def fit_kernel(X: np.ndarray, y: np.ndarray, *, penalty: float) -> KernelRidgeModel:
@@ -489,8 +519,9 @@ def fit_kernel(X: np.ndarray, y: np.ndarray, *, penalty: float) -> KernelRidgeMo
     y = np.asarray(y, dtype=float)
     mean, std = _standardize_params(X)
     Z = _standardize(X, mean, std)
-    sq = cdist(Z, Z, "sqeuclidean")
-    dists = np.sqrt(sq[np.triu_indices(len(Z), 1)])  # bit for bit those of pdist(Z)
+    sq = _gram_sq_distances(Z, Z)
+    np.fill_diagonal(sq, 0.0)
+    dists = np.sqrt(sq[np.triu_indices(len(Z), 1)])
     bandwidth = float(np.median(dists)) if len(dists) else 1.0
     if bandwidth <= 0:
         bandwidth = 1.0

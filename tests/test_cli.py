@@ -357,6 +357,19 @@ def test_python_dash_m_footprints_runs_the_cli(tmp_path, bad, code, out):
     assert out in done.stdout
 
 
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # the runtime needs numpy and PyYAML alone; scipy is a test dependency
+    src = str(Path(footprints.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("import footprints.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_cli_unknown_key_is_config_error(tmp_path, capsys):
     path = _write_config(tmp_path, dict(TINY, mystery=1))
     assert main(["validate", "--config", str(path)]) == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 import footprints.ela as ela_mod
 from footprints.ela import (
@@ -59,8 +59,9 @@ def _design(X, y):
 
 
 def _distances(X, diagonal=0.0):
-    """The pairwise distance matrix of X, with `diagonal` on its diagonal."""
-    dmat = squareform(pdist(X))
+    """The pairwise distance matrix of X, as extract_all builds it, with
+    `diagonal` on its diagonal."""
+    dmat = ela_mod._distance_matrix(X)
     np.fill_diagonal(dmat, diagonal)
     return dmat
 
@@ -586,8 +587,8 @@ def test_extract_all_shares_one_distance_matrix(monkeypatch):
     X, y = sample_design(inst, 60, seed=4)
     assert _ic(X, y) == _ic(X, y, np.inf)
     calls = []
-    real = ela_mod.cdist
-    monkeypatch.setattr(ela_mod, "cdist", lambda XA, XB: calls.append(XA.shape) or real(XA, XB))
+    real = ela_mod._distance_matrix
+    monkeypatch.setattr(ela_mod, "_distance_matrix", lambda X: calls.append(X.shape) or real(X))
     vec = extract_all(inst, 60, seed=4)
     assert calls == [(60, 2)]
     expected = {**_disp(X, y), **_ic(X, y, np.inf), **_nbc(X, y)}
@@ -612,15 +613,23 @@ def test_extract_all_peak_memory_is_about_one_distance_matrix(problem_id):
 
 
 @pytest.mark.parametrize("dim", [2, 5, 10])
-def test_cdist_gives_squareform_pdist_bytes(dim):
-    # extract_all builds its matrix with cdist(X, X); a SciPy whose cdist
-    # differs from squareform(pdist(X)) in any bit would move features.csv
-    rng = np.random.default_rng(dim)
-    X, _ = sample_design(make_instance(21, 1, dim), 100 * dim, seed=dim)
-    designs = [X, np.repeat(rng.normal(size=(20, dim)), 2, axis=0)[rng.permutation(40)],
-               rng.integers(-2, 3, size=(50, dim)).astype(float)]
-    for D in designs:
-        assert cdist(D, D).tobytes() == squareform(pdist(D)).tobytes()
+def test_distance_matrix_is_symmetric_and_near_pdist(dim):
+    # extract_all's matrix comes from BLAS products, so its last bits may
+    # move with the BLAS; its symmetry and zero diagonal may not. Its d^2 is
+    # off by a few roundings of |x_i|^2 + |x_j|^2, which is within 1e-11 of
+    # each distance on the 100 * dim points of a design; n = 300 and 1000
+    # span several row blocks, the last one partial
+    for n in (100 * dim, 300, 1000):
+        X, _ = sample_design(make_instance(21, 1, dim), n, seed=dim)
+        dmat = ela_mod._distance_matrix(X)
+        assert dmat.tobytes() == dmat.T.tobytes()
+        assert not np.diagonal(dmat).any()
+        exact = squareform(pdist(X))
+        norms = np.add.outer(*2 * [np.einsum("ij,ij->i", X, X)])
+        assert (np.abs(dmat**2 - exact**2) <= 8 * (dim + 2) * 2.0**-53 * norms).all()
+        if n == 100 * dim:
+            off = ~np.eye(n, dtype=bool)
+            assert (np.abs(dmat - exact)[off] <= 1e-11 * exact[off]).all()
 
 
 def test_extract_all_minimum_size_guard():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 
@@ -608,15 +609,37 @@ def test_knn_predict_is_bitwise_the_reference_across_sizes(n, m, k):
 
 
 def _record_cdist(monkeypatch):
-    """The query rows of each `cdist` call that `models` makes from now on."""
+    """The query rows of each call that `models` makes from now on to the
+    KNN fallback's column-by-column distances, cdist's rounding."""
     calls = []
+    real = models._column_sq_distances
 
-    def recording_cdist(XA, XB, *args, **kwargs):
-        calls.append(np.array(XA))
-        return cdist(XA, XB, *args, **kwargs)
+    def recording(Z, T):
+        calls.append(np.array(Z))
+        return real(Z, T)
 
-    monkeypatch.setattr(models, "cdist", recording_cdist)
+    monkeypatch.setattr(models, "_column_sq_distances", recording)
     return calls
+
+
+def test_column_sq_distances_are_cdist_bitwise():
+    # the KNN fallback sorts these distances; cdist is the reference whose
+    # stable sort naive_knn_predict takes. -0.0, subnormals, values up to
+    # +-1e300 (whose squares overflow), +-inf and NaN give cdist's bits and
+    # no warning
+    rng = np.random.default_rng(22)
+    tiny = np.finfo(float).smallest_subnormal
+    awkward = np.array([-0.0, 0.0, 5 * tiny, -tiny, 1e-320, -2.5e-310, 0.25, 3.0, -1e10,
+                        1e150, -1e150, 1e200, -1e200, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    cases = [(rng.uniform(-1, 1, size=(40, m)), rng.uniform(-1, 1, size=(25, m)))
+             for m in (1, 2, 5, 43)]
+    cases += [(rng.choice(awkward, size=(40, m)), rng.choice(awkward, size=(25, m)))
+              for m in (1, 6, 30)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for Z, T in cases:
+            got = np.sqrt(models._column_sq_distances(Z, T))
+            assert got.tobytes() == cdist(Z, T).tobytes()
 
 
 def test_knn_predict_sends_only_uncertified_rows_to_cdist(monkeypatch):
@@ -757,6 +780,20 @@ def test_kernel_default_bandwidth_is_median_distance():
     from scipy.spatial.distance import pdist
 
     assert model.bandwidth == pytest.approx(float(np.median(pdist(Z))))
+
+
+def test_kernel_predict_row_bits_alone_in_two_and_1024_row_calls():
+    # the squared distances are einsum sums; a BLAS product's bits for a row
+    # can depend on how many rows share its call
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(300, 43))
+    model = fit_kernel(X, rng.normal(size=300), penalty=1e-3)
+    Q = rng.normal(size=(1024, 43))
+    batch = model.predict(Q)
+    for i in (0, 1, 511, 1023):
+        assert model.predict(Q[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+        pair = model.predict(Q[[i, (i + 1) % 1024]])
+        assert pair[:1].tobytes() == batch[i:i + 1].tobytes()
 
 
 def test_kernel_predict_row_does_not_depend_on_the_batch():
