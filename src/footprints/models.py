@@ -5,7 +5,9 @@ samples, per-split random feature subsets) so that tree internals are
 available to the exact Shapley attribution. A forest's trees grow in
 lockstep: each step takes the next node, in depth-first pre-order, of
 every tree with work left, so each tree's nodes and generator draws are
-those of growing it alone. The step's split nodes are scored together,
+those of growing it alone. Every node statistic is a sequential prefix sum
+along the node's padded row: its mean and SSE, and the split scan's
+cumulative sums. The step's split nodes are scored together,
 padded with rows that sort last and add nothing; a node scores all of its
 candidate columns in one pass (one sort of (value rank, position) keys,
 which is a stable sort of the values, cumulative sums, one SSE array).
@@ -163,7 +165,11 @@ def _grow_forest(X, y, roots, rngs, n_sub) -> list[RegressionTree]:
         real = position < size[:, None]
         R = np.where(real, rows[t[:, None], np.minimum(start[:, None] + position, n - 1)], pad)
         Y = yp[R]
-        value[t, node], sse = _node_sums(Y, real, size)
+        # sequential prefix sums, as in the split scan: pads lie past each
+        # node's last row, so they cannot move its mean or SSE
+        last = (np.arange(len(t)), size - 1)
+        value[t, node] = mean = np.cumsum(Y, axis=1)[last] / size
+        sse = np.cumsum((Y - mean[:, None]) ** 2, axis=1)[last]
         split = np.flatnonzero((size >= 2 * MIN_LEAF) & ((Y != Y[:, :1]) & real).any(axis=1))
         if not split.size:
             continue
@@ -190,30 +196,6 @@ def _grow_forest(X, y, roots, rngs, n_sub) -> list[RegressionTree]:
         top[ts] += 2
     arrays = (feature, threshold, left, right, value)
     return [RegressionTree(*(a[i, :count[i]].copy() for a in arrays)) for i in range(n_trees)]
-
-
-def _node_sums(Y, real, size):
-    """Each node's mean and sum of squared deviations, from the node's first
-    `size` values in its row of Y: bitwise those of the node's own 1-D array.
-
-    numpy sums pairwise, so padding would change the bits. Nodes of one size
-    are summed together instead, as the rows of a C-contiguous 2-D array
-    reduced over its last axis: each row's sum is its 1-D sum.
-    """
-    order = np.argsort(size, kind="stable")
-    flat = Y[order][real[order]]
-    sizes = size[order]
-    bounds = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1))
-    mean = np.empty(len(size))
-    sse = np.empty(len(size))
-    at = 0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        block = flat[at:at + (b - a) * sizes[a]].reshape(b - a, sizes[a])
-        at += block.size
-        mu = np.add.reduce(block, axis=1) / sizes[a]
-        mean[order[a:b]] = mu
-        sse[order[a:b]] = np.add.reduce((block - mu[:, None]) ** 2, axis=1)
-    return mean, sse
 
 
 def _best_splits(XT, ranks, yp, R, size, parent_sse, chosen):

@@ -112,7 +112,8 @@ def _pmap(fn, items, threads: int, stage: str):
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            mapper = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_keep_freed_memory)).map
         results = mapper(fn, items)
         out = []
         for item in items:
@@ -136,8 +137,9 @@ def _keep_freed_memory() -> None:
     chunk's states, its distances and kernel values) fault in their pages
     again on every call, about 40,000 minor faults in one model-sweep run
     of the benchmark. Up to 32 MiB an allocation now comes from the heap,
-    which is trimmed only past 256 MiB free. Pool workers started by fork
-    inherit it; without glibc it does nothing."""
+    which is trimmed only past 256 MiB free. `_pmap`'s pool workers run it
+    as their initializer, whatever the start method; without glibc it does
+    nothing."""
     if not sys.platform.startswith("linux"):
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

@@ -418,7 +418,7 @@ def naive_build_tree(X, y, idx, rng, n_sub):
         chosen = np.sort(rng.choice(X.shape[1], size=n_sub, replace=False))
         yr = y[rows]
         n = len(rows)
-        best, best_sse = None, float(np.sum((yr - yr.mean()) ** 2))
+        best, best_sse = None, float(np.cumsum((yr - np.cumsum(yr)[-1] / n) ** 2)[-1])
         for j in chosen:
             xs = X[rows, j]
             order = np.argsort(xs, kind="stable")
@@ -448,7 +448,7 @@ def naive_build_tree(X, y, idx, rng, n_sub):
                               ("right", -1)):
             arrays[name].append(default)
         yr = y[rows]
-        arrays["value"].append(float(yr.mean()))
+        arrays["value"].append(float(np.cumsum(yr)[-1] / len(yr)))
         if len(rows) < 2 * min_leaf or np.all(yr == yr[0]):
             return node
         split = best_split(rows)

@@ -1,8 +1,10 @@
 import csv
+import functools
 import hashlib
 import json
 import logging
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -723,7 +725,7 @@ def test_pmap_starts_no_more_workers_than_items(monkeypatch, threads, n_items, w
     started = []
 
     class RecordingExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             started.append(max_workers)
 
         def __enter__(self):
@@ -739,6 +741,39 @@ def test_pmap_starts_no_more_workers_than_items(monkeypatch, threads, n_items, w
     items = [(1, i) for i in range(1, n_items + 1)]
     assert pipeline._pmap(_fail_on_problem_2, items, threads, "solve") == items
     assert started == ([] if workers is None else [workers])
+
+
+@functools.cache
+def _first_big_buffer_on_heap():
+    """Whether this process's first 24 MiB buffer lies below the program
+    break. glibc maps a fresh process's buffers of 128 KiB or more; under
+    `_keep_freed_memory` the heap serves them up to 32 MiB."""
+    import ctypes
+
+    sbrk = ctypes.CDLL(None).sbrk
+    sbrk.argtypes, sbrk.restype = (ctypes.c_ssize_t,), ctypes.c_void_p
+    return np.empty(3 << 20).ctypes.data < sbrk(0)
+
+
+def _with_first_big_buffer(item):
+    return item, _first_big_buffer_on_heap()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc", reason="needs glibc")
+def test_pmap_workers_keep_freed_memory_under_spawn(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    from footprints import pipeline
+
+    def spawn_pool(**kwargs):
+        return ProcessPoolExecutor(mp_context=get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", spawn_pool)
+    items = [(1, i) for i in range(1, 5)]
+    assert pipeline._pmap(_with_first_big_buffer, items, 2, "solve") == [
+        (item, True) for item in items]
 
 
 def test_pipeline_manifest_contents(tiny_run):

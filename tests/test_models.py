@@ -101,6 +101,19 @@ def test_forest_constant_target():
     assert evaluate_model(model.predict(X), y)[0] == 0.0
 
 
+def test_forest_leaf_value_is_sequential_prefix_mean():
+    # a constant target leaves every tree a root leaf, whatever its bootstrap;
+    # sixteen 0.1s summed in order give 1.6000000000000003, where numpy's
+    # pairwise sum gives 1.6 and a mean of exactly 0.1
+    X = np.random.default_rng(0).normal(size=(16, 3))
+    model = fit_random_forest(X, np.full(16, 0.1), n_trees=3, seed=5)
+    expected = np.cumsum(np.full(16, 0.1))[-1] / 16
+    assert expected == 0.10000000000000002
+    for tree in model.trees:
+        assert list(tree.feature) == [-1]
+        assert tree.value.tobytes() == np.array([expected]).tobytes()
+
+
 def test_single_stump_matches_hand_computation():
     # 4 points, one feature: best split at 1.5 separates {0,0} from {1,1};
     # a tree on all 4 rows is that stump and predicts each side's mean
