@@ -17,9 +17,9 @@ The distance matrix comes from BLAS products a block of rows at a time
 last bits may depend on the BLAS. The other hot loops batch their work
 without moving a bit: the nearest-neighbour tour adds a +inf mask of the
 visited points to a row, nearest-better clustering masks the matrix a block
-of rows at a time, one bincount counts the symbol pairs of every
-information-content threshold, and one stacked inv and slogdet serve all
-folds of a level-set cross-validation.
+of at most CHUNK_CELLS cells at a time (for peak memory only), one bincount
+counts the symbol pairs of every information-content threshold, and one
+stacked inv and slogdet serve all folds of a level-set cross-validation.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .csvio import KEY_COLUMNS, Key, read_csv, row_key, write_csv, write_json
 from .errors import ConfigurationError
-from .suite import CHUNK_CELLS, LOWER_BOUND, UPPER_BOUND, ProblemInstance
+from .suite import LOWER_BOUND, UPPER_BOUND, ProblemInstance
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +44,9 @@ IC_SETTLING_THRESHOLD = 0.05
 IC_GRID_SIZE = 30
 _EPS = 1e-12
 _DIST_BLOCK = 128
+# The most cells of one block of nearest-better clustering's masked distances
+# (16 rows at n = 1000), so that no n x n mask or copy sits beside the matrix.
+CHUNK_CELLS = 1 << 14
 
 
 def _q_tag(q: float) -> str:

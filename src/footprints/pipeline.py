@@ -133,10 +133,12 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory() -> None:
     """Have glibc keep freed memory for reuse. By default it maps every
     allocation of 128 KiB or more afresh and returns a free heap top of
-    that size to the OS, so the temporaries of the hot loops (a sampling
-    chunk's states, its distances and kernel values) fault in their pages
-    again on every call, about 40,000 minor faults in one model-sweep run
-    of the benchmark. Up to 32 MiB an allocation now comes from the heap,
+    that size to the OS, so the temporaries of the hot loops fault in their
+    pages again on every call: a sampling chunk's states, its distances and
+    kernel values (about 40,000 minor faults in one model-sweep run of the
+    benchmark), and the suite cores' temporaries on an ELA-size batch
+    (Gallagher's (rows, peaks) quadratic forms, Katsuura's (rows, D, 32)
+    digit terms). Up to 32 MiB an allocation now comes from the heap,
     which is trimmed only past 256 MiB free. `_pmap`'s pool workers run it
     as their initializer, whatever the start method; without glibc it does
     nothing."""
@@ -254,7 +256,7 @@ class Pipeline:
     # -- public entry ----------------------------------------------------
     def run(self, stages=None) -> None:
         _keep_freed_memory()
-        wanted = list(stages) if stages else list(STAGES)
+        wanted = list(STAGES) if stages is None else list(stages)
         for stage in wanted:
             if stage not in STAGES:
                 raise StageFailure(stage, "unknown stage")

@@ -14,6 +14,9 @@ value at the optimum (FP noise, e.g. ~1e-13 for Schwefel) is subtracted at
 construction time. Gallagher's peaks are taken in rotated coordinates, each
 quadratic form expanded into two matmuls over all peaks; the optimum peak
 sits at the origin of those coordinates, so that core is exactly 0 there.
+Every core takes all rows of a batch in one pass; the pipeline's allocator
+rule (`pipeline._keep_freed_memory`) lets the temporaries of an ELA-size
+batch be reused from the heap.
 
 Evaluation is allowed outside [-5, 5]^D and adds no out-of-bounds penalty;
 the only penalty term kept is Schwefel's, which is part of that function
@@ -355,34 +358,15 @@ def _f20_schwefel(Y, aux):
     return body + 4.189828872724339 + 100.0 * _fpen(z / 100.0)
 
 
-# The most cells of one chunk's temporaries in Gallagher's peaks and
-# Katsuura's digits: 2^14 float64 cells are 128 KiB, glibc's default mmap
-# threshold. A larger temporary goes back to the kernel when it is freed
-# (unmapped, or trimmed off the top of the heap), so every call faults its
-# pages in afresh; a smaller one is reused from the heap. Both cores chunk
-# rows: Gallagher's (rows, peaks) quadratic forms, Katsuura's (rows, D, 32)
-# digit terms.
-CHUNK_CELLS = 1 << 14
-
-
 def _gallagher(Y, aux):
-    """Gallagher's peaks (f21, f22). All rows are rotated once; then each
+    """Gallagher's peaks (f21, f22). All rows are rotated at once; then every
     peak's quadratic form is two (rows, D) @ (D, peaks) matmuls plus a
-    constant, a chunk of rows at a time. The chunks differ by at most one row
-    and hold at least two rows unless the batch has one, since a 1-row matmul
-    takes another BLAS path; so each value is the unchunked pass's, and does
-    not depend on the other rows of the batch. Peak 0 has C = 0, so the
-    value at the optimum is exactly 0."""
-    n, dim = Y.shape
-    D, M, k, weights = aux["D"], aux["M"], aux["k"], aux["weights"]
+    constant, and each row takes its best weighted peak. Peak 0 has C = 0,
+    so the value at the optimum is exactly 0."""
+    dim = Y.shape[1]
     Z = _rot(Y, aux["R"])
-    best = np.empty(n)
-    n_chunks = max(1, -(-n // max(3, CHUNK_CELLS // weights.size)))
-    bounds = np.arange(n_chunks + 1) * n // n_chunks
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        z = Z[lo:hi]
-        quad = (z * z) @ D.T + z @ M.T + k
-        best[lo:hi] = np.max(weights * np.exp(-quad / (2.0 * dim)), axis=1)
+    quad = (Z * Z) @ aux["D"].T + Z @ aux["M"].T + aux["k"]
+    best = np.max(aux["weights"] * np.exp(-quad / (2.0 * dim)), axis=1)
     return _t_osz((10.0 - best)[:, None])[:, 0] ** 2
 
 
@@ -390,16 +374,12 @@ _KATSUURA_J = 2.0 ** np.arange(1, 33)
 
 
 def _f23_katsuura(Y, aux):
-    """Katsuura's function (f23). The (rows, D, 32) digit terms are taken a
-    chunk of rows at a time, after the rotations of all rows; each row's
-    sums and product are those of one unchunked pass, bit for bit."""
-    n, dim = Y.shape
+    """Katsuura's function (f23): the (rows, D, 32) digit terms of all rows
+    at once, after the rotations."""
+    dim = Y.shape[1]
     z = _rot(_rot(Y, aux["R"]) * _lam(100.0, dim)[None, :], aux["Q"])
-    s = np.empty_like(z)
-    step = max(1, CHUNK_CELLS // (dim * _KATSUURA_J.size))
-    for r in range(0, n, step):
-        zj = z[r:r + step, :, None] * _KATSUURA_J
-        s[r:r + step] = np.sum(np.abs(zj - np.round(zj)) / _KATSUURA_J, axis=2)
+    zj = z[:, :, None] * _KATSUURA_J
+    s = np.sum(np.abs(zj - np.round(zj)) / _KATSUURA_J, axis=2)
     prod = np.prod(1.0 + np.arange(1, dim + 1)[None, :] * s, axis=1)
     return (10.0 / dim**2) * (prod ** (10.0 / dim**1.2) - 1.0)
 

@@ -776,6 +776,32 @@ def test_pmap_workers_keep_freed_memory_under_spawn(monkeypatch):
         (item, True) for item in items]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc", reason="needs glibc")
+def test_pipeline_run_keeps_freed_memory_in_process(tmp_path):
+    # at --threads 1 no pool worker runs the allocator rule; run applies it
+    # in the pipeline's own process, which must be fresh to show it
+    src = str(Path(footprints.__file__).resolve().parents[1])
+    paths = [src, str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("import sys; from footprints.config import load_config; "
+            "from footprints.pipeline import Pipeline; "
+            "from test_cli import _first_big_buffer_on_heap; "
+            "Pipeline(load_config(sys.argv[1]), sys.argv[2], threads=1).run(['suite']); "
+            "print(_first_big_buffer_on_heap())")
+    done = subprocess.run([sys.executable, "-c", code, str(CONFIGS / "smoke.yaml"),
+                           str(tmp_path / "run")], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
+
+
+def test_pipeline_run_of_no_stages_writes_only_the_manifest(tmp_path):
+    Pipeline(parse_config(TINY), tmp_path / "run", threads=1).run([])
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["manifest.json"]
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"] == {}
+
+
 def test_pipeline_manifest_contents(tiny_run):
     _, out = tiny_run
     manifest = json.loads((out / "manifest.json").read_text())

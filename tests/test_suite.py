@@ -190,28 +190,13 @@ def _assert_gallagher_matches_unchunked_pass(inst, X):
 @pytest.mark.parametrize("problem_id", [21, 22])
 @pytest.mark.parametrize("dimension", [2, 5, 10])
 def test_gallagher_matches_unchunked_pass(problem_id, dimension):
-    # row chunks come after the rotation of all rows, and none holds a single
-    # row of a larger batch, so every value is the unchunked pass's
+    # every value is the one-pass oracle's, bit for bit, whatever the batch size
     rng = np.random.default_rng(problem_id * dimension)
     inst = make_instance(problem_id, 2, dimension)
-    per_chunk = suite_mod.CHUNK_CELLS // inst.aux["weights"].size
-    for rows in (1, 2, 3, default_population_size(dimension), per_chunk + 1,
-                 3 * per_chunk + 1):
+    for rows in (1, 2, 3, default_population_size(dimension), 163, 487):
         _assert_gallagher_matches_unchunked_pass(inst, _points(inst, rows, rng))
     X, _ = sample_design(inst, 100 * dimension, seed=dimension)  # the ELA sample
     _assert_gallagher_matches_unchunked_pass(inst, X)
-
-
-@pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 4, 8, 9, 10])
-def test_gallagher_row_chunk_edges_match_unchunked_pass(monkeypatch, rows_per_chunk):
-    rng = np.random.default_rng(rows_per_chunk)
-    dimension = 5
-    for problem_id in (21, 22):
-        inst = make_instance(problem_id, 1, dimension)
-        monkeypatch.setattr(suite_mod, "CHUNK_CELLS",
-                            rows_per_chunk * inst.aux["weights"].size)
-        for rows in (1, 2, 7, 9, 10, 19):
-            _assert_gallagher_matches_unchunked_pass(inst, _points(inst, rows, rng))
 
 
 @pytest.mark.parametrize("problem_id", [21, 22])
@@ -233,29 +218,6 @@ def test_gallagher_matches_per_peak_loop(problem_id, dimension):
                                    err_msg=f"instance {instance_id}")
 
 
-@pytest.mark.parametrize("rows_per_chunk", [1, 2, 20, 21, 100, 101, 102])
-def test_gallagher_chunk_edges_match_per_peak_loop(monkeypatch, rows_per_chunk):
-    # batches of one chunk, one row past it, one row short of two chunks and
-    # one past three stay within rounding of the per-peak loop, near every peak too
-    rng = np.random.default_rng(rows_per_chunk)
-    dimension = 5
-    for problem_id in (21, 22):
-        inst = make_instance(problem_id, 1, dimension)
-        setup = _naive_gallagher_setup(problem_id, 1, dimension)
-        monkeypatch.setattr(suite_mod, "CHUNK_CELLS",
-                            rows_per_chunk * inst.aux["weights"].size)
-        peaks = setup["peaks"]
-        for rows in (1, rows_per_chunk, rows_per_chunk + 1, 2 * rows_per_chunk - 1,
-                     3 * rows_per_chunk + 1):
-            # uniform points, every other one moved next to a peak, in turn
-            Y = rng.uniform(-5.0, 5.0, (rows, dimension)) - inst.shift
-            near = peaks[np.arange(0, rows, 2) // 2 % len(peaks)]
-            Y[::2] = near + rng.normal(0.0, 1e-3, near.shape)
-            np.testing.assert_allclose(suite_mod._gallagher(Y, inst.aux),
-                                       naive_gallagher_per_peak(Y, setup), rtol=1e-11,
-                                       atol=0.0, err_msg=f"{problem_id}, {rows} rows")
-
-
 @pytest.mark.parametrize("problem_id", [21, 22])
 @pytest.mark.parametrize("dimension", [2, 5, 10, 20])
 def test_gallagher_optimum_is_offset_exactly(problem_id, dimension):
@@ -275,26 +237,13 @@ def _assert_katsuura_matches_unchunked_pass(inst, X):
 
 @pytest.mark.parametrize("dimension", [2, 5, 10])
 def test_katsuura_matches_unchunked_pass(dimension):
-    # row chunks come after the rotations of all rows and keep each row's
-    # sums and product, so every value is the unchunked pass's
+    # every value is the one-pass oracle's, bit for bit, whatever the batch size
     rng = np.random.default_rng(23 * dimension)
     inst = make_instance(23, 2, dimension)
-    per_chunk = suite_mod.CHUNK_CELLS // (32 * dimension)
-    for rows in (1, 2, 3, default_population_size(dimension), per_chunk, 3 * per_chunk + 1):
+    for rows in (1, 2, 3, default_population_size(dimension), 163, 487):
         _assert_katsuura_matches_unchunked_pass(inst, _points(inst, rows, rng))
     X, _ = sample_design(inst, 100 * dimension, seed=dimension)  # the ELA sample
     _assert_katsuura_matches_unchunked_pass(inst, X)
-
-
-@pytest.mark.parametrize("dimension", [2, 5, 10])
-@pytest.mark.parametrize("rows_per_chunk", [1, 8, 9, 10])
-def test_katsuura_chunk_edges_match_unchunked_pass(monkeypatch, dimension, rows_per_chunk):
-    rng = np.random.default_rng(rows_per_chunk * dimension)
-    rows = 9
-    monkeypatch.setattr(suite_mod, "CHUNK_CELLS", rows_per_chunk * dimension * 32)
-    inst = make_instance(23, 1, dimension)
-    for n in (1, rows):
-        _assert_katsuura_matches_unchunked_pass(inst, _points(inst, n, rng))
 
 
 def test_shifts_pairwise_distinct_across_instances():
