@@ -5,7 +5,7 @@ predictions with Shapley attributions, and partitions test instances into
 deterministic (algorithm, model) quality clusters.
 """
 
-__version__ = "0.2.8"
+__version__ = "0.2.9"
 
 from .errors import ConfigurationError, ContractViolation
 

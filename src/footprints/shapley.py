@@ -27,20 +27,23 @@ finite background set; ``attribute`` picks the one that fits the model:
   permutation pairs and cycled background rows (Mitchell et al., JMLR
   2022). All permutations are drawn in one ``Generator.permuted`` call,
   whose rows are the stream of one ``permutation`` call per pair, and
-  inverted into ranks; the m + 1 states of every permutation then come
-  from one rank mask, ``where(rank < t, x, b)``, and are predicted in
-  chunks of whole permutations, at most PREDICT_CHUNK_ROWS rows per call.
-  The chunk bounds peak memory: one call for all states would hold KNN's
-  (states x training rows) distance and index matrices at once. KNN and
-  kernel ridge predict each row independently of the others in the call,
-  so the result is bit-for-bit that of predicting one permutation at a
-  time (``naive_sampling_shap`` in the tests), and x's prediction is read
-  from the last state of the first permutation, which is x itself. The
-  model (KNN, kernel ridge) gets its states built from x and the
-  background standardized once, by its ``standardize``, and predicts them
-  by its ``predict_standardized``: standardization is elementwise, the
-  same two IEEE operations on the same inputs, so ``where(rank < t, z_x,
-  z_b)`` holds the bits of standardizing ``where(rank < t, x, b)``.
+  inverted into ranks. No state is built: the model (KNN, kernel ridge)
+  standardizes x and the background once, by its ``standardize``, and
+  predicts state 0 (the pair's background row, each distinct one once)
+  and state m (x itself, once) in one call of its
+  ``predict_standardized``. States 1..m-1 differ from their predecessors
+  in one feature each, and its ``predict_chain`` carries their distances
+  along each permutation, in chunks of whole permutations, at most
+  PREDICT_CHUNK_ROWS // (m + 1) per call. The chunk bounds peak memory:
+  one call for all chains would hold KNN's (states x training rows) key
+  and index matrices at once. KNN and kernel ridge predict each state
+  independently of the others in the call, so the result is bit-for-bit
+  that of one permutation at a time: for KNN that of predicting each
+  built state (``naive_sampling_shap`` in the tests), and for kernel
+  ridge that of its chain (``naive_kernel_chain``). Standardization is
+  elementwise, the same two IEEE operations on the same inputs, so a
+  state mixed from z_x and z_b holds the bits of standardizing the mixed
+  raw state.
 
 Both satisfy efficiency (base + sum(phi) = prediction) exactly up to FP
 accumulation.
@@ -57,7 +60,8 @@ import numpy as np
 from .errors import ContractViolation
 from .models import RandomForestModel, RegressionTree
 
-# The most sampling-Shapley states per prediction call (peak memory).
+# Sampling Shapley predicts the chains of at most PREDICT_CHUNK_ROWS // (m + 1)
+# permutations per call (peak memory).
 PREDICT_CHUNK_ROWS = 1024
 # The most (path, x row, background row) cells per tree-Shapley chunk of
 # paths, and (row, background row) cells per block of summed rows (peak
@@ -236,8 +240,8 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
 
     Each sampled permutation is paired with its reverse and one cycled
     background row; n_permutations is rounded up to an even total. The
-    model predicts in its own feature space: it has ``standardize`` and
-    ``predict_standardized``.
+    model predicts in its own feature space: it has ``standardize``,
+    ``predict_standardized`` and ``predict_chain``.
     """
     x = np.asarray(x, dtype=float)
     B = np.atleast_2d(np.asarray(background, dtype=float))
@@ -256,16 +260,19 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)
     # states mixed from standardized x and b are the standardized states
     z_x = model.standardize(x)
-    z_b = model.standardize(B[np.arange(total) // 2 % B.shape[0]])
+    cycle = np.arange(total) // 2 % B.shape[0]
+    z_b = model.standardize(B[: min(n_pairs, B.shape[0])])
     # values[r, t]: prediction with the first t features of orders[r] taken
-    # from x; values[r, m] is the prediction of x itself
+    # from x. State 0 is the pair's background row and state m is x, each
+    # predicted once in one call; states 1..m-1 along each permutation
     values = np.empty((total, m + 1))
-    steps = np.arange(m + 1)[None, :, None]
+    direct = model.predict_standardized(np.vstack([z_b, z_x]))
+    values[:, 0], values[:, m] = direct[:-1][cycle], direct[-1]
+    z_b = z_b[cycle]
     per_chunk = max(1, PREDICT_CHUNK_ROWS // (m + 1))
     for lo in range(0, total, per_chunk):
         hi = min(lo + per_chunk, total)
-        states = np.where(rank[lo:hi, None, :] < steps, z_x, z_b[lo:hi, None, :])
-        values[lo:hi] = model.predict_standardized(states.reshape(-1, m)).reshape(hi - lo, m + 1)
+        values[lo:hi, 1:m] = model.predict_chain(z_x, z_b[lo:hi], orders[lo:hi])
     contribs = (np.take_along_axis(values, rank + 1, axis=1)
                 - np.take_along_axis(values, rank, axis=1))
     phi = contribs.mean(axis=0)

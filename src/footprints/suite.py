@@ -375,11 +375,15 @@ _KATSUURA_J = 2.0 ** np.arange(1, 33)
 
 def _f23_katsuura(Y, aux):
     """Katsuura's function (f23): the (rows, D, 32) digit terms of all rows
-    at once, after the rotations."""
+    at once, after the rotations; the subtract, abs and divide run in place,
+    the same operations on the same values as fresh temporaries would."""
     dim = Y.shape[1]
     z = _rot(_rot(Y, aux["R"]) * _lam(100.0, dim)[None, :], aux["Q"])
     zj = z[:, :, None] * _KATSUURA_J
-    s = np.sum(np.abs(zj - np.round(zj)) / _KATSUURA_J, axis=2)
+    zj -= np.round(zj)
+    np.abs(zj, out=zj)
+    zj /= _KATSUURA_J
+    s = np.sum(zj, axis=2)
     prod = np.prod(1.0 + np.arange(1, dim + 1)[None, :] * s, axis=1)
     return (10.0 / dim**2) * (prod ** (10.0 / dim**1.2) - 1.0)
 

@@ -27,8 +27,8 @@ from footprints.models import (
 )
 from footprints.seeding import derive_seed
 
-from _oracles import (naive_build_tree, naive_fit_random_forest, naive_forest_predict,
-                      naive_knn_predict)
+from _oracles import (naive_build_tree, naive_chain_states, naive_fit_random_forest,
+                      naive_forest_predict, naive_knn_predict)
 
 
 def _grid_keys(n_problems=24, n_instances=5, dim=10):
@@ -754,6 +754,154 @@ def test_knn_predict_does_not_depend_on_the_key_summation_order(monkeypatch):
     assert (reversed_keys != rank_keys(Z, model.X_train)[0]).any()  # other bits, same ranking
     monkeypatch.setattr(models, "_rank_keys", lambda Z, T: rank_keys(Z[:, ::-1], T[:, ::-1]))
     assert model.predict(queries).tobytes() == expected.tobytes()
+
+
+def _built_chain_states(z_x, Z, orders):
+    """The chain states built whole, in `_rank_keys`' key-row order: row
+    c rows + i is row i's state c + 1."""
+    return naive_chain_states(z_x, Z, orders).transpose(1, 0, 2).reshape(-1, len(z_x))
+
+
+def _plant_chains(targets, z_x, rng):
+    """Rows and orders whose chain state 0 is target i: its order takes
+    feature i first, which z_x is given (in place), and the row differs from
+    the target in that feature alone. Feature m - 1 comes second: where z_x
+    lies far out in it, the later states are far from every training row."""
+    m = len(z_x)
+    Z = np.array(targets, dtype=float)
+    orders = np.empty(Z.shape, dtype=int)
+    for i, target in enumerate(Z):
+        z_x[i] = target[i]
+        Z[i, i] = target[i] + 1.0
+        rest = np.delete(np.arange(m - 1), i)
+        orders[i] = np.concatenate([[i, m - 1], rng.permutation(rest)])
+    return Z, orders
+
+
+def _gap_query(T, k, rng, gap):
+    """A point whose k-th and (k+1)-th nearest rows of T have squared
+    distances `gap` apart (to rounding), and whose other nearest k + 1 are
+    farther apart."""
+    for _ in range(50):
+        p = rng.normal(size=T.shape[1])
+        d = ((p - T) ** 2).sum(axis=1)
+        a, b = np.argsort(d, kind="stable")[k - 1: k + 1]
+        w = T[b] - T[a]
+        q = p + (d[b] - d[a] - gap) / (2 * w @ w) * w
+        d = np.sort(((q - T) ** 2).sum(axis=1))[: k + 1]
+        if (np.diff(d) > 1e-3).sum() == k - 1:
+            return q
+    raise AssertionError("no gap query found")
+
+
+def _shuffled(rng, Z, orders, n_planted):
+    """Z and orders with their rows shuffled, and the new positions of the
+    last n_planted rows."""
+    shuffle = rng.permutation(len(Z))
+    return Z[shuffle], orders[shuffle], np.argsort(shuffle)[len(Z) - n_planted:]
+
+
+def test_knn_predict_chain_sends_only_planted_states_to_cdist(monkeypatch):
+    # chain states with near ties of 1-4 ulps, and one whose k-th and
+    # (k+1)-th keys are 1.5 E apart, where E is the row's bound and |z_x|^2
+    # most of its S: exactly those states are rebuilt for the fallback
+    calls = _record_cdist(monkeypatch)
+    rng = np.random.default_rng(25)
+    m, n, k = 6, 24, 5
+    T = rng.normal(size=(n, m))
+    model = KnnModel(mean=np.zeros(m), std=np.ones(m), X_train=T,
+                     y_train=rng.normal(size=n) * 1e3, k_neighbors=k)
+    z_x = rng.normal(size=m)
+    z_x[-1] = 20.0  # taken second by the planted chains
+    separated = rng.normal(size=(30, m)), rng.permuted(np.tile(np.arange(m), (30, 1)), axis=1)
+    model.predict_chain(z_x, *separated)
+    assert calls == []
+
+    # E = 8 (m + 2) u S + 2^-1022 of the gap query's chain, its S = |z_x|^2
+    # + |z|^2 + max_j |t_j|^2 set by the query itself
+    targets = list(_near_tie_queries(model, rng)) + [_gap_query(T, k, rng, 0.0)]
+    t2 = (T * T).sum(axis=1).max()
+    for _ in range(3):
+        Z, orders = _plant_chains(targets, z_x, rng)
+        S = z_x @ z_x + Z[-1] @ Z[-1] + t2
+        E = 8 * (m + 2) * 2.0**-53 * S + np.finfo(float).tiny
+        targets[-1] = _gap_query(T, k, np.random.default_rng(7), 1.5 * E)
+    Z, orders = _plant_chains(targets, z_x, rng)
+    assert z_x @ z_x > 10 * (Z[-1] @ Z[-1] + t2)
+    Z, orders, reached = _shuffled(rng, np.vstack([separated[0], Z]),
+                                   np.vstack([separated[1], orders]), len(targets))
+    gaps = np.diff(np.sort(models._rank_keys(Z, T, z_x, orders[:, :-1])[0][reached[-1]])[: k + 1])
+    assert 1.4 * E < gaps.min() < 1.6 * E
+    calls.clear()
+    got = model.predict_chain(z_x, Z, orders)
+    states = _built_chain_states(z_x, Z, orders)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == states[np.sort(reached)].tobytes()
+    assert np.array_equal(np.sort(calls[0], axis=0), np.sort(targets, axis=0))
+    assert got.shape == (len(Z), m - 1)
+    assert got.T.tobytes() == naive_knn_predict(model, states).tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 6, 11])
+def test_knn_predict_chain_k_equal_to_training_size_sends_interior_near_ties_to_cdist(
+        monkeypatch, rank):
+    calls = _record_cdist(monkeypatch)
+    rng = np.random.default_rng(29 + rank)
+    m, n = 5, 12
+    T = rng.normal(size=(n, m))
+    model = KnnModel(mean=np.zeros(m), std=np.ones(m), X_train=T,
+                     y_train=rng.normal(size=n) * 1e3, k_neighbors=n)
+    targets = _near_tie_queries(model, rng, rank=rank)
+    z_x = rng.normal(size=m)
+    z_x[-1] = 20.0  # taken second by the planted chains
+    planted = _plant_chains(targets, z_x, rng)
+    Z, orders, reached = _shuffled(
+        rng, np.vstack([rng.normal(size=(30, m)), planted[0]]),
+        np.vstack([rng.permuted(np.tile(np.arange(m), (30, 1)), axis=1), planted[1]]),
+        len(targets))
+    got = model.predict_chain(z_x, Z, orders)
+    states = _built_chain_states(z_x, Z, orders)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == states[np.sort(reached)].tobytes()
+    assert got.T.tobytes() == naive_knn_predict(model, states).tobytes()
+
+
+@pytest.mark.parametrize("case", ["random", "large norms, tiny distances", "near underflow",
+                                  "near overflow", "x far from the background"])
+def test_rank_keys_chain_bound_covers_the_states_keys_and_cdist(case):
+    # the keys carried along each chain, against the exact keys and squared
+    # distances of the built states
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        centre = rng.normal(size=m)
+        spread, far = 1.0, 1.0
+        if case == "large norms, tiny distances":
+            centre, spread = centre * 1e8, 1e-6
+        elif case == "near underflow":
+            centre, spread = centre * 1e-155, 1e-160
+        elif case == "near overflow":
+            centre, spread = centre * 1e150, 1e149
+        elif case == "x far from the background":
+            far = 1e6
+        T = centre + spread * rng.normal(size=(n, m))
+        Z = centre + spread * rng.normal(size=(3, m))
+        z_x = centre + far * spread * rng.normal(size=m)
+        orders = rng.permuted(np.tile(np.arange(m), (3, 1)), axis=1)
+        s, bound = models._rank_keys(Z, T, z_x, orders[:, :-1])
+        states = _built_chain_states(z_x, Z, orders)
+        q = cdist(states, T, "sqeuclidean")
+        assert s.shape == (len(states), n) and bound.shape == (len(states),)
+        assert np.isfinite(bound).all()
+        for i, state in enumerate(states):
+            for j in range(n):
+                key, dist = _fraction_keys(state, T[j])
+                assert abs(Fraction(s[i, j]) - key) <= Fraction(bound[i])
+                assert abs(Fraction(q[i, j]) - dist) <= Fraction(bound[i])
+        model = KnnModel(mean=np.zeros(m), std=np.ones(m), X_train=T, y_train=rng.normal(size=n),
+                         k_neighbors=int(rng.integers(1, n)))
+        got = model.predict_chain(z_x, Z, orders)
+        assert got.T.tobytes() == naive_knn_predict(model, states).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from footprints.shapley import (
     tree_shap_batch,
 )
 
-from _oracles import (brute_force_shapley, naive_knn_predict, naive_sampling_shap,
-                      naive_tree_shap)
+from _oracles import (brute_force_shapley, naive_chain_states, naive_kernel_chain,
+                      naive_knn_predict, naive_sampling_shap, naive_tree_shap)
 
 
 def _stump(feature, threshold, left_value, right_value, n_features):
@@ -284,6 +284,9 @@ class _AdditiveModel:
     def predict_standardized(self, Z):
         return Z @ self.coefs
 
+    def predict_chain(self, z_x, Z, orders):
+        return naive_chain_states(z_x, Z, orders) @ self.coefs
+
 
 def test_sampling_additive_closed_form():
     # analytic attribution of an additive model: a_i * (x_i - mean(bg_i))
@@ -303,6 +306,9 @@ def test_sampling_constant_model_zero_phi():
 
         def predict_standardized(self, Z):
             return np.full(Z.shape[0], 7.0)
+
+        def predict_chain(self, z_x, Z, orders):
+            return np.full((Z.shape[0], orders.shape[1] - 1), 7.0)
 
     rep = sampling_shap(Constant(), np.zeros(4), np.zeros((3, 4)),
                         n_permutations=16, seed=1)
@@ -390,36 +396,63 @@ def test_sampling_knn_full_training_set_matches_reference_bitwise():
 
 @pytest.mark.parametrize("m, n_background, n_permutations", REFERENCE_CASES)
 def test_sampling_kernel_matches_reference(m, n_background, n_permutations):
-    # kernel ridge predicts each row on its own, so chunking changes no bit
+    # kernel ridge predicts each chain state on its own, so chunking changes
+    # no bit: every value is the one-permutation-at-a-time chain's. State 0
+    # and x are predicted directly, so base and prediction keep the bits of
+    # predicting the built states, and phi moves only in the last bits
     rng = np.random.default_rng(m * 1000 + n_permutations)
     X = rng.normal(size=(30, m))
     model = fit_kernel(X, rng.normal(size=30), penalty=1e-3)
     x, background = rng.normal(size=m), X[:n_background]
     rep = sampling_shap(model, x, background, n_permutations=n_permutations, seed=11)
     base, phi, prediction, stderr = naive_sampling_shap(
+        model, x, background, n_permutations, seed=11,
+        chain=lambda b, order: naive_kernel_chain(model, x, b, order))
+    assert rep.base_value == base and rep.prediction == prediction
+    assert rep.phi.tobytes() == phi.tobytes() and rep.stderr.tobytes() == stderr.tobytes()
+    base, phi, prediction, stderr = naive_sampling_shap(
         model, x, background, n_permutations, seed=11)
     assert rep.base_value == base and rep.prediction == prediction
-    assert np.array_equal(rep.phi, phi) and np.array_equal(rep.stderr, stderr)
+    assert np.abs(rep.phi - phi).max() <= 1e-12
+    assert np.abs(rep.stderr - stderr).max() <= 1e-12
+
+
+def _recording(model, calls):
+    """Record the rows of each `predict_standardized` call and the orders
+    of each `predict_chain` call that sampling makes on `model`."""
+    predict_standardized, predict_chain = model.predict_standardized, model.predict_chain
+
+    def standardized(Z):
+        calls.append(("standardized", len(Z)))
+        return predict_standardized(Z)
+
+    def chain(z_x, Z, orders):
+        assert orders.shape == (len(Z), len(z_x))  # whole permutations
+        calls.append(("chain", len(Z)))
+        return predict_chain(z_x, Z, orders)
+
+    model.predict_standardized, model.predict_chain = standardized, chain
+
+
+def _assert_bounded_chunks(calls, m, n_background):
+    # the pairs' distinct background rows and x are predicted once each, in
+    # one call, then the chains in calls of whole permutations
+    per_call = max(1, PREDICT_CHUNK_ROWS // (m + 1))
+    assert calls[0] == ("standardized", n_background + 1)
+    chains = [rows for kind, rows in calls[1:] if kind == "chain"]
+    assert len(chains) == len(calls) - 1
+    assert sum(chains) == 256
+    assert max(chains) == min(per_call, 256)
+    assert len(chains) == -(-256 // per_call)
 
 
 @pytest.mark.parametrize("m", [1, 9, 43, 1100])
 def test_sampling_predicts_in_bounded_chunks(m):
-    rows = []
-
-    class Recording(_AdditiveModel):
-        def predict_standardized(self, Z):
-            rows.append(len(Z))
-            return super().predict_standardized(Z)
-
-    model = Recording(np.ones(m))
+    calls = []
+    model = _AdditiveModel(np.ones(m))
+    _recording(model, calls)
     sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
-    per_call = max(1, PREDICT_CHUNK_ROWS // (m + 1)) * (m + 1)
-    states = 256 * (m + 1)
-    # every call holds whole permutations' states; x's own prediction is
-    # the last state of a permutation, not a call of its own
-    assert sum(rows) == states
-    assert max(rows) == min(per_call, states)
-    assert len(rows) == -(-states // per_call)
+    _assert_bounded_chunks(calls, m, 2)
 
 
 def _awkward_inputs(kind):
@@ -478,22 +511,12 @@ def test_sampling_awkward_inputs_match_reference_bitwise(kind, n_permutations):
 def test_sampling_predicts_standardized_states_in_bounded_chunks(m):
     rng = np.random.default_rng(m)
     model = fit_knn(rng.normal(size=(4, m)), rng.normal(size=4), k_neighbors=1)
-    rows, raw_calls = [], []
-    predict_standardized = model.predict_standardized
-
-    def recording(Z):
-        rows.append(len(Z))
-        return predict_standardized(Z)
-
-    model.predict_standardized = recording
+    calls, raw_calls = [], []
+    _recording(model, calls)
     model.predict = lambda X: raw_calls.append(len(X))
     sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
-    per_call = max(1, PREDICT_CHUNK_ROWS // (m + 1)) * (m + 1)
-    states = 256 * (m + 1)
     assert raw_calls == []
-    assert sum(rows) == states
-    assert max(rows) == min(per_call, states)
-    assert len(rows) == -(-states // per_call)
+    _assert_bounded_chunks(calls, m, 2)
 
 
 def test_attribute_picks_the_estimator_by_model():
