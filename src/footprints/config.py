@@ -154,13 +154,14 @@ _SECTIONS = {key.partition(".")[0] for key in _FIELDS if "." in key}
 
 def parse_config(data: dict) -> RunConfig:
     """Strict parse; unknown keys and malformed values are errors naming the key.
-    A key set to null keeps its default."""
+    A key set to null keeps its default, and a section set to null its
+    defaults; any other section that is not a mapping is an error."""
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
     flat = {}
     for key, raw in data.items():
         if key in _SECTIONS:
-            section = raw or {}
+            section = {} if raw is None else raw
             if not isinstance(section, dict):
                 raise ConfigurationError(f"config section {key!r} must be a mapping")
             for sub, value in section.items():
@@ -194,7 +195,7 @@ def load_config(path) -> RunConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse config file: {exc}") from exc
-    return parse_config(data or {})
+    return parse_config({} if data is None else data)
 
 
 def _de_config_issues(cfg: RunConfig) -> list[str]:

@@ -16,13 +16,13 @@ the lowest feature index across columns, so the trees equal those of
 scoring one feature at a time. Prediction walks every (tree, row) pair
 down at once and adds the trees' leaf values in tree order. KNN and RBF
 kernel ridge (the svm surrogate) standardize features with train-only
-statistics, (X - mean) / std elementwise (`_standardize`). Each splits
-prediction into `standardize(X)` and `predict_standardized(Z)`, and has
-`predict_chain(z_x, Z, orders)`, which predicts the states 1..m-1 of each
-permutation in orders from Z[i] towards z_x without building them: one
-key routine (`_rank_keys`) carries each state's keys |t_j|^2 - 2 z.t_j
-from the previous state's, as consecutive states differ in one feature.
-`predict(X)`, `predict_standardized(standardize(X))`, stays in each class
+statistics, (X - mean) / std elementwise (`_standardize`). Each predicts
+through one method, `predict_chain(z_x, Z, steps)`: the states 0..k of
+each row's chain from Z[i] towards z_x, state c taking the features
+steps[i, :c] from z_x, without building them. One key routine
+(`_rank_keys`) carries each state's keys |t_j|^2 - 2 z.t_j from the
+previous state's, as consecutive states differ in one feature. `predict(X)`
+is the chain of zero steps from `standardize(X)`; it stays in each class
 body because the benchmark's tracer wraps a method found in the class's
 own `__dict__`.
 
@@ -34,12 +34,11 @@ their order are exactly those of a stable sort of the state's distances
 summed column by column (`_column_sq_distances`, the rounding of scipy's
 cdist), so the prediction keeps its bits. Other states (ties, near-ties,
 non-finite or huge queries) are rebuilt (`_chain_states`) and take that
-stable sort. A direct prediction is the chain of zero steps: one key
-routine, one certificate and one fallback (`_mean_of_nearest`). Kernel
-ridge's distances reach the output bits, so they come from einsum
-(`_gram_sq_distances`), whose sums do not depend on the other rows of a
-call as a BLAS product's do; its chains take the keys plus |state|^2,
-carried the same way.
+stable sort: one key routine, one certificate and one fallback. Kernel
+ridge's distances reach the output bits; its states take the keys plus
+|state|^2, carried the same way, and every sum is an einsum, whose sums do
+not depend on the other rows of a call as a BLAS product's do. The fit and
+chains whose keys are not bounded take `_gram_sq_distances`.
 """
 
 from __future__ import annotations
@@ -370,51 +369,46 @@ class KnnModel:
         return _standardize(X, self.mean, self.std)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_standardized(self.standardize(X))
+        return self.predict_chain(*_no_steps(self.standardize(X)))[:, 0]
 
-    def predict_standardized(self, Z: np.ndarray) -> np.ndarray:
-        """The mean target of each standardized row's k nearest training
-        rows, summed nearest first, as a stable sort of the row's
-        column-by-column distances orders them."""
-        return self._mean_of_nearest(*_rank_keys(Z, self.X_train), lambda redo: Z[redo])
-
-    def predict_chain(self, z_x: np.ndarray, Z: np.ndarray, orders: np.ndarray) -> np.ndarray:
-        """`predict_standardized` of the states 1..m-1 of each row's chain
-        (`_rank_keys`, steps orders[:, :-1]), as a (rows, m - 1) array."""
-        steps = orders[:, :-1]
-        s, bound = _rank_keys(Z, self.X_train, z_x, steps)
-        return self._mean_of_nearest(
-            s, bound, lambda redo: _chain_states(z_x, Z, steps, np.flatnonzero(redo))
-        ).reshape(-1, len(Z)).T
-
-    def _mean_of_nearest(self, s, bound, states) -> np.ndarray:
-        """Each key row's k nearest training rows' mean target. Rows whose
-        order `_rank_keys`' bound certifies take it from their keys; the
-        others from a stable sort of the column-by-column distances of their
-        standardized states, `states(redo)` for the boolean mask redo."""
+    def predict_chain(self, z_x: np.ndarray, Z: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """The mean target of the k nearest training rows of the states
+        0..k of each row's chain (`_rank_keys`), as a (rows, k + 1) array,
+        summed nearest first, as a stable sort of the state's
+        column-by-column distances orders them. States whose order the
+        keys' bound certifies take it from their keys; the others are
+        rebuilt (`_chain_states`) and take that stable sort."""
         T, k = self.X_train, self.k_neighbors
+        s, bound = _rank_keys(Z, T, z_x, steps)
         # NaN keys and gaps, and gaps that overflow, are never certified
         with np.errstate(invalid="ignore", over="ignore"):
             order = np.argsort(s, axis=1)[:, : k + 1]
-            # certified: the row's first k + 1 keys (all of them when k ==
+            # certified: the state's first k + 1 keys (all of them when k ==
             # n_train) are more than 2E apart
             head = np.take_along_axis(s, order, axis=1)
             redo = ~(np.diff(head, axis=1) > 2.0 * bound[:, None]).all(axis=1)
         order = order[:, :k]
         if redo.any():
-            dist = np.sqrt(_column_sq_distances(states(redo), T))
+            states = _chain_states(z_x, Z, steps, np.flatnonzero(redo))
+            dist = np.sqrt(_column_sq_distances(states, T))
             order[redo] = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        return self.y_train[order].mean(axis=1)
+        return self.y_train[order].mean(axis=1).reshape(steps.shape[1] + 1, len(Z)).T
+
+
+def _no_steps(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`predict_chain`'s arguments for the rows of Z alone: chains of zero
+    steps from Z, towards an x of zeros that no state takes a feature of."""
+    return np.zeros(Z.shape[1]), Z, np.empty((len(Z), 0), dtype=np.intp)
 
 
 def _chain_states(z_x: np.ndarray, Z: np.ndarray, steps: np.ndarray,
                   index: np.ndarray) -> np.ndarray:
     """The chain states at flat indices `index` of `_rank_keys`' chains, as
-    rows: index c rows + i is Z[i] with the features steps[i, :c + 1] taken
+    rows: index c rows + i is Z[i] with the features steps[i, :c] taken
     from z_x. Each element is a copy of one of z_x's or Z's."""
     c, row = np.divmod(index, len(Z))
     states = Z[row]
-    taken = np.arange(steps.shape[1]) <= c[:, None]
+    taken = np.arange(steps.shape[1]) < c[:, None]
     features = steps[row][taken]
     states[np.nonzero(taken)[0], features] = z_x[features]
     return states
@@ -434,23 +428,22 @@ def _column_sq_distances(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _rank_keys(Z: np.ndarray, T: np.ndarray, z_x: np.ndarray | None = None,
-               steps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Keys s = |t_j|^2 - 2 z.t_j of the rows z of Z against the rows t_j of
-    T, and each key row's bound E = 8 (m + 2) u S + 2^-1022, u = 2^-53:
-    where a row's consecutive sorted keys differ by more than 2E, its
-    column-by-column distances rank its training rows in the same strict
-    order. Without steps, S = |z|^2 + max_j |t_j|^2.
+def _rank_keys(Z: np.ndarray, T: np.ndarray, z_x: np.ndarray,
+               steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys s = |t_j|^2 - 2 z.t_j of the states z of the rows' chains
+    against the rows t_j of T, and each key row's bound E = 8 (m + 2) u S +
+    2^-1022, u = 2^-53: where a row's consecutive sorted keys differ by more
+    than 2E, its column-by-column distances rank its training rows in the
+    same strict order.
 
-    With steps, a (rows, k) array of distinct features, the key rows are
-    the states of the rows' chains, step by step, flattened to key row
-    c rows + i: state c of row i is z = Z[i] with the features
-    steps[i, :c + 1] taken from z_x. Each state's keys are the previous
-    state's (Z[i]'s for c = 0) plus -2 (z_x,d - z_d) t_jd for its new
-    feature d: one gather, one multiply and one cumulative sum (an add of
-    contiguous blocks a step), with no state built. S = |z_x|^2 + |Z[i]|^2 +
-    max_j |t_j|^2 bounds |z|^2 + max_j |t_j|^2 for every state of the chain,
-    since each feature of a state is z_x's or Z[i]'s.
+    steps is a (rows, k) array of distinct features, k >= 0. Key row
+    c rows + i is state c of row i's chain, c = 0..k: z = Z[i] with the
+    features steps[i, :c] taken from z_x. State 0's keys are Z[i]'s; each
+    later state's are the previous state's plus -2 (z_x,d - z_d) t_jd for
+    its new feature d: one gather, one multiply and one cumulative sum (an
+    add of contiguous blocks a step), with no state built. S = |z_x|^2 +
+    |Z[i]|^2 + max_j |t_j|^2 bounds |z|^2 + max_j |t_j|^2 for every state
+    of the chain, since each feature of a state is z_x's or Z[i]'s.
 
     The exact key is D_j - |z|^2, for D_j = |z - t_j|^2 the exact squared
     distance between the stored floats: |z|^2 is the same along a row. With
@@ -458,16 +451,17 @@ def _rank_keys(Z: np.ndarray, T: np.ndarray, z_x: np.ndarray | None = None,
     Algorithms, 2002, eq. 3.5) bounds a computed n-term dot product's error
     by gamma_n sum_k |x_k y_k|, in any summation order, fused or not. So:
 
-    * keys of Z: |t_j|^2 is off by at most gamma_m |t_j|^2, 2 z.t_j by
+    * keys of state 0: |t_j|^2 is off by at most gamma_m |t_j|^2, 2 z.t_j by
       2 gamma_m |z| |t_j|, and the subtraction adds u (1 + gamma_m) times
       |t_j|^2 + 2 |z| |t_j|; since 2 |z| |t_j| <= |z|^2 + |t_j|^2, a key is
       off by at most E_s = (2 gamma_m + 2 u (1 + gamma_m)) S;
     * chain steps: a step's term is -2 (x_d - z_d) t_jd to within
       gamma_2, and over the chain sum_d 2 |x_d - z_d| |t_jd| <=
       |x - Z[i]|^2 + |t_j|^2 <= 2 S, so the terms add at most 2 gamma_2 S;
-      each of the at most m - 1 additions rounds a partial sum, which is
-      the key of a state (|key| <= |t_j|^2 + 2 |z| |t_j| <= 2 S) and is off
-      by less than 0.04 S, by u. In all, E_c <= (2.04 m + 1.97) u S;
+      each of the at most m additions rounds a partial sum, which is the
+      key of a state (|key| <= |t_j|^2 + 2 |z| |t_j| <= 2 S) and is off by
+      less than 0.04 S, by u. In all, E_c <= (2.04 m + 4.01) u S, and 0
+      for state 0;
     * distances: `_column_sq_distances`' sum of m rounded squares of
       rounded differences (any order would do) is q_j = D_j (1 + theta),
       |theta| <= gamma_(m+2), and
@@ -479,36 +473,33 @@ def _rank_keys(Z: np.ndarray, T: np.ndarray, z_x: np.ndarray | None = None,
     If key s_j exceeds key s_i by more than 2E, then q_j - q_i >
     2E - 2 (E_s + E_c) - 2 E_q, which is at least E_r when E >= E_s + E_c
     + E_q + E_r / 2. For (m + 2) u <= 0.01 that sum is at most
-    (6.09 m + 12.08) u S <= 6.09 (m + 2) u S for every m >= 1 (without
-    steps, E_c = 0 and it is (4.05 m + 10.11) u S), so c = 8 does; its
-    slack covers the rounding of E and of the gaps themselves. The 2^-1022
-    covers gradual underflow, at most 5.05 m 2^-1075 over the products and
-    squares. Where S is not below 2^1021 (so that no intermediate can
-    overflow) or is NaN, E is infinite and the row is never certified.
-    Every dot product is an einsum over one row pair, whose sum does not
-    depend on the other rows of the call (a BLAS product's may), so a key
-    row's bits do not either.
+    (6.09 m + 14.12) u S <= 6.74 (m + 2) u S for every m >= 1, so c = 8
+    does; its slack covers the rounding of E and of the gaps themselves.
+    The 2^-1022 covers gradual underflow, at most 5.05 m 2^-1075 over the
+    products and squares. Where S is not below 2^1021 (so that no
+    intermediate can overflow) or is NaN, E is infinite and the row is
+    never certified. Every dot product is an einsum over one row pair,
+    whose sum does not depend on the other rows of the call (a BLAS
+    product's may), so a key row's bits do not either.
     """
     m = T.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         t2 = np.einsum("ij,ij->i", T, T)
-        s = np.einsum("ij,kj->ik", Z, -2.0 * T)
-        s += t2
+        chain = np.empty((steps.shape[1] + 1, len(Z), len(T)))  # (state, row, training row)
+        chain[0] = np.einsum("ij,kj->ik", Z, -2.0 * T)
+        chain[0] += t2
+        chain[1:] = np.ascontiguousarray(T.T)[steps.T]
+        step = Z[np.arange(len(Z)), steps.T] - z_x[steps.T]
+        step *= 2.0
+        chain[1:] *= step[:, :, None]
+        for c in range(1, len(chain)):
+            chain[c] += chain[c - 1]
         scale = np.einsum("ij,ij->i", Z, Z) + t2.max()
-        if steps is not None:
-            scale += z_x @ z_x
-            scale = np.tile(scale, steps.shape[1])
-            step = Z[np.arange(len(Z)), steps.T] - z_x[steps.T]
-            step *= 2.0
-            chain = np.ascontiguousarray(T.T)[steps.T]  # (step, row, training row)
-            chain *= step[:, :, None]
-            chain[:1] += s
-            for c in range(1, len(chain)):
-                chain[c] += chain[c - 1]
-            s = chain.reshape(-1, len(T))
+        scale += z_x @ z_x
+        scale = np.tile(scale, len(chain))
     bound = (m + 2) * 2.0**-50 * scale + np.finfo(float).tiny
     bound[~(scale < 2.0**1021)] = np.inf
-    return s, bound
+    return chain.reshape(-1, len(T)), bound
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k_neighbors: int) -> KnnModel:
@@ -540,38 +531,32 @@ class KernelRidgeModel:
         return _standardize(X, self.mean, self.std)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_standardized(self.standardize(X))
+        return self.predict_chain(*_no_steps(self.standardize(X)))[:, 0]
 
-    def predict_standardized(self, Z: np.ndarray) -> np.ndarray:
-        return self._from_sq_distances(_gram_sq_distances(Z, self.X_train))
-
-    def predict_chain(self, z_x: np.ndarray, Z: np.ndarray, orders: np.ndarray) -> np.ndarray:
-        """`predict_standardized` of the states 1..m-1 of each row's chain
-        (`_rank_keys`, steps orders[:, :-1]), as a (rows, m - 1) array, to
-        within the rounding of the squared distances: a state's is its key
-        plus |state|^2, which is carried along the chain like the keys, from
-        |Z[i]|^2 by x_d^2 - z_d^2 a step, then clamped at 0. Chains whose keys
-        `_rank_keys` does not bound (S >= 2^1021 or NaN) take
-        `predict_standardized` on their built states instead."""
-        steps = orders[:, :-1]
+    def predict_chain(self, z_x: np.ndarray, Z: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """The predictions of the states 0..k of each row's chain
+        (`_rank_keys`), as a (rows, k + 1) array. A state's squared
+        distances are its keys plus |state|^2, which is carried along the
+        chain like the keys, from |Z[i]|^2 by x_d^2 - z_d^2 a step, then
+        clamped at 0. Chains whose keys `_rank_keys` does not bound
+        (S >= 2^1021 or NaN) take the squared distances of their built
+        states (`_gram_sq_distances`) instead."""
         s, bound = _rank_keys(Z, self.X_train, z_x, steps)
         with np.errstate(over="ignore", invalid="ignore"):
             x, z = z_x[steps.T], Z[np.arange(len(Z)), steps.T]
-            norms = x * x - z * z
-            norms[:1] += np.einsum("ij,ij->i", Z, Z)
+            norms = np.empty((len(x) + 1, len(Z)))
+            norms[0] = np.einsum("ij,ij->i", Z, Z)
+            np.subtract(x * x, z * z, out=norms[1:])
             s += np.cumsum(norms, axis=0).reshape(-1, 1)
-            out = self._from_sq_distances(np.maximum(s, 0.0, out=s))
-        unbounded = np.isinf(bound)
-        if unbounded.any():
-            out[unbounded] = self.predict_standardized(
-                _chain_states(z_x, Z, steps, np.flatnonzero(unbounded)))
-        return out.reshape(-1, len(Z)).T
-
-    def _from_sq_distances(self, sq: np.ndarray) -> np.ndarray:
-        K = np.exp(-sq / (2.0 * self.bandwidth**2))
+            unbounded = np.flatnonzero(np.isinf(bound))
+            if unbounded.size:
+                s[unbounded] = _gram_sq_distances(_chain_states(z_x, Z, steps, unbounded),
+                                                  self.X_train)
+            K = np.exp(-np.maximum(s, 0.0, out=s) / (2.0 * self.bandwidth**2))
         # one reduction per row: BLAS `K @ coef` sums a row in an order that
         # depends on the other rows of the call, and so its last bits too
-        return np.einsum("ij,j->i", K, self.coef) + self.y_mean
+        out = np.einsum("ij,j->i", K, self.coef) + self.y_mean
+        return out.reshape(len(norms), len(Z)).T
 
 
 def _gram_sq_distances(Z: np.ndarray, T: np.ndarray) -> np.ndarray:

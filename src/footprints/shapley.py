@@ -29,14 +29,16 @@ finite background set; ``attribute`` picks the one that fits the model:
   whose rows are the stream of one ``permutation`` call per pair, and
   inverted into ranks. No state is built: the model (KNN, kernel ridge)
   standardizes x and the background once, by its ``standardize``, and
-  predicts state 0 (the pair's background row, each distinct one once)
-  and state m (x itself, once) in one call of its
-  ``predict_standardized``. States 1..m-1 differ from their predecessors
-  in one feature each, and its ``predict_chain`` carries their distances
-  along each permutation, in chunks of whole permutations, at most
-  PREDICT_CHUNK_ROWS // (m + 1) per call. The chunk bounds peak memory:
-  one call for all chains would hold KNN's (states x training rows) key
-  and index matrices at once. KNN and kernel ridge predict each state
+  its ``predict_chain`` predicts the states 0..m of each permutation, from
+  the pair's background row (state 0) to x (state m, whose value in the
+  first permutation is ``prediction``), carrying their distances along
+  the permutation, as consecutive states differ in one feature. The step
+  of a feature whose value x and the background row share adds exact
+  zeros, so that feature's contributions are exactly 0. Each call
+  takes max(1, PREDICT_CHUNK_ROWS // (m + 1)) whole permutations (the
+  last call the rest). The chunk bounds peak memory: one call for all
+  chains would hold KNN's (states x training rows) key and index
+  matrices at once. KNN and kernel ridge predict each chain
   independently of the others in the call, so the result is bit-for-bit
   that of one permutation at a time: for KNN that of predicting each
   built state (``naive_sampling_shap`` in the tests), and for kernel
@@ -60,7 +62,7 @@ import numpy as np
 from .errors import ContractViolation
 from .models import RandomForestModel, RegressionTree
 
-# Sampling Shapley predicts the chains of at most PREDICT_CHUNK_ROWS // (m + 1)
+# Sampling Shapley predicts the chains of max(1, PREDICT_CHUNK_ROWS // (m + 1))
 # permutations per call (peak memory).
 PREDICT_CHUNK_ROWS = 1024
 # The most (path, x row, background row) cells per tree-Shapley chunk of
@@ -240,8 +242,8 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
 
     Each sampled permutation is paired with its reverse and one cycled
     background row; n_permutations is rounded up to an even total. The
-    model predicts in its own feature space: it has ``standardize``,
-    ``predict_standardized`` and ``predict_chain``.
+    model predicts in its own feature space: it has ``standardize`` and
+    ``predict_chain``.
     """
     x = np.asarray(x, dtype=float)
     B = np.atleast_2d(np.asarray(background, dtype=float))
@@ -260,19 +262,14 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)
     # states mixed from standardized x and b are the standardized states
     z_x = model.standardize(x)
-    cycle = np.arange(total) // 2 % B.shape[0]
-    z_b = model.standardize(B[: min(n_pairs, B.shape[0])])
+    z_b = model.standardize(B[:n_pairs])[np.arange(total) // 2 % B.shape[0]]
     # values[r, t]: prediction with the first t features of orders[r] taken
-    # from x. State 0 is the pair's background row and state m is x, each
-    # predicted once in one call; states 1..m-1 along each permutation
+    # from x, along each permutation from its pair's background row
     values = np.empty((total, m + 1))
-    direct = model.predict_standardized(np.vstack([z_b, z_x]))
-    values[:, 0], values[:, m] = direct[:-1][cycle], direct[-1]
-    z_b = z_b[cycle]
     per_chunk = max(1, PREDICT_CHUNK_ROWS // (m + 1))
     for lo in range(0, total, per_chunk):
         hi = min(lo + per_chunk, total)
-        values[lo:hi, 1:m] = model.predict_chain(z_x, z_b[lo:hi], orders[lo:hi])
+        values[lo:hi] = model.predict_chain(z_x, z_b[lo:hi], orders[lo:hi])
     contribs = (np.take_along_axis(values, rank + 1, axis=1)
                 - np.take_along_axis(values, rank, axis=1))
     phi = contribs.mean(axis=0)

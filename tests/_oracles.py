@@ -364,8 +364,9 @@ def naive_sampling_shap(model, x: np.ndarray, background: np.ndarray,
                         n_permutations: int, seed: int, chain=None):
     """Antithetic permutation sampling, one permutation and one predict call
     at a time. Returns (base_value, phi, prediction, stderr). With `chain`,
-    the values of states 1..m-1 of permutation `order` from background row b
-    are chain(b, order) instead of the model's predictions of them."""
+    the values of states 0..m of permutation `order` from background row b
+    are chain(b, order) instead of the model's predictions of them, and
+    `prediction` is state m of the first permutation."""
     x = np.asarray(x, dtype=float)
     B = np.atleast_2d(np.asarray(background, dtype=float))
     m = x.shape[0]
@@ -374,57 +375,69 @@ def naive_sampling_shap(model, x: np.ndarray, background: np.ndarray,
     total = 2 * n_pairs
     contribs = np.empty((total, m))
     base_samples = np.empty(total)
+    prediction = None
     row = 0
     for pair in range(n_pairs):
         b = B[pair % B.shape[0]]
         perm = rng.permutation(m)
         for order in (perm, perm[::-1]):
-            states = np.repeat(b[None, :], m + 1, axis=0)
-            for t, f in enumerate(order):
-                states[t + 1:, f] = x[f]
-            values = model.predict(states)
-            if chain is not None:
-                values[1:m] = chain(b, order)
+            if chain is None:
+                states = np.repeat(b[None, :], m + 1, axis=0)
+                for t, f in enumerate(order):
+                    states[t + 1:, f] = x[f]
+                values = model.predict(states)
+            else:
+                values = chain(b, order)
+                if prediction is None:
+                    prediction = float(values[m])
             contribs[row, order] = values[1:] - values[:-1]
             base_samples[row] = values[0]
             row += 1
     stderr = contribs.std(axis=0, ddof=1) / math.sqrt(total)
-    prediction = float(model.predict(x[None, :])[0])
+    if prediction is None:
+        prediction = float(model.predict(x[None, :])[0])
     return float(base_samples.mean()), contribs.mean(axis=0), prediction, stderr
 
 
-def naive_chain_states(z_x: np.ndarray, Z: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """The states 1..m-1 of each permutation, built whole, as a (rows, m - 1,
-    m) array: row i's state t takes the features orders[i, :t] from z_x and
+def naive_chain_states(z_x: np.ndarray, Z: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The states 0..k of each row's chain, built whole, as a (rows, k + 1,
+    m) array: row i's state c takes the features steps[i, :c] from z_x and
     the others from Z[i]."""
-    rank = np.argsort(orders, axis=1)
-    steps = np.arange(1, orders.shape[1])[None, :, None]
-    return np.where(rank[:, None, :] < steps, z_x, Z[:, None, :])
+    k = steps.shape[1]
+    rank = np.full(Z.shape, k)  # the step that takes each feature; k: none
+    np.put_along_axis(rank, steps, np.arange(k)[None, :], axis=1)
+    return np.where(rank[:, None, :] < np.arange(k + 1)[None, :, None], z_x, Z[:, None, :])
 
 
 def naive_kernel_chain(model, x: np.ndarray, b: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Kernel ridge's values of the states 1..m-1 of one permutation `order`
-    from background row b towards x, one feature at a time: a state's keys
-    |t_j|^2 - 2 z.t_j and squared norm |z|^2 are the previous state's plus
-    its new feature's terms, and its squared distances their sum clamped at
-    0. A chain whose S = |z_b|^2 + max_j |t_j|^2 + |z_x|^2 is not below
-    2^1021 (or is NaN) predicts its built states instead."""
+    """Kernel ridge's values of the states 0..m of one permutation `order`
+    from background row b to x, one feature at a time: state 0's keys
+    |t_j|^2 - 2 z.t_j and squared norm |z|^2 are dot products, each later
+    state's are the previous state's plus its new feature's terms, and a
+    state's squared distances are their sum clamped at 0. A chain whose
+    S = |z_b|^2 + max_j |t_j|^2 + |z_x|^2 is not below 2^1021 (or is NaN)
+    takes the squared distances of its built states instead, (|z|^2 +
+    |t_j|^2) - 2 z.t_j clamped at 0."""
     z_x, z = model.standardize(x), model.standardize(b)
     T = model.X_train
-    t2 = np.einsum("ij,ij->i", T, T)
-    key = np.einsum("ij,kj->ik", z[None, :], -2.0 * T)[0] + t2
-    norm = np.einsum("ij,ij->i", z[None, :], z[None, :])[0]
-    bounded = norm + t2.max() + z_x @ z_x < 2.0**1021
-    states, sq = [], []
-    for d in order[:-1]:
-        key = key + (-2.0 * (z_x[d] - z[d])) * T[:, d]
-        norm = norm + (z_x[d] * z_x[d] - z[d] * z[d])
-        z[d] = z_x[d]
-        states.append(z.copy())
-        sq.append(np.maximum(key + norm, 0.0))
-    if not bounded:
-        return model.predict_standardized(np.array(states).reshape(-1, len(z)))
-    K = np.exp(-np.array(sq).reshape(-1, len(T)) / (2.0 * model.bandwidth**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2 = np.einsum("ij,ij->i", T, T)
+        key = np.einsum("ij,kj->ik", z[None, :], -2.0 * T)[0] + t2
+        norm = np.einsum("ij,ij->i", z[None, :], z[None, :])[0]
+        bounded = norm + t2.max() + z_x @ z_x < 2.0**1021
+        states, sq = [z.copy()], [np.maximum(key + norm, 0.0)]
+        for d in order:
+            key = key + (-2.0 * (z_x[d] - z[d])) * T[:, d]
+            norm = norm + (z_x[d] * z_x[d] - z[d] * z[d])
+            z[d] = z_x[d]
+            states.append(z.copy())
+            sq.append(np.maximum(key + norm, 0.0))
+        sq = np.array(sq)
+        if not bounded:
+            states = np.array(states)
+            sq = np.maximum(np.add.outer(np.einsum("ij,ij->i", states, states), t2)
+                            - 2.0 * np.einsum("ij,kj->ik", states, T), 0.0)
+        K = np.exp(-sq / (2.0 * model.bandwidth**2))
     return np.einsum("ij,j->i", K, model.coef) + model.y_mean
 
 

@@ -276,6 +276,12 @@ def test_null_and_empty_keep_defaults():
     ({"report": {"top_k": 10}}, "unknown config key: report.top_k"),
     # a null footprint.t_value is the training median, a number the target itself
     ({"footprint": {"t_mode": "explicit"}}, "unknown config key: footprint.t_mode"),
+    # only null keeps a section's defaults: a falsy non-mapping is an error
+    ({"model": []}, "config section 'model' must be a mapping"),
+    ({"model": 0}, "config section 'model' must be a mapping"),
+    ({"model": False}, "config section 'model' must be a mapping"),
+    ([], "config root must be a mapping"),
+    (False, "config root must be a mapping"),
 ])
 def test_key_error_messages_exact(data, message):
     with pytest.raises(ConfigurationError) as info:
@@ -316,6 +322,18 @@ def test_validate_needs_three_problems():
     cfg = parse_config({"suite": {"problems": [1, 2]}})
     assert any("suite.problems" in s for s in validate(cfg))
     assert not validate(parse_config({"suite": {"problems": [1, 2, 3]}}))
+
+
+@pytest.mark.parametrize("text, defaults", [("", True), ("null\n", True), ("{}\n", True),
+                                           ("[]\n", False), ("false\n", False)])
+def test_load_config_of_an_empty_or_non_mapping_root(tmp_path, text, defaults):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    if defaults:
+        assert load_config(path) == parse_config({})
+    else:
+        with pytest.raises(ConfigurationError, match="^config root must be a mapping$"):
+            load_config(path)
 
 
 def test_load_config_from_file(tmp_path):

@@ -706,6 +706,12 @@ def test_knn_predict_k_equal_to_training_size_sends_interior_near_ties_to_cdist(
     assert got.tobytes() == naive_knn_predict(model, queries).tobytes()
 
 
+def _direct_keys(Z, T):
+    """`_rank_keys` of the rows of Z themselves: chains of zero steps."""
+    z_x, Z, steps = models._no_steps(Z)
+    return models._rank_keys(Z, T, z_x, steps)
+
+
 def _fraction_keys(z, t):
     """The exact key |t|^2 - 2 z.t and the exact squared distance |z - t|^2."""
     z, t = [Fraction(v) for v in z], [Fraction(v) for v in t]
@@ -729,7 +735,7 @@ def test_rank_keys_bound_covers_the_keys_and_cdist(case):
             centre, spread = centre * 1e150, 1e149
         T = centre + spread * rng.normal(size=(n, m))
         Z = centre + spread * rng.normal(size=(3, m))
-        s, bound = models._rank_keys(Z, T)
+        s, bound = _direct_keys(Z, T)
         q = cdist(Z, T, "sqeuclidean")
         assert np.isfinite(bound).all()
         for i in range(len(Z)):
@@ -750,20 +756,21 @@ def test_knn_predict_does_not_depend_on_the_key_summation_order(monkeypatch):
     expected = model.predict(queries)
     rank_keys = models._rank_keys
     Z = (queries - model.mean) / model.std
-    reversed_keys = rank_keys(Z[:, ::-1], model.X_train[:, ::-1])[0]
-    assert (reversed_keys != rank_keys(Z, model.X_train)[0]).any()  # other bits, same ranking
-    monkeypatch.setattr(models, "_rank_keys", lambda Z, T: rank_keys(Z[:, ::-1], T[:, ::-1]))
+    reversed_keys = _direct_keys(Z[:, ::-1], model.X_train[:, ::-1])[0]
+    assert (reversed_keys != _direct_keys(Z, model.X_train)[0]).any()  # other bits, same ranking
+    monkeypatch.setattr(models, "_rank_keys", lambda Z, T, z_x, steps: rank_keys(
+        Z[:, ::-1], T[:, ::-1], z_x[::-1], T.shape[1] - 1 - steps))
     assert model.predict(queries).tobytes() == expected.tobytes()
 
 
 def _built_chain_states(z_x, Z, orders):
     """The chain states built whole, in `_rank_keys`' key-row order: row
-    c rows + i is row i's state c + 1."""
+    c rows + i is row i's state c."""
     return naive_chain_states(z_x, Z, orders).transpose(1, 0, 2).reshape(-1, len(z_x))
 
 
 def _plant_chains(targets, z_x, rng):
-    """Rows and orders whose chain state 0 is target i: its order takes
+    """Rows and orders whose chain state 1 is target i: its order takes
     feature i first, which z_x is given (in place), and the row differs from
     the target in that feature alone. Feature m - 1 comes second: where z_x
     lies far out in it, the later states are far from every training row."""
@@ -830,15 +837,15 @@ def test_knn_predict_chain_sends_only_planted_states_to_cdist(monkeypatch):
     assert z_x @ z_x > 10 * (Z[-1] @ Z[-1] + t2)
     Z, orders, reached = _shuffled(rng, np.vstack([separated[0], Z]),
                                    np.vstack([separated[1], orders]), len(targets))
-    gaps = np.diff(np.sort(models._rank_keys(Z, T, z_x, orders[:, :-1])[0][reached[-1]])[: k + 1])
+    gaps = np.diff(np.sort(models._rank_keys(Z, T, z_x, orders)[0][len(Z) + reached[-1]])[: k + 1])
     assert 1.4 * E < gaps.min() < 1.6 * E
     calls.clear()
     got = model.predict_chain(z_x, Z, orders)
     states = _built_chain_states(z_x, Z, orders)
     assert len(calls) == 1
-    assert calls[0].tobytes() == states[np.sort(reached)].tobytes()
+    assert calls[0].tobytes() == states[len(Z) + np.sort(reached)].tobytes()
     assert np.array_equal(np.sort(calls[0], axis=0), np.sort(targets, axis=0))
-    assert got.shape == (len(Z), m - 1)
+    assert got.shape == (len(Z), m + 1)
     assert got.T.tobytes() == naive_knn_predict(model, states).tobytes()
 
 
@@ -862,7 +869,7 @@ def test_knn_predict_chain_k_equal_to_training_size_sends_interior_near_ties_to_
     got = model.predict_chain(z_x, Z, orders)
     states = _built_chain_states(z_x, Z, orders)
     assert len(calls) == 1
-    assert calls[0].tobytes() == states[np.sort(reached)].tobytes()
+    assert calls[0].tobytes() == states[len(Z) + np.sort(reached)].tobytes()
     assert got.T.tobytes() == naive_knn_predict(model, states).tobytes()
 
 
@@ -888,7 +895,7 @@ def test_rank_keys_chain_bound_covers_the_states_keys_and_cdist(case):
         Z = centre + spread * rng.normal(size=(3, m))
         z_x = centre + far * spread * rng.normal(size=m)
         orders = rng.permuted(np.tile(np.arange(m), (3, 1)), axis=1)
-        s, bound = models._rank_keys(Z, T, z_x, orders[:, :-1])
+        s, bound = models._rank_keys(Z, T, z_x, orders)
         states = _built_chain_states(z_x, Z, orders)
         q = cdist(states, T, "sqeuclidean")
         assert s.shape == (len(states), n) and bound.shape == (len(states),)

@@ -3,8 +3,8 @@ import pytest
 
 from footprints.errors import ContractViolation
 from footprints import shapley
-from footprints.models import (RandomForestModel, RegressionTree, fit_kernel, fit_knn,
-                               fit_random_forest)
+from footprints.models import (RandomForestModel, RegressionTree, _no_steps, fit_kernel,
+                               fit_knn, fit_random_forest)
 from footprints.shapley import (
     PREDICT_CHUNK_ROWS,
     attribute,
@@ -281,11 +281,8 @@ class _AdditiveModel:
     def standardize(self, X):
         return X
 
-    def predict_standardized(self, Z):
-        return Z @ self.coefs
-
-    def predict_chain(self, z_x, Z, orders):
-        return naive_chain_states(z_x, Z, orders) @ self.coefs
+    def predict_chain(self, z_x, Z, steps):
+        return naive_chain_states(z_x, Z, steps) @ self.coefs
 
 
 def test_sampling_additive_closed_form():
@@ -304,11 +301,8 @@ def test_sampling_constant_model_zero_phi():
         def standardize(self, X):
             return X
 
-        def predict_standardized(self, Z):
-            return np.full(Z.shape[0], 7.0)
-
-        def predict_chain(self, z_x, Z, orders):
-            return np.full((Z.shape[0], orders.shape[1] - 1), 7.0)
+        def predict_chain(self, z_x, Z, steps):
+            return np.full((Z.shape[0], steps.shape[1] + 1), 7.0)
 
     rep = sampling_shap(Constant(), np.zeros(4), np.zeros((3, 4)),
                         n_permutations=16, seed=1)
@@ -397,9 +391,9 @@ def test_sampling_knn_full_training_set_matches_reference_bitwise():
 @pytest.mark.parametrize("m, n_background, n_permutations", REFERENCE_CASES)
 def test_sampling_kernel_matches_reference(m, n_background, n_permutations):
     # kernel ridge predicts each chain state on its own, so chunking changes
-    # no bit: every value is the one-permutation-at-a-time chain's. State 0
-    # and x are predicted directly, so base and prediction keep the bits of
-    # predicting the built states, and phi moves only in the last bits
+    # no bit: every value, states 0 and m included, is the
+    # one-permutation-at-a-time chain's. The built states' sums round
+    # otherwise, so base, phi and prediction move only in the last bits
     rng = np.random.default_rng(m * 1000 + n_permutations)
     X = rng.normal(size=(30, m))
     model = fit_kernel(X, rng.normal(size=30), penalty=1e-3)
@@ -412,38 +406,31 @@ def test_sampling_kernel_matches_reference(m, n_background, n_permutations):
     assert rep.phi.tobytes() == phi.tobytes() and rep.stderr.tobytes() == stderr.tobytes()
     base, phi, prediction, stderr = naive_sampling_shap(
         model, x, background, n_permutations, seed=11)
-    assert rep.base_value == base and rep.prediction == prediction
+    assert abs(rep.base_value - base) <= 1e-12 and abs(rep.prediction - prediction) <= 1e-12
     assert np.abs(rep.phi - phi).max() <= 1e-12
     assert np.abs(rep.stderr - stderr).max() <= 1e-12
 
 
 def _recording(model, calls):
-    """Record the rows of each `predict_standardized` call and the orders
-    of each `predict_chain` call that sampling makes on `model`."""
-    predict_standardized, predict_chain = model.predict_standardized, model.predict_chain
+    """Record the rows of each `predict_chain` call that sampling makes on
+    `model`."""
+    predict_chain = model.predict_chain
 
-    def standardized(Z):
-        calls.append(("standardized", len(Z)))
-        return predict_standardized(Z)
+    def chain(z_x, Z, steps):
+        assert steps.shape == (len(Z), len(z_x))  # whole permutations
+        calls.append(len(Z))
+        return predict_chain(z_x, Z, steps)
 
-    def chain(z_x, Z, orders):
-        assert orders.shape == (len(Z), len(z_x))  # whole permutations
-        calls.append(("chain", len(Z)))
-        return predict_chain(z_x, Z, orders)
-
-    model.predict_standardized, model.predict_chain = standardized, chain
+    model.predict_chain = chain
 
 
-def _assert_bounded_chunks(calls, m, n_background):
-    # the pairs' distinct background rows and x are predicted once each, in
-    # one call, then the chains in calls of whole permutations
+def _assert_bounded_chunks(calls, m):
+    # every state is predicted along its permutation, in calls of whole
+    # permutations
     per_call = max(1, PREDICT_CHUNK_ROWS // (m + 1))
-    assert calls[0] == ("standardized", n_background + 1)
-    chains = [rows for kind, rows in calls[1:] if kind == "chain"]
-    assert len(chains) == len(calls) - 1
-    assert sum(chains) == 256
-    assert max(chains) == min(per_call, 256)
-    assert len(chains) == -(-256 // per_call)
+    assert sum(calls) == 256
+    assert max(calls) == min(per_call, 256)
+    assert len(calls) == -(-256 // per_call)
 
 
 @pytest.mark.parametrize("m", [1, 9, 43, 1100])
@@ -452,7 +439,7 @@ def test_sampling_predicts_in_bounded_chunks(m):
     model = _AdditiveModel(np.ones(m))
     _recording(model, calls)
     sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
-    _assert_bounded_chunks(calls, m, 2)
+    _assert_bounded_chunks(calls, m)
 
 
 def _awkward_inputs(kind):
@@ -490,21 +477,52 @@ def test_standardized_states_are_the_states_standardized_bitwise(kind):
                      model.standardize(b_rows)[:, None, :]).reshape(-1, m)
     assert model.standardize(raw).tobytes() == mixed.tobytes()
     assert (np.signbit(mixed) & (mixed == 0)).any()  # -0.0 survived
-    assert np.array_equal(model.predict(raw), model.predict_standardized(mixed))
+    assert np.array_equal(model.predict(raw), model.predict_chain(*_no_steps(mixed))[:, 0])
 
 
 @pytest.mark.parametrize("kind", ["knn", "kernel"])
 @pytest.mark.parametrize("n_permutations", [2, 31, 256])
 def test_sampling_awkward_inputs_match_reference_bitwise(kind, n_permutations):
-    # the reference predicts raw states through predict, standardizing each
+    # the KNN reference predicts raw states through predict, standardizing
+    # each; kernel ridge's carries each chain, or builds its states where
+    # the keys are not bounded
     model, x, background = _awkward_inputs(kind)
-    reference = _RowByRowKnn(model) if kind == "knn" else model
     rep = sampling_shap(model, x, background, n_permutations=n_permutations, seed=7)
-    base, phi, prediction, stderr = naive_sampling_shap(
-        reference, x, background, n_permutations, seed=7)
+    if kind == "knn":
+        base, phi, prediction, stderr = naive_sampling_shap(
+            _RowByRowKnn(model), x, background, n_permutations, seed=7)
+    else:
+        base, phi, prediction, stderr = naive_sampling_shap(
+            model, x, background, n_permutations, seed=7,
+            chain=lambda b, order: naive_kernel_chain(model, x, b, order))
     assert np.array([rep.base_value, rep.prediction]).tobytes() == np.array(
         [base, prediction]).tobytes()
     assert rep.phi.tobytes() == phi.tobytes() and rep.stderr.tobytes() == stderr.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["knn", "kernel"])
+def test_features_equal_in_x_and_the_background_get_exactly_zero(kind):
+    # a step in a feature that x and the background row share adds exact
+    # zeros along the chain, so the feature's phi is exactly 0.0, for a
+    # column constant in training (std replaced by 1.0) too
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(30, 8))
+    X[:, 2] = 0.1
+    y = X[:, 0] + rng.normal(size=30)
+    model = fit_knn(X, y, k_neighbors=3) if kind == "knn" else fit_kernel(X, y, penalty=1e-3)
+    x, background = rng.normal(size=8), rng.normal(size=(12, 8))
+    x[[2, 5]] = 0.1, 0.7
+    background[:, [2, 5]] = x[[2, 5]]
+    shared, moved = [2, 5], [0, 1, 3, 4, 6, 7]
+    for seed in range(4):
+        rep = sampling_shap(model, x, background, n_permutations=64, seed=seed)
+        assert rep.phi[shared].tolist() == [0.0, 0.0]
+        assert rep.stderr[shared].tolist() == [0.0, 0.0]
+        assert (rep.phi[moved] != 0.0).all()
+    # portfolio selection: the constant column is x's and every background row's
+    names = [f"f{j}" for j in range(8)]
+    ranked = select_portfolio(model, X, names, seed=3, n_permutations=16)
+    assert ranked[-1] == ("f2", 0.0)
 
 
 @pytest.mark.parametrize("m", [1, 9, 43, 1100])
@@ -516,7 +534,7 @@ def test_sampling_predicts_standardized_states_in_bounded_chunks(m):
     model.predict = lambda X: raw_calls.append(len(X))
     sampling_shap(model, np.ones(m), np.zeros((2, m)), n_permutations=256, seed=0)
     assert raw_calls == []
-    _assert_bounded_chunks(calls, m, 2)
+    _assert_bounded_chunks(calls, m)
 
 
 def test_attribute_picks_the_estimator_by_model():
