@@ -188,11 +188,28 @@ def parse_config(data: dict) -> RunConfig:
     return cfg
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a mapping that names one key twice,
+    at any depth, is an error: the safe loader keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # a `<<` merge may repeat keys; the safe loader rejects non-scalar ones
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigurationError(
+                        f"config key {key!r} repeated at line {key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path) -> RunConfig:
     # bytes, so that PyYAML's reader rejects a file that is not UTF-8 as a YAMLError
     text = Path(path).read_bytes()
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse config file: {exc}") from exc
     return parse_config({} if data is None else data)

@@ -14,17 +14,19 @@ which is a stable sort of the values, cumulative sums, one SSE array).
 Its first minimum breaks ties to the lowest threshold within a column and
 the lowest feature index across columns, so the trees equal those of
 scoring one feature at a time. Prediction walks every (tree, row) pair
-down at once and adds the trees' leaf values in tree order. KNN and RBF
-kernel ridge (the svm surrogate) standardize features with train-only
-statistics, (X - mean) / std elementwise (`_standardize`). Each predicts
-through one method, `predict_chain(z_x, Z, steps)`: the states 0..k of
-each row's chain from Z[i] towards z_x, state c taking the features
-steps[i, :c] from z_x, without building them. One key routine
-(`_rank_keys`) carries each state's keys |t_j|^2 - 2 z.t_j from the
-previous state's, as consecutive states differ in one feature. `predict(X)`
-is the chain of zero steps from `standardize(X)`; it stays in each class
-body because the benchmark's tracer wraps a method found in the class's
-own `__dict__`.
+down at once and adds the trees' leaf values in tree order.
+
+KNN and RBF kernel ridge (the svm surrogate) extend one base
+(`_StandardizedModel`): features standardized with train-only statistics,
+(X - mean) / std elementwise, by one `standardize`, and one fit preamble
+(`_standardized`). Each predicts through one method, `predict_chain(z_x,
+Z, steps)`: the states 0..k of each row's chain from Z[i] towards z_x,
+state c taking the features steps[i, :c] from z_x, without building them.
+One key routine (`_rank_keys`) carries each state's keys |t_j|^2 - 2 z.t_j
+from the previous state's, as consecutive states differ in one feature.
+`predict(X)` is the chain of zero steps from `standardize(X)`; it stays in
+each class body because the benchmark's tracer wraps a method found in the
+class's own `__dict__`.
 
 KNN ranks a state's training rows by its keys. Where the first k + 1
 sorted keys are more than 2E apart, E a per-row rounding bound (Higham
@@ -32,13 +34,14 @@ sorted keys are more than 2E apart, E a per-row rounding bound (Higham
 steps, the rounding of the exact distances and the sqrt, the k nearest and
 their order are exactly those of a stable sort of the state's distances
 summed column by column (`_column_sq_distances`, the rounding of scipy's
-cdist), so the prediction keeps its bits. Other states (ties, near-ties,
-non-finite or huge queries) are rebuilt (`_chain_states`) and take that
-stable sort: one key routine, one certificate and one fallback. Kernel
-ridge's distances reach the output bits; its states take the keys plus
-|state|^2, carried the same way, and every sum is an einsum, whose sums do
-not depend on the other rows of a call as a BLAS product's do. The fit and
-chains whose keys are not bounded take `_gram_sq_distances`.
+cdist), so the prediction keeps its bits. Kernel ridge's distances reach
+the output bits; its states take the keys plus |state|^2, carried the same
+way, and every sum is an einsum, whose sums do not depend on the other rows
+of a call as a BLAS product's do. Both models have one fallback for the
+states their keys cannot vouch for (KNN's uncertified states: ties,
+near-ties, non-finite or huge queries; kernel ridge's chains with S >=
+2^1021 or NaN): the states are rebuilt (`_chain_states`) and take
+`_column_sq_distances`, which has no Gram form's cancellation.
 """
 
 from __future__ import annotations
@@ -343,30 +346,36 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int,
 # ---------------------------------------------------------------------------
 # standardized-feature models
 
-def _standardize_params(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return mean, std
-
-
-def _standardize(X, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """(X - mean) / std elementwise: a row's standardized bits depend on that
-    row alone, so a mix of two rows' features standardizes to the same mix
-    of their standardized features."""
-    return (np.asarray(X, dtype=float) - mean) / std
-
-
 @dataclass(eq=False)
-class KnnModel:
+class _StandardizedModel:
+    """A model of features standardized with train-only statistics, (X -
+    mean) / std elementwise: a row's standardized bits depend on that row
+    alone, so a mix of two rows' features standardizes to the same mix of
+    their standardized features. X_train holds the standardized training
+    rows."""
+
     mean: np.ndarray
     std: np.ndarray
     X_train: np.ndarray
-    y_train: np.ndarray
-    k_neighbors: int
 
     def standardize(self, X) -> np.ndarray:
-        return _standardize(X, self.mean, self.std)
+        return (np.asarray(X, dtype=float) - self.mean) / self.std
+
+
+def _standardized(X, y) -> tuple[dict, np.ndarray]:
+    """The `_StandardizedModel` fields of training rows X, as keywords (a
+    constant column's std is 1.0), and y as floats."""
+    X = np.asarray(X, dtype=float)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return dict(mean=mean, std=std, X_train=(X - mean) / std), np.asarray(y, dtype=float)
+
+
+@dataclass(eq=False)
+class KnnModel(_StandardizedModel):
+    y_train: np.ndarray
+    k_neighbors: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_chain(*_no_steps(self.standardize(X)))[:, 0]
@@ -377,7 +386,8 @@ class KnnModel:
         summed nearest first, as a stable sort of the state's
         column-by-column distances orders them. States whose order the
         keys' bound certifies take it from their keys; the others are
-        rebuilt (`_chain_states`) and take that stable sort."""
+        rebuilt (`_chain_states`) and take that stable sort, the fallback
+        that kernel ridge shares."""
         T, k = self.X_train, self.k_neighbors
         s, bound = _rank_keys(Z, T, z_x, steps)
         # NaN keys and gaps, and gaps that overflow, are never certified
@@ -503,32 +513,21 @@ def _rank_keys(Z: np.ndarray, T: np.ndarray, z_x: np.ndarray,
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k_neighbors: int) -> KnnModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if k_neighbors > X.shape[0]:
-        raise ConfigurationError(
-            f"k_neighbors {k_neighbors} exceeds training size {X.shape[0]}"
-        )
+    if k_neighbors > len(X):
+        raise ConfigurationError(f"k_neighbors {k_neighbors} exceeds training size {len(X)}")
     if k_neighbors < 1:
         raise ConfigurationError("k_neighbors must be >= 1")
-    mean, std = _standardize_params(X)
-    return KnnModel(mean=mean, std=std, X_train=_standardize(X, mean, std), y_train=y,
-                    k_neighbors=k_neighbors)
+    base, y = _standardized(X, y)
+    return KnnModel(**base, y_train=y, k_neighbors=k_neighbors)
 
 
 @dataclass(eq=False)
-class KernelRidgeModel:
+class KernelRidgeModel(_StandardizedModel):
     """RBF kernel ridge; the svm surrogate family."""
 
-    mean: np.ndarray
-    std: np.ndarray
-    X_train: np.ndarray
     coef: np.ndarray
     bandwidth: float
     y_mean: float
-
-    def standardize(self, X) -> np.ndarray:
-        return _standardize(X, self.mean, self.std)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_chain(*_no_steps(self.standardize(X)))[:, 0]
@@ -539,8 +538,9 @@ class KernelRidgeModel:
         distances are its keys plus |state|^2, which is carried along the
         chain like the keys, from |Z[i]|^2 by x_d^2 - z_d^2 a step, then
         clamped at 0. Chains whose keys `_rank_keys` does not bound
-        (S >= 2^1021 or NaN) take the squared distances of their built
-        states (`_gram_sq_distances`) instead."""
+        (S >= 2^1021 or NaN) are rebuilt (`_chain_states`) and take their
+        column-by-column squared distances (`_column_sq_distances`), as
+        KNN's uncertified states do."""
         s, bound = _rank_keys(Z, self.X_train, z_x, steps)
         with np.errstate(over="ignore", invalid="ignore"):
             x, z = z_x[steps.T], Z[np.arange(len(Z)), steps.T]
@@ -550,8 +550,8 @@ class KernelRidgeModel:
             s += np.cumsum(norms, axis=0).reshape(-1, 1)
             unbounded = np.flatnonzero(np.isinf(bound))
             if unbounded.size:
-                s[unbounded] = _gram_sq_distances(_chain_states(z_x, Z, steps, unbounded),
-                                                  self.X_train)
+                s[unbounded] = _column_sq_distances(_chain_states(z_x, Z, steps, unbounded),
+                                                    self.X_train)
             K = np.exp(-np.maximum(s, 0.0, out=s) / (2.0 * self.bandwidth**2))
         # one reduction per row: BLAS `K @ coef` sums a row in an order that
         # depends on the other rows of the call, and so its last bits too
@@ -559,25 +559,17 @@ class KernelRidgeModel:
         return out.reshape(len(norms), len(Z)).T
 
 
-def _gram_sq_distances(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(|z_i|^2 + |t_j|^2) - 2 z_i.t_j, clamped at 0; exactly symmetric
-    when Z is T. Every product sum is an einsum over one row pair, in an
-    order set by the column count alone, so a row's bits do not depend on
-    the other rows of the call (a BLAS product's may)."""
-    sq = np.einsum("ij,kj->ik", Z, T)
-    sq *= -2.0
-    sq += np.add.outer(np.einsum("ij,ij->i", Z, Z), np.einsum("ij,ij->i", T, T))
-    return np.maximum(sq, 0.0, out=sq)
-
-
 def fit_kernel(X: np.ndarray, y: np.ndarray, *, penalty: float) -> KernelRidgeModel:
     if penalty <= 0:
         raise ConfigurationError("ridge penalty must be positive")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mean, std = _standardize_params(X)
-    Z = _standardize(X, mean, std)
-    sq = _gram_sq_distances(Z, Z)
+    base, y = _standardized(X, y)
+    Z = base["X_train"]
+    # (|z_i|^2 + |z_j|^2) - 2 z_i.z_j, exactly symmetric; einsums, as in `_rank_keys`
+    sq = np.einsum("ij,kj->ik", Z, Z)
+    sq *= -2.0
+    norms = np.einsum("ij,ij->i", Z, Z)
+    sq += np.add.outer(norms, norms)
+    np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
     dists = np.sqrt(sq[np.triu_indices(len(Z), 1)])
     bandwidth = float(np.median(dists)) if len(dists) else 1.0
@@ -586,8 +578,7 @@ def fit_kernel(X: np.ndarray, y: np.ndarray, *, penalty: float) -> KernelRidgeMo
     K = np.exp(-sq / (2.0 * bandwidth**2))
     y_mean = float(y.mean())
     coef = np.linalg.solve(K + penalty * np.eye(len(y)), y - y_mean)
-    return KernelRidgeModel(mean=mean, std=std, X_train=Z, coef=coef,
-                            bandwidth=bandwidth, y_mean=y_mean)
+    return KernelRidgeModel(**base, coef=coef, bandwidth=bandwidth, y_mean=y_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,17 @@ finite background set; ``attribute`` picks the one that fits the model:
 * ``sampling_shap``: model-agnostic permutation sampling with antithetic
   permutation pairs and cycled background rows (Mitchell et al., JMLR
   2022). All permutations are drawn in one ``Generator.permuted`` call,
-  whose rows are the stream of one ``permutation`` call per pair, and
-  inverted into ranks. No state is built: the model (KNN, kernel ridge)
-  standardizes x and the background once, by its ``standardize``, and
-  its ``predict_chain`` predicts the states 0..m of each permutation, from
-  the pair's background row (state 0) to x (state m, whose value in the
-  first permutation is ``prediction``), carrying their distances along
-  the permutation, as consecutive states differ in one feature. The step
-  of a feature whose value x and the background row share adds exact
-  zeros, so that feature's contributions are exactly 0. Each call
+  whose rows are the stream of one ``permutation`` call per pair. No
+  state is built: the model (KNN, kernel ridge) standardizes x and the
+  background once, by its ``standardize``, and its ``predict_chain``
+  predicts the states 0..m of each permutation, from the pair's
+  background row (state 0) to x (state m, whose value in the first
+  permutation is ``prediction``), carrying their distances along the
+  permutation, as consecutive states differ in one feature. The step of a
+  feature whose value x and the background row share adds exact zeros, so
+  that feature's contributions are exactly 0. Step t's difference of
+  values is the contribution of feature orders[r, t], so the differences
+  are put in place along ``orders``; no rank matrix is built. Each call
   takes max(1, PREDICT_CHUNK_ROWS // (m + 1)) whole permutations (the
   last call the rest). The chunk bounds peak memory: one call for all
   chains would hold KNN's (states x training rows) key and index
@@ -258,8 +260,6 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     # row 2p is the p-th drawn permutation, row 2p+1 its reverse
     perms = rng.permuted(np.tile(np.arange(m), (n_pairs, 1)), axis=1)
     orders = np.stack([perms, perms[:, ::-1]], axis=1).reshape(total, m)
-    rank = np.empty_like(orders)
-    np.put_along_axis(rank, orders, np.arange(m)[None, :], axis=1)
     # states mixed from standardized x and b are the standardized states
     z_x = model.standardize(x)
     z_b = model.standardize(B[:n_pairs])[np.arange(total) // 2 % B.shape[0]]
@@ -270,8 +270,8 @@ def sampling_shap(model, x: np.ndarray, background: np.ndarray, n_permutations: 
     for lo in range(0, total, per_chunk):
         hi = min(lo + per_chunk, total)
         values[lo:hi] = model.predict_chain(z_x, z_b[lo:hi], orders[lo:hi])
-    contribs = (np.take_along_axis(values, rank + 1, axis=1)
-                - np.take_along_axis(values, rank, axis=1))
+    contribs = np.empty((total, m))
+    np.put_along_axis(contribs, orders, np.diff(values, axis=1), axis=1)
     phi = contribs.mean(axis=0)
     stderr = contribs.std(axis=0, ddof=1) / math.sqrt(total)
     return ShapMetaRepresentation(

@@ -416,8 +416,8 @@ def naive_kernel_chain(model, x: np.ndarray, b: np.ndarray, order: np.ndarray) -
     state's are the previous state's plus its new feature's terms, and a
     state's squared distances are their sum clamped at 0. A chain whose
     S = |z_b|^2 + max_j |t_j|^2 + |z_x|^2 is not below 2^1021 (or is NaN)
-    takes the squared distances of its built states instead, (|z|^2 +
-    |t_j|^2) - 2 z.t_j clamped at 0."""
+    takes the squared distances of its built states instead, squared
+    differences summed one column at a time, as cdist sums them."""
     z_x, z = model.standardize(x), model.standardize(b)
     T = model.X_train
     with np.errstate(over="ignore", invalid="ignore"):
@@ -435,8 +435,9 @@ def naive_kernel_chain(model, x: np.ndarray, b: np.ndarray, order: np.ndarray) -
         sq = np.array(sq)
         if not bounded:
             states = np.array(states)
-            sq = np.maximum(np.add.outer(np.einsum("ij,ij->i", states, states), t2)
-                            - 2.0 * np.einsum("ij,kj->ik", states, T), 0.0)
+            sq = np.zeros((len(states), len(T)))
+            for d in range(T.shape[1]):
+                sq = sq + (states[:, None, d] - T[None, :, d]) ** 2
         K = np.exp(-sq / (2.0 * model.bandwidth**2))
     return np.einsum("ij,j->i", K, model.coef) + model.y_mean
 

@@ -336,6 +336,21 @@ def test_load_config_of_an_empty_or_non_mapping_root(tmp_path, text, defaults):
             load_config(path)
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("master_seed: 1\nmaster_seed: 2\n", "master_seed", 2),
+    ("model:\n  kinds: [knn]\nmodel:\n  knn_neighbors: 3\n", "model", 3),
+    ("suite:\n  dimension: 5\n  dimension: 7\n", "dimension", 3),
+    ("de:\n  configs:\n    - {config_id: DE1, strategy: rand/1/bin, F: 0.5, Cr: 0.9, Cr: 0.3}\n",
+     "Cr", 3),
+], ids=["root", "section", "section-key", "de-configs-entry"])
+def test_load_config_rejects_a_key_repeated_at_any_depth(tmp_path, text, key, line):
+    # a plain safe_load keeps the last of the two values and loads silently
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"^config key '{key}' repeated at line {line}$"):
+        load_config(path)
+
+
 def test_load_config_from_file(tmp_path):
     path = _write_config(tmp_path, TINY)
     cfg = load_config(path)
@@ -350,6 +365,15 @@ def test_cli_validate_ok(tmp_path, capsys):
     path = _write_config(tmp_path, TINY)
     assert main(["validate", "--config", str(path)]) == 0
     assert "config OK" in capsys.readouterr().out
+
+
+def test_cli_validate_rejects_a_repeated_key(tmp_path, capsys):
+    path = _write_config(tmp_path, TINY)
+    text = path.read_text()
+    assert "  dimension: 2\n" in text
+    path.write_text(text.replace("  dimension: 2\n", "  dimension: 2\n  dimension: 7\n"))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "config error: config key 'dimension' repeated at line" in capsys.readouterr().err
 
 
 def test_cli_validate_reports_violations(tmp_path, capsys):

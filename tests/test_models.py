@@ -976,6 +976,27 @@ def test_kernel_predict_row_does_not_depend_on_the_batch():
     assert np.array_equal(model.predict(Q[7:40]), batch[7:40])
 
 
+def test_kernel_chain_with_unbounded_keys_takes_the_column_distances_of_its_states():
+    # S >= 2^1021 leaves a chain's keys unbounded: its states are rebuilt and
+    # take the column-by-column squared distances of KNN's fallback, not a
+    # Gram form, (|z|^2 + |t_j|^2) - 2 z.t_j, which rounds otherwise
+    rng = np.random.default_rng(29)
+    m, rows = 6, 8
+    model = fit_kernel(rng.normal(size=(30, m)), rng.normal(size=30), penalty=1e-3)
+    T = model.X_train
+    z_x = rng.normal(size=m)
+    z_x[2] = 1e154  # |z_x|^2 = 1e308
+    Z = np.vstack([rng.normal(size=(rows // 2, m)),
+                   T[:rows // 2] + 1e-6 * rng.normal(size=(rows // 2, m))])
+    orders = rng.permuted(np.tile(np.arange(m), (rows, 1)), axis=1)
+    assert np.isinf(models._rank_keys(Z, T, z_x, orders)[1]).all()
+    got = model.predict_chain(z_x, Z, orders)
+    sq = models._column_sq_distances(_built_chain_states(z_x, Z, orders), T)
+    want = np.einsum("ij,j->i", np.exp(-sq / (2.0 * model.bandwidth**2)), model.coef)
+    want += model.y_mean
+    assert got.tobytes() == want.reshape(m + 1, rows).T.tobytes()
+
+
 def test_kernel_penalty_must_be_positive():
     with pytest.raises(ConfigurationError):
         fit_kernel(np.zeros((4, 2)), np.zeros(4), penalty=0.0)
@@ -992,6 +1013,12 @@ def test_models_table():
         assert label and field in config_fields, kind
         # each fit returns its model class at the config default
         assert isinstance(fit(X, y, getattr(RunConfig(), field), 0), classes[kind]), kind
+
+
+def test_predict_is_in_each_standardized_model_class_body():
+    # the benchmark's tracer wraps a method found in the class's own __dict__
+    for cls in (KnnModel, KernelRidgeModel):
+        assert "predict" in vars(cls), cls.__name__
 
 
 # ---------------------------------------------------------------------------
