@@ -181,13 +181,13 @@ def _pair_entropies(symbols: np.ndarray) -> list[float]:
     return entropies
 
 
-def _partial_information(diffs: np.ndarray) -> float:
-    symbols = _symbol_sequence(diffs, 0.0)
+def _partial_information(symbols: np.ndarray) -> float:
+    """The partial information of the symbols under threshold 0."""
     nonzero = symbols[symbols != 0]
     if len(nonzero) == 0:
         return 0.0
     changes = 1 + int(np.sum(nonzero[1:] != nonzero[:-1]))
-    return changes / len(diffs)
+    return changes / len(symbols)
 
 
 IC_FEATURES = ("ic.h_max", "ic.eps_max", "ic.eps_s", "ic.eps_ratio", "ic.m0")
@@ -205,13 +205,14 @@ def ic_features(y: np.ndarray, dmat: np.ndarray) -> list[float]:
         grid = np.array([0.0, dmax])
     else:
         grid = np.concatenate(([0.0], np.logspace(math.log10(lo), math.log10(dmax), IC_GRID_SIZE)))
-    entropies = np.array(_pair_entropies(_symbol_sequence(diffs, grid[:, None])))
+    symbols = _symbol_sequence(diffs, grid[:, None])  # grid[0] is 0
+    entropies = np.array(_pair_entropies(symbols))
     h_max = float(np.max(entropies))
     eps_max = float(grid[int(np.argmax(entropies))])  # smallest maximizer
     below = np.nonzero(entropies < IC_SETTLING_THRESHOLD)[0]
     eps_s = float(grid[below[0]]) if len(below) else float(grid[-1])
     eps_ratio = math.log10(_safe_ratio(eps_max, eps_s))
-    return [h_max, eps_max, eps_s, eps_ratio, _partial_information(diffs)]
+    return [h_max, eps_max, eps_s, eps_ratio, _partial_information(symbols[0])]
 
 
 # ---------------------------------------------------------------------------

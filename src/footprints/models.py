@@ -5,7 +5,9 @@ samples, per-split random feature subsets) so that tree internals are
 available to the exact Shapley attribution. A forest's trees grow in
 lockstep: each step takes the next node, in depth-first pre-order, of
 every tree with work left, so each tree's nodes and generator draws are
-those of growing it alone. Every node statistic is a sequential prefix sum
+those of growing it alone. A tree is its node table in that order
+(`RegressionTree`): a split node's left child is the next node, so only
+the right child is stored. Every node statistic is a sequential prefix sum
 along the node's padded row: its mean and SSE, and the split scan's
 cumulative sums. The step's split nodes are scored together,
 padded with rows that sort last and add nothing; a node scores all of its
@@ -14,7 +16,8 @@ which is a stable sort of the values, cumulative sums, one SSE array).
 Its first minimum breaks ties to the lowest threshold within a column and
 the lowest feature index across columns, so the trees equal those of
 scoring one feature at a time. Prediction walks every (tree, row) pair
-down at once and adds the trees' leaf values in tree order.
+down at once, to node i + 1 or right[i], and adds the trees' leaf values
+in tree order.
 
 KNN and RBF kernel ridge (the svm surrogate) extend one base
 (`_StandardizedModel`): features standardized with train-only statistics,
@@ -104,11 +107,12 @@ def make_folds(keys: Sequence[Key], k: int, seed: int) -> dict[Key, int]:
 
 @dataclass(eq=False)
 class RegressionTree:
-    """Flat array representation; feature[i] == -1 marks a leaf."""
+    """A tree as its node table in depth-first pre-order, root first:
+    feature[i] == -1 marks a leaf, and a split node i sends x <=
+    threshold[i] to its left child, node i + 1, and the rest to right[i]."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
 
@@ -153,7 +157,6 @@ def _grow_forest(X, y, roots, rngs, n_sub) -> list[RegressionTree]:
     cap = 2 * n - 1  # a split leaves rows on both sides, so every leaf holds one
     feature = np.full((n_trees, cap), -1)
     threshold = np.zeros((n_trees, cap))
-    left = np.full((n_trees, cap), -1)
     right = np.full((n_trees, cap), -1)
     value = np.zeros((n_trees, cap))
     rows = roots.copy()
@@ -189,7 +192,6 @@ def _grow_forest(X, y, roots, rngs, n_sub) -> list[RegressionTree]:
         ts, at, start, size = t[split], node[split], start[split], size[split]
         feature[ts, at] = j
         threshold[ts, at] = thr
-        left[ts, at] = at + 1
 
         R, real = R[split], real[split]
         go_left = XT[j[:, None], R] <= thr[:, None]
@@ -203,7 +205,7 @@ def _grow_forest(X, y, roots, rngs, n_sub) -> list[RegressionTree]:
         stack[ts, push] = np.column_stack([start + n_left, size - n_left, at])
         stack[ts, push + 1] = np.column_stack([start, n_left, np.full(len(ts), -1)])
         top[ts] += 2
-    arrays = (feature, threshold, left, right, value)
+    arrays = (feature, threshold, right, value)
     return [RegressionTree(*(a[i, :count[i]].copy() for a in arrays)) for i in range(n_trees)]
 
 
@@ -301,24 +303,24 @@ class RandomForestModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The mean of the trees' predictions. Every (tree, row) pair
-        descends at once through the trees' concatenated arrays; the leaf
-        values are then added in tree order, as one tree at a time would."""
+        descends at once through the trees' concatenated node tables, to
+        the next node (the left child, in pre-order) or to its tree's
+        offset plus right; the leaf values are then added in tree order,
+        as one tree at a time would."""
         X = np.asarray(X, dtype=float)
         n = X.shape[0]
         sizes = [len(tree.feature) for tree in self.trees]
         offset = np.cumsum([0] + sizes[:-1])
         feature, threshold, value = (np.concatenate([getattr(tree, name) for tree in self.trees])
                                      for name in ("feature", "threshold", "value"))
-        left, right = (np.concatenate([getattr(tree, name) + o
-                                       for tree, o in zip(self.trees, offset)])
-                       for name in ("left", "right"))
+        right = np.concatenate([tree.right + o for tree, o in zip(self.trees, offset)])
         node = np.repeat(offset, n)
         row = np.tile(np.arange(n), len(self.trees))
         active = np.flatnonzero(feature[node] >= 0)
         while active.size:
             nd = node[active]
             go_left = X[row[active], feature[nd]] <= threshold[nd]
-            node[active] = np.where(go_left, left[nd], right[nd])
+            node[active] = np.where(go_left, nd + 1, right[nd])
             active = active[feature[node[active]] >= 0]
         out = np.zeros(n)
         for leaf_values in value[node].reshape(len(self.trees), n):

@@ -90,7 +90,9 @@ class ShapMetaRepresentation:
 
 def _leaf_paths(trees: Sequence[RegressionTree]):
     """The forest's non-empty root-to-leaf paths, tree by tree and left
-    before right within a tree, as arrays padded to the longest path.
+    before right within a tree, as arrays padded to the longest path. The
+    walk follows each tree's pre-order node table: a split node's left
+    child is the next node, its right child `right[node]`.
 
     Returns (value, feature, lo, hi, valid). Path l has the distinct
     features feature[l, valid[l]], ascending, and a value v satisfies the
@@ -99,8 +101,8 @@ def _leaf_paths(trees: Sequence[RegressionTree]):
     """
     values, paths = [], []  # per leaf: its value and its [(feature, (lo, hi)), ...]
     for tree in trees:
-        feature, threshold, left, right, value = (
-            a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value))
+        feature, threshold, right, value = (
+            a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.value))
         # pre-order walk; each node carries its path's {feature: (lo, hi)}
         stack = [(0, {})]
         while stack:
@@ -114,7 +116,7 @@ def _leaf_paths(trees: Sequence[RegressionTree]):
             lo, hi = bounds.get(f, (-math.inf, math.inf))
             thr = threshold[node]
             stack.append((right[node], {**bounds, f: (max(lo, thr), hi)}))
-            stack.append((left[node], {**bounds, f: (lo, min(hi, thr))}))
+            stack.append((node + 1, {**bounds, f: (lo, min(hi, thr))}))
     counts = np.array([len(path) for path in paths], dtype=np.intp)
     valid = np.arange(counts.max(initial=0))[None, :] < counts[:, None]
     feat = np.zeros(valid.shape, dtype=np.intp)

@@ -179,19 +179,19 @@ def emit_beeswarm_data(
             f"feature values of shape {np.shape(values)} do not match phi {np.shape(phi)}")
     ranking = global_importance(phi, feature_names)[:top_k]
     name_to_col = {name: i for i, name in enumerate(feature_names)}
-
-    raw_rows = []  # (feature, key, phi, normalized value)
-    for rank, (fname, _) in enumerate(ranking):
-        col = name_to_col[fname]
-        norm = _scale(values[:, col], 0.0, 1.0)
-        for i, key in enumerate(keys):
-            raw_rows.append((rank, fname, key, float(phi[i, col]), float(norm[i])))
+    cols = [name_to_col[fname] for fname, _ in ranking]
+    # rank-major: row r holds the attributions and normalized values of the
+    # r-th ranked feature, one column per key
+    ranked_phi = np.asarray(phi, dtype=float)[:, cols].T
+    norm = np.array([_scale(values[:, col], 0.0, 1.0) for col in cols])
 
     table = format_csv(["feature_name", *KEY_COLUMNS, "phi", "normalized_value"],
-                       ([fname, *key, phi, norm] for _, fname, key, phi, norm in raw_rows))
+                       ([fname, *key, p, v]
+                        for (fname, _), p_row, v_row in zip(ranking, ranked_phi.tolist(),
+                                                            norm.tolist())
+                        for key, p, v in zip(keys, p_row, v_row, strict=True)))
 
-    all_phi = np.array([r[3] for r in raw_rows])
-    span = max(float(np.max(np.abs(all_phi))), 1e-12)
+    span = max(float(np.max(np.abs(ranked_phi))), 1e-12)
     row_h = (HEIGHT - 2 * MARGIN - 20) / top_k
     x0, x1 = MARGIN + 150, WIDTH - MARGIN
     mid = 0.5 * (x0 + x1)
@@ -203,11 +203,11 @@ def emit_beeswarm_data(
     for rank, (fname, _) in enumerate(ranking):
         yc = MARGIN + (rank + 0.5) * row_h
         parts.append(_text(x0 - 8, yc + 3, 10, fname, anchor="end"))
-    for i, (rank, fname, key, phi, norm) in enumerate(raw_rows):
-        x = mid + phi / span * (x1 - mid - 8)
-        stagger = ((i * 37) % 7 - 3) * row_h / 10.0
-        y = MARGIN + (rank + 0.5) * row_h + stagger
-        parts.append(_circle(float(x), float(y), _value_color(norm), 3.0))
+    stagger = (np.arange(ranked_phi.size).reshape(ranked_phi.shape) * 37 % 7 - 3) * row_h / 10.0
+    x = mid + ranked_phi / span * (x1 - mid - 8)
+    y = MARGIN + (np.arange(top_k)[:, None] + 0.5) * row_h + stagger
+    for xc, yc, v in zip(x.ravel().tolist(), y.ravel().tolist(), norm.ravel().tolist()):
+        parts.append(_circle(xc, yc, _value_color(v), 3.0))
     parts.append(_text(MARGIN, HEIGHT - 18.0, 11,
                        "x: attribution; color: feature value low (blue) to high (red)"))
     parts.append("</svg>")

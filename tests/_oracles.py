@@ -44,7 +44,8 @@ def brute_force_shapley(model, x: np.ndarray, background: np.ndarray) -> np.ndar
 
 def naive_tree_shap(model, X: np.ndarray, background: np.ndarray):
     """Exact interventional tree Shapley one leaf path and one path feature
-    at a time: a recursive walk lists each tree's leaves left before right,
+    at a time: a recursive walk lists each tree's leaves left before right
+    (a split node's left child is the next node in the pre-order table),
     and every path feature gets sum_b w * [x-only] - sum_b w * [b-only].
     Returns (base_value, phi, predictions), phi of shape (n, m)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -63,7 +64,7 @@ def naive_tree_shap(model, X: np.ndarray, background: np.ndarray):
                 return
             thr = float(tree.threshold[node])
             old = bounds.get(feat, (-math.inf, math.inf))
-            rec(int(tree.left[node]), {**bounds, feat: (old[0], min(old[1], thr))})
+            rec(node + 1, {**bounds, feat: (old[0], min(old[1], thr))})
             rec(int(tree.right[node]), {**bounds, feat: (max(old[0], thr), old[1])})
 
         rec(0, {})
@@ -447,7 +448,8 @@ def naive_fit_random_forest(X, y, *, n_trees, seed):
     per candidate feature: each feature is scored on its own, and a later
     feature replaces the best split only if its SSE is strictly lower.
     Returns each tree's flat arrays as a dict (feature, threshold, left,
-    right, value)."""
+    right, value); `left` is kept only to check that the grown trees are
+    in pre-order, a split node's left child at node + 1."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = X.shape
@@ -521,8 +523,9 @@ def naive_build_tree(X, y, idx, rng, n_sub):
 
 def naive_forest_predict(model, X: np.ndarray) -> np.ndarray:
     """The forest's mean prediction, one tree at a time and one row at a time:
-    each row walks its own path (left on x <= threshold), and the trees'
-    leaf values are added in tree order."""
+    each row walks its own path (on x <= threshold to the next node, the
+    left child in pre-order), and the trees' leaf values are added in tree
+    order."""
     X = np.asarray(X, dtype=float)
     out = np.zeros(X.shape[0])
     for tree in model.trees:
@@ -531,7 +534,7 @@ def naive_forest_predict(model, X: np.ndarray) -> np.ndarray:
             node = 0
             while tree.feature[node] >= 0:
                 go_left = x[tree.feature[node]] <= tree.threshold[node]
-                node = tree.left[node] if go_left else tree.right[node]
+                node = node + 1 if go_left else tree.right[node]
             leaf_values[i] = tree.value[node]
         out += leaf_values
     return out / len(model.trees)

@@ -26,6 +26,7 @@ from footprints.models import (
     _grow_forest,
 )
 from footprints.seeding import derive_seed
+from footprints.suite import ProblemInstance
 
 from _oracles import (naive_build_tree, naive_chain_states, naive_fit_random_forest,
                       naive_forest_predict, naive_knn_predict)
@@ -173,11 +174,14 @@ def test_forest_learns_signal():
 def _assert_trees_bitwise_equal(trees, reference):
     assert len(trees) == len(reference)
     for t, (tree, ref) in enumerate(zip(trees, reference)):
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in ("feature", "threshold", "right", "value"):
             got, want = getattr(tree, name), ref[name]
             assert got.dtype == want.dtype, (t, name)
             assert got.shape == want.shape, (t, name)
             assert got.tobytes() == want.tobytes(), (t, name)
+        # the reference records its recursive left child: pre-order puts it next
+        split = np.flatnonzero(ref["feature"] >= 0)
+        assert np.array_equal(ref["left"][split], split + 1), t
 
 
 def _fit_both(X, y, *, n_trees, seed, fixed_rows=False):
@@ -428,7 +432,7 @@ def test_forest_predict_one_row_matches_reference():
 def test_forest_predict_value_equal_to_threshold_goes_left():
     tree = RegressionTree(feature=np.array([0, -1, 1, -1, -1]),
                           threshold=np.array([1.5, 0.0, -2.0, 0.0, 0.0]),
-                          left=np.array([1, -1, 3, -1, -1]), right=np.array([2, -1, 4, -1, -1]),
+                          right=np.array([2, -1, 4, -1, -1]),
                           value=np.array([0.0, 10.0, 0.0, 20.0, 30.0]))
     model = RandomForestModel(trees=[tree], n_features=2)
     Q = np.array([[1.5, 0.0], [1.6, -2.0], [1.6, -1.9], [-1.0, 9.0]])
@@ -441,9 +445,9 @@ def test_forest_predict_value_equal_to_threshold_goes_left():
 
 def test_forest_predict_root_leaf_tree():
     leaf = RegressionTree(feature=np.array([-1]), threshold=np.array([0.0]),
-                          left=np.array([-1]), right=np.array([-1]), value=np.array([2.5]))
+                          right=np.array([-1]), value=np.array([2.5]))
     stump = RegressionTree(feature=np.array([0, -1, -1]), threshold=np.array([0.0, 0.0, 0.0]),
-                           left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                           right=np.array([2, -1, -1]),
                            value=np.array([0.0, -1.0, 1.0]))
     Q = np.array([[-1.0], [1.0], [0.0]])
     assert RandomForestModel(trees=[leaf], n_features=1).predict(Q).tolist() == [2.5] * 3
@@ -461,6 +465,16 @@ def test_forest_rejects_no_trees_and_empty_leaves(kwargs):
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
         fit_random_forest(rng.normal(size=(10, 3)), rng.normal(size=10), seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("n_trees", [1, 7])
+def test_forest_trees_are_a_list_of_one_tree_per_n_trees(n_trees):
+    # the benchmark's tracer counts a fit's trees as len(model.trees)
+    rng = np.random.default_rng(n_trees)
+    model = fit_random_forest(rng.normal(size=(12, 3)), rng.normal(size=12),
+                              n_trees=n_trees, seed=0)
+    assert type(model.trees) is list and len(model.trees) == n_trees
+    assert all(isinstance(tree, RegressionTree) for tree in model.trees)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,10 +1029,13 @@ def test_models_table():
         assert isinstance(fit(X, y, getattr(RunConfig(), field), 0), classes[kind]), kind
 
 
-def test_predict_is_in_each_standardized_model_class_body():
+@pytest.mark.parametrize("cls, attr", [(KnnModel, "predict"), (KernelRidgeModel, "predict"),
+                                       (RandomForestModel, "predict"),
+                                       (ProblemInstance, "evaluate_batch")],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_traced_method_is_in_its_class_body(cls, attr):
     # the benchmark's tracer wraps a method found in the class's own __dict__
-    for cls in (KnnModel, KernelRidgeModel):
-        assert "predict" in vars(cls), cls.__name__
+    assert callable(vars(cls).get(attr))
 
 
 # ---------------------------------------------------------------------------
